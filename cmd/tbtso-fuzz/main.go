@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -104,7 +103,6 @@ func run(args []string) (code int) {
 		MaxStates:        *maxStates,
 		CrossCheckStates: *crossCheck,
 		Metrics:          reg,
-		Sinks:            sess.Sinks(),
 		Workers:          *workers,
 	}
 	if cfg.Deltas, err = parseDeltas(*deltasStr); err != nil {
@@ -130,12 +128,11 @@ func run(args []string) (code int) {
 			flightDir: obsOpts.FlightDir,
 		}
 		if obsOpts.Monitors != "" || obsOpts.FlightDir != "" {
-			// Campaigns record flight data through per-worker shards
-			// instead of serializing every machine run through the
-			// session's shared recorder: each seed gets a fresh monitor
-			// set (exact violation attribution) and no lock is taken on
-			// the event hot path. The session recorder stays attached
-			// only for the unconditional interrupt post-mortem dump.
+			// Campaigns record flight data per seed instead of through
+			// the session's shared recorder: each seed gets a fresh
+			// monitor set (exact violation attribution) and no lock is
+			// taken on the event hot path. The session recorder serves
+			// only the unconditional interrupt post-mortem dump.
 			spec := obsOpts.Monitors
 			var factory func() *monitor.Set
 			if spec != "" {
@@ -150,7 +147,6 @@ func run(args []string) (code int) {
 			}
 			camp.flight = monitor.NewShardedFlight(factory, monitor.DefaultFlightSeeds)
 			camp.cfg.Flight = camp.flight
-			camp.cfg.Sinks = nil
 		}
 		if srv := sess.Server(); srv != nil {
 			srv.SetCoverage(camp.liveCoverage)
@@ -243,27 +239,38 @@ type campaign struct {
 	done    int             // seeds folded: [startSeed, startSeed+done) are complete
 	pending []fuzz.Mismatch // mismatches from folded seeds, not yet shrunk
 
-	// flight is the sharded campaign flight recorder (nil unless
+	// flight is the campaign flight recorder (nil unless
 	// -obs.monitor/-obs.flightdir); flightDir receives its merged dump.
 	flight    *monitor.ShardedFlight
 	flightDir string
 	// cov is the merged campaign coverage for the folded prefix; liveCov
-	// is its latest batch-boundary clone, served on /coverage.
+	// is its latest published clone, served on /coverage.
 	cov     coverage.Snapshot
 	liveCov atomic.Pointer[coverage.Snapshot]
-	// restoredFlightEv/Viol carry a resumed checkpoint's flight totals
-	// through to the next checkpoint when this invocation runs without a
-	// recorder of its own, so the totals are conserved across segments.
-	restoredFlightEv, restoredFlightViol uint64
+	// resumed is the checkpoint this invocation resumed from (nil for a
+	// fresh campaign). Without a recorder of its own, the campaign
+	// carries its flight fields through to the next checkpoint, so they
+	// are conserved across segments.
+	resumed *fuzz.Checkpoint
 }
 
-// liveCoverage serves /coverage: the latest batch-boundary snapshot
-// (nil before any coverage exists, which the endpoint reports as 404).
+// liveCoverage serves /coverage: the latest published snapshot (nil
+// before any coverage exists, which the endpoint reports as 404).
 func (c *campaign) liveCoverage() *coverage.Snapshot { return c.liveCov.Load() }
 
 // publishCoverage clones the merged coverage for the ops endpoint.
-// Called only between batches — never on the checking hot path.
 func (c *campaign) publishCoverage() { c.liveCov.Store(c.cov.Clone()) }
+
+// publish refreshes what the ops endpoint serves: the coverage clone and
+// the throughput gauges. The campaign calls it once per window of folded
+// programs, never once per program.
+func (c *campaign) publish(start time.Time) {
+	c.publishCoverage()
+	if sec := time.Since(start).Seconds(); sec > 0 {
+		c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.sum.Programs) / sec))
+		c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.sum.Runs) / sec))
+	}
+}
 
 // checkpoint persists the campaign's resumable state; a no-op without
 // a checkpoint path.
@@ -281,10 +288,13 @@ func (c *campaign) checkpoint(hash string) {
 	if !c.cov.Empty() {
 		ck.Coverage = &c.cov
 	}
-	if c.flight != nil {
+	switch {
+	case c.flight != nil:
 		ck.FlightEvents, ck.FlightViolations = c.flight.Totals()
-	} else {
-		ck.FlightEvents, ck.FlightViolations = c.restoredFlightEv, c.restoredFlightViol
+		ck.FlightViolating = c.flight.Violating()
+	case c.resumed != nil:
+		ck.FlightEvents, ck.FlightViolations = c.resumed.FlightEvents, c.resumed.FlightViolations
+		ck.FlightViolating = c.resumed.FlightViolating
 	}
 	for _, m := range c.pending {
 		ck.Pending = append(ck.Pending, fuzz.EncodeMismatch(m))
@@ -360,11 +370,9 @@ func (c *campaign) run(ctx context.Context) int {
 			c.cov.Merge(ck.Coverage)
 			c.publishCoverage()
 		}
+		c.resumed = ck
 		if c.flight != nil {
-			c.flight.Restore(c.startSeed, ck.FlightEvents, ck.FlightViolations)
-			c.flight.Compact(ck.NextSeed) // advance the cutoff past the restored prefix
-		} else {
-			c.restoredFlightEv, c.restoredFlightViol = ck.FlightEvents, ck.FlightViolations
+			c.flight.Restore(c.startSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
 		}
 		c.reg.Counter("fuzz.resume.skipped_runs").Add(uint64(ck.Runs))
 		if c.ckptPath == "" {
@@ -374,64 +382,46 @@ func (c *campaign) run(ctx context.Context) int {
 			ck.NextSeed, c.done, c.n, len(c.pending))
 	}
 
-	workers := c.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers, window := c.cfg.Parallelism()
 	c.reg.Gauge("fuzz.campaign.workers").Set(int64(workers))
 
 	// A resumed campaign first drains the shrink queue its checkpoint
 	// carried — those mismatches precede every remaining seed, so the
 	// artifact order matches an uninterrupted run's.
-	interrupted := !c.drainPending(ctx)
-
-	// The seed space is consumed in worker-count-sized batches through
-	// the parallel fuzz.RunContext; between batches the time budget is
-	// checked, throughput gauges published, and periodic checkpoints
-	// written. Mismatches are shrunk serially between batches (shrinking
-	// re-runs the failure predicate thousands of times — it stays
-	// outside the sharded hot path); a signal mid-shrink queues the
-	// remainder into the checkpoint instead of finishing it.
-	batch := workers * 4
-	lastCkpt := c.done
-	for !interrupted && c.done < c.n {
-		if c.budget > 0 && time.Since(start) > c.budget {
-			interrupted = true
-			break
-		}
-		b := batch
-		if c.done+b > c.n {
-			b = c.n - c.done
-		}
-		first := c.startSeed + int64(c.done)
-		rep, bdone, err := fuzz.RunContext(ctx, c.cfg, b, first)
-		c.done += bdone
-		c.sum.LastSeed = first + int64(bdone) - 1
-		c.sum.Programs += rep.Programs
-		c.sum.Runs += rep.Runs
-		c.sum.Truncated += rep.Truncated
-		c.sum.Mismatches += len(rep.Mismatches)
-		c.cov.Merge(&rep.Coverage)
-		if c.flight != nil {
-			// No worker is emitting between batches, so folding the
-			// shards' completed-prefix groups is safe here.
-			c.flight.Compact(c.startSeed + int64(c.done))
-		}
-		c.publishCoverage()
-		if sec := time.Since(start).Seconds(); sec > 0 {
-			c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.sum.Programs) / sec))
-			c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.sum.Runs) / sec))
-		}
-		c.pending = append(c.pending, rep.Mismatches...)
-		if err != nil || !c.drainPending(ctx) {
-			interrupted = true
-			break
-		}
-		if c.ckptPath != "" && c.done-lastCkpt >= c.ckptEvery {
-			c.checkpoint(hash)
-			lastCkpt = c.done
-		}
+	if c.drainPending(ctx) && c.done < c.n {
+		// One seed-ordered stream over the remaining seeds; the workers
+		// keep checking ahead while the fold runs here. The fold shrinks
+		// each program's mismatches before the next is folded (shrinking
+		// re-runs the failure predicate thousands of times, so it stays
+		// off the workers; a signal mid-shrink queues the remainder into
+		// the checkpoint instead of finishing it). Stream's count and
+		// error need no handling: a campaign cut short leaves c.done < c.n.
+		lastCkpt, lastPub := c.done, c.done
+		fuzz.Stream(ctx, c.cfg, c.n-c.done, c.startSeed+int64(c.done), func(rep fuzz.Report) bool {
+			c.done++
+			c.sum.LastSeed = c.startSeed + int64(c.done) - 1
+			c.sum.Programs += rep.Programs
+			c.sum.Runs += rep.Runs
+			c.sum.Truncated += rep.Truncated
+			c.sum.Mismatches += len(rep.Mismatches)
+			c.cov.Merge(&rep.Coverage)
+			if c.done-lastPub >= window {
+				c.publish(start)
+				lastPub = c.done
+			}
+			c.pending = append(c.pending, rep.Mismatches...)
+			if !c.drainPending(ctx) {
+				return false
+			}
+			if c.ckptPath != "" && c.done-lastCkpt >= c.ckptEvery {
+				c.checkpoint(hash)
+				lastCkpt = c.done
+			}
+			return c.budget <= 0 || time.Since(start) <= c.budget
+		})
+		c.publish(start)
 	}
+	interrupted := c.done < c.n || len(c.pending) > 0
 
 	// One final checkpoint: on interruption it carries the resume state
 	// (cursor + unshrunk queue); on completion it records the campaign

@@ -70,12 +70,10 @@ func TestAggregateMixedArtifacts(t *testing.T) {
 	// A campaign flight dump with one violation.
 	flight := monitor.NewShardedFlight(nil, 4)
 	flight.Begin(0)
-	sh := flight.Shard(0)
-	sh.BeginGroup(0)
-	sh.BeginRun([]string{"T0"}, 1)
-	sh.Emit(tso.Event{})
-	sh.EndGroup(true)
-	flight.Compact(1)
+	rec := flight.Record(0)
+	rec.BeginRun([]string{"T0"}, 1)
+	rec.Emit(tso.Event{})
+	flight.Append(rec.Finish())
 	fp, err := flight.DumpToFile(dir, "campaign")
 	if err != nil {
 		t.Fatal(err)

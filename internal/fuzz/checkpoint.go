@@ -9,6 +9,7 @@ import (
 
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/coverage"
+	"tbtso/internal/obs/monitor"
 )
 
 // CheckpointKind is the artifact's "kind" field, following the
@@ -97,14 +98,17 @@ type Checkpoint struct {
 	// byte-identically to an uninterrupted run.
 	Coverage *coverage.Snapshot `json:"coverage,omitempty"`
 
-	// FlightEvents/FlightViolations are the sharded flight recorder's
-	// running prefix totals (monitor.ShardedFlight.Totals), restored on
-	// resume so the final campaign flight dump reports whole-campaign
-	// totals. The retained event groups themselves are NOT persisted —
-	// a resumed dump is byte-identical once the resumed segment spans
-	// the retention window.
-	FlightEvents     uint64 `json:"flight_events,omitempty"`
-	FlightViolations uint64 `json:"flight_violations,omitempty"`
+	// FlightEvents/FlightViolations are the campaign flight recorder's
+	// running prefix totals (monitor.ShardedFlight.Totals) and
+	// FlightViolating its retained violating groups
+	// (monitor.ShardedFlight.Violating), restored on resume so the final
+	// campaign flight dump reports whole-campaign totals and keeps the
+	// violation evidence. The clean groups are NOT persisted — a resumed
+	// dump is byte-identical once the resumed segment spans the
+	// retention window.
+	FlightEvents     uint64              `json:"flight_events,omitempty"`
+	FlightViolations uint64              `json:"flight_violations,omitempty"`
+	FlightViolating  []monitor.SeedGroup `json:"flight_violating,omitempty"`
 
 	// Pending is the shrink queue: mismatches from folded seeds whose
 	// shrinking had not finished when the checkpoint was written, in
@@ -123,7 +127,7 @@ func (ck *Checkpoint) Done() bool {
 // parameter that influences the campaign report, and nothing else.
 // Workers is deliberately absent (the report is worker-count
 // invariant, so a campaign may resume with different parallelism), as
-// are Metrics/Sinks (observers) and wall-clock budgets.
+// are Metrics/Flight (observers) and wall-clock budgets.
 type campaignKey struct {
 	Gen              GenConfig `json:"gen"`
 	Deltas           []int     `json:"deltas"`

@@ -42,25 +42,19 @@ type Config struct {
 	// Metrics, if non-nil, receives fuzz.* counters: programs, runs,
 	// explorations, truncated, mismatches.
 	Metrics *obs.Registry
-	// Sinks are attached to every sampled machine run — e.g. the
-	// obs/monitor online checkers, so a campaign's machine side runs
-	// under continuous Δ-residency verification. Sinks are not safe for
-	// concurrent use, so a parallel Run serializes the sampled machine
-	// runs of all workers around them (the checker explorations still
-	// parallelize; prefer Flight, which shards instead of serializing,
-	// for monitored throughput campaigns).
-	Sinks []tso.Sink
-	// Flight, if non-nil, is the sharded campaign flight recorder:
-	// worker w records every sampled run into Flight.Shard(w) — its own
-	// lock-free shard, bracketed per program so interrupted checks
-	// leave no trace — and the campaign driver compacts/dumps at report
-	// boundaries. Unlike Sinks, Flight adds no serialization.
+	// Flight, if non-nil, is the campaign flight recorder: every
+	// program's sampled runs record into the program's own seed group,
+	// under a fresh monitor set from the flight's factory (so a
+	// campaign's machine side can run under continuous Δ-residency
+	// verification without a lock), and Stream appends each folded
+	// program's group to Flight in seed order. A check that is cut short
+	// leaves no trace.
 	Flight *monitor.ShardedFlight
 	// Workers is the parallelism of Run: the (program, seed) space is
 	// sharded across this many workers, each with its own machine.
-	// 0 means GOMAXPROCS; 1 is fully serial. The merged Report is
-	// identical for every worker count (programs are independent and
-	// reports are merged in seed order).
+	// 0 means GOMAXPROCS. The merged Report is identical for every worker
+	// count (programs are independent and reports are merged in seed
+	// order).
 	Workers int
 }
 
@@ -109,15 +103,15 @@ const (
 // replay it: the program, the sweep Δ, and (for sampled-outcome and
 // machine-error kinds) the exact machine run.
 type Mismatch struct {
-	Kind    string
-	Seed    int64 // generator seed (0 if the program wasn't generated)
-	Delta   int   // sweep Δ, checker transitions
-	Cover   int   // covering Δ the containment was checked at
-	Policy  tso.DrainPolicy
+	Kind     string
+	Seed     int64 // generator seed (0 if the program wasn't generated)
+	Delta    int   // sweep Δ, checker transitions
+	Cover    int   // covering Δ the containment was checked at
+	Policy   tso.DrainPolicy
 	MachSeed int64
-	Outcome string // offending outcome (sampled-outcome kind)
-	Detail  string
-	Program mc.Program
+	Outcome  string // offending outcome (sampled-outcome kind)
+	Detail   string
+	Program  mc.Program
 }
 
 func (m Mismatch) String() string {
@@ -210,7 +204,7 @@ func diffOutcomes(a, b map[string]bool) string {
 // exhaustive outcome set at the covering Δ. seed tags mismatches for
 // replay; pass the generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
-	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, nil, p, seed)
+	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, p, seed)
 	return rep
 }
 
@@ -249,29 +243,23 @@ func observeProgram(rep *Report, p mc.Program) (threads, totalOps int) {
 }
 
 // checkProgram is CheckProgram with an explicit execution context: the
-// sampler is the worker-local machine the program's runs reuse, sinkMu
-// (nil in serial drivers) serializes sampled runs around the shared
-// cfg.Sinks in a parallel campaign, and shard (nil when cfg.Flight is
-// off) is the worker's private flight shard — every sampled run streams
-// into it lock-free, bracketed as one seed group. cfg must already be
+// sampler is the worker-local machine the program's runs reuse, and rec
+// (nil when cfg.Flight is off) is the program's own flight recorder —
+// every sampled run streams into it lock-free. cfg must already be
 // defaulted. ctx (nil = uncancellable) cancels mid-check; complete is
 // false when the check was cut short, in which case the report is a
 // partial that MUST NOT be merged into a campaign — the program has to
 // be re-checked from scratch (it is deterministic per seed, so a re-run
-// reproduces the full report exactly), and the shard group is discarded
+// reproduces the full report exactly), and rec's group is discarded
 // with it.
-func checkProgram(ctx context.Context, cfg Config, s *Sampler, sinkMu *sync.Mutex, shard *monitor.FlightShard, p mc.Program, seed int64) (rep Report, complete bool) {
+func checkProgram(ctx context.Context, cfg Config, s *Sampler, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
 	rep = Report{Programs: 1}
 	cfg.count("fuzz.programs", 1)
 	threads, totalOps := observeProgram(&rep, p)
 
-	sinks := cfg.Sinks
-	if shard != nil {
-		sinks = make([]tso.Sink, 0, len(cfg.Sinks)+1)
-		sinks = append(sinks, cfg.Sinks...)
-		sinks = append(sinks, shard)
-		shard.BeginGroup(seed)
-		defer func() { shard.EndGroup(complete) }()
+	var sinks []tso.Sink
+	if rec != nil {
+		sinks = []tso.Sink{rec}
 	}
 
 	for _, delta := range cfg.Deltas {
@@ -340,15 +328,9 @@ func checkProgram(ctx context.Context, cfg Config, s *Sampler, sinkMu *sync.Mute
 				rep.Runs++
 				cfg.count("fuzz.runs", 1)
 				rep.Coverage.ObserveRun(delta, pol.String(), i)
-				if sinkMu != nil {
-					sinkMu.Lock()
-				}
 				outcome, mres, err := s.Sample(p, MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}, sinks...)
-				if sinkMu != nil {
-					sinkMu.Unlock()
-				}
-				if shard != nil {
-					shard.TagRun(coverage.CellKey(delta, pol.String(), i))
+				if rec != nil {
+					rec.TagRun(coverage.CellKey(delta, pol.String(), i))
 				}
 				if err == nil {
 					for c := 0; c < int(tso.NumDrainCauses); c++ {
@@ -387,10 +369,8 @@ func Run(cfg Config, n int, startSeed int64) Report {
 	return rep
 }
 
-// RunContext is Run with cooperative cancellation, the primitive the
-// campaign checkpoints are built on. On cancellation it stops handing
-// out seeds, discards any program checks that were cut short or that
-// lie beyond the first unfinished seed, and returns the merged report
+// RunContext is Run with cooperative cancellation: Stream folding every
+// program's report with Report.Add. On cancellation it returns the merged report
 // of the longest CONTIGUOUS prefix of completed seeds along with the
 // prefix length: the report covers exactly the programs with seeds in
 // [startSeed, startSeed+done), merged in seed order. Because each
@@ -402,53 +382,77 @@ func Run(cfg Config, n int, startSeed int64) Report {
 // when all n programs completed (even if ctx was cancelled after the
 // last one finished).
 func RunContext(ctx context.Context, cfg Config, n int, startSeed int64) (Report, int, error) {
-	cfg = cfg.orDefault()
-	workers := cfg.Workers
+	var rep Report
+	done, err := Stream(ctx, cfg, n, startSeed, func(r Report) bool {
+		rep.Add(r)
+		return true
+	})
+	return rep, done, err
+}
+
+// Parallelism resolves Workers (GOMAXPROCS when 0) and the reorder
+// window Stream derives from it: the workers may run at most window
+// seeds past the last folded program.
+func (c Config) Parallelism() (workers, window int) {
+	workers = c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := NewSampler()
-		var shard *monitor.FlightShard
-		if cfg.Flight != nil {
-			shard = cfg.Flight.Shard(0)
-		}
-		var rep Report
-		for i := 0; i < n; i++ {
-			if cancelled(ctx) {
-				return rep, i, ctx.Err()
-			}
-			seed := startSeed + int64(i)
-			r, ok := checkProgram(ctx, cfg, s, nil, shard, Gen(cfg.Gen, seed), seed)
-			if !ok {
-				return rep, i, ctx.Err()
-			}
-			rep.Add(r)
-		}
-		return rep, n, nil
-	}
+	return workers, 4 * workers
+}
 
-	var sinkMu *sync.Mutex
-	if len(cfg.Sinks) > 0 {
-		sinkMu = new(sync.Mutex)
-	}
-	reports := make([]Report, n)
-	complete := make([]bool, n) // written pre-wg.Done, read post-wg.Wait
+// checked is one program check travelling through Stream's window.
+type checked struct {
+	i        int
+	rep      Report
+	complete bool
+	group    *monitor.SeedGroup // nil without cfg.Flight or when cut short
+}
+
+// Stream generates and checks n programs starting at startSeed and
+// hands each program's report to fold, once per program, in seed order,
+// on the calling goroutine. The workers (see Parallelism) take seeds
+// from a shared cursor but never run more than a window of seeds past
+// the last folded program, so memory stays bounded in n and no worker
+// idles at a barrier behind a slow program. With cfg.Flight set, each
+// program's seed group travels with its report and is appended to the
+// flight just before fold sees the report.
+//
+// Stream stops at the first program cut short by ctx (nil =
+// uncancellable), or after a fold that returns false, and returns only
+// once every worker has exited. done counts the folded programs — the
+// seeds [startSeed, startSeed+done) — and err is the context's error
+// when a program was cut short, nil otherwise. Checks that finished past
+// the stopping point are discarded, their flight groups with them.
+func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(Report) bool) (done int, err error) {
+	cfg = cfg.orDefault()
+	workers, window := cfg.Parallelism()
+	workers = min(workers, n)
+
+	// credit holds a token per seed taken and not yet folded, so a full
+	// credit channel stalls the workers; each results send holds a
+	// token, so results never fills up either.
+	credit := make(chan struct{}, window)
+	results := make(chan *checked, window)
+	quit := make(chan struct{})
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			s := NewSampler()
-			var shard *monitor.FlightShard
-			if cfg.Flight != nil {
-				shard = cfg.Flight.Shard(w)
-			}
 			for {
+				select {
+				case credit <- struct{}{}:
+				case <-quit:
+					return
+				}
+				select {
+				case <-quit:
+					return
+				default:
+				}
 				if cancelled(ctx) {
 					return
 				}
@@ -457,24 +461,54 @@ func RunContext(ctx context.Context, cfg Config, n int, startSeed int64) (Report
 					return
 				}
 				seed := startSeed + int64(i)
-				reports[i], complete[i] = checkProgram(ctx, cfg, s, sinkMu, shard, Gen(cfg.Gen, seed), seed)
+				var rec *monitor.SeedRecorder
+				if cfg.Flight != nil {
+					rec = cfg.Flight.Record(seed)
+				}
+				c := &checked{i: i}
+				c.rep, c.complete = checkProgram(ctx, cfg, s, rec, Gen(cfg.Gen, seed), seed)
+				if rec != nil && c.complete {
+					c.group = rec.Finish()
+				}
+				results <- c
 			}
-		}(w)
+		}()
 	}
-	wg.Wait()
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+	defer func() {
+		close(quit)
+		for range results { // drain until every worker has exited
+		}
+	}()
 
-	done := 0
-	for done < n && complete[done] {
+	slots := make([]*checked, window) // seed startSeed+i waits in slots[i%window]
+	for done < n {
+		for slots[done%window] == nil {
+			c, ok := <-results
+			if !ok {
+				// Every worker stopped on ctx before taking this seed.
+				return done, ctx.Err()
+			}
+			slots[c.i%window] = c
+		}
+		c := slots[done%window]
+		slots[done%window] = nil
+		if !c.complete {
+			return done, ctx.Err()
+		}
+		if c.group != nil {
+			cfg.Flight.Append(c.group)
+		}
 		done++
+		if !fold(c.rep) {
+			return done, nil
+		}
+		<-credit
 	}
-	var rep Report
-	for i := 0; i < done; i++ {
-		rep.Add(reports[i])
-	}
-	if done < n {
-		return rep, done, ctx.Err()
-	}
-	return rep, n, nil
+	return done, nil
 }
 
 func sameOutcomes(a, b map[string]bool) bool {

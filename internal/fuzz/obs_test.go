@@ -123,7 +123,6 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 		if rep.Programs != count {
 			t.Fatalf("segment programs=%d want %d", rep.Programs, count)
 		}
-		f.Compact(first + int64(done))
 	}
 	dump := func(f *monitor.ShardedFlight) string {
 		var buf bytes.Buffer
@@ -181,10 +180,76 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 	ev, viol := f1.Totals()
 
 	f2 := monitor.NewShardedFlight(nil, retain)
-	f2.Restore(start, ev, viol)
-	f2.Compact(start + split)
+	f2.Restore(start, start+split, ev, viol, f1.Violating())
 	runSegment(f2, 3, n-split, start+split)
 	if got := dump(f2); got != flights["1"] {
 		t.Errorf("resumed flight dump differs from uninterrupted dump:\n%s\nvs\n%s", got, flights["1"])
+	}
+}
+
+// TestFlightViolationSurvivesResume: a group holding a violation is
+// exempt from the retention window and travels in the checkpoint, so a
+// resumed campaign's dump still carries it, byte-identical to the
+// uninterrupted dump.
+func TestFlightViolationSurvivesResume(t *testing.T) {
+	const n = 30
+	const start = int64(3)
+	const retain = 8
+	const split = 12
+	planted := &monitor.SeedGroup{Seed: start, Events: 1, Violations: []monitor.Violation{
+		{Monitor: "planted", Thread: -1, Detail: "planted violation"},
+	}}
+	segment := func(f *monitor.ShardedFlight, workers, count int, first int64) {
+		cfg := obsTestConfig(workers)
+		cfg.Flight = f
+		if _, done, err := RunContext(nil, cfg, count, first); err != nil || done != count {
+			t.Fatalf("segment done=%d err=%v", done, err)
+		}
+	}
+	dump := func(f *monitor.ShardedFlight) string {
+		var buf bytes.Buffer
+		if err := f.Dump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+
+	whole := monitor.NewShardedFlight(nil, retain)
+	whole.Begin(start)
+	whole.Append(planted)
+	segment(whole, 2, n, start+1)
+	want := dump(whole)
+
+	cut := monitor.NewShardedFlight(nil, retain)
+	cut.Begin(start)
+	cut.Append(planted)
+	segment(cut, 2, split, start+1)
+	ck := &Checkpoint{Kind: CheckpointKind, N: n + 1, FirstSeed: start, NextSeed: start + 1 + split}
+	ck.FlightEvents, ck.FlightViolations = cut.Totals()
+	ck.FlightViolating = cut.Violating()
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := WriteCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed := monitor.NewShardedFlight(nil, retain)
+	resumed.Restore(start, back.NextSeed, back.FlightEvents, back.FlightViolations, back.FlightViolating)
+	segment(resumed, 3, n-split, back.NextSeed)
+	if got := dump(resumed); got != want {
+		t.Errorf("resumed flight dump differs from uninterrupted dump:\n%s\nvs\n%s", got, want)
+	}
+
+	doc, err := monitor.ReadCampaignFlightDump(bytes.NewBufferString(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Groups) != retain+1 || doc.Groups[0].Seed != start || len(doc.Groups[0].Violations) != 1 {
+		t.Errorf("dump lost the planted violating group: %d groups, first seed %d", len(doc.Groups), doc.Groups[0].Seed)
+	}
+	if doc.TotalViolations != 1 {
+		t.Errorf("TotalViolations = %d, want 1", doc.TotalViolations)
 	}
 }

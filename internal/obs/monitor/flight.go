@@ -134,6 +134,12 @@ func (f *FlightRecorder) DumpOnViolation(dir, name string) (string, error) {
 // written path. Interruption handling uses this: a cancelled run dumps
 // its tail for post-mortem even when no monitor tripped.
 func (f *FlightRecorder) DumpToFile(dir, name string) (string, error) {
+	return dumpToFile(dir, name, f.Dump)
+}
+
+// dumpToFile writes dump's artifact to dir/<name>.flight.json, creating
+// dir as needed, and returns the written path.
+func dumpToFile(dir, name string, dump func(io.Writer) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
@@ -142,7 +148,7 @@ func (f *FlightRecorder) DumpToFile(dir, name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := f.Dump(file); err != nil {
+	if err := dump(file); err != nil {
 		file.Close()
 		return "", err
 	}

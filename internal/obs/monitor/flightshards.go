@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"tbtso/internal/tso"
@@ -45,67 +42,41 @@ type SeedGroup struct {
 	Violations []Violation `json:"violations,omitempty"`
 }
 
-// FlightShard is one worker's private recorder: a tso.Sink plus
-// RunObserver the campaign driver brackets with BeginGroup/EndGroup
-// around each program check. Not safe for concurrent use — exactly one
-// worker goroutine owns a shard, which is the point: no lock is ever
-// taken on the event hot path.
-type FlightShard struct {
-	parent *ShardedFlight
+// SeedRecorder records one seed's program check into its own group: a
+// tso.Sink plus RunObserver owned by the one goroutine checking that
+// program, so no lock is ever taken on the event hot path. A check that
+// is cut short simply never hands its group to the flight.
+type SeedRecorder struct {
 	set    *Set // fresh per group (nil when no monitor factory)
-	groups map[int64]*SeedGroup
-	cur    *SeedGroup
+	group  *SeedGroup
 	curRun *RunRecord
 }
 
-// BeginGroup starts recording a seed's program check. Any unfinished
-// group is discarded (it was cut short and must not be reported).
-func (sh *FlightShard) BeginGroup(seed int64) {
-	sh.cur = &SeedGroup{Seed: seed}
-	sh.curRun = nil
-	if sh.parent.factory != nil {
-		sh.set = sh.parent.factory()
+// Record starts recording the check of seed's program, with a fresh
+// monitor set from the flight's factory. Safe to call from any worker.
+func (f *ShardedFlight) Record(seed int64) *SeedRecorder {
+	r := &SeedRecorder{group: &SeedGroup{Seed: seed}}
+	if f.factory != nil {
+		r.set = f.factory()
 	}
-}
-
-// EndGroup finishes the current group. keep=false discards it — the
-// check was interrupted, so a resumed campaign will re-record the seed
-// from scratch and the merged dump stays byte-identical.
-func (sh *FlightShard) EndGroup(keep bool) {
-	g := sh.cur
-	sh.cur, sh.curRun = nil, nil
-	if g == nil || !keep {
-		sh.set = nil
-		return
-	}
-	if sh.set != nil {
-		g.Violations = sh.set.Violations()
-		sh.set = nil
-	}
-	if sh.groups == nil {
-		sh.groups = make(map[int64]*SeedGroup)
-	}
-	sh.groups[g.Seed] = g
+	return r
 }
 
 // BeginRun implements tso.RunObserver: a new machine run starts within
-// the current group.
-func (sh *FlightShard) BeginRun(names []string, delta uint64) {
-	if sh.set != nil {
-		sh.set.BeginRun(names, delta)
+// the group.
+func (r *SeedRecorder) BeginRun(names []string, delta uint64) {
+	if r.set != nil {
+		r.set.BeginRun(names, delta)
 	}
-	if sh.cur == nil {
-		return
-	}
-	sh.cur.Runs = append(sh.cur.Runs, RunRecord{Threads: append([]string(nil), names...), Delta: delta})
-	sh.curRun = &sh.cur.Runs[len(sh.cur.Runs)-1]
+	r.group.Runs = append(r.group.Runs, RunRecord{Threads: append([]string(nil), names...), Delta: delta})
+	r.curRun = &r.group.Runs[len(r.group.Runs)-1]
 }
 
 // TagRun labels the current run with the sweep sample that produced it
 // (e.g. "delta=1 policy=random seed=2").
-func (sh *FlightShard) TagRun(tag string) {
-	if sh.curRun != nil {
-		sh.curRun.Tag = tag
+func (r *SeedRecorder) TagRun(tag string) {
+	if r.curRun != nil {
+		r.curRun.Tag = tag
 	}
 }
 
@@ -113,162 +84,156 @@ func (sh *FlightShard) TagRun(tag string) {
 // group, and fan out to the group's monitors.
 //
 //tbtso:fencefree
-func (sh *FlightShard) Emit(e tso.Event) {
-	if sh.set != nil {
-		sh.set.Emit(e)
+func (r *SeedRecorder) Emit(e tso.Event) {
+	if r.set != nil {
+		r.set.Emit(e)
 	}
-	if sh.cur == nil {
+	r.group.Events++
+	if r.curRun == nil {
 		return
 	}
-	sh.cur.Events++
-	if sh.curRun == nil {
+	if r.group.Events > groupEventCap {
+		r.group.Dropped++
 		return
 	}
-	if sh.cur.Events > groupEventCap {
-		sh.cur.Dropped++
-		return
-	}
-	sh.curRun.Events = append(sh.curRun.Events, e.String())
+	r.curRun.Events = append(r.curRun.Events, e.String())
 }
 
-// ShardedFlight is the parallel-campaign flight recorder: per-worker
-// FlightShard sinks record seed-tagged groups without any shared state,
-// and Compact — called only at report boundaries, when no worker is
-// emitting — folds the shards' groups for seeds below the campaign's
-// contiguous completed prefix into one merged, seed-ordered store.
-// The merged dump depends only on which seeds completed, never on how
-// they were sharded, so it is byte-identical across worker counts and
+// Finish returns the recorded group with its monitors' violations
+// attached. The recorder must not be used afterwards.
+func (r *SeedRecorder) Finish() *SeedGroup {
+	if r.set != nil {
+		r.group.Violations = r.set.Violations()
+	}
+	return r.group
+}
+
+// ShardedFlight is the parallel-campaign flight recorder. Recording is
+// sharded per seed — each program check records into its own
+// SeedRecorder on whichever worker runs it, with no shared state — and
+// the campaign driver Appends the finished groups in seed order, so the
+// store is an ordered log of the campaign's completed prefix. The dump
+// depends only on which seeds completed, never on how they were spread
+// across workers, so it is byte-identical across worker counts and
 // across a checkpoint/resume split (provided the resumed segment spans
-// at least the retention window — events themselves are not persisted
-// in checkpoints, only the running totals are).
+// at least the retention window: clean groups are not persisted in
+// checkpoints, only the running totals and the violating groups are).
 //
-// Dump/Violations/Totals read the merged store under a mutex and are
-// safe to call concurrently with workers emitting into shards (the live
-// /flightrecorder endpoint does); Compact must not run concurrently
-// with shard emission.
+// Every method is safe for concurrent use; the live /flightrecorder
+// endpoint dumps while the campaign appends.
 type ShardedFlight struct {
 	factory  func() *Set // per-group monitor sets (nil = capture only)
 	maxSeeds int
 
-	mu          sync.Mutex
-	shards      []*FlightShard
-	merged      map[int64]*SeedGroup
-	firstSeed   int64
-	cutoff      int64 // merged covers exactly [firstSeed, cutoff)
+	mu        sync.Mutex
+	firstSeed int64
+	nextSeed  int64 // the appended groups cover exactly [firstSeed, nextSeed)
+	// recent is the last maxSeeds appended groups; kept holds the
+	// earliest maxSeeds violating groups that fell out of recent, so
+	// violation evidence survives retention. Both are in seed order, and
+	// every kept seed precedes every recent one.
+	recent      []*SeedGroup
+	kept        []*SeedGroup
 	totalEvents uint64
 	totalViol   uint64
 }
 
-// DefaultFlightSeeds is the default merged retention: the dump keeps
-// the last this-many completed seed groups.
+// DefaultFlightSeeds is the default retention: the dump keeps the last
+// this-many completed seed groups, plus up to this many earlier groups
+// holding a violation.
 const DefaultFlightSeeds = 32
 
-// NewShardedFlight returns a sharded recorder. factory builds one
+// NewShardedFlight returns a campaign recorder. factory builds one
 // fresh monitor set per seed group (nil records events only);
-// maxSeeds is the merged retention window (<= 0 selects
-// DefaultFlightSeeds).
+// maxSeeds is the retention window (<= 0 selects DefaultFlightSeeds).
 func NewShardedFlight(factory func() *Set, maxSeeds int) *ShardedFlight {
 	if maxSeeds <= 0 {
 		maxSeeds = DefaultFlightSeeds
 	}
-	return &ShardedFlight{factory: factory, maxSeeds: maxSeeds, merged: make(map[int64]*SeedGroup)}
+	return &ShardedFlight{factory: factory, maxSeeds: maxSeeds}
 }
 
 // Begin sets the campaign's first seed — the left edge of the prefix
-// the dump reports. Call once before the first batch.
+// the dump reports. Call once before the first Append.
 func (f *ShardedFlight) Begin(firstSeed int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.firstSeed, f.cutoff = firstSeed, firstSeed
+	f.Restore(firstSeed, firstSeed, 0, 0, nil)
 }
 
-// Restore seeds the running totals from a checkpoint, so a resumed
-// campaign's final dump reports the whole campaign's totals, not just
-// the resumed segment's. firstSeed is the campaign's (not the
-// segment's) first seed.
-func (f *ShardedFlight) Restore(firstSeed int64, totalEvents, totalViolations uint64) {
+// Restore resumes a campaign recorder from a checkpoint: the campaign's
+// (not the segment's) first seed, the resume cursor, the running totals
+// (Totals) and the violating groups (Violating) the checkpoint carried,
+// so a resumed campaign's final dump reports the whole campaign.
+func (f *ShardedFlight) Restore(firstSeed, nextSeed int64, totalEvents, totalViolations uint64, violating []SeedGroup) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.firstSeed, f.cutoff = firstSeed, firstSeed
+	f.firstSeed, f.nextSeed = firstSeed, nextSeed
 	f.totalEvents, f.totalViol = totalEvents, totalViolations
+	f.recent, f.kept = nil, nil
+	for i := range violating {
+		f.kept = append(f.kept, &violating[i])
+	}
 }
 
-// Shard returns worker i's private shard, creating it on first use.
-// The shard is stable across batches; only worker i may use it.
-func (f *ShardedFlight) Shard(i int) *FlightShard {
+// Append adds the next completed seed's group. Groups must arrive in
+// seed order, each only once its seed is complete — the campaign driver
+// (fuzz.Stream) guarantees both. The oldest group beyond the retention
+// window is dropped unless it holds a violation and fewer than maxSeeds
+// violating groups are kept.
+func (f *ShardedFlight) Append(g *SeedGroup) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.shards) <= i {
-		f.shards = append(f.shards, &FlightShard{parent: f})
-	}
-	return f.shards[i]
-}
-
-// Compact folds every shard group with seed < cutoff into the merged
-// store and evicts the lowest seeds beyond the retention window. Call
-// only at report boundaries (no worker emitting): cutoff must be the
-// campaign's contiguous completed prefix, so the merged store only ever
-// holds prefix seeds — which makes eviction of the LOWEST seeds safe,
-// because the final dump retains exactly the highest maxSeeds prefix
-// seeds regardless of when compactions happened.
-func (f *ShardedFlight) Compact(cutoff int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if cutoff > f.cutoff {
-		f.cutoff = cutoff
-	}
-	for _, sh := range f.shards {
-		for seed, g := range sh.groups {
-			if seed >= f.cutoff {
-				continue
-			}
-			delete(sh.groups, seed)
-			f.merged[seed] = g
-			f.totalEvents += g.Events
-			f.totalViol += uint64(len(g.Violations))
-		}
-	}
-	if len(f.merged) > f.maxSeeds {
-		seeds := make([]int64, 0, len(f.merged))
-		for s := range f.merged {
-			seeds = append(seeds, s)
-		}
-		sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-		for _, s := range seeds[:len(seeds)-f.maxSeeds] {
-			delete(f.merged, s)
+	f.nextSeed = g.Seed + 1
+	f.totalEvents += g.Events
+	f.totalViol += uint64(len(g.Violations))
+	f.recent = append(f.recent, g)
+	if len(f.recent) > f.maxSeeds {
+		old := f.recent[0]
+		f.recent = f.recent[1:]
+		if len(old.Violations) > 0 && len(f.kept) < f.maxSeeds {
+			f.kept = append(f.kept, old)
 		}
 	}
 }
 
-// Totals returns the running totals over every compacted prefix seed
-// (including evicted ones) — what a campaign persists in its
-// checkpoint for Restore.
+// Totals returns the running totals over every appended seed
+// (including dropped ones) — what a campaign persists in its checkpoint
+// for Restore.
 func (f *ShardedFlight) Totals() (events, violations uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.totalEvents, f.totalViol
 }
 
-// Violations returns the violations of every retained merged group, in
-// seed order. Violations from groups beyond the compacted prefix are
-// not visible until the next Compact.
+// Violations returns the violations of every retained group, in seed
+// order.
 func (f *ShardedFlight) Violations() []Violation {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var out []Violation
-	for _, g := range f.sortedGroupsLocked() {
+	for _, g := range f.groupsLocked() {
 		out = append(out, g.Violations...)
 	}
 	return out
 }
 
-func (f *ShardedFlight) sortedGroupsLocked() []*SeedGroup {
-	groups := make([]*SeedGroup, 0, len(f.merged))
-	for _, g := range f.merged {
-		groups = append(groups, g)
+// Violating returns the earliest maxSeeds retained groups holding a
+// violation — what a campaign persists in its checkpoint, so a resumed
+// dump keeps the same violation evidence as an uninterrupted one.
+func (f *ShardedFlight) Violating() []SeedGroup {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	var out []SeedGroup
+	for _, g := range f.groupsLocked() {
+		if len(g.Violations) > 0 && len(out) < f.maxSeeds {
+			out = append(out, *g)
+		}
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Seed < groups[j].Seed })
-	return groups
+	return out
+}
+
+// groupsLocked returns the retained groups in seed order.
+func (f *ShardedFlight) groupsLocked() []*SeedGroup {
+	return append(f.kept[:len(f.kept):len(f.kept)], f.recent...)
 }
 
 // CampaignFlightDump is the merged artifact wire form. It carries no
@@ -281,8 +246,9 @@ type CampaignFlightDump struct {
 	FirstSeed int64 `json:"first_seed"`
 	NextSeed  int64 `json:"next_seed"`
 	// RetainedSeeds is how many groups the dump carries (the highest
-	// seeds of the prefix, up to the retention window); DroppedSeeds is
-	// the rest of the prefix.
+	// seeds of the prefix up to the retention window, plus the earliest
+	// violating groups before it); DroppedSeeds is the rest of the
+	// prefix.
 	RetainedSeeds   int         `json:"retained_seeds"`
 	DroppedSeeds    int64       `json:"dropped_seeds"`
 	TotalEvents     uint64      `json:"total_events"`
@@ -294,13 +260,13 @@ type CampaignFlightDump struct {
 // retained groups plus prefix-wide totals.
 func (f *ShardedFlight) Dump(w io.Writer) error {
 	f.mu.Lock()
-	groups := f.sortedGroupsLocked()
+	groups := f.groupsLocked()
 	doc := CampaignFlightDump{
 		Kind:            CampaignFlightKind,
 		FirstSeed:       f.firstSeed,
-		NextSeed:        f.cutoff,
+		NextSeed:        f.nextSeed,
 		RetainedSeeds:   len(groups),
-		DroppedSeeds:    (f.cutoff - f.firstSeed) - int64(len(groups)),
+		DroppedSeeds:    (f.nextSeed - f.firstSeed) - int64(len(groups)),
 		TotalEvents:     f.totalEvents,
 		TotalViolations: f.totalViol,
 	}
@@ -317,19 +283,7 @@ func (f *ShardedFlight) Dump(w io.Writer) error {
 // DumpToFile writes the artifact to dir/<name>.flight.json, creating
 // dir as needed, and returns the written path.
 func (f *ShardedFlight) DumpToFile(dir, name string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, name+".flight.json")
-	file, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := f.Dump(file); err != nil {
-		file.Close()
-		return "", err
-	}
-	return path, file.Close()
+	return dumpToFile(dir, name, f.Dump)
 }
 
 // ReadCampaignFlightDump parses a merged campaign flight artifact,

@@ -9,21 +9,20 @@ import (
 	"tbtso/internal/tso"
 )
 
-// emitGroup records one synthetic seed group on sh: a single run with
-// a couple of events.
-func emitGroup(sh *FlightShard, seed int64) {
-	sh.BeginGroup(seed)
-	sh.BeginRun([]string{"T0"}, 4)
-	sh.TagRun(fmt.Sprintf("delta=4 policy=eager seed=%d", seed))
-	sh.Emit(tso.Event{Tick: uint64(seed), Thread: 0, Kind: tso.EvStore, Addr: 1, Val: tso.Word(seed)})
-	sh.Emit(tso.Event{Tick: uint64(seed) + 1, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: tso.Word(seed), Cause: tso.CauseFinal, Enq: uint64(seed)})
-	sh.EndGroup(true)
+// recordGroup records one synthetic seed group: a single run with a
+// couple of events.
+func recordGroup(f *ShardedFlight, seed int64) *SeedGroup {
+	r := f.Record(seed)
+	r.BeginRun([]string{"T0"}, 4)
+	r.TagRun(fmt.Sprintf("delta=4 policy=eager seed=%d", seed))
+	r.Emit(tso.Event{Tick: uint64(seed), Thread: 0, Kind: tso.EvStore, Addr: 1, Val: tso.Word(seed)})
+	r.Emit(tso.Event{Tick: uint64(seed) + 1, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: tso.Word(seed), Cause: tso.CauseFinal, Enq: uint64(seed)})
+	return r.Finish()
 }
 
-// dumpString compacts to cutoff and renders the dump.
-func dumpString(t *testing.T, f *ShardedFlight, cutoff int64) string {
+// dumpString renders the dump.
+func dumpString(t *testing.T, f *ShardedFlight) string {
 	t.Helper()
-	f.Compact(cutoff)
 	var buf bytes.Buffer
 	if err := f.Dump(&buf); err != nil {
 		t.Fatal(err)
@@ -33,31 +32,33 @@ func dumpString(t *testing.T, f *ShardedFlight, cutoff int64) string {
 
 // TestShardingInvariance pins the tentpole property at the monitor
 // level: the merged dump depends only on which seeds completed, not on
-// how they were spread across shards or when compactions ran.
+// the order their groups were recorded in.
 func TestShardingInvariance(t *testing.T) {
 	const n = 50
 
-	// One shard, one final compact.
+	// Recorded and appended one seed at a time.
 	a := NewShardedFlight(nil, 8)
 	a.Begin(0)
 	for s := int64(0); s < n; s++ {
-		emitGroup(a.Shard(0), s)
+		a.Append(recordGroup(a, s))
 	}
-	da := dumpString(t, a, n)
+	da := dumpString(t, a)
 
-	// Three shards, round-robin, periodic compactions.
+	// Recorded in reverse, as out-of-order workers would, then
+	// appended in seed order.
 	b := NewShardedFlight(nil, 8)
 	b.Begin(0)
-	for s := int64(0); s < n; s++ {
-		emitGroup(b.Shard(int(s)%3), s)
-		if s%7 == 0 {
-			b.Compact(s) // prefix-only: everything below s is complete
-		}
+	groups := make([]*SeedGroup, n)
+	for s := int64(n - 1); s >= 0; s-- {
+		groups[s] = recordGroup(b, s)
 	}
-	db := dumpString(t, b, n)
+	for _, g := range groups {
+		b.Append(g)
+	}
+	db := dumpString(t, b)
 
 	if da != db {
-		t.Errorf("dump depends on sharding/compaction schedule:\n--- one shard:\n%s\n--- three shards:\n%s", da, db)
+		t.Errorf("dump depends on recording order:\n--- in order:\n%s\n--- reversed:\n%s", da, db)
 	}
 
 	// A resume split: totals restored from the "checkpoint", the
@@ -66,66 +67,30 @@ func TestShardingInvariance(t *testing.T) {
 	c := NewShardedFlight(nil, 8)
 	c.Begin(0)
 	for s := int64(0); s < 20; s++ {
-		emitGroup(c.Shard(0), s)
+		c.Append(recordGroup(c, s))
 	}
-	c.Compact(20)
 	ev, viol := c.Totals()
 
 	d := NewShardedFlight(nil, 8)
-	d.Restore(0, ev, viol)
+	d.Restore(0, 20, ev, viol, c.Violating())
 	for s := int64(20); s < n; s++ {
-		emitGroup(d.Shard(1), s)
+		d.Append(recordGroup(d, s))
 	}
-	dd := dumpString(t, d, n)
+	dd := dumpString(t, d)
 	if da != dd {
 		t.Errorf("resumed dump differs from uninterrupted dump:\n--- uninterrupted:\n%s\n--- resumed:\n%s", da, dd)
-	}
-}
-
-func TestCompactKeepsOnlyPrefix(t *testing.T) {
-	f := NewShardedFlight(nil, 32)
-	f.Begin(0)
-	sh := f.Shard(0)
-	emitGroup(sh, 0)
-	emitGroup(sh, 5) // beyond the prefix: seeds 1..4 incomplete
-	f.Compact(1)
-	var buf bytes.Buffer
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := ReadCampaignFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.RetainedSeeds != 1 || doc.NextSeed != 1 {
-		t.Errorf("dump covers %d..%d with %d groups, want prefix [0,1) with 1 group",
-			doc.FirstSeed, doc.NextSeed, doc.RetainedSeeds)
-	}
-	// The later compact picks seed 5 up once the prefix reaches it.
-	f.Compact(6)
-	buf.Reset()
-	if err := f.Dump(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc, err = ReadCampaignFlightDump(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.RetainedSeeds != 2 || doc.DroppedSeeds != 4 {
-		t.Errorf("retained=%d dropped=%d, want 2 retained, 4 dropped (seeds 1..4 never completed... they count as dropped prefix)", doc.RetainedSeeds, doc.DroppedSeeds)
 	}
 }
 
 func TestDiscardedGroupLeavesNoTrace(t *testing.T) {
 	f := NewShardedFlight(nil, 32)
 	f.Begin(0)
-	sh := f.Shard(0)
-	emitGroup(sh, 0)
-	sh.BeginGroup(1)
-	sh.BeginRun([]string{"T0"}, 4)
-	sh.Emit(tso.Event{Tick: 9, Thread: 0, Kind: tso.EvStore, Addr: 1, Val: 1})
-	sh.EndGroup(false) // interrupted check
-	s := dumpString(t, f, 1)
+	f.Append(recordGroup(f, 0))
+	r := f.Record(1)
+	r.BeginRun([]string{"T0"}, 4)
+	r.Emit(tso.Event{Tick: 9, Thread: 0, Kind: tso.EvStore, Addr: 1, Val: 1})
+	// The check was interrupted: its group is never appended.
+	s := dumpString(t, f)
 	if strings.Contains(s, "t=9") {
 		t.Errorf("discarded group's events leaked into the dump:\n%s", s)
 	}
@@ -142,21 +107,19 @@ func TestPerGroupMonitors(t *testing.T) {
 		return NewSet(NewResidency(nil, 1)) // Δ=1: any latency > 1 trips
 	}, 32)
 	f.Begin(0)
-	sh := f.Shard(0)
 
 	// Seed 0: commit latency 0 — clean.
-	sh.BeginGroup(0)
-	sh.BeginRun([]string{"T0"}, 1)
-	sh.Emit(tso.Event{Tick: 2, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: 1, Cause: tso.CauseDelta, Enq: 2})
-	sh.EndGroup(true)
+	r := f.Record(0)
+	r.BeginRun([]string{"T0"}, 1)
+	r.Emit(tso.Event{Tick: 2, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: 1, Cause: tso.CauseDelta, Enq: 2})
+	f.Append(r.Finish())
 
 	// Seed 1: commit latency 5 > Δ=1 — violation.
-	sh.BeginGroup(1)
-	sh.BeginRun([]string{"T0"}, 1)
-	sh.Emit(tso.Event{Tick: 7, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: 1, Cause: tso.CauseDelta, Enq: 2})
-	sh.EndGroup(true)
+	r = f.Record(1)
+	r.BeginRun([]string{"T0"}, 1)
+	r.Emit(tso.Event{Tick: 7, Thread: 0, Kind: tso.EvCommit, Addr: 1, Val: 1, Cause: tso.CauseDelta, Enq: 2})
+	f.Append(r.Finish())
 
-	f.Compact(2)
 	var buf bytes.Buffer
 	if err := f.Dump(&buf); err != nil {
 		t.Fatal(err)
@@ -179,5 +142,36 @@ func TestPerGroupMonitors(t *testing.T) {
 	}
 	if got := f.Violations(); len(got) != 1 {
 		t.Errorf("Violations() = %d entries, want 1", len(got))
+	}
+}
+
+// TestViolatingGroupsSurviveRetention: groups holding a violation
+// outlive the retention window, but only the earliest maxSeeds of them.
+func TestViolatingGroupsSurviveRetention(t *testing.T) {
+	f := NewShardedFlight(nil, 2)
+	f.Begin(0)
+	for s := int64(0); s < 10; s++ {
+		g := recordGroup(f, s)
+		if s < 3 {
+			g.Violations = []Violation{{Monitor: "planted", Thread: -1, Detail: fmt.Sprint(s)}}
+		}
+		f.Append(g)
+	}
+	doc, err := ReadCampaignFlightDump(bytes.NewBufferString(dumpString(t, f)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []int64
+	for _, g := range doc.Groups {
+		seeds = append(seeds, g.Seed)
+	}
+	if fmt.Sprint(seeds) != "[0 1 8 9]" || doc.DroppedSeeds != 6 {
+		t.Errorf("retained seeds %v (dropped %d), want [0 1 8 9] (dropped 6)", seeds, doc.DroppedSeeds)
+	}
+	if doc.TotalViolations != 3 || len(f.Violations()) != 2 {
+		t.Errorf("violations: total %d, retained %d; want 3 and 2", doc.TotalViolations, len(f.Violations()))
+	}
+	if v := f.Violating(); len(v) != 2 || v[0].Seed != 0 || v[1].Seed != 1 {
+		t.Errorf("Violating() = %d groups, want seeds 0 and 1", len(v))
 	}
 }

@@ -170,17 +170,30 @@ func TestLitmusSuiteMonitoredClean(t *testing.T) {
 	}
 }
 
-// TestFuzzSmokeMonitoredClean threads the monitor set through the
-// differential fuzzer's Config.Sinks: a short campaign's machine side
+// TestFuzzSmokeMonitoredClean threads monitor sets through the
+// differential fuzzer's Config.Flight: a short campaign's machine side
 // runs entirely under residency verification and must stay clean.
 func TestFuzzSmokeMonitoredClean(t *testing.T) {
-	set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
-	rep := fuzz.Run(fuzz.Config{Sinks: []tso.Sink{set}, Deltas: []int{0, 2}}, 4, 1)
+	var mu sync.Mutex
+	var sets []*monitor.Set
+	flight := monitor.NewShardedFlight(func() *monitor.Set {
+		set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
+		mu.Lock()
+		sets = append(sets, set)
+		mu.Unlock()
+		return set
+	}, 0)
+	rep := fuzz.Run(fuzz.Config{Flight: flight, Deltas: []int{0, 2}}, 4, 1)
 	if len(rep.Mismatches) > 0 {
 		t.Fatalf("fuzz mismatches: %v", rep.Mismatches)
 	}
-	if !set.Ok() {
-		t.Fatalf("monitored fuzz campaign tripped: %v", set.Violations())
+	if len(sets) != 4 {
+		t.Fatalf("monitored %d programs, want 4", len(sets))
+	}
+	for _, set := range sets {
+		if !set.Ok() {
+			t.Fatalf("monitored fuzz campaign tripped: %v", set.Violations())
+		}
 	}
 }
 

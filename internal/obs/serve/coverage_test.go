@@ -91,11 +91,11 @@ func TestCoverageHandler(t *testing.T) {
 }
 
 // TestConcurrentScrapesDuringCampaign drives a real multi-worker fuzz
-// campaign — sharded flight recording, per-batch coverage publication —
+// campaign — per-seed flight recording, per-batch coverage publication —
 // while hammering every ops endpoint from parallel scrapers. Run under
-// -race (make race) this pins the tentpole's synchronization story: the
-// scrape path never touches a worker's shard, only the published clone
-// and the mutex-guarded merged store.
+// -race (make race) this pins the synchronization story: the scrape
+// path never touches a worker's recorder, only the published clone and
+// the mutex-guarded seed-ordered store.
 func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := New(reg)
@@ -132,7 +132,6 @@ func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 			}
 			seed += int64(d)
 			cov.Merge(&rep.Coverage)
-			flight.Compact(seed)
 			published.Store(cov.Clone())
 		}
 	}()
