@@ -12,9 +12,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static checks: go vet plus the repository's own fence-discipline and
-# shared-memory-escape analyzer (see docs/ANALYSIS.md).
+# Static checks: gofmt, go vet, and the repository's own
+# fence-discipline and shared-memory-escape analyzer (see
+# docs/ANALYSIS.md).
 lint: vet
+	test -z "$$(gofmt -l .)"
 	$(GO) run ./cmd/tbtso-lint ./...
 
 # Δ-bound certification: extract the //tbtso:verify-annotated protocol

@@ -228,4 +228,3 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 		t.Errorf("rejection stderr lacks %q:\n%s", want, stderr)
 	}
 }
-

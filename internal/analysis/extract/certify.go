@@ -55,12 +55,12 @@ const (
 
 // SweepPoint is one explored bound.
 type SweepPoint struct {
-	Delta       int    `json:"delta"`
-	Wait        int    `json:"wait"`
-	Holds       bool   `json:"holds"`
-	States      int    `json:"states"`
-	Transitions int    `json:"transitions"`
-	Outcomes    int    `json:"outcomes"`
+	Delta       int  `json:"delta"`
+	Wait        int  `json:"wait"`
+	Holds       bool `json:"holds"`
+	States      int  `json:"states"`
+	Transitions int  `json:"transitions"`
+	Outcomes    int  `json:"outcomes"`
 	// Witness is the lexically first forbidden outcome when !Holds.
 	Witness string `json:"witness,omitempty"`
 }

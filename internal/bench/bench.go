@@ -17,7 +17,6 @@ import (
 	"tbtso/internal/ostick"
 	"tbtso/internal/quiesce"
 	"tbtso/internal/report"
-	"tbtso/internal/stats"
 	"tbtso/internal/vclock"
 )
 
@@ -178,7 +177,7 @@ func Figure5(o Options) *report.Table {
 
 // Figure5CDF returns the raw CDF points for one placement/load pair
 // (for CSV export / plotting).
-func Figure5CDF(pl quiesce.Placement, load quiesce.Load, samples int) []stats.CDFPoint {
+func Figure5CDF(pl quiesce.Placement, load quiesce.Load, samples int) []obs.CDFPoint {
 	return quiesce.StoreVisibilityCDF(quiesce.DefaultParams(), pl, load, samples).CDF()
 }
 

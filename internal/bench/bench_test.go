@@ -61,11 +61,11 @@ func TestRunTableCellCleanAndCounts(t *testing.T) {
 	board := o.newBoard()
 	defer board.Stop()
 	for _, kind := range []smr.Kind{smr.KindFFHP, smr.KindHP, smr.KindRCU} {
-		res := runTable(tableConfig{
-			kind: kind, mix: workload.ReadWrite, chainLen: 4,
-			threads: o.Threads, buckets: o.Buckets,
-			duration: o.Duration, deltaHW: o.DeltaHW, board: board,
-			r: 512,
+		res := RunTableCell(TableCell{
+			Kind: kind, Mix: workload.ReadWrite, ChainLen: 4,
+			Threads: o.Threads, Buckets: o.Buckets,
+			Duration: o.Duration, DeltaHW: o.DeltaHW, Board: board,
+			R: 512,
 		})
 		if res.Violations != 0 {
 			t.Fatalf("%v: %d arena violations", kind, res.Violations)
@@ -83,11 +83,11 @@ func TestFigure7ProducesWaste(t *testing.T) {
 	o := tinyOptions()
 	board := o.newBoard()
 	defer board.Stop()
-	res := runTable(tableConfig{
-		kind: smr.KindRCU, mix: workload.ReadWrite, chainLen: 4,
-		threads: o.Threads, buckets: o.Buckets,
-		duration: 60 * time.Millisecond, deltaHW: o.DeltaHW, board: board,
-		stall: 20 * time.Millisecond, sampleWaste: true, r: 256,
+	res := RunTableCell(TableCell{
+		Kind: smr.KindRCU, Mix: workload.ReadWrite, ChainLen: 4,
+		Threads: o.Threads, Buckets: o.Buckets,
+		Duration: 60 * time.Millisecond, DeltaHW: o.DeltaHW, Board: board,
+		Stall: 20 * time.Millisecond, SampleWaste: true, R: 256,
 	})
 	if res.PeakWaste == 0 {
 		t.Fatal("stalled RCU run recorded zero peak waste")

@@ -35,25 +35,25 @@ type TableRun struct {
 	PeakWaste   uint64 // peak retired-unreclaimed bytes (Figure 7)
 }
 
-// tableConfig parameterizes one run.
-type tableConfig struct {
-	kind     smr.Kind
-	mix      workload.Mix
-	chainLen int
-	threads  int
-	buckets  int
-	duration time.Duration
-	deltaHW  time.Duration
-	board    *ostick.Board
-	// stall, if nonzero, makes reader 0 stall this long inside one
+// TableCell parameterizes one hash-table workload cell.
+type TableCell struct {
+	Kind     smr.Kind
+	Mix      workload.Mix
+	ChainLen int
+	Threads  int
+	Buckets  int
+	Duration time.Duration
+	DeltaHW  time.Duration
+	Board    *ostick.Board
+	// Stall, if nonzero, makes reader 0 stall this long inside one
 	// lookup at mid-run (Figure 7).
-	stall time.Duration
-	// sampleWaste turns on the peak-memory sampler (Figure 7).
-	sampleWaste bool
-	// r overrides the retirement threshold (0 = harnessR).
-	r int
-	// metrics, if non-nil, receives the scheme's counters after the run.
-	metrics *obs.Registry
+	Stall time.Duration
+	// SampleWaste turns on the peak-memory sampler (Figure 7).
+	SampleWaste bool
+	// R overrides the retirement threshold (0 = harnessR).
+	R int
+	// Metrics, if non-nil, receives the scheme's counters after the run.
+	Metrics *obs.Registry
 }
 
 // schemeMetrics is implemented by SMR schemes (and locks) that can
@@ -62,11 +62,11 @@ type schemeMetrics interface {
 	Metrics(*obs.Registry)
 }
 
-// runTable executes one workload cell.
-func runTable(cfg tableConfig) TableRun {
-	universe := workload.UniverseForChain(cfg.chainLen, cfg.buckets)
-	h := cfg.threads * list.NumSlots
-	r := cfg.r
+// RunTableCell executes one hash-table workload cell.
+func RunTableCell(cfg TableCell) TableRun {
+	universe := workload.UniverseForChain(cfg.ChainLen, cfg.Buckets)
+	h := cfg.Threads * list.NumSlots
+	r := cfg.R
 	if r == 0 {
 		r = harnessR
 	}
@@ -76,29 +76,29 @@ func runTable(cfg tableConfig) TableRun {
 	// Headroom beyond R·threads: grace-period schemes (RCU, EBR) bound
 	// waste by reclamation latency rather than R, and Figure 7's whole
 	// point is letting that waste grow during stalls.
-	capacity := int(universe) + cfg.threads*(r+16) + 65536
-	ar := arena.New(capacity, cfg.threads+1)
-	scheme := smr.New(cfg.kind, smr.Config{
-		Threads: cfg.threads,
+	capacity := int(universe) + cfg.Threads*(r+16) + 65536
+	ar := arena.New(capacity, cfg.Threads+1)
+	scheme := smr.New(cfg.Kind, smr.Config{
+		Threads: cfg.Threads,
 		K:       list.NumSlots,
 		R:       r,
 		Arena:   ar,
-		Delta:   cfg.deltaHW,
-		Board:   cfg.board,
+		Delta:   cfg.DeltaHW,
+		Board:   cfg.Board,
 	})
 	defer scheme.Close()
-	table := hashtable.New(ar, scheme, cfg.buckets)
+	table := hashtable.New(ar, scheme, cfg.Buckets)
 
 	// Prefill with ~U/2 keys (§7.1), split across workers.
 	var pre sync.WaitGroup
-	for tid := 0; tid < cfg.threads; tid++ {
+	for tid := 0; tid < cfg.Threads; tid++ {
 		pre.Add(1)
 		go func(tid int) {
 			defer pre.Done()
-			span := universe / uint64(cfg.threads)
+			span := universe / uint64(cfg.Threads)
 			lo := span * uint64(tid)
 			hi := lo + span
-			if tid == cfg.threads-1 {
+			if tid == cfg.Threads-1 {
 				hi = universe
 			}
 			coin := workload.NewKeyGen(2, int64(tid)*7+1) // fair coin
@@ -113,28 +113,29 @@ func runTable(cfg tableConfig) TableRun {
 	}
 	pre.Wait()
 
-	roles := make([]workload.Role, cfg.threads)
+	roles := make([]workload.Role, cfg.Threads)
 	updaters := 0
 	for tid := range roles {
-		roles[tid] = workload.RoleOf(cfg.mix, tid)
+		roles[tid] = workload.RoleOf(cfg.Mix, tid)
 		if roles[tid] == workload.Updater {
 			updaters++
 		}
 	}
-	if cfg.mix == workload.ReadWrite && updaters == 0 {
+	if cfg.Mix == workload.ReadWrite && updaters == 0 {
 		// Fewer than 4 workers: keep at least one updater so the mix
 		// is actually read/write.
-		roles[cfg.threads-1] = workload.Updater
+		roles[cfg.Threads-1] = workload.Updater
 		updaters = 1
 	}
 
-	readerOps := stats.NewCounters(cfg.threads)
-	updaterOps := stats.NewCounters(cfg.threads)
+	// Per-worker counter banks: each obs.Counter fills a cache line.
+	readerOps := make([]obs.Counter, cfg.Threads)
+	updaterOps := make([]obs.Counter, cfg.Threads)
 	var stop atomic.Bool
 	var peak atomic.Uint64
 
 	var samplerWG sync.WaitGroup
-	if cfg.sampleWaste {
+	if cfg.SampleWaste {
 		samplerWG.Add(1)
 		go func() {
 			defer samplerWG.Done()
@@ -153,7 +154,7 @@ func runTable(cfg tableConfig) TableRun {
 
 	var wg sync.WaitGroup
 	upIdx := 0
-	for tid := 0; tid < cfg.threads; tid++ {
+	for tid := 0; tid < cfg.Threads; tid++ {
 		role := roles[tid]
 		myUp := -1
 		if role == workload.Updater {
@@ -172,19 +173,19 @@ func runTable(cfg tableConfig) TableRun {
 			g := workload.NewKeyGen(universe, int64(tid)+100)
 			switch role {
 			case workload.Reader:
-				stalled := cfg.stall == 0 || tid != 0
+				stalled := cfg.Stall == 0 || tid != 0
 				n := 0
 				for !stop.Load() {
 					for i := 0; i < 64; i++ {
 						table.Lookup(tid, g.Next())
 						n++
 					}
-					readerOps.Inc(tid)
+					readerOps[tid].Inc()
 					runtime.Gosched() // paper: every thread owns a core
 					if !stalled && n > 256 {
 						// The Figure 7 stall: sleep inside a lookup.
 						table.LookupStalled(tid, g.Next(), func() {
-							time.Sleep(cfg.stall)
+							time.Sleep(cfg.Stall)
 						})
 						stalled = true
 					}
@@ -201,14 +202,14 @@ func runTable(cfg tableConfig) TableRun {
 							time.Sleep(200 * time.Microsecond)
 							continue
 						}
-						updaterOps.Inc(tid)
+						updaterOps[tid].Inc()
 						if k%64 == 63 {
 							runtime.Gosched()
 						}
 					}
 					for k := lo; k < hi && !stop.Load(); k++ {
 						table.Remove(tid, k)
-						updaterOps.Inc(tid)
+						updaterOps[tid].Inc()
 						if k%64 == 63 {
 							runtime.Gosched()
 						}
@@ -218,56 +219,37 @@ func runTable(cfg tableConfig) TableRun {
 		}(tid, myUp, role)
 	}
 
-	time.Sleep(cfg.duration)
+	time.Sleep(cfg.Duration)
 	stop.Store(true)
 	wg.Wait()
 	samplerWG.Wait()
 
-	if cfg.metrics != nil {
+	if cfg.Metrics != nil {
 		if sm, ok := scheme.(schemeMetrics); ok {
-			sm.Metrics(cfg.metrics)
+			sm.Metrics(cfg.Metrics)
 		}
 	}
 
-	secs := cfg.duration.Seconds()
+	secs := cfg.Duration.Seconds()
 	return TableRun{
 		Scheme:      scheme.Name(),
-		Mix:         cfg.mix,
-		ChainLen:    cfg.chainLen,
-		Threads:     cfg.threads,
-		ReaderRate:  float64(readerOps.Total()) * 64 / secs,
-		UpdaterRate: float64(updaterOps.Total()) / secs,
+		Mix:         cfg.Mix,
+		ChainLen:    cfg.ChainLen,
+		Threads:     cfg.Threads,
+		ReaderRate:  float64(sumCounters(readerOps)) * 64 / secs,
+		UpdaterRate: float64(sumCounters(updaterOps)) / secs,
 		Violations:  ar.Violations(),
 		PeakWaste:   peak.Load(),
 	}
 }
 
-// TableCell is the public parameterization of one hash-table workload
-// cell, used by the root benchmark suite.
-type TableCell struct {
-	Kind        smr.Kind
-	Mix         workload.Mix
-	ChainLen    int
-	Threads     int
-	Buckets     int
-	Duration    time.Duration
-	DeltaHW     time.Duration
-	Board       *ostick.Board
-	Stall       time.Duration
-	SampleWaste bool
-	R           int
-	Metrics     *obs.Registry
-}
-
-// RunTableCell executes one hash-table workload cell.
-func RunTableCell(c TableCell) TableRun {
-	return runTable(tableConfig{
-		kind: c.Kind, mix: c.Mix, chainLen: c.ChainLen,
-		threads: c.Threads, buckets: c.Buckets,
-		duration: c.Duration, deltaHW: c.DeltaHW, board: c.Board,
-		stall: c.Stall, sampleWaste: c.SampleWaste, r: c.R,
-		metrics: c.Metrics,
-	})
+// sumCounters totals a per-worker counter bank.
+func sumCounters(cs []obs.Counter) uint64 {
+	var t uint64
+	for i := range cs {
+		t += cs[i].Load()
+	}
+	return t
 }
 
 // Figure6Schemes is the scheme lineup of Figure 6.
@@ -297,11 +279,11 @@ func Figure6Scaling(o Options) *report.Table {
 			}
 			rates := make([]float64, 0, o.Runs)
 			for run := 0; run < o.Runs; run++ {
-				res := runTable(tableConfig{
-					kind: kind, mix: workload.ReadOnly, chainLen: 4,
-					threads: n, buckets: o.Buckets,
-					duration: o.Duration, deltaHW: o.DeltaHW, board: board,
-					metrics: o.Metrics,
+				res := RunTableCell(TableCell{
+					Kind: kind, Mix: workload.ReadOnly, ChainLen: 4,
+					Threads: n, Buckets: o.Buckets,
+					Duration: o.Duration, DeltaHW: o.DeltaHW, Board: board,
+					Metrics: o.Metrics,
 				})
 				rates = append(rates, res.ReaderRate)
 			}
@@ -346,11 +328,11 @@ func Figure6(o Options) *report.Table {
 				upRates := make([]float64, 0, o.Runs)
 				var viol uint64
 				for run := 0; run < o.Runs; run++ {
-					res := runTable(tableConfig{
-						kind: kind, mix: mix, chainLen: L,
-						threads: o.Threads, buckets: o.Buckets,
-						duration: o.Duration, deltaHW: o.DeltaHW, board: board,
-						metrics: o.Metrics,
+					res := RunTableCell(TableCell{
+						Kind: kind, Mix: mix, ChainLen: L,
+						Threads: o.Threads, Buckets: o.Buckets,
+						Duration: o.Duration, DeltaHW: o.DeltaHW, Board: board,
+						Metrics: o.Metrics,
 					})
 					rates = append(rates, res.ReaderRate)
 					upRates = append(upRates, res.UpdaterRate)

@@ -42,15 +42,15 @@ func Figure7(o Options) *report.Table {
 			}
 			peaks := make([]float64, 0, o.Runs)
 			for run := 0; run < o.Runs; run++ {
-				res := runTable(tableConfig{
-					kind: kind, mix: workload.ReadWrite, chainLen: 4,
-					threads: o.Threads, buckets: o.Buckets,
-					duration: dur, deltaHW: o.DeltaHW, board: board,
-					stall: stall, sampleWaste: true,
+				res := RunTableCell(TableCell{
+					Kind: kind, Mix: workload.ReadWrite, ChainLen: 4,
+					Threads: o.Threads, Buckets: o.Buckets,
+					Duration: dur, DeltaHW: o.DeltaHW, Board: board,
+					Stall: stall, SampleWaste: true,
 					// R scaled with the run length (the paper's 32000
 					// pairs with 10 s runs) so reclamation exercises.
-					r:       2048,
-					metrics: o.Metrics,
+					R:       2048,
+					Metrics: o.Metrics,
 				})
 				peaks = append(peaks, float64(res.PeakWaste))
 			}

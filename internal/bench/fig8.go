@@ -31,7 +31,7 @@ type LockRates struct {
 // published into it after the run.
 func runLockPattern(mk func() lock.BiasedLock, pat workload.LockPattern, dur time.Duration, reg *obs.Registry) LockRates {
 	lk := mk()
-	var ownerN, otherN stats.Counter
+	var ownerN, otherN obs.Counter
 	var stop atomic.Bool
 	var otherDone atomic.Bool
 	var wg sync.WaitGroup

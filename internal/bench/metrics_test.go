@@ -26,11 +26,11 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) uint64 {
 
 func TestRunTablePublishesSchemeMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	res := runTable(tableConfig{
-		kind: smr.KindFFHP, mix: workload.ReadWrite, chainLen: 4,
-		threads: 4, buckets: 64,
-		duration: 40 * time.Millisecond, deltaHW: 200 * time.Microsecond,
-		metrics: reg,
+	res := RunTableCell(TableCell{
+		Kind: smr.KindFFHP, Mix: workload.ReadWrite, ChainLen: 4,
+		Threads: 4, Buckets: 64,
+		Duration: 40 * time.Millisecond, DeltaHW: 200 * time.Microsecond,
+		Metrics: reg,
 	})
 	if res.UpdaterRate == 0 {
 		t.Skip("no updates ran; machine too loaded to assert on counters")
@@ -44,18 +44,29 @@ func TestRunTablePublishesSchemeMetrics(t *testing.T) {
 	}
 }
 
+// TestRunLockPatternPublishesLockMetrics runs FFBL, with and without the
+// echo, under every Figure 8 access pattern: the published bias-transfer
+// counter must be nonzero, and each transfer must have been echoed out
+// of its wait or waited the bound in full.
 func TestRunLockPatternPublishesLockMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	pat := workload.Patterns()[0]
-	mkFFBL := func() lock.BiasedLock {
-		return lock.NewFFBL(core.NewFixedDelta(200*time.Microsecond), true)
-	}
-	res := runLockPattern(mkFFBL, pat, 40*time.Millisecond, reg)
-	if res.OtherRate == 0 {
-		t.Skip("no non-owner acquisitions; nothing to assert")
-	}
-	if counterValue(t, reg, "lock."+res.Lock+".bias_transfers") == 0 {
-		t.Error("non-owner acquisitions ran but bias_transfers is zero")
+	for _, echo := range []bool{true, false} {
+		reg := obs.NewRegistry()
+		var name string
+		for _, pat := range workload.Patterns() {
+			var lk *lock.FFBL
+			mk := func() lock.BiasedLock {
+				lk = lock.NewFFBL(core.NewFixedDelta(200*time.Microsecond), echo)
+				return lk
+			}
+			res := runLockPattern(mk, pat, 30*time.Millisecond, reg)
+			name = res.Lock
+			if v := lk.VerifyAccounting(); v != nil {
+				t.Errorf("%s under %s: %v", name, pat.Name, v)
+			}
+		}
+		if counterValue(t, reg, "lock."+name+".bias_transfers") == 0 {
+			t.Errorf("%s: no bias transfers under any pattern; the accounting check is vacuous", name)
+		}
 	}
 }
 
@@ -69,8 +80,8 @@ func TestQuiesceModelPublishesHistograms(t *testing.T) {
 	quiesce.WithBailout(p, quiesce.PlacementCrossSocket, quiesce.LoadStream, 10_000, tau, 8, 8)
 
 	want := map[string]uint64{
-		"quiesce.wait_ns":             4 * 50,
-		"quiesce.visibility_ns":       10_000,
+		"quiesce.wait_ns":               4 * 50,
+		"quiesce.visibility_ns":         10_000,
 		"quiesce.bailout_visibility_ns": 10_000,
 	}
 	got := map[string]uint64{}

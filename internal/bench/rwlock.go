@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tbtso/internal/core"
+	"tbtso/internal/obs"
 	"tbtso/internal/report"
 	"tbtso/internal/rwlock"
 	"tbtso/internal/stats"
@@ -53,7 +54,7 @@ type RWLockRates struct {
 // runRWCell measures read and write throughput with `readers` reader
 // goroutines and one writer arriving with mean interarrival writerMean.
 func runRWCell(lk rwLockIface, readers int, writerMean, dur time.Duration) RWLockRates {
-	var rOps, wOps stats.Counter
+	var rOps, wOps obs.Counter
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {

@@ -106,13 +106,13 @@ func sampleMismatches() []Mismatch {
 		},
 		{
 			Kind: KindEngineDivergence, Seed: 43, Delta: 0,
-			Detail: "parallel/sequential outcome sets differ",
+			Detail:  "parallel/sequential outcome sets differ",
 			Program: ckptProg(),
 		},
 		{
 			Kind: KindMachineError, Seed: 44, Delta: 3, Cover: 15,
 			Policy: tso.DrainEager, MachSeed: 1,
-			Detail: "machine fault: deadlock",
+			Detail:  "machine fault: deadlock",
 			Program: ckptProg(),
 		},
 	}

@@ -9,6 +9,7 @@ import (
 
 	"tbtso/internal/arena"
 	"tbtso/internal/list"
+	"tbtso/internal/obs"
 	"tbtso/internal/smr"
 )
 
@@ -149,6 +150,17 @@ func TestConcurrentMixedWorkloadAllSchemes(t *testing.T) {
 			s.Flush(0)
 			if live, want := ar.Live(), tb.Len()+s.Unreclaimed(); live != want {
 				t.Fatalf("conservation: live=%d list+unreclaimed=%d", live, want)
+			}
+			// The hazard-pointer schemes' own books must balance too:
+			// every retired node freed or still pending.
+			if hp, ok := s.(*smr.HazardPointers); ok {
+				reg := obs.NewRegistry()
+				if v := hp.VerifyAccounting(reg); v != nil {
+					t.Fatalf("accounting violated: %v", v)
+				}
+				if c, ok := reg.LookupCounter("smr." + s.Name() + ".retires"); !ok || c.Load() == 0 {
+					t.Fatal("no retires published; the accounting check is vacuous")
+				}
 			}
 		})
 	}

@@ -211,20 +211,6 @@ func (b *FFBL) OtherUnlock() {
 	b.l.Unlock()
 }
 
-// Revocations reports owner acquisitions that lost the bias and took
-// the internal lock; Transfers reports non-owner acquisitions.
-func (b *FFBL) Revocations() uint64 { return b.revocations.Load() }
-
-// Transfers reports non-owner (bias-transfer) acquisitions.
-func (b *FFBL) Transfers() uint64 { return b.transfers.Load() }
-
-// Echoes reports non-owner waits the owner's echo cut short.
-func (b *FFBL) Echoes() uint64 { return b.echoes.Load() }
-
-// FullWaits reports non-owner acquisitions that waited out the whole
-// visibility bound (no echo arrived, or echoing is off).
-func (b *FFBL) FullWaits() uint64 { return b.fullWaits.Load() }
-
 // VerifyAccounting checks the revocation-wait bookkeeping: every bias
 // transfer either was echoed out of its wait or waited the bound in
 // full, so echoes + fullWaits must equal transfers. Call it at

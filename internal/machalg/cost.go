@@ -21,8 +21,6 @@ type CostResult struct {
 // The spawned reader records its result in the captured CostResult;
 // that is thread-private host-side output read only after Run returns.
 //
-//tbtso:ignore escape single measurement thread writes its captured result struct, read only after Machine.Run returns
-//
 // This is the cost comparison the native benchmarks cannot make
 // cleanly (Go's atomic store is itself serializing — caveat C2 in
 // EXPERIMENTS.md): on the abstract machine a hazard-pointer publication
@@ -30,6 +28,8 @@ type CostResult struct {
 // the paper's Figure 6 argues — HP pays a fence per node, FFHP pays
 // only the store and validation, and the no-protection (RCU-like)
 // yardstick pays neither.
+//
+//tbtso:ignore escape single measurement thread writes its captured result struct, read only after Machine.Run returns
 func LookupCost(mode HPMode, listLen, lookups int, seed int64) CostResult {
 	m := tso.New(tso.Config{
 		Delta:  1 << 20, // generous: no forced drains distort costs

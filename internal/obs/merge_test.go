@@ -66,6 +66,19 @@ func TestMergeMetricsKinds(t *testing.T) {
 	}
 }
 
+func TestMergeIntoEmpty(t *testing.T) {
+	// An empty histogram snapshot reports Min 0; merging a real sample
+	// into it must take the sample's min, not keep the placeholder.
+	a := NewRegistry()
+	a.Histogram("lat.ns", []int64{10, 100})
+	b := NewRegistry()
+	b.Histogram("lat.ns", []int64{10, 100}).Observe(3)
+	got := MergeMetrics(a.Snapshot(), b.Snapshot())
+	if m := got[0]; m.Count != 1 || m.Min != 3 || m.Max != 3 {
+		t.Fatalf("merge into empty: %+v", m)
+	}
+}
+
 func TestMergeMetricsMismatchedBuckets(t *testing.T) {
 	a := NewRegistry()
 	a.Histogram("lat.ns", []int64{10, 100}).Observe(5)

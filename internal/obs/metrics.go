@@ -22,9 +22,11 @@ import (
 )
 
 // Counter is a monotonically increasing atomic counter. Safe for
-// concurrent use.
+// concurrent use. It fills a cache line, so a []Counter bank gives each
+// worker its own line without false sharing.
 type Counter struct {
 	v atomic.Uint64
+	_ [56]byte
 }
 
 // Inc adds one.
@@ -217,6 +219,39 @@ func (h *Histogram) Buckets() []BucketCount {
 type BucketCount struct {
 	Bound int64  `json:"bound"`
 	Count uint64 `json:"count"`
+}
+
+// CDFPoint is one point of a cumulative distribution.
+type CDFPoint struct {
+	Value    int64   // bucket upper bound (Max for the overflow bucket)
+	Fraction float64 // fraction of samples <= Value
+}
+
+// CDF returns one point per nonempty bucket of Buckets, or nil if the
+// histogram is empty. The last point's Fraction is 1.
+func (h *Histogram) CDF() []CDFPoint {
+	bs := h.Buckets()
+	var total uint64
+	for _, b := range bs {
+		total += b.Count
+	}
+	if total == 0 {
+		return nil
+	}
+	var out []CDFPoint
+	var seen uint64
+	for _, b := range bs {
+		if b.Count == 0 {
+			continue
+		}
+		seen += b.Count
+		v := b.Bound
+		if v == math.MaxInt64 {
+			v = h.Max()
+		}
+		out = append(out, CDFPoint{Value: v, Fraction: float64(seen) / float64(total)})
+	}
+	return out
 }
 
 // LinearBuckets returns n ascending bounds start, start+width, ...

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
+	"unsafe"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -19,6 +21,10 @@ func TestCounterGauge(t *testing.T) {
 	}
 	if r.Counter("x") != c {
 		t.Fatal("Counter not idempotent")
+	}
+	// One counter per cache line, so a []Counter bank shares none.
+	if size := unsafe.Sizeof(*c); size != 64 {
+		t.Fatalf("Counter is %d bytes, want one 64-byte cache line", size)
 	}
 	g := r.Gauge("g")
 	g.Set(10)
@@ -50,6 +56,9 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	}
 	if h.Min() != 1 || h.Max() != 1000 {
 		t.Fatalf("min/max = %d/%d, want 1/1000", h.Min(), h.Max())
+	}
+	if got := h.Mean(); math.Abs(got-6050.0/101) > 1e-9 {
+		t.Fatalf("mean = %v, want 6050/101", got)
 	}
 	if q := h.Quantile(0.5); q != 60 {
 		t.Fatalf("p50 = %d, want 60 (bucket upper edge)", q)
@@ -84,6 +93,88 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := h.Count(); got != 8000 {
 		t.Fatalf("count = %d, want 8000", got)
+	}
+}
+
+func TestQuantileMonotone(t *testing.T) {
+	f := func(vals []uint16) bool {
+		h := NewHistogram(ExpBuckets(1, 2, 16))
+		for _, v := range vals {
+			h.Observe(int64(v))
+		}
+		prev := int64(0)
+		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
+			cur := h.Quantile(q)
+			if cur < prev {
+				return false
+			}
+			prev = cur
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestCDFMonotone(t *testing.T) {
+	h := NewHistogram(ExpBuckets(1, 2, 12))
+	for i := int64(0); i < 500; i++ {
+		h.Observe(i * 7 % 300)
+	}
+	pts := h.CDF()
+	if len(pts) == 0 {
+		t.Fatal("empty CDF")
+	}
+	prevF := 0.0
+	prevV := int64(-1)
+	for _, p := range pts {
+		if p.Fraction < prevF || p.Value <= prevV {
+			t.Fatalf("CDF not monotone: %+v", pts)
+		}
+		prevF, prevV = p.Fraction, p.Value
+	}
+	if last := pts[len(pts)-1].Fraction; last != 1 {
+		t.Fatalf("CDF does not reach 1: %v", last)
+	}
+}
+
+// A sample equal to a bucket bound counts at that bound: Fraction is
+// P(X <= Value), not P(X < Value).
+func TestCDFBoundSemantics(t *testing.T) {
+	h := NewHistogram(ExpBuckets(16, 2, 4)) // 16,32,64,128
+	for _, v := range []int64{16, 16, 16, 17} {
+		h.Observe(v)
+	}
+	pts := h.CDF()
+	want := []CDFPoint{{Value: 16, Fraction: 0.75}, {Value: 32, Fraction: 1}}
+	if len(pts) != len(want) {
+		t.Fatalf("CDF = %+v, want %+v", pts, want)
+	}
+	for i := range want {
+		if pts[i] != want[i] {
+			t.Fatalf("CDF = %+v, want %+v", pts, want)
+		}
+	}
+	// The overflow bucket reports the largest sample, not MaxInt64.
+	h.Observe(5000)
+	pts = h.CDF()
+	if last := pts[len(pts)-1]; last.Value != 5000 || last.Fraction != 1 {
+		t.Fatalf("overflow point = %+v, want {5000 1}", last)
+	}
+}
+
+func TestEmptyHistogramEdges(t *testing.T) {
+	h := NewHistogram(ExpBuckets(16, 2, 8))
+	if h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
+		t.Fatal("empty histogram must report zeros")
+	}
+	if h.CDF() != nil {
+		t.Fatal("empty histogram must have nil CDF")
+	}
+	h.Observe(-5) // negative samples land in the first bucket
+	if h.Count() != 1 || h.Quantile(0.99) != 16 || h.Min() != -5 {
+		t.Fatalf("negative sample: n=%d p99=%d min=%d", h.Count(), h.Quantile(0.99), h.Min())
 	}
 }
 

@@ -80,9 +80,6 @@ func (b *Board) Stop() {
 	<-b.done
 }
 
-// Cores returns the number of slots.
-func (b *Board) Cores() int { return len(b.slots) }
-
 // Ticks reports how many interrupt rounds have fired (for tests).
 func (b *Board) Ticks() uint64 { return b.ticks.Load() }
 

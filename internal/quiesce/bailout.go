@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tbtso/internal/obs"
-	"tbtso/internal/stats"
 )
 
 // BailoutResult summarizes a simulation of the §6.1 hardware design:
@@ -36,7 +35,7 @@ type BailoutResult struct {
 // untouched.
 func WithBailout(p Params, pl Placement, load Load, samples int, tau time.Duration, contenders, hwThreads int) BailoutResult {
 	rng := rand.New(rand.NewSource(p.Seed ^ 0xb417))
-	h := stats.NewHistogram()
+	h := obs.NewHistogram(nsBuckets())
 	res := BailoutResult{Tau: tau, Samples: samples, DeltaBudget: EstimateDelta(p, hwThreads)}
 	var bailouts *obs.Counter
 	var visHist *obs.Histogram
@@ -45,26 +44,11 @@ func WithBailout(p Params, pl Placement, load Load, samples int, tau time.Durati
 		visHist = p.Metrics.Histogram("quiesce.bailout_visibility_ns", nsBuckets())
 	}
 
-	// Resample the raw distribution of StoreVisibilityCDF (same seed
-	// derivation, so the underlying samples match), applying the
+	// Draw the same raw samples as StoreVisibilityCDF, applying the
 	// bail-out rule per sample.
-	spikeProb := 0.0005
-	maxSpike := 8 * time.Microsecond
-	if load == LoadStream {
-		spikeProb = 0.003
-		maxSpike = 9500 * time.Nanosecond
-	}
-	rng2 := rand.New(rand.NewSource(p.Seed ^ int64(pl)<<8 ^ int64(load)<<16))
-	var maxSeen int64
+	next := visibilitySampler(p, pl, load)
 	for i := 0; i < samples; i++ {
-		drain := time.Duration(rng2.ExpFloat64() * 40 * float64(time.Nanosecond))
-		lat := drain + transferCost(pl)
-		if rng2.Float64() < spikeProb {
-			lat += time.Duration(rng2.Float64() * float64(maxSpike))
-		}
-		if rng2.Float64() < 2e-6 {
-			lat += time.Duration(50+50*rng2.Float64()) * time.Microsecond
-		}
+		lat := next()
 		if lat > tau {
 			// Bail out: quiescence is forced. The store completes at
 			// τ plus the serialized quiescence cost for this store and
@@ -76,16 +60,13 @@ func WithBailout(p Params, pl Placement, load Load, samples int, tau time.Durati
 			q := 1 + rng.Intn(contenders)
 			lat = tau + time.Duration(q)*p.ServiceTime
 		}
-		h.Add(int64(lat))
+		h.Observe(int64(lat))
 		if visHist != nil {
 			visHist.Observe(int64(lat))
 		}
-		if int64(lat) > maxSeen {
-			maxSeen = int64(lat)
-		}
 	}
 	res.BailoutRate = float64(res.Bailouts) / float64(samples)
-	res.MaxVisible = time.Duration(maxSeen)
+	res.MaxVisible = time.Duration(h.Max())
 	res.P999 = time.Duration(h.Quantile(0.999))
 	res.WithinBudget = res.MaxVisible <= res.DeltaBudget
 	return res

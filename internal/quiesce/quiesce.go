@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"tbtso/internal/obs"
-	"tbtso/internal/stats"
 )
 
 // Params calibrates the model.
@@ -180,27 +179,25 @@ func transferCost(pl Placement) time.Duration {
 	}
 }
 
-// StoreVisibilityCDF samples the modeled store-buffering time: the
-// delay between a store's execution and a remote reader observing it.
-// The sample is drain delay (exponential, tens of ns) + line transfer
-// (by placement) + rare arbitration spikes whose probability rises
-// under background load. Returns a histogram of nanosecond samples.
-func StoreVisibilityCDF(p Params, pl Placement, load Load, samples int) *stats.Histogram {
+// visibilitySampler returns a deterministic stream of modeled
+// store-buffering times for one placement and load: drain delay
+// (exponential, tens of ns) + line transfer (by placement) + rare
+// arbitration spikes whose probability rises under background load +
+// an even rarer near-starvation outlier. The seed derives from p.Seed,
+// pl and load only, so every caller with the same arguments draws the
+// same samples.
+func visibilitySampler(p Params, pl Placement, load Load) func() time.Duration {
 	rng := rand.New(rand.NewSource(p.Seed ^ int64(pl)<<8 ^ int64(load)<<16))
-	h := stats.NewHistogram()
-	var visHist *obs.Histogram
-	if p.Metrics != nil {
-		visHist = p.Metrics.Histogram("quiesce.visibility_ns", nsBuckets())
-	}
 	spikeProb := 0.0005
 	maxSpike := 8 * time.Microsecond
 	if load == LoadStream {
 		spikeProb = 0.003
 		maxSpike = 9500 * time.Nanosecond
 	}
-	for i := 0; i < samples; i++ {
+	transfer := transferCost(pl)
+	return func() time.Duration {
 		drain := time.Duration(rng.ExpFloat64() * 40 * float64(time.Nanosecond))
-		lat := drain + transferCost(pl)
+		lat := drain + transfer
 		if rng.Float64() < spikeProb {
 			// Unfair arbitration holds the store in the buffer: the
 			// line-fill-buffer / port competition of §6.1.1.
@@ -211,9 +208,26 @@ func StoreVisibilityCDF(p Params, pl Placement, load Load, samples int) *stats.H
 			// of outlier the proposed τ timeout would bail out.
 			lat += time.Duration(50+50*rng.Float64()) * time.Microsecond
 		}
-		h.Add(int64(lat))
+		return lat
+	}
+}
+
+// StoreVisibilityCDF samples the modeled store-buffering time — the
+// delay between a store's execution and a remote reader observing it
+// (see visibilitySampler) — and returns a histogram of the nanosecond
+// samples over nsBuckets.
+func StoreVisibilityCDF(p Params, pl Placement, load Load, samples int) *obs.Histogram {
+	next := visibilitySampler(p, pl, load)
+	h := obs.NewHistogram(nsBuckets())
+	var visHist *obs.Histogram
+	if p.Metrics != nil {
+		visHist = p.Metrics.Histogram("quiesce.visibility_ns", nsBuckets())
+	}
+	for i := 0; i < samples; i++ {
+		lat := int64(next())
+		h.Observe(lat)
 		if visHist != nil {
-			visHist.Observe(int64(lat))
+			visHist.Observe(lat)
 		}
 	}
 	return h

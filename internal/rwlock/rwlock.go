@@ -72,12 +72,14 @@ func (l *PRWLock) RLock(r int) {
 }
 
 // RUnlock leaves the read side on slot r.
+//
 //tbtso:fencefree
 func (l *PRWLock) RUnlock(r int) {
 	l.readers[r].flag.Store(0)
 }
 
 // Lock acquires the write side.
+//
 //tbtso:requires-fence
 func (l *PRWLock) Lock() {
 	l.wmu.Lock()
@@ -100,6 +102,3 @@ func (l *PRWLock) Unlock() {
 	l.writer.Store(0)
 	l.wmu.Unlock()
 }
-
-// Slots reports the number of reader slots.
-func (l *PRWLock) Slots() int { return len(l.readers) }

@@ -388,11 +388,3 @@ func (hp *HazardPointers) VerifyAccounting(reg *obs.Registry) []monitor.Violatio
 	hp.Metrics(reg)
 	return monitor.CheckSMRAccounting(reg, hp.name)
 }
-
-// ClearSlots resets thread tid's hazard pointers (op teardown in
-// workloads that park workers).
-func (hp *HazardPointers) ClearSlots(tid int) {
-	for i := 0; i < hp.k; i++ {
-		hp.slots[tid*hp.k+i].h.Store(0)
-	}
-}

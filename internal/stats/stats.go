@@ -1,191 +1,13 @@
-// Package stats provides the measurement utilities the benchmark
-// harness uses: log-bucketed latency histograms with CDF/percentile
-// extraction, padded throughput counters, and small helpers for
-// aggregating repeated runs the way the paper does (medians of N runs).
+// Package stats provides the small aggregation helpers the benchmark
+// harness uses: medians of repeated runs (the paper reports medians of
+// N runs) and human-readable rate and byte formatting. Histograms and
+// counters live in internal/obs.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
 	"sort"
-	"strings"
-	"sync/atomic"
 )
-
-// Histogram is a log2-bucketed histogram of non-negative int64 samples
-// (typically nanoseconds). Buckets double: [0,1), [1,2), [2,4), ...
-// It is not safe for concurrent use; give each worker its own and Merge.
-type Histogram struct {
-	buckets [64]uint64
-	count   uint64
-	sum     int64
-	max     int64
-	min     int64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{min: math.MaxInt64}
-}
-
-func bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	return bits.Len64(uint64(v))
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v int64) {
-	b := bucketOf(v)
-	if b > 63 {
-		b = 63
-	}
-	h.buckets[b]++
-	h.count++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-	if v < h.min {
-		h.min = v
-	}
-}
-
-// Merge adds other's samples into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i, c := range other.buckets {
-		h.buckets[i] += c
-	}
-	h.count += other.count
-	h.sum += other.sum
-	if other.max > h.max {
-		h.max = other.max
-	}
-	if other.count > 0 && other.min < h.min {
-		h.min = other.min
-	}
-}
-
-// Count returns the number of samples.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the sample mean (0 if empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
-// Max returns the largest sample (0 if empty).
-func (h *Histogram) Max() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Min returns the smallest sample (0 if empty).
-func (h *Histogram) Min() int64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Quantile returns an upper bound for the q-quantile (0 <= q <= 1),
-// using each bucket's upper edge.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var seen uint64
-	for i, c := range h.buckets {
-		seen += c
-		if seen > target {
-			if i == 0 {
-				return 1
-			}
-			return int64(1) << uint(i) // upper edge of bucket i
-		}
-	}
-	return h.max
-}
-
-// CDFPoint is one point of a cumulative distribution.
-type CDFPoint struct {
-	Value    int64   // bucket upper edge
-	Fraction float64 // fraction of samples <= Value
-}
-
-// CDF returns the nonempty cumulative distribution points.
-func (h *Histogram) CDF() []CDFPoint {
-	if h.count == 0 {
-		return nil
-	}
-	var out []CDFPoint
-	var seen uint64
-	for i, c := range h.buckets {
-		if c == 0 {
-			continue
-		}
-		seen += c
-		edge := int64(1)
-		if i > 0 {
-			edge = int64(1) << uint(i)
-		}
-		out = append(out, CDFPoint{Value: edge, Fraction: float64(seen) / float64(h.count)})
-	}
-	return out
-}
-
-// String renders count/mean/p50/p99/p999/max on one line.
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.0f p50=%d p99=%d p99.9=%d max=%d",
-		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Quantile(0.999), h.max)
-}
-
-// Counter is a cache-line padded atomic counter for per-worker
-// throughput counting without false sharing.
-type Counter struct {
-	v atomic.Uint64
-	_ [56]byte
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Counters is a per-worker counter bank.
-type Counters struct {
-	cs []Counter
-}
-
-// NewCounters returns n padded counters.
-func NewCounters(n int) *Counters { return &Counters{cs: make([]Counter, n)} }
-
-// Inc increments worker i's counter.
-func (c *Counters) Inc(i int) { c.cs[i].Inc() }
-
-// Total sums all counters.
-func (c *Counters) Total() uint64 {
-	var t uint64
-	for i := range c.cs {
-		t += c.cs[i].v.Load()
-	}
-	return t
-}
 
 // Median returns the median of xs (0 if empty). It does not modify xs.
 func Median(xs []float64) float64 {
@@ -227,30 +49,4 @@ func FormatBytes(b uint64) string {
 	default:
 		return fmt.Sprintf("%d B", b)
 	}
-}
-
-// Sparkline renders values as a tiny ASCII chart (for harness output).
-func Sparkline(vals []float64) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	glyphs := []rune("▁▂▃▄▅▆▇█")
-	max := vals[0]
-	for _, v := range vals {
-		if v > max {
-			max = v
-		}
-	}
-	if max == 0 {
-		return strings.Repeat("▁", len(vals))
-	}
-	var b strings.Builder
-	for _, v := range vals {
-		i := int(v / max * float64(len(glyphs)-1))
-		if i < 0 {
-			i = 0
-		}
-		b.WriteRune(glyphs[i])
-	}
-	return b.String()
 }

@@ -1,111 +1,9 @@
 package stats
 
 import (
-	"math"
 	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 )
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int64{1, 2, 4, 8, 100, 1000} {
-		h.Add(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 1000 || h.Min() != 1 {
-		t.Fatalf("max=%d min=%d", h.Max(), h.Min())
-	}
-	if got := h.Mean(); math.Abs(got-1115.0/6) > 1e-9 {
-		t.Fatalf("mean = %v", got)
-	}
-}
-
-func TestQuantileMonotone(t *testing.T) {
-	f := func(vals []uint16) bool {
-		h := NewHistogram()
-		for _, v := range vals {
-			h.Add(int64(v))
-		}
-		prev := int64(0)
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			cur := h.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuantileBoundsSamples(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(1); i <= 1000; i++ {
-		h.Add(i)
-	}
-	p50 := h.Quantile(0.5)
-	if p50 < 500 || p50 > 1024 {
-		t.Fatalf("p50 = %d, want within (500,1024]", p50)
-	}
-}
-
-func TestCDFMonotone(t *testing.T) {
-	h := NewHistogram()
-	for i := int64(0); i < 500; i++ {
-		h.Add(i * 7 % 300)
-	}
-	pts := h.CDF()
-	if len(pts) == 0 {
-		t.Fatal("empty CDF")
-	}
-	prevF := 0.0
-	prevV := int64(-1)
-	for _, p := range pts {
-		if p.Fraction < prevF || p.Value <= prevV {
-			t.Fatalf("CDF not monotone: %+v", pts)
-		}
-		prevF, prevV = p.Fraction, p.Value
-	}
-	if last := pts[len(pts)-1].Fraction; math.Abs(last-1) > 1e-9 {
-		t.Fatalf("CDF does not reach 1: %v", last)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Add(5)
-	a.Add(10)
-	b.Add(100)
-	a.Merge(b)
-	if a.Count() != 3 || a.Max() != 100 || a.Min() != 5 {
-		t.Fatalf("merge wrong: %s", a)
-	}
-}
-
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters(4)
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for k := 0; k < 10000; k++ {
-				c.Inc(i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if c.Total() != 40000 {
-		t.Fatalf("total = %d", c.Total())
-	}
-}
 
 func TestMedian(t *testing.T) {
 	if m := Median([]float64{3, 1, 2}); m != 2 {
@@ -131,43 +29,6 @@ func TestFormatters(t *testing.T) {
 	}
 	if s := FormatBytes(3 << 20); !strings.Contains(s, "MiB") {
 		t.Fatalf("bytes = %q", s)
-	}
-	if s := Sparkline([]float64{0, 1, 2, 3}); len([]rune(s)) != 4 {
-		t.Fatalf("sparkline = %q", s)
-	}
-}
-
-func TestEmptyHistogramEdges(t *testing.T) {
-	h := NewHistogram()
-	if h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram must report zeros")
-	}
-	if h.CDF() != nil {
-		t.Fatal("empty histogram must have nil CDF")
-	}
-	h.Add(-5) // negative samples land in bucket 0
-	if h.Count() != 1 || h.Quantile(0.99) != 1 {
-		t.Fatalf("negative sample handling: %s", h)
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram()
-	h.Add(100)
-	s := h.String()
-	for _, want := range []string{"n=1", "p50=", "max=100"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("String() = %q missing %q", s, want)
-		}
-	}
-}
-
-func TestCounterAddLoad(t *testing.T) {
-	var c Counter
-	c.Add(5)
-	c.Inc()
-	if c.Load() != 6 {
-		t.Fatalf("counter = %d", c.Load())
 	}
 }
 
@@ -196,23 +57,5 @@ func TestFormatBytesRanges(t *testing.T) {
 		if got := FormatBytes(v); !strings.Contains(got, want) {
 			t.Fatalf("FormatBytes(%d) = %q", v, got)
 		}
-	}
-}
-
-func TestSparklineEdges(t *testing.T) {
-	if Sparkline(nil) != "" {
-		t.Fatal("nil sparkline")
-	}
-	if s := Sparkline([]float64{0, 0}); len([]rune(s)) != 2 {
-		t.Fatalf("all-zero sparkline: %q", s)
-	}
-}
-
-func TestMergeIntoEmpty(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	b.Add(3)
-	a.Merge(b) // min must come across even though a was empty
-	if a.Min() != 3 || a.Count() != 1 {
-		t.Fatalf("merge into empty: min=%d n=%d", a.Min(), a.Count())
 	}
 }

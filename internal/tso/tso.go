@@ -273,9 +273,9 @@ type storeBuf struct {
 	head int
 }
 
-func (b *storeBuf) size() int         { return len(b.q) - b.head }
-func (b *storeBuf) oldest() *sbEntry  { return &b.q[b.head] }
-func (b *storeBuf) push(e sbEntry)    { b.q = append(b.q, e) }
+func (b *storeBuf) size() int          { return len(b.q) - b.head }
+func (b *storeBuf) oldest() *sbEntry   { return &b.q[b.head] }
+func (b *storeBuf) push(e sbEntry)     { b.q = append(b.q, e) }
 func (b *storeBuf) pending() []sbEntry { return b.q[b.head:] }
 
 func (b *storeBuf) pop() sbEntry {
@@ -334,24 +334,24 @@ type threadState struct {
 // returned to a fresh pre-run state with Reset, reusing its memory,
 // store buffers and scheduler scratch across an entire campaign.
 type Machine struct {
-	cfg    Config
-	mem    []Word        // dense machine memory, grown by AllocWords
-	memOv  map[Addr]Word // fallback for addresses never covered by AllocWords
-	sb     []storeBuf
-	holder int // memory subsystem lock holder; -1 if free
-	clock  uint64
-	rng    *rand.Rand
-	src    fastSource // rng's source: stdlib-identical stream, fast re-seeding
-	n      int // thread count of the current run (either engine)
-	threads []*threadState
-	itr     []progThread // direct-execution engine thread states
-	interp  bool         // current run uses the direct-execution engine
-	pending []*request
-	drained []bool  // whether thread's action this tick was a dequeue
-	perm    []int   // reusable scheduler permutation (same draws as rand.Perm)
-	names   []string // cached "T0","T1",... for ExecProgram's RunObservers
-	next    Addr    // bump allocator for AllocWords
-	stats   Stats
+	cfg      Config
+	mem      []Word        // dense machine memory, grown by AllocWords
+	memOv    map[Addr]Word // fallback for addresses never covered by AllocWords
+	sb       []storeBuf
+	holder   int // memory subsystem lock holder; -1 if free
+	clock    uint64
+	rng      *rand.Rand
+	src      fastSource // rng's source: stdlib-identical stream, fast re-seeding
+	n        int        // thread count of the current run (either engine)
+	threads  []*threadState
+	itr      []progThread // direct-execution engine thread states
+	interp   bool         // current run uses the direct-execution engine
+	pending  []*request
+	drained  []bool   // whether thread's action this tick was a dequeue
+	perm     []int    // reusable scheduler permutation (same draws as rand.Perm)
+	names    []string // cached "T0","T1",... for ExecProgram's RunObservers
+	next     Addr     // bump allocator for AllocWords
+	stats    Stats
 	sinks    []Sink
 	tsink    *traceSink // backs Config.Trace / Machine.Trace
 	halted   chan struct{}
@@ -531,13 +531,9 @@ func (m *Machine) SetWord(a Addr, v Word) {
 // uninitialized word does). Calling it while Run or ExecProgram is in
 // progress races with the scheduler: the goroutine engine's scheduler
 // loop runs concurrently with the caller, so mid-run reads are
-// unsynchronized and may observe torn ordering — inspect only after the
-// run finishes (Machine.Finished reports that).
+// unsynchronized and may observe torn ordering — inspect only after Run
+// or ExecProgram returns.
 func (m *Machine) PeekWord(a Addr) Word { return m.memLoad(a) }
-
-// Finished reports whether a run was started and has completed, i.e.
-// the machine is safe to inspect with PeekWord/Trace.
-func (m *Machine) Finished() bool { return m.started && m.finished }
 
 // Spawn registers a thread program. Threads are numbered in spawn order
 // starting at 0. It may only be called before Run.
@@ -554,12 +550,6 @@ func (m *Machine) Spawn(name string, fn func(*Thread)) int {
 	})
 	return id
 }
-
-// NumThreads returns the number of spawned threads.
-func (m *Machine) NumThreads() int { return len(m.threads) }
-
-// ThreadName returns the name thread i was spawned with.
-func (m *Machine) ThreadName(i int) string { return m.threads[i].name }
 
 func (m *Machine) fail(err error) {
 	m.haltMu.Lock()
