@@ -49,7 +49,8 @@ bench-guard:
 # themselves (structure/codec sanity). Against a fresh run:
 #   go run ./cmd/tbtso-bench -figure mc -json > new.json
 #   go run ./cmd/tbtso-bench -compare BENCH_mc.json new.json
-# (same for -figure sim and BENCH_sim.json)
+# (same for -figure sim and BENCH_sim.json). CI runs the mc one with
+# -compare.states 1.0 -compare.time 10: exact outcomes, no state growth.
 bench-compare:
 	$(GO) run ./cmd/tbtso-bench -compare BENCH_mc.json BENCH_mc.json
 	$(GO) run ./cmd/tbtso-bench -compare BENCH_sim.json BENCH_sim.json

@@ -12,8 +12,8 @@ import "encoding/binary"
 // states and workers rehydrate them into reusable scratch structs.
 //
 // A litmus-sized state fits in a few dozen bytes versus a few hundred
-// for the reference explorer's fmt-built key, and encoding is a single
-// append pass with no formatting or interface boxing.
+// for the reference explorer's text key, and encoding is a single
+// append pass of varints with no decimal formatting.
 
 // appendThread appends thread i's local state (everything except
 // shared memory). Split out so symmetry canonicalization can compare

@@ -17,8 +17,8 @@
 // the admissibility condition of §2. Δ = 0 means unbounded (plain TSO).
 //
 // Two engines share the model. ExploreSequential (reference.go) is the
-// original recursive DFS with string-keyed memoization, kept as the
-// oracle. Explore/ExploreBounded/ExploreParallel (explore.go) run a
+// original recursive DFS, memoized on a plain-text state key built with
+// strconv, kept as the independent oracle. Explore/ExploreBounded/ExploreParallel (explore.go) run a
 // work-stealing frontier over a compact binary state encoding with a
 // sharded visited set and sound partial-order/symmetry reductions —
 // the same outcome sets, orders of magnitude faster. See docs/MC.md.
@@ -151,24 +151,6 @@ func newState(p Program) *state {
 		s.regs[i] = make([]int, p.Regs)
 	}
 	return s
-}
-
-func (s *state) clone() *state {
-	c := &state{
-		pc:    append([]int(nil), s.pc...),
-		wait:  append([]int(nil), s.wait...),
-		armed: append([]bool(nil), s.armed...),
-		bufs:  make([][]bufEntry, len(s.bufs)),
-		mem:   append([]int(nil), s.mem...),
-		regs:  make([][]int, len(s.regs)),
-	}
-	for i := range s.bufs {
-		c.bufs[i] = append([]bufEntry(nil), s.bufs[i]...)
-	}
-	for i := range s.regs {
-		c.regs[i] = append([]int(nil), s.regs[i]...)
-	}
-	return c
 }
 
 // copyInto overwrites dst with src, reusing dst's slice capacity so the

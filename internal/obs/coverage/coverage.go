@@ -26,9 +26,9 @@ package coverage
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Kind is the artifact "kind" field of a standalone coverage document,
@@ -177,12 +177,12 @@ type Snapshot struct {
 // the machine-seed index within the sweep (0..MachSeeds-1), not the
 // derived absolute seed, so cells are comparable across programs.
 func CellKey(delta int, policy string, seedIdx int) string {
-	return fmt.Sprintf("delta=%d policy=%s seed=%d", delta, policy, seedIdx)
+	return "delta=" + strconv.Itoa(delta) + " policy=" + policy + " seed=" + strconv.Itoa(seedIdx)
 }
 
 // ShapeKey renders the canonical Shapes key.
 func ShapeKey(threads, totalOps int) string {
-	return fmt.Sprintf("%dx%d", threads, totalOps)
+	return strconv.Itoa(threads) + "x" + strconv.Itoa(totalOps)
 }
 
 // ObserveProgram records one checked program: its shape and op mix.

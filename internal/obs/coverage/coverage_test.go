@@ -3,6 +3,7 @@ package coverage
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -157,5 +158,22 @@ func TestEmpty(t *testing.T) {
 	var nilSnap *Snapshot
 	if !nilSnap.Empty() {
 		t.Error("nil snapshot not Empty")
+	}
+}
+
+// TestKeysMatchSprintf pins CellKey and ShapeKey to the Sprintf forms
+// their bytes were defined by, negative Δ and odd policy names included.
+func TestKeysMatchSprintf(t *testing.T) {
+	for _, d := range []int{-1, 0, 3, 1 << 20} {
+		for _, pol := range []string{"", "fifo", "random walk"} {
+			for _, i := range []int{0, 7, 29, 1000} {
+				if got, want := CellKey(d, pol, i), fmt.Sprintf("delta=%d policy=%s seed=%d", d, pol, i); got != want {
+					t.Errorf("CellKey = %q, want %q", got, want)
+				}
+				if got, want := ShapeKey(d, i), fmt.Sprintf("%dx%d", d, i); got != want {
+					t.Errorf("ShapeKey = %q, want %q", got, want)
+				}
+			}
+		}
 	}
 }
