@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"reflect"
 	"testing"
 
 	"tbtso/internal/mc"
@@ -76,5 +77,45 @@ func TestRunOnMachineRMWSemantics(t *testing.T) {
 	}
 	if !res.Has(out) {
 		t.Fatalf("checker does not admit the machine's RMW outcome %q: %v", out, res.List())
+	}
+}
+
+// TestCoverFormerlyTruncated freezes the covering-Δ outcome sets of two
+// campaign programs whose cover explorations once overran the
+// campaign's 200k-state budget (227,394 and 259,094 states). The
+// golden lists were computed at a 3M budget before age-horizon erasure
+// existed; the programs must now complete inside the campaign budget
+// and reach exactly those outcomes.
+func TestCoverFormerlyTruncated(t *testing.T) {
+	const zero = "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 "
+	cases := []struct {
+		seed  int64
+		cover int
+		want  []string
+	}{
+		{49, 18, []string{zero + "T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"}},
+		{983, 14, []string{
+			zero + "T2:r0=0 T2:r1=0 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=0 T2:r1=2 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=0 T2:r1=3 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=2 T2:r1=2 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=2 T2:r1=3 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=3 T2:r1=2 T2:r2=1 T2:r3=0",
+			zero + "T2:r0=3 T2:r1=3 T2:r2=1 T2:r3=0",
+		}},
+	}
+	for _, c := range cases {
+		p := Gen(GenConfig{}, c.seed)
+		cover := CoverDelta(p, 3)
+		if cover != c.cover {
+			t.Fatalf("seed %d: cover Δ %d, want %d", c.seed, cover, c.cover)
+		}
+		res, err := mc.ExploreParallel(p, cover, mc.Options{MaxStates: Config{}.orDefault().MaxStates})
+		if err != nil {
+			t.Fatalf("seed %d Δ=%d: %v", c.seed, cover, err)
+		}
+		if got := res.List(); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("seed %d Δ=%d: outcomes diverge\n got: %v\nwant: %v", c.seed, cover, got, c.want)
+		}
 	}
 }

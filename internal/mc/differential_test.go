@@ -92,14 +92,63 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestDifferentialCoverDelta runs the oracle comparison at cover-scale
+// Δ (2T+2 and 4T+2 for T threads), where age-horizon erasure fires: at
+// Δ ∈ {0,1,3} it almost never does. Like the fuzz campaign's engine
+// cross-check it covers every (seed, Δ) whose reference graph fits
+// 20k states, which is all but a handful of the corpus; -short and the
+// race detector keep every fourth seed. All 220 seeds × 2 Δ, unbounded,
+// take about 16 s on two cores.
+func TestDifferentialCoverDelta(t *testing.T) {
+	stride := int64(1)
+	if testing.Short() || raceEnabled {
+		stride = 4
+	}
+	configs := []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"workers=4", Options{Workers: 4}},
+		{"no-symmetry", Options{NoSymmetry: true}},
+	}
+	checked := 0
+	for seed := int64(0); seed < 220; seed += stride {
+		p := genProgram(seed)
+		for _, k := range []int{2, 4} {
+			delta := k*len(p.Threads) + 2
+			want, err := ExploreSequentialBounded(p, delta, 20_000)
+			if err != nil {
+				continue
+			}
+			checked++
+			for _, cfg := range configs {
+				got, err := ExploreParallel(p, delta, cfg.opts)
+				if err != nil {
+					t.Fatalf("seed=%d Δ=%d %s: %v", seed, delta, cfg.name, err)
+				}
+				if !reflect.DeepEqual(got.List(), want.List()) {
+					t.Fatalf("seed=%d Δ=%d %s: outcome sets diverge\n got: %v\nwant: %v",
+						seed, delta, cfg.name, got.List(), want.List())
+				}
+			}
+		}
+	}
+	t.Logf("compared %d (seed, Δ) pairs", checked)
+}
+
 // TestDifferentialStateCountsShrink sanity-checks that the reductions
 // only ever REMOVE states relative to the unreduced parallel engine,
 // and that with everything off the canonical state count equals the
-// reference explorer's.
+// reference explorer's — at small Δ and at the cover-scale Δ 2T+2,
+// where age-horizon erasure fires.
 func TestDifferentialStateCountsShrink(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 80; seed++ {
 		p := genProgram(seed)
 		delta := int(seed % 3)
+		if seed >= 40 {
+			delta = 2*len(p.Threads) + 2
+		}
 		ref := ExploreSequential(p, delta)
 		bare, err := ExploreParallel(p, delta, Options{NoReduction: true, NoSymmetry: true})
 		if err != nil {

@@ -21,9 +21,10 @@ type Options struct {
 	MaxStates int
 	// Workers is the worker-goroutine count; 0 means GOMAXPROCS.
 	Workers int
-	// NoReduction disables the partial-order reductions (terminal
-	// collapse and invisible-dequeue priority), for differential
-	// testing against the reference explorer's full state graph.
+	// NoReduction disables the reductions other than symmetry
+	// (terminal collapse, invisible-dequeue priority and age-horizon
+	// erasure), for differential testing against the reference
+	// explorer's full state graph.
 	NoReduction bool
 	// NoSymmetry disables identical-thread canonicalization.
 	NoSymmetry bool
@@ -117,6 +118,7 @@ type engine struct {
 	groups     [][]int // identical-thread identity groups (or nil)
 
 	readsAfter, writesAfter [][]uint64 // suffix access masks (porOK)
+	horizon                 [][]int    // suffix transition bounds (erasure on), or nil
 
 	vis     *visited
 	workers []*worker
@@ -209,6 +211,9 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	if !opts.NoReduction && delta == 0 && p.Vars <= 64 && !hasWaits(p) {
 		e.porOK = true
 		e.readsAfter, e.writesAfter = accessMasks(p)
+	}
+	if !opts.NoReduction && delta > 0 {
+		e.horizon = horizons(p)
 	}
 	if !opts.NoSymmetry {
 		e.groups = symGroups(p)
@@ -432,12 +437,15 @@ func (e *engine) admit() bool {
 	}
 }
 
-// emit canonicalizes, encodes and deduplicates w.next, pushing it onto
-// the local stack when novel.
+// emit erases dead ages, canonicalizes, encodes and deduplicates
+// w.next, pushing it onto the local stack when novel.
 func (w *worker) emit() {
 	e := w.e
 	e.transitions.Add(1)
 	n := &w.next
+	if e.horizon != nil {
+		e.eraseAges(n)
+	}
 	if e.groups != nil {
 		w.canonicalize(n)
 	}

@@ -20,8 +20,9 @@
 // original recursive DFS, memoized on a plain-text state key built with
 // strconv, kept as the independent oracle. Explore/ExploreBounded/ExploreParallel (explore.go) run a
 // work-stealing frontier over a compact binary state encoding with a
-// sharded visited set and sound partial-order/symmetry reductions —
-// the same outcome sets, orders of magnitude faster. See docs/MC.md.
+// sharded visited set and sound reductions (terminal collapse,
+// partial order, symmetry and age-horizon erasure) — the same outcome
+// sets, orders of magnitude faster. See docs/MC.md.
 package mc
 
 import (

@@ -5,9 +5,10 @@ import (
 	"slices"
 )
 
-// Sound reductions for the TSO/TBTSO transition system. Three apply
-// (each with an off switch in Options; docs/MC.md carries the full
-// soundness arguments):
+// Sound reductions for the TSO/TBTSO transition system. Four apply
+// (symmetry has Options.NoSymmetry, the rest ride on
+// Options.NoReduction; docs/MC.md carries the full soundness
+// arguments):
 //
 //  1. Terminal collapse (any Δ): once every thread's pc is past its
 //     last op, only dequeue transitions remain and none of them touches
@@ -35,6 +36,67 @@ import (
 //     thread-local encoding; recorded outcomes are closed under the
 //     group's permutations afterwards (orbit expansion), restoring the
 //     exact outcome set.
+//
+//  4. Age-horizon erasure (Δ>0): an age matters only once it reaches Δ.
+//     remaining(s) bounds the transitions any run from s can still
+//     take, and every transition lowers it by at least one, so an entry
+//     with age + remaining(s) < Δ is never forced. States that differ
+//     only in such ages have the same futures and outcomes, so those
+//     ages are zeroed before symmetry canonicalization.
+
+// horizons precomputes, per thread and per pc, an upper bound on the
+// transitions the suffix Threads[i][pc:] can still take: a Store counts
+// 2 (the op and its dequeue), a Wait(n) n+2, every other op 1. Row
+// pc == len(ops) is zero.
+func horizons(p Program) [][]int {
+	h := make([][]int, len(p.Threads))
+	for i, ops := range p.Threads {
+		h[i] = make([]int, len(ops)+1)
+		for pc := len(ops) - 1; pc >= 0; pc-- {
+			c := 1
+			switch ops[pc].Kind {
+			case OpStore:
+				c = 2
+			case OpWait:
+				c = max(ops[pc].Val, 0) + 2
+			}
+			h[i][pc] = h[i][pc+1] + c
+		}
+	}
+	return h
+}
+
+// remaining bounds the transitions any run from s can still take: the
+// buffered entries plus each thread's horizon, where an armed Wait
+// counts its pending burns and its advance instead of its full cost.
+func (e *engine) remaining(s *state) int {
+	r := 0
+	for i := range s.bufs {
+		r += len(s.bufs[i])
+		if s.armed[i] {
+			r += s.wait[i] + 1 + e.horizon[i][s.pc[i]+1]
+		} else {
+			r += e.horizon[i][s.pc[i]]
+		}
+	}
+	return r
+}
+
+// eraseAges zeroes every buffered age that can no longer reach Δ
+// (age + remaining(s) < Δ), mutating s in place.
+func (e *engine) eraseAges(s *state) {
+	lim := e.delta - e.remaining(s)
+	if lim <= 0 {
+		return
+	}
+	for i := range s.bufs {
+		for j := range s.bufs[i] {
+			if s.bufs[i][j].age < lim {
+				s.bufs[i][j].age = 0
+			}
+		}
+	}
+}
 
 // symGroups returns the groups (size ≥ 2) of thread indices with
 // identical op slices, or nil if every thread is unique.
