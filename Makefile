@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint verify test race check bench bench-guard bench-compare bench-sim mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos clean
+.PHONY: all build vet lint verify test race check bench bench-guard bench-compare bench-sim mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos loc clean
 
 all: build lint test
 
@@ -121,6 +121,11 @@ demos:
 	$(GO) run ./cmd/tbtso-sim -demo reclaim
 	$(GO) run ./cmd/tbtso-sim -demo deque
 	$(GO) run ./cmd/tbtso-sim -exhaustive
+
+# Non-test Go line count outside the benchmark module: the size figure
+# CHANGES.md records.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

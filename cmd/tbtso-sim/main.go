@@ -7,20 +7,33 @@
 //	tbtso-sim -test SB -delta 0        # one test on plain TSO
 //	tbtso-sim -seeds 500 -stall 0.2    # wider exploration
 //	tbtso-sim -trace -test TBTSO-flag  # print one execution's trace
+//	tbtso-sim -test sb -o trace.json   # ...and export it for Perfetto
 //	tbtso-sim -demo reclaim            # the §4 soundness matrix, live
-//	tbtso-sim -demo deque              # the §8 work-stealing matrix
+//	tbtso-sim -demo deque -o t.json    # the §8 matrix; trace its sound row
+//
+// -o writes a Chrome trace-event/Perfetto JSON file (open at
+// https://ui.perfetto.dev) of one execution, plus a metrics summary on
+// stdout: for a litmus test, the execution -trace prints; for a demo,
+// the paper's sound row. The trace has one track per machine thread:
+// dur-1 slices for stores, loads, RMWs and fences; commit slices
+// carrying the drain cause; flow arrows from each store to its commit
+// (the store-buffer residency); and a buffered-stores counter track
+// per thread.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"tbtso/internal/cli"
 	"tbtso/internal/litmus"
 	"tbtso/internal/machalg"
 	"tbtso/internal/mc"
+	"tbtso/internal/obs"
 	"tbtso/internal/obs/serve"
 	"tbtso/internal/tso"
 )
@@ -35,17 +48,22 @@ func main() {
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("tbtso-sim", flag.ContinueOnError)
 	var (
-		name  = fs.String("test", "", "litmus test name (default: all)")
+		name  = fs.String("test", "", "litmus test name, any case (default: all)")
 		delta = fs.Uint64("delta", 200, "TBTSO Δ bound in ticks (0 = plain TSO)")
 		seeds = fs.Int("seeds", 100, "scheduler seeds per drain policy")
 		stall = fs.Float64("stall", 0, "per-tick thread stall probability")
 		trace = fs.Bool("trace", false, "print the execution trace of seed 0 (adversarial policy)")
 		demo  = fs.String("demo", "", "run a soundness demo: reclaim or deque")
 		exh   = fs.Bool("exhaustive", false, "enumerate ALL executions of the canonical programs with the model checker")
+		out   = fs.String("o", "", "write a Perfetto trace of the traced execution (-test) or the sound row (-demo) here, plus a metrics summary")
 	)
 	var obsOpts serve.Options
 	obsOpts.Register(fs)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *out != "" && (*exh || *name == "" && *demo == "") {
+		fmt.Fprintln(os.Stderr, "-o records one execution: name it with -test or -demo")
 		return 2
 	}
 
@@ -69,35 +87,47 @@ func run(args []string) (code int) {
 		return 0
 	}
 
+	// The -o sinks, attached to the one execution the file records.
+	var perf *obs.Perfetto
+	var traceSinks []tso.Sink
+	if *out != "" {
+		perf = obs.NewPerfetto()
+		traceSinks = []tso.Sink{perf, obs.NewMachineMetrics(sess.Registry)}
+	}
+
 	if *demo != "" {
 		switch *demo {
 		case "reclaim":
-			demoReclaim(sess.Sinks())
+			demoReclaim(sess.Sinks(), traceSinks)
 		case "deque":
-			demoDeque()
+			demoDeque(traceSinks)
 		default:
 			fmt.Fprintf(os.Stderr, "unknown demo %q (reclaim, deque)\n", *demo)
 			return 2
 		}
-		return 0
+		return writeTrace(*out, perf, sess.Registry)
 	}
 
-	all := litmus.All()
+	// A Δ-waiting test needs a bound; on plain TSO it runs at 200.
+	flagDelta := *delta
+	if flagDelta == 0 {
+		flagDelta = 200
+	}
+	all := litmus.All(int(flagDelta))
 	found := false
-	for _, entry := range all {
+	for _, t := range all {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-sim: interrupted; remaining litmus tests skipped")
 			break
 		}
-		t := entry.Test
-		if *name != "" && t.Name != *name {
+		if *name != "" && !strings.EqualFold(t.Name, *name) {
 			continue
 		}
 		found = true
 		d := *delta
-		if entry.NeedsDelta && d == 0 {
-			fmt.Printf("%s: requires Δ > 0; running with Δ=200\n", t.Name)
-			d = 200
+		if t.NeedsDelta() && d == 0 {
+			fmt.Printf("%s: requires Δ > 0; running with Δ=%d\n", t.Name, flagDelta)
+			d = flagDelta
 		}
 		rep := litmus.Run(t, litmus.RunConfig{
 			Seeds:     *seeds,
@@ -106,25 +136,27 @@ func run(args []string) (code int) {
 			Sinks:     sess.Sinks(),
 		})
 		fmt.Printf("%s  [Δ=%d]\n  %s\n", t.Name, d, t.Doc)
-		fmt.Print(indent(rep.String()))
-		if t.Relaxed != nil {
+		fmt.Print("  " + rep.String())
+		if t.Relaxed != "" {
 			fmt.Printf("  relaxed outcomes: %d/%d\n", rep.RelaxedN, rep.Total)
-		}
-		if rep.ForbiddenSeen() {
-			fmt.Println("  *** FORBIDDEN OUTCOME OBSERVED ***")
 		}
 		for _, err := range rep.Errs {
 			fmt.Printf("  error: %v\n", err)
 		}
 		fmt.Println()
 
-		if *trace {
-			out, tr, err := traceOnce(t, d)
+		if *trace || perf != nil {
+			outcome, tr, err := litmus.OnceTraced(t, tso.Config{
+				Delta:  d,
+				Policy: tso.DrainAdversarial,
+				Trace:  *trace,
+				Sinks:  traceSinks,
+			})
 			if err != nil {
 				fmt.Printf("  trace error: %v\n", err)
 				continue
 			}
-			fmt.Printf("  trace (seed 0, adversarial): outcome %s\n", out.Key())
+			fmt.Printf("  trace (seed 0, adversarial): outcome %s\n", outcome)
 			for _, e := range tr {
 				fmt.Printf("    %s\n", e)
 			}
@@ -133,11 +165,32 @@ func run(args []string) (code int) {
 	}
 	if !found && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "no litmus test named %q; available:\n", *name)
-		for _, e := range all {
-			fmt.Fprintf(os.Stderr, "  %s\n", e.Test.Name)
+		for _, t := range all {
+			fmt.Fprintf(os.Stderr, "  %s\n", t.Name)
 		}
 		return 2
 	}
+	return writeTrace(*out, perf, sess.Registry)
+}
+
+// writeTrace writes the -o Perfetto file and prints the metrics
+// summary; it does nothing without -o. It returns an exit code.
+func writeTrace(path string, perf *obs.Perfetto, reg *obs.Registry) int {
+	if perf == nil {
+		return 0
+	}
+	var buf bytes.Buffer
+	err := perf.WriteJSON(&buf)
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
+		return 1
+	}
+	fmt.Printf("wrote %s (%d trace events) — open at https://ui.perfetto.dev\n", path, perf.EventCount())
+	fmt.Println("\nmetrics:")
+	reg.WriteText(os.Stdout)
 	return 0
 }
 
@@ -165,39 +218,25 @@ func exhaustive() {
 		fmt.Println()
 	}
 
-	sb := mc.Program{
-		Threads: [][]mc.Op{
-			{mc.St(0, 1), mc.Ld(1, 0)},
-			{mc.St(1, 1), mc.Ld(0, 0)},
-		},
-		Vars: 2, Regs: 1,
-	}
-	zz := "T0:r0=0 T1:r0=0"
+	sb := litmus.StoreBuffering(false)
 	fmt.Println("== store buffering, no fences ==")
-	show("SB", sb, 0, zz)
-	show("SB", sb, 1, zz)
+	show("SB", sb.Prog, 0, sb.Relaxed)
+	show("SB", sb.Prog, 1, sb.Relaxed)
 
-	flagP := func(wait int) mc.Program {
-		return mc.Program{
-			Threads: [][]mc.Op{
-				{mc.St(0, 1), mc.Ld(1, 0)},
-				{mc.St(1, 1), mc.Fence(), mc.Wait(wait), mc.Ld(0, 0)},
-			},
-			Vars: 2, Regs: 1,
-		}
-	}
+	waits, short := litmus.TBTSOFlagPrinciple(11), litmus.TBTSOFlagPrinciple(1)
 	fmt.Println("== asymmetric flag principle (fence-free T0; T1 fences and waits) ==")
-	show("flag(wait=11)", flagP(11), 0, zz)
-	show("flag(wait=11)", flagP(11), 10, zz)
-	show("flag(wait=1) — inadequate wait", flagP(1), 10, zz)
+	show("flag(wait=11)", waits.Prog, 0, waits.Forbidden)
+	show("flag(wait=11)", waits.Prog, 10, waits.Forbidden)
+	show("flag(wait=1) — inadequate wait", short.Prog, 10, short.Forbidden)
 }
 
 // demoReclaim prints the §4 soundness matrix live: the directed
 // reclamation race under every combination of fence / Δ-deferral /
 // memory model. Any sinks (the -obs.monitor flight recorder) are
 // attached to every machine — note the matrix deliberately includes
-// unsound rows, so monitored runs WILL report violations there.
-func demoReclaim(sinks []tso.Sink) {
+// unsound rows, so monitored runs WILL report violations there. With
+// traceSinks (-o), the sound row runs once more with them attached.
+func demoReclaim(sinks, traceSinks []tso.Sink) {
 	fmt.Println("§4 reclamation race: reader protects a node, reclaimer frees it")
 	fmt.Println("(machine: adversarial drains; UAF = use-after-free detected)")
 	fmt.Println()
@@ -221,11 +260,17 @@ func demoReclaim(sinks []tso.Sink) {
 		fmt.Printf("  %s  →  %s\n", r.label, verdict)
 	}
 	fmt.Println("\nonly fence-free + Δ-deferred + Δ-bounded machine is both fast and safe (§4)")
+	if traceSinks != nil {
+		r := rows[len(rows)-1] // FFHP on TBTSO[400]
+		out := machalg.ReclaimRaceDemo(r.delta, r.mode, traceSinks...)
+		fmt.Printf("\ntraced reclaim race: %s  use-after-free=%v\n", strings.TrimSpace(r.label), out.UseAfterFree)
+	}
 }
 
 // demoDeque prints the §8 work-stealing matrix: temporal vs spatial
-// bounding for the fence-free deque.
-func demoDeque() {
+// bounding for the fence-free deque. With traceSinks (-o), seed 0 of
+// the sound temporal row runs once more with them attached.
+func demoDeque(traceSinks []tso.Sink) {
 	fmt.Println("§8 fence-free work stealing: owner take has no fence; does the thief's")
 	fmt.Println("steal protocol survive? (40 items, 2 thieves, up to 60 seeds each)")
 	fmt.Println()
@@ -251,19 +296,10 @@ func demoDeque() {
 	}
 	fmt.Println("\nspatial bounding (TSO[S]) does not make fence-free stealing safe; the")
 	fmt.Println("temporal bound does — the §8 contrast, executable")
-}
-
-func traceOnce(t litmus.Test, delta uint64) (litmus.Outcome, []tso.Event, error) {
-	// Re-run a single execution with tracing on.
-	out, tr, err := litmus.OnceTraced(t, tso.Config{
-		Delta:  delta,
-		Policy: tso.DrainAdversarial,
-		Seed:   0,
-		Trace:  true,
-	})
-	return out, tr, err
-}
-
-func indent(s string) string {
-	return "  " + s
+	if traceSinks != nil {
+		r := rows[2] // Δ-waiting steal on TBTSO[200]
+		out := machalg.DequeOnce(r.delta, r.bufferCap, r.wait, 0, traceSinks...)
+		fmt.Printf("\ntraced deque harvest: %s seed 0  duplicated=%d lost=%d\n",
+			strings.TrimSpace(r.label), out.Duplicated, out.Lost)
+	}
 }

@@ -29,10 +29,7 @@ func explore(t litmus.Test, delta uint64, seeds int) {
 		model = fmt.Sprintf("TBTSO[Δ=%d ticks]", delta)
 	}
 	fmt.Printf("%s on %s — %d executions\n", t.Name, model, rep.Total)
-	fmt.Print(rep)
-	if rep.ForbiddenSeen() {
-		fmt.Println("  !!! forbidden outcome observed")
-	}
+	fmt.Print(rep) // flags any forbidden outcome
 	fmt.Println()
 }
 
@@ -44,13 +41,13 @@ func main() {
 	explore(litmus.StoreBuffering(true), 0, 200)
 
 	fmt.Println("=== the asymmetric flag principle, fence-free fast side ===")
-	fmt.Println("--- on plain TSO the principle is UNSOUND (look for saw0=0 saw1=0): ---")
-	unsound := litmus.TBTSOFlagPrinciple()
-	unsound.Forbidden = nil // Δ=0 makes the 0/0 outcome legal; just count it
+	fmt.Println("--- on plain TSO the principle is UNSOUND (look for T0:r0=0 T1:r0=0): ---")
+	unsound := litmus.TBTSOFlagPrinciple(0)
+	unsound.Forbidden = "" // Δ=0 makes the 0/0 outcome legal; just count it
 	explore(unsound, 0, 200)
 
-	fmt.Println("--- on TBTSO[Δ] the same code is sound: ---")
-	explore(litmus.TBTSOFlagPrinciple(), 150, 200)
+	fmt.Println("--- on TBTSO[Δ] the same code, waiting Δ, is sound: ---")
+	explore(litmus.TBTSOFlagPrinciple(150), 150, 200)
 
 	fmt.Println("=== one adversarial TSO execution, traced ===")
 	out, trace, err := litmus.OnceTraced(litmus.StoreBuffering(false), tso.Config{
@@ -60,7 +57,7 @@ func main() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Printf("outcome: %s\n", out.Key())
+	fmt.Printf("outcome: %s\n", out)
 	for _, e := range trace {
 		fmt.Printf("  %s\n", e)
 	}

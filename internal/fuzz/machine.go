@@ -155,12 +155,19 @@ func (s *Sampler) sizeResults(p mc.Program) {
 	}
 }
 
-// Sample executes p once on the direct-execution engine and returns
-// the outcome in the checker's canonical "T0:r0=1 T1:r0=0" form plus
-// the machine's Result (Stats, ticks). Optional sinks stream the
-// machine's events exactly as on the goroutine engine.
+// Sample executes p once on the direct-execution engine under run's
+// campaign configuration and returns the outcome in the checker's
+// canonical "T0:r0=1 T1:r0=0" form plus the machine's Result (Stats,
+// ticks). Optional sinks stream the machine's events exactly as on the
+// goroutine engine.
 func (s *Sampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error) {
-	s.m.Reset(machineConfig(run, sinks))
+	return s.Exec(p, machineConfig(run, sinks))
+}
+
+// Exec is Sample under an arbitrary machine configuration, such as the
+// litmus runner's: default drain margin, stall probability, tick cap.
+func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error) {
+	s.m.Reset(cfg)
 	base := s.m.AllocWords(p.Vars)
 	s.compile(p, base)
 	s.sizeResults(p)
@@ -176,6 +183,10 @@ func (s *Sampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (strin
 	s.buf = mc.AppendOutcome(s.buf[:0], s.ints[:len(p.Threads)])
 	return string(s.buf), res, nil
 }
+
+// Trace returns the last run's execution trace (empty unless its
+// configuration set Trace).
+func (s *Sampler) Trace() []tso.Event { return s.m.Trace() }
 
 // RunOnMachine executes p once on the clocked abstract machine under
 // run's configuration and returns the outcome in the checker's

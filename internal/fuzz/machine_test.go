@@ -47,6 +47,25 @@ func TestRunOnMachineAdversarialSB(t *testing.T) {
 	}
 }
 
+// TestSampleAllocs pins the sampling hot path: a reused Sampler
+// allocates only the returned outcome string per call, at Δ 0 and at
+// the small bounds campaigns sweep.
+func TestSampleAllocs(t *testing.T) {
+	s := NewSampler()
+	for _, delta := range []uint64{0, 3} {
+		run := MachineRun{Delta: delta, Policy: tso.DrainRandom, Seed: 7}
+		sample := func() {
+			if _, _, err := s.Sample(sb, run); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sample() // warm-up: size the machine and scratch
+		if allocs := testing.AllocsPerRun(100, sample); allocs > 1 {
+			t.Fatalf("Δ=%d: %v allocs per Sample, want at most 1 (the outcome string)", delta, allocs)
+		}
+	}
+}
+
 func TestCoverDelta(t *testing.T) {
 	if got := CoverDelta(sb, 0); got != 0 {
 		t.Fatalf("unbounded cover = %d, want 0", got)

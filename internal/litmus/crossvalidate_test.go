@@ -1,148 +1,107 @@
 package litmus
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"tbtso/internal/fuzz"
 	"tbtso/internal/mc"
-	"tbtso/internal/tso"
 )
 
-// TestSampledOutcomesWithinExhaustiveSet cross-validates the two
-// machines: every outcome the clocked abstract machine (internal/tso)
-// samples for the SB litmus test must be in the outcome set the
-// explicit-state model checker (internal/mc) proves admissible — for
-// plain TSO and for a bounded machine.
-func TestSampledOutcomesWithinExhaustiveSet(t *testing.T) {
-	sbProg := mc.Program{
-		Threads: [][]mc.Op{
-			{mc.St(0, 1), mc.Ld(1, 0)},
-			{mc.St(1, 1), mc.Ld(0, 0)},
-		},
-		Vars: 2, Regs: 1,
-	}
+// crossWait is TBTSO-flag's wait in the checker-side tests: one more
+// transition than the Δ at which the cross-check proves the principle.
+const crossWait = 13
 
-	cases := []struct {
-		name    string
-		machDel uint64 // clocked machine Δ in ticks
-		mcDel   int    // model checker Δ in transitions
-	}{
-		{"plain TSO", 0, 0},
-		// A generous clocked Δ maps onto an unconstrained-enough
-		// transition bound; both admit the full TSO outcome set.
-		{"bounded", 400, 50},
+// registers returns an outcome's register names, values dropped.
+func registers(outcome string) []string {
+	f := strings.Fields(outcome)
+	for i := range f {
+		f[i], _, _ = strings.Cut(f[i], "=")
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			exhaustive := mc.Explore(sbProg, tc.mcDel)
-			rep := Run(StoreBuffering(false), RunConfig{Seeds: 120, Delta: tc.machDel})
-			if len(rep.Errs) > 0 {
-				t.Fatalf("sampled run errors: %v", rep.Errs[0])
-			}
-			for outcome := range rep.Counts {
-				// Translate "T0:r=X T1:r=Y" to the checker's naming.
-				var x, y int
-				if _, err := fmt.Sscanf(outcome, "T0:r=%d T1:r=%d", &x, &y); err != nil {
-					t.Fatalf("unparseable outcome %q", outcome)
-				}
-				key := fmt.Sprintf("T0:r0=%d T1:r0=%d", x, y)
-				if !exhaustive.Has(key) {
-					t.Fatalf("sampled machine produced %q, which the exhaustive model forbids (set: %v)",
-						key, exhaustive.List())
-				}
+	return f
+}
+
+// The three tests below run every litmus test's one program on both the
+// clocked machine and the model checker.
+
+// TestSampledOutcomesWithinExhaustiveSet: every machine-sampled outcome
+// is in the checker's set at the covering Δ (fuzz.CoverDelta), on plain
+// TSO (machine Δ 0) and bounded (machine Δ 1, 3 and 100).
+func TestSampledOutcomesWithinExhaustiveSet(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		deltas []uint64
+	}{{"plain_TSO", []uint64{0}}, {"bounded", []uint64{1, 3, 100}}} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, test := range All(crossWait) {
+				t.Run(test.Name, func(t *testing.T) {
+					for _, delta := range c.deltas {
+						cover := fuzz.CoverDelta(test.Prog, delta)
+						admitted := mc.Explore(test.Prog, cover)
+						for out := range sample(t, test, RunConfig{Seeds: 20, Delta: delta}).Counts {
+							if !admitted.Has(out) {
+								t.Errorf("machine Δ=%d sampled %q, outside the checker's set at Δ=%d: %v",
+									delta, out, cover, admitted.List())
+							}
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestEnginesAgreeOnLitmusPrograms pins the two explorer engines to
-// each other on the canonical litmus programs at several bounds: the
-// parallel work-stealing engine (with all reductions) and the
-// sequential reference must produce identical outcome sets, so the
-// sampled-⊆-exhaustive checks above hold for whichever engine a test
-// reaches for.
-func TestEnginesAgreeOnLitmusPrograms(t *testing.T) {
-	progs := map[string]mc.Program{
-		"SB": {
-			Threads: [][]mc.Op{
-				{mc.St(0, 1), mc.Ld(1, 0)},
-				{mc.St(1, 1), mc.Ld(0, 0)},
-			},
-			Vars: 2, Regs: 1,
-		},
-		"MP": {
-			Threads: [][]mc.Op{
-				{mc.St(0, 1), mc.St(1, 1)},
-				{mc.Ld(1, 0), mc.Ld(0, 1)},
-			},
-			Vars: 2, Regs: 2,
-		},
-		"flag": {
-			Threads: [][]mc.Op{
-				{mc.St(0, 1), mc.Ld(1, 0)},
-				{mc.St(1, 1), mc.Fence(), mc.Wait(4), mc.Ld(0, 0)},
-			},
-			Vars: 2, Regs: 1,
-		},
-		"RMW": {
-			Threads: [][]mc.Op{
-				{mc.RMW(0, 1, 0), mc.Ld(1, 1)},
-				{mc.RMW(0, 1, 0), mc.St(1, 1)},
-			},
-			Vars: 2, Regs: 2,
-		},
-	}
-	for name, p := range progs {
-		for _, delta := range []int{0, 1, 3, 8} {
-			want := mc.ExploreSequential(p, delta)
-			got, err := mc.ExploreParallel(p, delta, mc.Options{})
-			if err != nil {
-				t.Fatalf("%s Δ=%d: %v", name, delta, err)
-			}
-			g, w := got.List(), want.List()
-			if len(g) != len(w) {
-				t.Fatalf("%s Δ=%d: engines disagree: parallel %v, sequential %v", name, delta, g, w)
-			}
-			for i := range g {
-				if g[i] != w[i] {
-					t.Fatalf("%s Δ=%d: engines disagree: parallel %v, sequential %v", name, delta, g, w)
+// TestExhaustiveMatchesSampledForbidden: on plain TSO (checker Δ 0) the
+// Forbidden outcome is unreachable and the Relaxed one reachable —
+// except that a Δ-waiting test's Forbidden outcome is reachable there
+// and proven unreachable at Δ = crossWait-1. Every outcome string must
+// name exactly the program's registers.
+func TestExhaustiveMatchesSampledForbidden(t *testing.T) {
+	for _, test := range All(crossWait) {
+		t.Run(test.Name, func(t *testing.T) {
+			plain := mc.Explore(test.Prog, 0)
+			shape := registers(plain.List()[0])
+			for _, want := range []string{test.Forbidden, test.Relaxed} {
+				if want != "" && !slices.Equal(registers(want), shape) {
+					t.Fatalf("outcome %q does not name the program's registers %v", want, shape)
 				}
 			}
-		}
+			if test.Relaxed != "" && !plain.Has(test.Relaxed) {
+				t.Errorf("plain TSO never reaches the relaxed outcome %q", test.Relaxed)
+			}
+			switch {
+			case test.Forbidden == "":
+			case test.NeedsDelta():
+				if !plain.Has(test.Forbidden) {
+					t.Errorf("plain TSO misses %q, which only the Δ wait should exclude", test.Forbidden)
+				}
+				if mc.Explore(test.Prog, crossWait-1).Has(test.Forbidden) {
+					t.Errorf("TBTSO[Δ=%d] with wait %d admits %q", crossWait-1, crossWait, test.Forbidden)
+				}
+			case plain.Has(test.Forbidden):
+				t.Errorf("plain TSO reaches the forbidden outcome %q", test.Forbidden)
+			}
+		})
 	}
 }
 
-// TestExhaustiveMatchesSampledForbidden checks agreement in the other
-// direction on the asymmetric flag principle: both machines must forbid
-// 0/0 under their bounds, and both must admit it unbounded.
-func TestExhaustiveMatchesSampledForbidden(t *testing.T) {
-	flagProg := func(wait int) mc.Program {
-		return mc.Program{
-			Threads: [][]mc.Op{
-				{mc.St(0, 1), mc.Ld(1, 0)},
-				{mc.St(1, 1), mc.Fence(), mc.Wait(wait), mc.Ld(0, 0)},
-			},
-			Vars: 2, Regs: 1,
-		}
-	}
-	const zz = "T0:r0=0 T1:r0=0"
-
-	if mc.Explore(flagProg(13), 12).Has(zz) {
-		t.Fatal("model checker admits 0/0 under TBTSO with adequate wait")
-	}
-	rep := Run(TBTSOFlagPrinciple(), RunConfig{Seeds: 100, Delta: 150})
-	if rep.ForbiddenSeen() {
-		t.Fatal("sampled machine observed 0/0 under TBTSO")
-	}
-
-	if !mc.Explore(flagProg(13), 0).Has(zz) {
-		t.Fatal("model checker misses 0/0 on plain TSO")
-	}
-	unb := TBTSOFlagPrinciple()
-	unb.Forbidden = nil
-	unb.Relaxed = func(o Outcome) bool { return o["T0:saw1"] == 0 && o["T1:saw0"] == 0 }
-	repU := Run(unb, RunConfig{Seeds: 100, Delta: 0, Policies: []tso.DrainPolicy{tso.DrainAdversarial}})
-	if repU.RelaxedN == 0 {
-		t.Fatal("sampled machine misses 0/0 on plain TSO")
+// TestEnginesAgreeOnLitmusPrograms: the parallel engine (all
+// reductions) and the sequential reference return identical sets at
+// Δ 0, 1, 3 and 8.
+func TestEnginesAgreeOnLitmusPrograms(t *testing.T) {
+	for _, test := range All(crossWait) {
+		t.Run(test.Name, func(t *testing.T) {
+			for _, delta := range []int{0, 1, 3, 8} {
+				want := mc.ExploreSequential(test.Prog, delta).List()
+				got, err := mc.ExploreParallel(test.Prog, delta, mc.Options{})
+				if err != nil {
+					t.Fatalf("Δ=%d: %v", delta, err)
+				}
+				if !slices.Equal(got.List(), want) {
+					t.Errorf("Δ=%d: engines disagree: parallel %v, sequential %v", delta, got.List(), want)
+				}
+			}
+		})
 	}
 }

@@ -32,9 +32,9 @@ func ExampleOnceTraced() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("outcome:", out.Key())
+	fmt.Println("outcome:", out)
 	fmt.Println("events recorded:", len(trace) > 0)
 	// Output:
-	// outcome: T0:r=0 T1:r=0
+	// outcome: T0:r0=0 T1:r0=0
 	// events recorded: true
 }

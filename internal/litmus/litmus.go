@@ -1,81 +1,50 @@
-// Package litmus runs litmus tests against the TBTSO abstract machine:
-// small multi-threaded programs whose sets of observable outcomes
-// characterize a memory model. The package ships the classic x86-TSO
-// litmus tests (store buffering, message passing, coherence) and the
-// paper's flag-principle variants (§3), and a runner that explores
-// outcomes across scheduler seeds and drain policies.
+// Package litmus runs litmus tests against the TBTSO abstract machine
+// and the model checker: small multi-threaded programs whose sets of
+// observable outcomes characterize a memory model. The package ships
+// the classic x86-TSO litmus tests (store buffering, message passing,
+// coherence) and the paper's flag-principle variants (§3).
+//
+// Each test is written once, as a checker program (mc.Program). Run
+// samples it on the clocked machine's direct-execution engine across
+// scheduler seeds and drain policies; mc.Explore on the same Prog
+// proves which outcomes are possible at all. Outcomes on both sides use
+// the checker's canonical "T0:r0=0 T1:r0=0" rendering.
 package litmus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"tbtso/internal/fuzz"
+	"tbtso/internal/mc"
 	"tbtso/internal/tso"
 )
 
-// Env gives a litmus thread access to its named shared variables and
-// per-thread result registers.
-type Env struct {
-	vars    map[string]tso.Addr
-	regs    []map[string]tso.Word
-	machine *tso.Machine
-}
-
-// Var returns the machine address of a named shared variable.
-func (e *Env) Var(name string) tso.Addr {
-	a, ok := e.vars[name]
-	if !ok {
-		panic(fmt.Sprintf("litmus: unknown variable %q", name))
-	}
-	return a
-}
-
-// Set records a register value for thread tid. Each thread must only
-// set its own registers (the per-thread map is what makes this safe).
-func (e *Env) Set(tid int, reg string, v tso.Word) {
-	e.regs[tid][reg] = v
-}
-
-// Delta reports the machine's Δ bound in ticks (0 = unbounded).
-func (e *Env) Delta() uint64 { return e.machine.Delta() }
-
-// ThreadFn is one thread of a litmus test.
-type ThreadFn func(th *tso.Thread, e *Env)
-
-// Test is a litmus test: named shared variables (initialized to zero),
-// one function per thread, and a predicate describing the outcome the
-// model under test forbids.
+// Test is a litmus test: a checker program plus the outcomes that
+// characterize it.
 type Test struct {
 	Name string
 	Doc  string
-	// Vars lists shared variable names, all initialized to 0.
-	Vars []string
-	// Threads are the test's programs, spawn order = thread id.
-	Threads []ThreadFn
-	// Forbidden reports whether an outcome must never be observed under
-	// the model configuration the test targets.
-	Forbidden func(Outcome) bool
-	// Relaxed, if non-nil, reports whether an outcome demonstrates the
+	// Prog is the test's program; shared variables and registers all
+	// start at zero.
+	Prog mc.Program
+	// Forbidden, if non-empty, is the outcome the model the test
+	// targets must never produce.
+	Forbidden string
+	// Relaxed, if non-empty, is the outcome that demonstrates the
 	// relaxed behaviour the test looks for (e.g. store/load reordering).
-	Relaxed func(Outcome) bool
+	Relaxed string
 }
 
-// Outcome maps "T<i>:<reg>" register names to observed values.
-type Outcome map[string]tso.Word
-
-// Key renders an outcome canonically for histogram bucketing.
-func (o Outcome) Key() string {
-	keys := make([]string, 0, len(o))
-	for k := range o {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = fmt.Sprintf("%s=%d", k, o[k])
-	}
-	return strings.Join(parts, " ")
+// NeedsDelta reports whether the test's program waits: its Forbidden
+// outcome is then excluded only on a TBTSO machine whose Δ the wait
+// covers, and plain TSO admits it.
+func (t Test) NeedsDelta() bool {
+	return slices.ContainsFunc(t.Prog.Threads, func(th []mc.Op) bool {
+		return slices.ContainsFunc(th, func(op mc.Op) bool { return op.Kind == mc.OpWait })
+	})
 }
 
 // RunConfig controls outcome exploration.
@@ -88,79 +57,51 @@ type RunConfig struct {
 	Delta uint64
 	// StallProb is passed to the machine scheduler.
 	StallProb float64
-	// MaxTicks caps each execution (0 = machine default).
-	MaxTicks uint64
-	// Sinks are attached to every machine the runner creates — e.g.
-	// the obs/monitor online checkers, so a whole litmus sweep runs
-	// under continuous Δ-residency verification.
+	// Sinks are attached to every machine run — e.g. the obs/monitor
+	// online checkers, so a whole litmus sweep runs under continuous
+	// Δ-residency verification.
 	Sinks []tso.Sink
 }
 
 // Report aggregates the outcomes of an exploration.
 type Report struct {
-	Test      string
-	Total     int
-	Counts    map[string]int
-	Forbidden []string // outcome keys that matched Test.Forbidden
-	RelaxedN  int      // executions matching Test.Relaxed
-	Errs      []error
+	Test       string
+	Total      int
+	Counts     map[string]int
+	ForbiddenN int // executions producing Test.Forbidden
+	RelaxedN   int // executions producing Test.Relaxed
+	Errs       []error
 }
 
-// ForbiddenSeen reports whether any forbidden outcome was observed.
-func (r Report) ForbiddenSeen() bool { return len(r.Forbidden) > 0 }
+// ForbiddenSeen reports whether the forbidden outcome was observed.
+func (r Report) ForbiddenSeen() bool { return r.ForbiddenN > 0 }
 
 // String renders the report as a small table.
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d executions\n", r.Test, r.Total)
 	keys := make([]string, 0, len(r.Counts))
+	width := 40
 	for k := range r.Counts {
 		keys = append(keys, k)
+		width = max(width, len(k))
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "  %-40s %6d\n", k, r.Counts[k])
+		fmt.Fprintf(&b, "  %-*s %6d\n", width, k, r.Counts[k])
 	}
 	if r.ForbiddenSeen() {
-		fmt.Fprintf(&b, "  FORBIDDEN OUTCOMES SEEN: %v\n", r.Forbidden)
+		fmt.Fprintf(&b, "  FORBIDDEN OUTCOME SEEN in %d executions\n", r.ForbiddenN)
 	}
 	return b.String()
 }
 
-// Once executes a single run of the test and returns its outcome.
-func Once(t Test, cfg tso.Config) (Outcome, error) {
-	out, _, err := OnceTraced(t, cfg)
-	return out, err
-}
-
-// OnceTraced executes a single run and also returns the machine's
-// execution trace (empty unless cfg.Trace is set).
-func OnceTraced(t Test, cfg tso.Config) (Outcome, []tso.Event, error) {
-	m := tso.New(cfg)
-	env := &Env{
-		vars:    make(map[string]tso.Addr, len(t.Vars)),
-		regs:    make([]map[string]tso.Word, len(t.Threads)),
-		machine: m,
-	}
-	for _, v := range t.Vars {
-		env.vars[v] = m.AllocWords(1)
-	}
-	for i, fn := range t.Threads {
-		env.regs[i] = make(map[string]tso.Word)
-		f := fn
-		m.Spawn(fmt.Sprintf("T%d", i), func(th *tso.Thread) { f(th, env) })
-	}
-	res := m.Run()
-	if res.Err != nil {
-		return nil, m.Trace(), res.Err
-	}
-	out := make(Outcome)
-	for i, regs := range env.regs {
-		for r, v := range regs {
-			out[fmt.Sprintf("T%d:%s", i, r)] = v
-		}
-	}
-	return out, m.Trace(), nil
+// OnceTraced executes a single run of the test and returns its outcome
+// and, when cfg.Trace is set, the machine's execution trace.
+func OnceTraced(t Test, cfg tso.Config) (string, []tso.Event, error) {
+	s := fuzz.NewSampler()
+	out, _, err := s.Exec(t.Prog, cfg)
+	return out, s.Trace(), err
 }
 
 // Run explores the test across seeds and policies and aggregates the
@@ -174,28 +115,26 @@ func Run(t Test, cfg RunConfig) Report {
 		cfg.Seeds = 50
 	}
 	rep := Report{Test: t.Name, Counts: make(map[string]int)}
-	seenForbidden := make(map[string]bool)
+	s := fuzz.NewSampler()
 	for _, p := range policies {
-		for s := 0; s < cfg.Seeds; s++ {
-			out, err := Once(t, tso.Config{
+		for seed := 0; seed < cfg.Seeds; seed++ {
+			out, _, err := s.Exec(t.Prog, tso.Config{
 				Delta:     cfg.Delta,
 				Policy:    p,
-				Seed:      int64(s),
+				Seed:      int64(seed),
 				StallProb: cfg.StallProb,
-				MaxTicks:  cfg.MaxTicks,
 				Sinks:     cfg.Sinks,
 			})
 			if err != nil {
-				rep.Errs = append(rep.Errs, fmt.Errorf("policy=%v seed=%d: %w", p, s, err))
+				rep.Errs = append(rep.Errs, fmt.Errorf("policy=%v seed=%d: %w", p, seed, err))
 				continue
 			}
 			rep.Total++
-			rep.Counts[out.Key()]++
-			if t.Forbidden != nil && t.Forbidden(out) && !seenForbidden[out.Key()] {
-				seenForbidden[out.Key()] = true
-				rep.Forbidden = append(rep.Forbidden, out.Key())
+			rep.Counts[out]++
+			if out == t.Forbidden {
+				rep.ForbiddenN++
 			}
-			if t.Relaxed != nil && t.Relaxed(out) {
+			if out == t.Relaxed {
 				rep.RelaxedN++
 			}
 		}

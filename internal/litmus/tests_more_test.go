@@ -3,71 +3,35 @@ package litmus
 import "testing"
 
 func TestLoadBufferingForbidden(t *testing.T) {
-	for _, delta := range []uint64{0, 150} {
-		rep := Run(LoadBuffering(), RunConfig{Seeds: 150, Delta: delta})
-		if len(rep.Errs) > 0 {
-			t.Fatalf("errors: %v", rep.Errs[0])
-		}
-		if rep.ForbiddenSeen() {
-			t.Fatalf("Δ=%d: LB 1/1 observed — machine reorders loads with later stores:\n%s", delta, rep)
-		}
-	}
+	neverForbidden(t, LoadBuffering(), 150, 0, 150)
 }
 
 func TestIRIWForbidden(t *testing.T) {
-	rep := Run(IRIW(), RunConfig{Seeds: 200, Delta: 0})
-	if len(rep.Errs) > 0 {
-		t.Fatalf("errors: %v", rep.Errs[0])
-	}
-	if rep.ForbiddenSeen() {
-		t.Fatalf("IRIW opposite-order outcome observed — machine is not multi-copy atomic:\n%s", rep)
-	}
+	neverForbidden(t, IRIW(), 200, 0)
 }
 
 func TestWRCForbidden(t *testing.T) {
-	rep := Run(WRC(), RunConfig{Seeds: 200, Delta: 0})
-	if rep.ForbiddenSeen() {
-		t.Fatalf("WRC causality violated:\n%s", rep)
-	}
+	neverForbidden(t, WRC(), 200, 0)
 }
 
 func TestSBOneFenceStillRelaxed(t *testing.T) {
 	// One-sided fencing is not enough — the reason the asymmetric flag
 	// principle needs the Δ wait on the fenced side.
-	rep := Run(SBOneFence(), RunConfig{Seeds: 150, Delta: 0})
-	if rep.RelaxedN == 0 {
+	if sample(t, SBOneFence(), RunConfig{Seeds: 150}).RelaxedN == 0 {
 		t.Fatal("SB with a single fence never showed 0/0 — one-sided fences should not restore SC")
 	}
 }
 
 func TestSB3RingObservesAllZero(t *testing.T) {
-	rep := Run(SB3(), RunConfig{Seeds: 100, Delta: 0})
-	if len(rep.Errs) > 0 {
-		t.Fatalf("errors: %v", rep.Errs[0])
-	}
-	if rep.RelaxedN == 0 {
+	if sample(t, SB3(), RunConfig{Seeds: 100}).RelaxedN == 0 {
 		t.Fatal("three-thread SB ring never showed 0/0/0")
 	}
 }
 
 func TestTwoPlusTwoWForbidden(t *testing.T) {
-	for _, delta := range []uint64{0, 200} {
-		rep := Run(TwoPlusTwoW(), RunConfig{Seeds: 120, Delta: delta})
-		if len(rep.Errs) > 0 {
-			t.Fatalf("Δ=%d errors: %v", delta, rep.Errs[0])
-		}
-		if rep.ForbiddenSeen() {
-			t.Fatalf("Δ=%d: 2+2W forbidden final state observed:\n%s", delta, rep)
-		}
-	}
+	neverForbidden(t, TwoPlusTwoW(), 120, 0, 200)
 }
 
 func TestRMWActsAsFence(t *testing.T) {
-	rep := Run(RMWFlushes(), RunConfig{Seeds: 150, Delta: 0})
-	if len(rep.Errs) > 0 {
-		t.Fatalf("errors: %v", rep.Errs[0])
-	}
-	if rep.ForbiddenSeen() {
-		t.Fatalf("SB with RMWs observed 0/0 — atomics must drain the store buffer:\n%s", rep)
-	}
+	neverForbidden(t, RMWFlushes(), 150, 0)
 }

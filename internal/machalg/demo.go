@@ -26,7 +26,7 @@ type ReclaimRaceOutcome struct {
 // themselves be subject to the store buffering they orchestrate.
 //
 // Any sinks are attached to the machine, so the run can be traced
-// (tbtso-trace -demo reclaim).
+// (tbtso-sim -demo reclaim -o).
 //
 //tbtso:ignore escape harness handshake flags and the captured outcome struct intentionally bypass the model to direct the schedule; they are not algorithm memory
 func ReclaimRaceDemo(delta uint64, mode HPMode, sinks ...tso.Sink) ReclaimRaceOutcome {
@@ -105,39 +105,19 @@ type DequeOutcome struct {
 // (waitDelta). It stops at the first seed exhibiting a duplicate or
 // lost item, or after `seeds` clean seeds.
 func DequeDemo(delta uint64, bufferCap int, waitDelta bool, seeds int) DequeOutcome {
-	out := DequeOutcome{}
 	for seed := int64(0); seed < int64(seeds); seed++ {
-		out.SeedsTried++
-		policy := tso.DrainRandom
-		if bufferCap > 0 {
-			policy = tso.DrainAdversarial
-		}
-		cfg := tso.Config{Delta: delta, BufferCap: bufferCap, Policy: policy, Seed: seed, MaxTicks: 4_000_000}
-		got, res := dequeRun(cfg, waitDelta, 40, 2)
-		if res.Err != nil {
-			continue
-		}
-		dup, lost := 0, 0
-		for v := tso.Word(1); v <= 40; v++ {
-			switch got[v] {
-			case 1:
-			case 0:
-				lost++
-			default:
-				dup++
-			}
-		}
-		if dup != 0 || lost != 0 {
-			out.Duplicated, out.Lost = dup, lost
+		if out := DequeOnce(delta, bufferCap, waitDelta, seed); out.Duplicated != 0 || out.Lost != 0 {
+			out.SeedsTried = int(seed) + 1
 			return out
 		}
 	}
-	return out
+	return DequeOutcome{SeedsTried: seeds}
 }
 
 // DequeOnce runs a single seed of the work-stealing harvest with the
-// given sinks attached (tbtso-trace -demo deque). The returned outcome
-// reports duplicates/losses for that one seed.
+// given sinks attached (tbtso-sim -demo deque -o). The returned outcome
+// reports duplicates/losses for that one seed; a run that fails reports
+// none.
 func DequeOnce(delta uint64, bufferCap int, waitDelta bool, seed int64, sinks ...tso.Sink) DequeOutcome {
 	out := DequeOutcome{SeedsTried: 1}
 	policy := tso.DrainRandom

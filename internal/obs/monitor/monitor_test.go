@@ -153,16 +153,12 @@ func TestBoundedMachineRunsClean(t *testing.T) {
 // correct machine must be violation-free.
 func TestLitmusSuiteMonitoredClean(t *testing.T) {
 	set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
-	for _, test := range []litmus.Test{
-		litmus.StoreBuffering(true),
-		litmus.StoreBuffering(false),
-		litmus.MessagePassing(),
-	} {
+	for _, test := range litmus.All(6) {
 		rep := litmus.Run(test, litmus.RunConfig{
 			Seeds: 5, Delta: 6, Sinks: []tso.Sink{set},
 		})
-		if len(rep.Errs) > 0 {
-			t.Fatalf("%s: %v", rep.Test, rep.Errs)
+		if len(rep.Errs) > 0 || rep.Total == 0 {
+			t.Fatalf("%s: %d executions, errors %v", rep.Test, rep.Total, rep.Errs)
 		}
 	}
 	if !set.Ok() {

@@ -86,13 +86,6 @@ func (p *Perfetto) BeginRun(names []string, delta uint64) {
 	}
 }
 
-func (p *Perfetto) threadName(i int) string {
-	if i < len(p.names) {
-		return p.names[i]
-	}
-	return fmt.Sprintf("T%d", i)
-}
-
 // ensureThread grows the pending table for traces without BeginRun
 // (post-hoc conversion of a bare event slice).
 func (p *Perfetto) ensureThread(i int) {

@@ -16,7 +16,7 @@ import (
 
 // Options is the shared -obs.* flag block every tbtso CLI registers,
 // so monitoring and the ops endpoint work identically across
-// tbtso-sim, tbtso-bench, tbtso-fuzz, tbtso-trace and tbtso-verify.
+// tbtso-sim, tbtso-bench, tbtso-fuzz and tbtso-verify.
 type Options struct {
 	// Listen is the ops endpoint address ("" = no endpoint).
 	Listen string

@@ -18,7 +18,7 @@ import "fmt"
 // outcomes, Stats, DrainStats and sink event streams on both engines
 // (pinned by the engine-equivalence suite in internal/fuzz). The
 // goroutine engine remains the oracle — and the only engine able to
-// run arbitrary Go-closure workloads (smr/lock/litmus demos).
+// run arbitrary Go-closure workloads (the machalg kernels and demos).
 
 // ProgOpKind enumerates the direct-execution engine's op alphabet. It
 // deliberately mirrors the model checker's vocabulary (internal/mc)

@@ -472,9 +472,6 @@ func (m *Machine) sizeRun(n int) {
 	}
 }
 
-// Delta reports the configured bound in ticks (0 = unbounded TSO).
-func (m *Machine) Delta() uint64 { return m.cfg.Delta }
-
 // SetMonitor installs a memory-traffic monitor. It may only be called
 // before Run; it overrides Config.Monitor.
 func (m *Machine) SetMonitor(mon Monitor) {

@@ -102,16 +102,16 @@ func checkTraceShape(t *testing.T, path string) {
 	}
 }
 
-// TestTraceCLI exercises tbtso-trace's demo and litmus modes and
-// validates the exported Perfetto JSON shape.
+// TestTraceCLI exercises tbtso-sim's -o export in demo and litmus
+// modes and validates the written Perfetto JSON shape.
 func TestTraceCLI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI smoke takes a few seconds; skipped with -short")
 	}
 	t.Run("demo-reclaim", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "trace.json")
-		stdout := runCmdStdout(t, 2*time.Minute, "./cmd/tbtso-trace", "-demo", "reclaim", "-o", out)
-		for _, want := range []string{"reclaim race", "wrote", "metrics:", "machine.commits"} {
+		stdout := runCmdStdout(t, 2*time.Minute, "./cmd/tbtso-sim", "-demo", "reclaim", "-o", out)
+		for _, want := range []string{"traced reclaim race", "wrote", "metrics:", "machine.commits"} {
 			if !strings.Contains(stdout, want) {
 				t.Fatalf("output missing %q:\n%s", want, stdout)
 			}
@@ -121,9 +121,11 @@ func TestTraceCLI(t *testing.T) {
 	t.Run("litmus-sb", func(t *testing.T) {
 		out := filepath.Join(t.TempDir(), "trace.json")
 		stdout := runCmdStdout(t, 2*time.Minute,
-			"./cmd/tbtso-trace", "-test", "SB", "-delta", "40", "-seed", "3", "-o", out)
-		if !strings.Contains(stdout, "SB (Δ=40") {
-			t.Fatalf("missing litmus outcome line:\n%s", stdout)
+			"./cmd/tbtso-sim", "-test", "sb", "-delta", "40", "-seeds", "5", "-o", out)
+		for _, want := range []string{"SB  [Δ=40]", "trace (seed 0, adversarial)", "wrote", "machine.commits"} {
+			if !strings.Contains(stdout, want) {
+				t.Fatalf("output missing %q:\n%s", want, stdout)
+			}
 		}
 		checkTraceShape(t, out)
 	})
