@@ -49,9 +49,9 @@ func (s *state) appendState(dst []byte) []byte {
 	return dst
 }
 
-// uvarintStr is binary.Uvarint over a string, so frontier entries (the
-// visited set's interned key strings) decode without a []byte copy.
-func uvarintStr(s string, i int) (uint64, int) {
+// uvarintAt is binary.Uvarint at offset i, returning the next offset
+// and panicking on a truncated encoding.
+func uvarintAt(s []byte, i int) (uint64, int) {
 	var x uint64
 	var shift uint
 	for ; i < len(s); i++ {
@@ -65,9 +65,9 @@ func uvarintStr(s string, i int) (uint64, int) {
 	panic("mc: truncated state encoding")
 }
 
-// varintStr is binary.Varint (zigzag) over a string.
-func varintStr(s string, i int) (int64, int) {
-	ux, n := uvarintStr(s, i)
+// varintAt is binary.Varint (zigzag) at offset i.
+func varintAt(s []byte, i int) (int64, int) {
+	ux, n := uvarintAt(s, i)
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x
@@ -77,7 +77,7 @@ func varintStr(s string, i int) (int64, int) {
 
 // decodeState rehydrates src (produced by appendState for a state of
 // program p) into dst, reusing dst's slice capacity.
-func decodeState(dst *state, p Program, src string) {
+func decodeState(dst *state, p Program, src []byte) {
 	nt := len(p.Threads)
 	dst.pc = grow(dst.pc, nt)
 	dst.wait = grow(dst.wait, nt)
@@ -99,34 +99,34 @@ func decodeState(dst *state, p Program, src string) {
 	var u uint64
 	var v int64
 	for i := 0; i < nt; i++ {
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarintAt(src, pos)
 		dst.pc[i] = int(u)
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarintAt(src, pos)
 		dst.wait[i] = int(u)
 		dst.armed[i] = src[pos] != 0
 		pos++
-		u, pos = uvarintStr(src, pos)
+		u, pos = uvarintAt(src, pos)
 		n := int(u)
 		if cap(dst.bufs[i]) < n {
 			dst.bufs[i] = make([]bufEntry, n)
 		}
 		dst.bufs[i] = dst.bufs[i][:n]
 		for j := 0; j < n; j++ {
-			u, pos = uvarintStr(src, pos)
+			u, pos = uvarintAt(src, pos)
 			dst.bufs[i][j].addr = int(u)
-			v, pos = varintStr(src, pos)
+			v, pos = varintAt(src, pos)
 			dst.bufs[i][j].val = int(v)
-			u, pos = uvarintStr(src, pos)
+			u, pos = uvarintAt(src, pos)
 			dst.bufs[i][j].age = int(u)
 		}
 		dst.regs[i] = grow(dst.regs[i], p.Regs)
 		for r := 0; r < p.Regs; r++ {
-			v, pos = varintStr(src, pos)
+			v, pos = varintAt(src, pos)
 			dst.regs[i][r] = int(v)
 		}
 	}
 	for a := 0; a < p.Vars; a++ {
-		v, pos = varintStr(src, pos)
+		v, pos = varintAt(src, pos)
 		dst.mem[a] = int(v)
 	}
 	if pos != len(src) {
@@ -153,18 +153,15 @@ func appendRegs(dst []byte, regs [][]int) []byte {
 	return dst
 }
 
-// decodeRegs is the inverse of appendRegs for a program with nt
-// threads of nr registers each.
-func decodeRegs(src string, nt, nr int) [][]int {
-	out := make([][]int, nt)
+// decodeRegs is the inverse of appendRegs: it fills dst, already
+// shaped as the program's register files, from src.
+func decodeRegs(dst [][]int, src []byte) {
 	pos := 0
 	var v int64
-	for i := range out {
-		out[i] = make([]int, nr)
-		for r := 0; r < nr; r++ {
-			v, pos = varintStr(src, pos)
-			out[i][r] = int(v)
+	for _, rf := range dst {
+		for r := range rf {
+			v, pos = varintAt(src, pos)
+			rf[r] = int(v)
 		}
 	}
-	return out
 }

@@ -43,7 +43,7 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 
 		enc := s.appendState(nil)
 		var back state
-		decodeState(&back, p, string(enc))
+		decodeState(&back, p, enc)
 		if got, want := back.outcome(), s.outcome(); got != want {
 			t.Fatalf("outcome changed across round trip: %q vs %q", got, want)
 		}
@@ -55,7 +55,8 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 		// The register-file encoding used for compact outcome
 		// accumulation must round-trip too.
 		regsEnc := appendRegs(nil, s.regs)
-		regsBack := decodeRegs(string(regsEnc), len(p.Threads), p.Regs)
+		regsBack := newState(p).regs
+		decodeRegs(regsBack, regsEnc)
 		if got, want := outcomeString(regsBack), outcomeString(s.regs); got != want {
 			t.Fatalf("regs round trip: %q vs %q", got, want)
 		}

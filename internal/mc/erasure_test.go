@@ -8,8 +8,8 @@ import (
 // TestRemainingDecreases pins the bound age-horizon erasure rests on:
 // every transition lowers remaining by at least one. It walks the full,
 // unreduced state graph of every differential-corpus program with
-// waits at two cover-scale Δ. Each state is expanded against an
-// emptied visited set, so every successor lands on the worker's stack.
+// waits at two cover-scale Δ. Each state is expanded against a fresh
+// visited set, so every successor lands on the worker's stack.
 // -short and the race detector keep every fourth seed.
 func TestRemainingDecreases(t *testing.T) {
 	stride := int64(1)
@@ -25,7 +25,7 @@ func TestRemainingDecreases(t *testing.T) {
 		probe := &engine{horizon: horizons(p)}
 		for _, k := range []int{2, 4} {
 			delta := k*len(p.Threads) + 2
-			e := &engine{p: p, delta: delta, ageCap: delta + 1, maxStates: math.MaxInt64, vis: newVisited()}
+			e := &engine{p: p, delta: delta, ageCap: delta + 1, maxStates: math.MaxInt64}
 			w := &worker{e: e, outcomes: make(map[string]struct{})}
 			e.workers = []*worker{w}
 
@@ -36,15 +36,15 @@ func TestRemainingDecreases(t *testing.T) {
 			for len(todo) > 0 {
 				key := todo[len(todo)-1]
 				todo = todo[:len(todo)-1]
-				for i := range e.vis.shards {
-					clear(e.vis.shards[i].m)
-				}
+				e.vis = newVisited()
 				w.stack = w.stack[:0]
-				w.expand(key)
-				decodeState(&s, p, key)
+				kb := []byte(key)
+				w.expand(kb)
+				decodeState(&s, p, kb)
 				r := probe.remaining(&s)
-				for _, next := range w.stack {
-					decodeState(&succ, p, next)
+				for _, nb := range w.stack {
+					next := string(nb)
+					decodeState(&succ, p, nb)
 					if rn := probe.remaining(&succ); rn > r-1 {
 						t.Fatalf("seed=%d Δ=%d: remaining %d -> %d across a transition\nfrom %+v\n  to %+v",
 							seed, delta, r, rn, s, succ)

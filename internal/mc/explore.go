@@ -125,10 +125,6 @@ type engine struct {
 
 	pending     atomic.Int64 // states queued but not yet expanded
 	states      atomic.Int64 // distinct canonical states admitted
-	transitions atomic.Int64 // successors generated
-	dedup       atomic.Int64 // successors already in the visited set
-	porPrunes   atomic.Int64 // states expanded via a single invisible dequeue
-	collapses   atomic.Int64 // terminal collapses (drain tails skipped)
 	truncated   atomic.Bool
 	interrupted atomic.Bool // Options.Context cancelled; workers drain without expanding
 
@@ -155,23 +151,35 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 	}
 }
 
-// worker owns a LIFO stack of encoded frontier states plus all the
-// scratch the hot path needs, so steady-state expansion performs one
-// allocation per novel state (the visited set's interned key) and none
-// per transition.
+// worker owns a LIFO stack of encoded frontier states (views of the
+// visited set's stored keys) plus all the scratch the hot path needs,
+// so steady-state expansion allocates nothing per state or transition.
 type worker struct {
 	e  *engine
 	id int
 
 	mu    sync.Mutex // guards stack (owner pops, thieves steal)
-	stack []string
+	stack [][]byte
 
 	cur, next state
 	enc       []byte
-	stealBuf  []string
+	stealBuf  [][]byte
 	symKeys   [][][]byte          // per identity group, per member: encoding scratch
 	outcomes  map[string]struct{} // reg-encoding outcome set
 	sinceTick int
+	counts
+}
+
+// counts are a worker's own tallies, summed once the workers stop. The
+// padding keeps the owner's increments off the cache lines that thieves
+// and neighbouring allocations touch.
+type counts struct {
+	_           [64]byte
+	transitions int // successors generated
+	dedup       int // successors already in the visited set
+	porPrunes   int // states expanded via a single invisible dequeue
+	collapses   int // terminal collapses (drain tails skipped)
+	_           [64]byte
 }
 
 // ExploreParallel explores p under TBTSO[Δ] with a work-stealing
@@ -281,13 +289,12 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 		close(watcherDone)
 	}
 
-	res := Result{
-		Outcomes:          e.mergeOutcomes(),
-		States:            int(e.states.Load()),
-		Transitions:       int(e.transitions.Load()),
-		DedupHits:         int(e.dedup.Load()),
-		PorPrunes:         int(e.porPrunes.Load()),
-		TerminalCollapses: int(e.collapses.Load()),
+	res := Result{Outcomes: e.mergeOutcomes(), States: int(e.states.Load())}
+	for _, w := range e.workers {
+		res.Transitions += w.transitions
+		res.DedupHits += w.dedup
+		res.PorPrunes += w.porPrunes
+		res.TerminalCollapses += w.collapses
 	}
 	e.publishFinal(res)
 	if e.truncated.Load() {
@@ -301,20 +308,26 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 
 // mergeOutcomes unions the workers' reg-encoded outcome sets, expands
 // each through the symmetry group's orbit, and renders the canonical
-// outcome strings.
+// outcome strings. Decoding and rendering reuse one register file and
+// one buffer, so only an outcome new to the result allocates.
 func (e *engine) mergeOutcomes() map[string]bool {
-	keys := make(map[string]struct{})
+	regs := make([][]int, len(e.p.Threads))
+	for i := range regs {
+		regs[i] = make([]int, e.p.Regs)
+	}
+	out := make(map[string]bool)
+	var kb, buf []byte
 	for _, w := range e.workers {
 		for k := range w.outcomes {
-			keys[k] = struct{}{}
+			kb = append(kb[:0], k...)
+			decodeRegs(regs, kb)
+			orbit(e.groups, regs, func(r [][]int) {
+				buf = AppendOutcome(buf[:0], r)
+				if !out[string(buf)] {
+					out[string(buf)] = true
+				}
+			})
 		}
-	}
-	out := make(map[string]bool, len(keys))
-	for k := range keys {
-		regs := decodeRegs(k, len(e.p.Threads), e.p.Regs)
-		orbit(e.groups, regs, func(r [][]int) {
-			out[outcomeString(r)] = true
-		})
 	}
 	return out
 }
@@ -327,8 +340,8 @@ func (e *engine) publishFinal(res Result) {
 	m.states.Add(uint64(res.States))
 	m.transitions.Add(uint64(res.Transitions))
 	m.dedup.Add(uint64(res.DedupHits))
-	m.porPrunes.Add(uint64(e.porPrunes.Load()))
-	m.collapses.Add(uint64(e.collapses.Load()))
+	m.porPrunes.Add(uint64(res.PorPrunes))
+	m.collapses.Add(uint64(res.TerminalCollapses))
 	m.frontier.Set(0)
 	if el := time.Since(e.start).Seconds(); el > 0 {
 		m.statesPerSec.Set(int64(float64(res.States) / el))
@@ -356,15 +369,14 @@ func (e *engine) publishTick() {
 	m.pub.Store(false)
 }
 
-func (w *worker) pop() (string, bool) {
+func (w *worker) pop() ([]byte, bool) {
 	w.mu.Lock()
 	n := len(w.stack)
 	if n == 0 {
 		w.mu.Unlock()
-		return "", false
+		return nil, false
 	}
 	k := w.stack[n-1]
-	w.stack[n-1] = ""
 	w.stack = w.stack[:n-1]
 	w.mu.Unlock()
 	return k, true
@@ -373,7 +385,7 @@ func (w *worker) pop() (string, bool) {
 // steal moves up to half of some victim's stack (oldest entries first,
 // which spreads shallow, wide subtrees) onto w's own stack and returns
 // one item to expand. Victim and own locks are never held together.
-func (w *worker) steal() (string, bool) {
+func (w *worker) steal() ([]byte, bool) {
 	ws := w.e.workers
 	for off := 1; off < len(ws); off++ {
 		v := ws[(w.id+off)%len(ws)]
@@ -385,11 +397,7 @@ func (w *worker) steal() (string, bool) {
 		}
 		take := (n + 1) / 2
 		w.stealBuf = append(w.stealBuf[:0], v.stack[:take]...)
-		rest := copy(v.stack, v.stack[take:])
-		for i := rest; i < n; i++ {
-			v.stack[i] = ""
-		}
-		v.stack = v.stack[:rest]
+		v.stack = v.stack[:copy(v.stack, v.stack[take:])]
 		v.mu.Unlock()
 
 		k := w.stealBuf[len(w.stealBuf)-1]
@@ -398,7 +406,7 @@ func (w *worker) steal() (string, bool) {
 		w.mu.Unlock()
 		return k, true
 	}
-	return "", false
+	return nil, false
 }
 
 func (w *worker) run() {
@@ -441,7 +449,7 @@ func (e *engine) admit() bool {
 // w.next, pushing it onto the local stack when novel.
 func (w *worker) emit() {
 	e := w.e
-	e.transitions.Add(1)
+	w.transitions++
 	n := &w.next
 	if e.horizon != nil {
 		e.eraseAges(n)
@@ -452,7 +460,7 @@ func (w *worker) emit() {
 	w.enc = n.appendState(w.enc[:0])
 	key, novel := e.vis.insert(w.enc)
 	if !novel {
-		e.dedup.Add(1)
+		w.dedup++
 		return
 	}
 	if !e.admit() {
@@ -488,7 +496,7 @@ func (w *worker) recordOutcome(s *state) {
 // expand generates every admissible successor of the encoded state,
 // mirroring the reference explorer's transition relation with the
 // reductions of reduce.go layered on top.
-func (w *worker) expand(key string) {
+func (w *worker) expand(key []byte) {
 	e := w.e
 	if e.truncated.Load() || e.interrupted.Load() {
 		return
@@ -513,7 +521,7 @@ func (w *worker) expand(key string) {
 			// remain, so the outcome is already fixed.
 			for i := range s.bufs {
 				if len(s.bufs[i]) > 0 {
-					e.collapses.Add(1)
+					w.collapses++
 					break
 				}
 			}
@@ -552,7 +560,7 @@ func (w *worker) expand(key string) {
 	// only transition worth exploring from this state.
 	if e.porOK {
 		if i := e.invisibleDequeue(s); i >= 0 {
-			e.porPrunes.Add(1)
+			w.porPrunes++
 			w.dequeue(s, i)
 			return
 		}

@@ -227,3 +227,27 @@ func TestExplorePanicNamesShapeAndStates(t *testing.T) {
 		}
 	}
 }
+
+// TestExploreAllocs pins the engine's allocations (AllocsPerRun runs at
+// GOMAXPROCS 1, so one worker): nothing per state beyond the visited
+// set's geometric growth, and a small fixed cost per call.
+func TestExploreAllocs(t *testing.T) {
+	explore := func(p Program, delta int) Result {
+		res, err := ExploreParallel(p, delta, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ring := ringProg(4)
+	states := explore(ring, 2).States
+	perState := testing.AllocsPerRun(1, func() { explore(ring, 2) }) / float64(states)
+	if perState > 0.1 {
+		t.Errorf("Ring4 Δ=2: %.3f allocs/state, want ≤ 0.1", perState)
+	}
+	sbAllocs := testing.AllocsPerRun(20, func() { explore(sb(false), 0) })
+	if sbAllocs > 160 {
+		t.Errorf("SB Δ=0: %.0f allocs, want ≤ 160", sbAllocs)
+	}
+	t.Logf("Ring4 Δ=2 %.3f allocs/state; SB Δ=0 %.0f allocs", perState, sbAllocs)
+}
