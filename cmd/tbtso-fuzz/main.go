@@ -41,7 +41,6 @@ import (
 	"tbtso/internal/fuzz"
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/coverage"
-	"tbtso/internal/obs/monitor"
 	"tbtso/internal/obs/serve"
 	"tbtso/internal/tso"
 )
@@ -125,35 +124,14 @@ func run(args []string) (code int) {
 			budget: *timeBudget, shrinkMax: *shrinkMax, outDir: *outDir,
 			ckptPath: *ckptPath, ckptEvery: *ckptEvery, resumePath: *resumePath,
 			jsonOut: *jsonOut, metrics: *metrics, verbose: *verbose,
-			flightDir: obsOpts.FlightDir,
+			sess: sess,
 		}
-		if obsOpts.Monitors != "" || obsOpts.FlightDir != "" {
-			// Campaigns record flight data per seed instead of through
-			// the session's shared recorder: each seed gets a fresh
-			// monitor set (exact violation attribution) and no lock is
-			// taken on the event hot path. The session recorder serves
-			// only the unconditional interrupt post-mortem dump.
-			spec := obsOpts.Monitors
-			var factory func() *monitor.Set
-			if spec != "" {
-				factory = func() *monitor.Set {
-					set, err := serve.ParseMonitors(spec, reg)
-					if err != nil {
-						// Options.Start validated the spec already.
-						panic("tbtso-fuzz: monitor spec: " + err.Error())
-					}
-					return set
-				}
-			}
-			camp.flight = monitor.NewShardedFlight(factory, monitor.DefaultFlightSeeds)
-			camp.cfg.Flight = camp.flight
-		}
+		// Each seed records into its own group of the session's flight,
+		// with a fresh monitor set: exact violation attribution, and no
+		// lock on the event hot path.
+		camp.cfg.Flight = sess.Flight
 		if srv := sess.Server(); srv != nil {
 			srv.SetCoverage(camp.liveCoverage)
-			if camp.flight != nil {
-				srv.SetFlightRecorder(camp.flight)
-				srv.AddViolations(camp.flight.Violations)
-			}
 		}
 		if sess.Addr != "" {
 			fmt.Fprintf(os.Stderr, "tbtso-fuzz: ops endpoint http://%s\n", sess.Addr)
@@ -239,10 +217,9 @@ type campaign struct {
 	done    int             // seeds folded: [startSeed, startSeed+done) are complete
 	pending []fuzz.Mismatch // mismatches from folded seeds, not yet shrunk
 
-	// flight is the campaign flight recorder (nil unless
-	// -obs.monitor/-obs.flightdir); flightDir receives its merged dump.
-	flight    *monitor.ShardedFlight
-	flightDir string
+	// sess is the obs session; its Flight (nil unless
+	// -obs.monitor/-obs.flightdir) records the campaign.
+	sess *serve.Session
 	// cov is the merged campaign coverage for the folded prefix; liveCov
 	// is its latest published clone, served on /coverage.
 	cov     coverage.Snapshot
@@ -289,9 +266,9 @@ func (c *campaign) checkpoint(hash string) {
 		ck.Coverage = &c.cov
 	}
 	switch {
-	case c.flight != nil:
-		ck.FlightEvents, ck.FlightViolations = c.flight.Totals()
-		ck.FlightViolating = c.flight.Violating()
+	case c.sess.Flight != nil:
+		ck.FlightEvents, ck.FlightViolations = c.sess.Flight.Totals()
+		ck.FlightViolating = c.sess.Flight.Violating()
 	case c.resumed != nil:
 		ck.FlightEvents, ck.FlightViolations = c.resumed.FlightEvents, c.resumed.FlightViolations
 		ck.FlightViolating = c.resumed.FlightViolating
@@ -343,8 +320,8 @@ func (c *campaign) run(ctx context.Context) int {
 	start := time.Now()
 	hash := c.cfg.CampaignHash(c.n, c.startSeed, c.shrinkMax)
 	c.sum = summary{FirstSeed: c.startSeed, LastSeed: c.startSeed - 1}
-	if c.flight != nil {
-		c.flight.Begin(c.startSeed)
+	if c.sess.Flight != nil {
+		c.sess.Flight.Begin(c.startSeed)
 	}
 
 	if c.resumePath != "" {
@@ -371,8 +348,8 @@ func (c *campaign) run(ctx context.Context) int {
 			c.publishCoverage()
 		}
 		c.resumed = ck
-		if c.flight != nil {
-			c.flight.Restore(c.startSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
+		if c.sess.Flight != nil {
+			c.sess.Flight.Restore(c.startSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
 		}
 		c.reg.Counter("fuzz.resume.skipped_runs").Add(uint64(ck.Runs))
 		if c.ckptPath == "" {
@@ -443,21 +420,14 @@ func (c *campaign) run(ctx context.Context) int {
 	if c.metrics {
 		c.reg.WriteText(os.Stderr)
 	}
-	var violations uint64
-	if c.flight != nil {
-		for _, v := range c.flight.Violations() {
-			fmt.Fprintf(os.Stderr, "obs: VIOLATION %s\n", v)
-		}
-		_, violations = c.flight.Totals()
-		if c.flightDir != "" {
-			if path, err := c.flight.DumpToFile(c.flightDir, "tbtso-fuzz.campaign"); err != nil {
-				fmt.Fprintln(os.Stderr, "tbtso-fuzz: campaign flight dump:", err)
-			} else {
-				fmt.Fprintln(os.Stderr, "obs: campaign flight artifact:", path)
-			}
-		}
+	if path, err := c.sess.DumpFlight("tbtso-fuzz.campaign"); err != nil {
+		fmt.Fprintln(os.Stderr, "tbtso-fuzz: campaign flight dump:", err)
+	} else if path != "" {
+		fmt.Fprintln(os.Stderr, "obs: campaign flight artifact:", path)
 	}
-	if c.sum.Mismatches > 0 || violations > 0 {
+	// The session's Finish reports the flight's violations and folds
+	// them into the exit status.
+	if c.sum.Mismatches > 0 {
 		return 1
 	}
 	return 0

@@ -91,7 +91,7 @@ func TestSigintCheckpointResume(t *testing.T) {
 	}
 
 	// Interrupted: 4 workers, periodic checkpoints, monitors on so the
-	// interrupt flight dump has a recorder to drain.
+	// interrupt flight dump is written.
 	cmd := exec.Command(binPath, campaignFlags(
 		"-workers", "4", "-ckpt", ckpt, "-ckpt.every", "50",
 		"-obs.monitor", "drain", "-obs.flightdir", tmp,
@@ -165,14 +165,21 @@ func TestSigintCheckpointResume(t *testing.T) {
 		t.Error("interrupted checkpoint claims the campaign is done")
 	}
 
-	// The interrupt flight-recorder artifact was dumped unconditionally.
+	// The interrupt flight artifact was dumped unconditionally, from the
+	// campaign's own recorder: it covers exactly the folded prefix the
+	// final checkpoint resumes after.
 	ff, err := os.Open(filepath.Join(tmp, "tbtso-fuzz.interrupt.flight.json"))
 	if err != nil {
 		t.Fatalf("interrupt flight artifact: %v", err)
 	}
 	defer ff.Close()
-	if _, err := monitor.ReadFlightDump(ff); err != nil {
+	dump, err := monitor.ReadCampaignFlightDump(ff)
+	if err != nil {
 		t.Fatalf("interrupt flight artifact does not parse: %v", err)
+	}
+	if dump.NextSeed <= dump.FirstSeed || dump.NextSeed != ck.NextSeed {
+		t.Errorf("interrupt flight covers seeds [%d, %d), want [%d, %d) with the prefix non-empty",
+			dump.FirstSeed, dump.NextSeed, ck.FirstSeed, ck.NextSeed)
 	}
 
 	// Resume at a different worker count: the report is worker-count

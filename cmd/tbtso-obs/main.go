@@ -1,8 +1,8 @@
 // Command tbtso-obs aggregates the observability artifacts the other
 // tbtso commands leave behind — campaign checkpoints, flight-recorder
-// dumps (classic and sharded-campaign), standalone coverage snapshots
-// (saved /coverage scrapes), metric snapshots (/metrics.json), and
-// tbtso-bench figure documents — into one merged report:
+// dumps, standalone coverage snapshots (saved /coverage scrapes),
+// metric snapshots (/metrics.json), and tbtso-bench figure documents —
+// into one merged report:
 //
 //	tbtso-obs run1/*.json run2/*.json            # text summary
 //	tbtso-obs -json runA.ckpt runB.ckpt > r.json # machine-readable report
@@ -56,7 +56,7 @@ type CampaignTotals struct {
 	Artifacts   []string `json:"artifacts,omitempty"`
 }
 
-// FlightTotals folds flight-recorder dumps of both shapes.
+// FlightTotals folds flight-recorder dumps.
 type FlightTotals struct {
 	Dumps      int    `json:"dumps"`
 	Events     uint64 `json:"events"`
@@ -203,23 +203,12 @@ func (r *Report) fold(blob []byte) (string, error) {
 			return "", err
 		}
 		r.foldCheckpoint(&ck)
-	case probe.Kind == monitor.FlightRecorderKind:
-		dump, err := monitor.ReadFlightDump(bytes.NewReader(blob))
-		if err != nil {
-			return "", err
-		}
-		r.foldFlight(dump.TotalEvents, uint64(len(dump.Violations)), dump.Violations)
-		r.mergeMetrics(dump.Metrics)
 	case probe.Kind == monitor.CampaignFlightKind:
 		dump, err := monitor.ReadCampaignFlightDump(bytes.NewReader(blob))
 		if err != nil {
 			return "", err
 		}
-		var viols []monitor.Violation
-		for _, g := range dump.Groups {
-			viols = append(viols, g.Violations...)
-		}
-		r.foldFlight(dump.TotalEvents, dump.TotalViolations, viols)
+		r.foldFlight(dump)
 	case probe.Kind == coverage.Kind:
 		var snap coverage.Snapshot
 		if err := json.Unmarshal(blob, &snap); err != nil {
@@ -284,14 +273,16 @@ func (r *Report) foldCheckpoint(ck *fuzz.Checkpoint) {
 	r.ckptFlightViols += ck.FlightViolations
 }
 
-func (r *Report) foldFlight(events, violations uint64, viols []monitor.Violation) {
+func (r *Report) foldFlight(dump *monitor.CampaignFlightDump) {
 	if r.Flight == nil {
 		r.Flight = &FlightTotals{}
 	}
 	r.Flight.Dumps++
-	r.Flight.Events += events
-	r.Flight.Violations += violations
-	r.Violations = append(r.Violations, viols...)
+	r.Flight.Events += dump.TotalEvents
+	r.Flight.Violations += dump.TotalViolations
+	for _, g := range dump.Groups {
+		r.Violations = append(r.Violations, g.Violations...)
+	}
 }
 
 func (r *Report) foldFigures(doc *bench.FigureDoc) {

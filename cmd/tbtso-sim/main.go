@@ -34,6 +34,7 @@ import (
 	"tbtso/internal/machalg"
 	"tbtso/internal/mc"
 	"tbtso/internal/obs"
+	"tbtso/internal/obs/monitor"
 	"tbtso/internal/obs/serve"
 	"tbtso/internal/tso"
 )
@@ -98,7 +99,7 @@ func run(args []string) (code int) {
 	if *demo != "" {
 		switch *demo {
 		case "reclaim":
-			demoReclaim(sess.Sinks(), traceSinks)
+			record(sess.Flight, 0, func(sinks []tso.Sink) { demoReclaim(sinks, traceSinks) })
 		case "deque":
 			demoDeque(traceSinks)
 		default:
@@ -115,7 +116,7 @@ func run(args []string) (code int) {
 	}
 	all := litmus.All(int(flagDelta))
 	found := false
-	for _, t := range all {
+	for i, t := range all {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-sim: interrupted; remaining litmus tests skipped")
 			break
@@ -123,17 +124,23 @@ func run(args []string) (code int) {
 		if *name != "" && !strings.EqualFold(t.Name, *name) {
 			continue
 		}
+		if !found && sess.Flight != nil {
+			sess.Flight.Begin(int64(i))
+		}
 		found = true
 		d := *delta
 		if t.NeedsDelta() && d == 0 {
 			fmt.Printf("%s: requires Δ > 0; running with Δ=%d\n", t.Name, flagDelta)
 			d = flagDelta
 		}
-		rep := litmus.Run(t, litmus.RunConfig{
-			Seeds:     *seeds,
-			Delta:     d,
-			StallProb: *stall,
-			Sinks:     sess.Sinks(),
+		var rep litmus.Report
+		record(sess.Flight, int64(i), func(sinks []tso.Sink) {
+			rep = litmus.Run(t, litmus.RunConfig{
+				Seeds:     *seeds,
+				Delta:     d,
+				StallProb: *stall,
+				Sinks:     sinks,
+			})
 		})
 		fmt.Printf("%s  [Δ=%d]\n  %s\n", t.Name, d, t.Doc)
 		fmt.Print("  " + rep.String())
@@ -171,6 +178,20 @@ func run(args []string) (code int) {
 		return 2
 	}
 	return writeTrace(*out, perf, sess.Registry)
+}
+
+// record runs fn with the sinks that record it as seed's group of the
+// session's flight recorder — seed is the litmus test's index in
+// litmus.All, or 0 for a demo — and appends the finished group. Without
+// a flight (no -obs.monitor or -obs.flightdir) fn gets no sinks.
+func record(flight *monitor.ShardedFlight, seed int64, fn func(sinks []tso.Sink)) {
+	if flight == nil {
+		fn(nil)
+		return
+	}
+	rec := flight.Record(seed)
+	fn([]tso.Sink{rec})
+	flight.Append(rec.Finish())
 }
 
 // writeTrace writes the -o Perfetto file and prints the metrics
@@ -232,8 +253,8 @@ func exhaustive() {
 
 // demoReclaim prints the §4 soundness matrix live: the directed
 // reclamation race under every combination of fence / Δ-deferral /
-// memory model. Any sinks (the -obs.monitor flight recorder) are
-// attached to every machine — note the matrix deliberately includes
+// memory model. Any sinks (the flight recorder's group) are attached to
+// every machine — note the matrix deliberately includes
 // unsound rows, so monitored runs WILL report violations there. With
 // traceSinks (-o), the sound row runs once more with them attached.
 func demoReclaim(sinks, traceSinks []tso.Sink) {

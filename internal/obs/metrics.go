@@ -1,8 +1,8 @@
 // Package obs is the observability layer: a lightweight metrics
 // registry (counters, gauges, fixed-bucket histograms — stdlib only)
-// and streaming event sinks for the TBTSO abstract machine, including
-// a ring buffer for long runs, a registry-feeding metrics sink, and a
-// Chrome trace-event / Perfetto JSON exporter.
+// and streaming event sinks for the TBTSO abstract machine: a
+// registry-feeding metrics sink and a Chrome trace-event / Perfetto
+// JSON exporter.
 //
 // The registry is the measurement substrate the paper's claims hang
 // on: Δ-bounded commit latency, drain-cause breakdowns, HP reclaim

@@ -175,3 +175,26 @@ func TestViolatingGroupsSurviveRetention(t *testing.T) {
 		t.Errorf("Violating() = %d groups, want seeds 0 and 1", len(v))
 	}
 }
+
+// TestGroupEventCap pins a group's retention: its first groupEventCap
+// events are kept, across runs, and the rest are only counted.
+func TestGroupEventCap(t *testing.T) {
+	f := NewShardedFlight(nil, 0)
+	r := f.Record(0)
+	for run := 0; run < 2; run++ {
+		r.BeginRun([]string{"T0"}, 4)
+		for i := 0; i < groupEventCap/2+3; i++ {
+			r.Emit(tso.Event{Tick: uint64(i), Thread: 0, Kind: tso.EvLoad, Addr: tso.Addr(run)})
+		}
+	}
+	g := r.Finish()
+	if g.Events != groupEventCap+6 || g.Dropped != 6 {
+		t.Fatalf("events=%d dropped=%d, want %d and 6", g.Events, g.Dropped, groupEventCap+6)
+	}
+	if len(g.Runs) != 2 {
+		t.Fatalf("recorded %d runs, want 2", len(g.Runs))
+	}
+	if a, b := len(g.Runs[0].Events), len(g.Runs[1].Events); a != groupEventCap/2+3 || b != groupEventCap/2-3 {
+		t.Fatalf("runs retained %d and %d events, want %d and %d", a, b, groupEventCap/2+3, groupEventCap/2-3)
+	}
+}

@@ -3,9 +3,10 @@
 // paper's temporal invariants on the live event stream — the Δ
 // residency bound on every commit, drain accounting, SMR hazard
 // visibility — plus registry-fed checks (quiescence-bound coverage,
-// SMR reclaim accounting) and a FlightRecorder that captures the
-// retained event tail and dumps a replayable artifact when a monitor
-// trips. Monitors never panic on a violation; they record typed
+// SMR reclaim accounting) and the flight recorder, ShardedFlight, which
+// records monitored runs in seed-ordered groups, each checked by a
+// fresh monitor set, and dumps them as one JSON artifact. Monitors
+// never panic on a violation; they record typed
 // Violations and keep streaming, so a monitored run always finishes
 // and always reports. See docs/OBSERVABILITY.md.
 package monitor
@@ -21,7 +22,7 @@ import (
 // Violation is one observed invariant breach: which monitor tripped,
 // the offending tick window, the thread, and a human-readable detail.
 // The first offending event is carried in rendered form so reports
-// stay meaningful after the ring buffer has overwritten the raw event.
+// stay meaningful after the flight recorder has dropped the raw event.
 type Violation struct {
 	// Monitor is the reporting monitor's Name().
 	Monitor string `json:"monitor"`

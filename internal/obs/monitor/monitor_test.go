@@ -3,6 +3,7 @@ package monitor_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -17,27 +18,26 @@ import (
 
 // plantedControl runs one of the machalg planted programs (fence-free
 // algorithms that ASSUME a Δ bound) on a plain-TSO machine (Δ=0: the
-// machine promises nothing) under the adversarial drain policy, with a
-// flight recorder whose residency monitor expects the given bound.
-// This is the paper's negative control: the algorithm's assumption is
-// betrayed and the monitor must say so.
-func plantedControl(t *testing.T, name string, bound uint64) *monitor.FlightRecorder {
+// machine promises nothing) under the adversarial drain policy, with
+// sink attached. This is the paper's negative control: the algorithm's
+// assumption is betrayed and the monitors must say so.
+func plantedControl(t *testing.T, name string, bound uint64, sink tso.Sink) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	rec := monitor.NewFlightRecorder(reg, monitor.NewSet(
-		monitor.NewResidency(reg, bound),
-		monitor.NewDrainAccounting(),
-	), 1024)
-
 	var p = machalg.MCFFHP(2, 2, int(bound)/2)
 	if name == "ffbl" {
 		p = machalg.MCFFBL(2, int(bound)/2)
 	}
 	run := fuzz.MachineRun{Delta: 0, Policy: tso.DrainAdversarial, Seed: 42}
-	if _, err := fuzz.RunOnMachine(p, run, rec); err != nil {
+	if _, err := fuzz.RunOnMachine(p, run, sink); err != nil {
 		t.Fatalf("planted %s run: %v", name, err)
 	}
-	return rec
+}
+
+// plantedMonitors is the monitor set the planted controls run under: a
+// residency monitor expecting bound, plus drain accounting.
+func plantedMonitors(bound uint64) *monitor.Set {
+	reg := obs.NewRegistry()
+	return monitor.NewSet(monitor.NewResidency(reg, bound), monitor.NewDrainAccounting())
 }
 
 // TestPlantedControlsTripResidency is the headline negative control of
@@ -47,8 +47,8 @@ func plantedControl(t *testing.T, name string, bound uint64) *monitor.FlightReco
 func TestPlantedControlsTripResidency(t *testing.T) {
 	for _, name := range []string{"ffhp", "ffbl"} {
 		t.Run(name, func(t *testing.T) {
-			rec := plantedControl(t, name, 8)
-			set := rec.Monitors()
+			set := plantedMonitors(8)
+			plantedControl(t, name, 8, set)
 			if set.Ok() {
 				t.Fatalf("planted %s on plain TSO produced no violations — the residency monitor is blind", name)
 			}
@@ -76,48 +76,42 @@ func TestPlantedControlsTripResidency(t *testing.T) {
 	}
 }
 
-// TestFlightDumpReplayable checks the flight-recorder artifact round
-// trip: a tripped run dumps a document that parses back, identifies
-// itself, and carries the violation report, metrics, and a non-empty
-// Perfetto trace tail.
+// TestFlightDumpReplayable checks the flight artifact round trip: a
+// tripped run recorded as one group dumps a document that parses back,
+// identifies itself, and carries the violation report and the group's
+// rendered events.
 func TestFlightDumpReplayable(t *testing.T) {
-	rec := plantedControl(t, "ffhp", 8)
-	var buf bytes.Buffer
-	if err := rec.Dump(&buf); err != nil {
-		t.Fatalf("dump: %v", err)
-	}
-	doc, err := monitor.ReadFlightDump(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("re-read dump: %v", err)
-	}
-	if doc.Kind != monitor.FlightRecorderKind {
-		t.Fatalf("kind = %q", doc.Kind)
-	}
-	if len(doc.Violations) == 0 {
-		t.Fatal("dump carries no violations")
-	}
-	if doc.TotalEvents == 0 || doc.RetainedEvents == 0 {
-		t.Fatalf("dump retained no events: total=%d retained=%d", doc.TotalEvents, doc.RetainedEvents)
-	}
-	if len(doc.Metrics) == 0 {
-		t.Fatal("dump carries no metrics snapshot")
-	}
-	if len(bytes.TrimSpace(doc.Trace)) == 0 {
-		t.Fatal("dump carries no trace")
-	}
+	flight := monitor.NewShardedFlight(func() *monitor.Set { return plantedMonitors(8) }, 0)
+	rec := flight.Record(0)
+	plantedControl(t, "ffhp", 8, rec)
+	flight.Append(rec.Finish())
 
-	// DumpOnViolation: writes for a tripped set, skips for a clean one.
 	dir := t.TempDir()
-	path, err := rec.DumpOnViolation(dir, "planted")
+	path, err := flight.DumpToFile(dir, "planted")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if path != filepath.Join(dir, "planted.flight.json") {
 		t.Fatalf("artifact path = %q", path)
 	}
-	clean := monitor.NewFlightRecorder(nil, nil, 16)
-	if p, err := clean.DumpOnViolation(dir, "clean"); err != nil || p != "" {
-		t.Fatalf("clean recorder wrote %q, err %v", p, err)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := monitor.ReadCampaignFlightDump(f)
+	if err != nil {
+		t.Fatalf("re-read dump: %v", err)
+	}
+	if doc.Kind != monitor.CampaignFlightKind || len(doc.Groups) != 1 {
+		t.Fatalf("kind = %q, %d groups", doc.Kind, len(doc.Groups))
+	}
+	g := doc.Groups[0]
+	if doc.TotalViolations == 0 || uint64(len(g.Violations)) != doc.TotalViolations {
+		t.Fatalf("dump violations: total %d, group %d", doc.TotalViolations, len(g.Violations))
+	}
+	if doc.TotalEvents == 0 || len(g.Runs) != 1 || len(g.Runs[0].Events) == 0 {
+		t.Fatalf("dump retained no events: total=%d runs=%d", doc.TotalEvents, len(g.Runs))
 	}
 }
 
@@ -273,23 +267,25 @@ func TestSMRVisibilitySynthetic(t *testing.T) {
 }
 
 // TestSMRVisibilityOnReclaimDemo wires the monitor into the real §4
-// demo through the sink-side SetHazardRange handshake: the fence-free
-// scheme on a Δ-bounded machine must be clean.
+// demo through a flight recorder's SeedRecorder: the demo's sink-side
+// SetHazardRange handshake must reach the group's smr monitor, and the
+// fence-free scheme on a Δ-bounded machine must be clean.
 func TestSMRVisibilityOnReclaimDemo(t *testing.T) {
 	reg := obs.NewRegistry()
-	rec := monitor.NewFlightRecorder(reg, monitor.NewSet(
-		monitor.NewSMRVisibility(reg, 0),
-		monitor.NewResidency(reg, 0),
-	), 512)
+	flight := monitor.NewShardedFlight(func() *monitor.Set {
+		return monitor.NewSet(monitor.NewSMRVisibility(reg, 0), monitor.NewResidency(reg, 0))
+	}, 0)
+	rec := flight.Record(0)
 	out := machalg.ReclaimRaceDemo(8, machalg.HPFenceFree, rec)
+	flight.Append(rec.Finish())
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	if out.UseAfterFree || out.FreedEarly {
 		t.Fatalf("FFHP on TBTSO[8] unsound: %+v", out)
 	}
-	if !rec.Monitors().Ok() {
-		t.Fatalf("monitored demo tripped: %v", rec.Monitors().Violations())
+	if vs := flight.Violations(); len(vs) > 0 {
+		t.Fatalf("monitored demo tripped: %v", vs)
 	}
 	if got := reg.Counter(monitor.MetricSMRPublishes).Load(); got == 0 {
 		t.Fatal("SetHazardRange handshake failed: no hazard publications observed")

@@ -39,18 +39,6 @@ func NewPerfetto() *Perfetto {
 	return &Perfetto{}
 }
 
-// PerfettoFromEvents converts an already-recorded trace (e.g. from
-// Machine.Trace or a RingSink) into an exporter. names may be nil, in
-// which case threads are labeled T0, T1, ...
-func PerfettoFromEvents(events []tso.Event, names []string, delta uint64) *Perfetto {
-	p := NewPerfetto()
-	p.BeginRun(names, delta)
-	for _, e := range events {
-		p.Emit(e)
-	}
-	return p
-}
-
 // traceEvent is one entry of the Chrome trace-event JSON format.
 type traceEvent struct {
 	Name string         `json:"name,omitempty"`

@@ -162,28 +162,3 @@ func TestPerfettoFlowLatencyMatchesTicks(t *testing.T) {
 		t.Fatalf("flow spans %v ticks but commit latency is %v", fTs-sTs, lat)
 	}
 }
-
-func TestPerfettoFromEvents(t *testing.T) {
-	cfg := tso.Config{Delta: 25, Policy: tso.DrainRandom, Seed: 2, Trace: true}
-	m := tso.New(cfg)
-	a := m.AllocWords(1)
-	m.Spawn("solo", func(th *tso.Thread) {
-		th.Store(a, 1)
-		th.Fence()
-	})
-	if res := m.Run(); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	p := PerfettoFromEvents(m.Trace(), []string{"solo"}, 25)
-	var buf bytes.Buffer
-	if err := p.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := ValidatePerfettoJSON(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.TraceEvents) < 4 {
-		t.Fatalf("too few events: %d", len(doc.TraceEvents))
-	}
-}

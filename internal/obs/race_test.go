@@ -3,8 +3,6 @@ package obs
 import (
 	"sync"
 	"testing"
-
-	"tbtso/internal/tso"
 )
 
 // TestRegistryConcurrentStress hammers one registry from many
@@ -56,53 +54,5 @@ func TestRegistryConcurrentStress(t *testing.T) {
 	}
 	if got := r.Histogram("stress.hist", nil).Count(); got != writers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, writers*iters)
-	}
-}
-
-// TestRingSinkWraparoundProperty is the wraparound property test: for
-// a grid of (capacity, total) pairs straddling the next%cap boundary,
-// Events() must return exactly the last min(total, cap) emitted events
-// in emission order, and Total/Dropped must account for the rest.
-func TestRingSinkWraparoundProperty(t *testing.T) {
-	for _, capacity := range []int{1, 2, 3, 7, 16, 64} {
-		for _, total := range []int{0, 1, capacity - 1, capacity, capacity + 1, 2 * capacity, 3*capacity + capacity/2 + 1} {
-			if total < 0 {
-				continue
-			}
-			ring := NewRingSink(capacity)
-			all := make([]tso.Event, 0, total)
-			for i := 0; i < total; i++ {
-				e := tso.Event{
-					Tick:   uint64(i),
-					Thread: i % 3,
-					Kind:   tso.EvStore,
-					Addr:   tso.Addr(i % 8),
-					Val:    tso.Word(i * 7),
-				}
-				ring.Emit(e)
-				all = append(all, e)
-			}
-			if got := ring.Total(); got != uint64(total) {
-				t.Fatalf("cap=%d total=%d: Total() = %d", capacity, total, got)
-			}
-			retain := total
-			if retain > capacity {
-				retain = capacity
-			}
-			if got := ring.Dropped(); got != uint64(total-retain) {
-				t.Fatalf("cap=%d total=%d: Dropped() = %d, want %d", capacity, total, got, total-retain)
-			}
-			got := ring.Events()
-			if len(got) != retain {
-				t.Fatalf("cap=%d total=%d: Events() len = %d, want %d", capacity, total, len(got), retain)
-			}
-			want := all[total-retain:]
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("cap=%d total=%d: Events()[%d] = %+v, want %+v (ordering broken across wrap boundary)",
-						capacity, total, i, got[i], want[i])
-				}
-			}
-		}
 	}
 }

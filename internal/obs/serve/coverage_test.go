@@ -104,9 +104,7 @@ func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 	flight := monitor.NewShardedFlight(func() *monitor.Set {
 		return monitor.NewSet(monitor.NewDrainAccounting())
 	}, monitor.DefaultFlightSeeds)
-	srv.SetFlightRecorder(flight)
-	srv.AddViolations(flight.Violations)
-	srv.SetMonitors(monitor.NewSet())
+	srv.SetFlight(flight)
 
 	cfg := fuzz.Config{
 		Deltas:           []int{0, 1},

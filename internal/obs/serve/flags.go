@@ -11,12 +11,10 @@ import (
 
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/monitor"
-	"tbtso/internal/tso"
 )
 
-// Options is the shared -obs.* flag block every tbtso CLI registers,
-// so monitoring and the ops endpoint work identically across
-// tbtso-sim, tbtso-bench, tbtso-fuzz and tbtso-verify.
+// Options is the shared -obs.* flag block the tbtso CLIs register, so
+// monitoring and the ops endpoint work identically across them.
 type Options struct {
 	// Listen is the ops endpoint address ("" = no endpoint).
 	Listen string
@@ -32,64 +30,74 @@ type Options struct {
 	// FlightDir, when non-empty, receives a flight-recorder artifact
 	// (<command>.flight.json) if any monitor tripped.
 	FlightDir string
-	// Ring is the flight recorder's event capacity.
-	Ring int
 }
 
-// Register installs the -obs.* flags on fs (pass flag.CommandLine).
+// Register installs every -obs.* flag on fs (pass the command's flag
+// set): the endpoint flags plus -obs.monitor and -obs.flightdir, for
+// commands that run monitored machines.
 func (o *Options) Register(fs *flag.FlagSet) {
-	fs.StringVar(&o.Listen, "obs.listen", "", "serve the ops endpoint (/metrics, /metrics.json, /healthz, /violations, /flightrecorder, /coverage, /debug/pprof) on this address; :0 picks a port")
+	o.RegisterEndpoint(fs)
 	fs.StringVar(&o.Monitors, "obs.monitor", "", "attach online monitors to machine runs: comma list of residency[=Δ], drain, smr[=Δ], or all")
-	fs.DurationVar(&o.Linger, "obs.linger", 0, "keep the ops endpoint serving this long after the run finishes")
 	fs.StringVar(&o.FlightDir, "obs.flightdir", "", "write a flight-recorder artifact here when a monitor reports a violation")
-	fs.IntVar(&o.Ring, "obs.ring", 4096, "flight-recorder ring capacity in events")
+}
+
+// RegisterEndpoint installs only -obs.listen and -obs.linger, for
+// commands that run no monitored machine: asking one of them for a
+// monitor is then a usage error, not a silent "0 violations".
+func (o *Options) RegisterEndpoint(fs *flag.FlagSet) {
+	fs.StringVar(&o.Listen, "obs.listen", "", "serve the ops endpoint (/metrics, /metrics.json, /healthz, /violations, /flightrecorder, /coverage, /debug/pprof) on this address; :0 picks a port")
+	fs.DurationVar(&o.Linger, "obs.linger", 0, "keep the ops endpoint serving this long after the run finishes")
 }
 
 // Session is a started observability session: the registry, the
-// monitor set and flight recorder (nil unless monitors were
-// requested), and the running ops server (nil unless -obs.listen).
+// flight recorder (nil unless -obs.monitor or -obs.flightdir), and the
+// running ops server (nil unless -obs.listen).
 type Session struct {
 	Registry *obs.Registry
-	Monitors *monitor.Set
-	Recorder *monitor.FlightRecorder
+	// Flight records the command's machine runs in seed-ordered groups,
+	// each checked by a fresh set of the requested monitors.
+	Flight *monitor.ShardedFlight
 	// Addr is the ops endpoint's bound address ("" when not serving).
 	Addr string
 
 	srv       *Server
 	linger    time.Duration
 	flightDir string
+	monitored bool // -obs.monitor was given
+	dumped    bool // DumpFlight wrote the flight already
 }
 
 // Start builds the session from the parsed flags: it parses the
-// monitor spec, wires the flight recorder, and starts the ops
+// monitor spec, builds the flight recorder, and starts the ops
 // endpoint. reg may be nil (a fresh registry is created). A zero
-// Options yields an inert session whose Sinks() is empty.
+// Options yields an inert session with no Flight.
 func (o Options) Start(reg *obs.Registry) (*Session, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Session{Registry: reg, linger: o.Linger, flightDir: o.FlightDir}
+	s := &Session{Registry: reg, linger: o.Linger, flightDir: o.FlightDir, monitored: o.Monitors != ""}
 
-	if o.Monitors != "" {
-		set, err := ParseMonitors(o.Monitors, reg)
-		if err != nil {
-			return nil, err
+	if o.Monitors != "" || o.FlightDir != "" {
+		var factory func() *monitor.Set
+		if spec := o.Monitors; spec != "" {
+			if _, err := ParseMonitors(spec, reg); err != nil {
+				return nil, err
+			}
+			factory = func() *monitor.Set {
+				set, err := ParseMonitors(spec, reg)
+				if err != nil {
+					panic("serve: monitor spec: " + err.Error()) // validated above
+				}
+				return set
+			}
 		}
-		ring := o.Ring
-		if ring <= 0 {
-			ring = 4096
-		}
-		s.Monitors = set
-		s.Recorder = monitor.NewFlightRecorder(reg, set, ring)
+		s.Flight = monitor.NewShardedFlight(factory, monitor.DefaultFlightSeeds)
 	}
 
 	if o.Listen != "" {
 		srv := New(reg)
-		if s.Monitors != nil {
-			srv.SetMonitors(s.Monitors)
-		}
-		if s.Recorder != nil {
-			srv.SetFlightRecorder(s.Recorder)
+		if s.Flight != nil {
+			srv.SetFlight(s.Flight)
 		}
 		addr, err := srv.Start(o.Listen)
 		if err != nil {
@@ -151,22 +159,22 @@ func ParseMonitors(spec string, reg *obs.Registry) (*monitor.Set, error) {
 
 // Server returns the running ops server (nil unless -obs.listen), so
 // commands can attach command-specific sources — a campaign's coverage
-// provider, a sharded flight dumper — after Start.
+// provider — after Start.
 func (s *Session) Server() *Server { return s.srv }
 
-// Sinks returns what to attach to each machine run: the flight
-// recorder (which fans out to the monitors) when monitoring is on,
-// nothing otherwise. Callers that also want machine.* metrics attach
-// obs.NewMachineMetrics(session.Registry) alongside.
-func (s *Session) Sinks() []tso.Sink {
-	if s.Recorder == nil {
-		return nil
+// DumpFlight writes the flight to FlightDir/<name>.flight.json now and
+// returns the path ("" without a flight or a flight dir). Finish then
+// skips its on-violation dump, which would only repeat this one.
+func (s *Session) DumpFlight(name string) (string, error) {
+	if s.Flight == nil || s.flightDir == "" {
+		return "", nil
 	}
-	return []tso.Sink{s.Recorder}
+	s.dumped = true
+	return s.Flight.DumpToFile(s.flightDir, name)
 }
 
-// Finish ends the session: it reports violations to w, dumps the
-// flight artifact into FlightDir if any monitor tripped, honors the
+// Finish ends the session: it reports the flight's violations to w,
+// dumps the flight into FlightDir if any monitor tripped, honors the
 // linger window, and stops the server. name labels the artifact file.
 // It returns the number of violations (callers fold it into their
 // exit code).
@@ -178,25 +186,27 @@ func (s *Session) Finish(w io.Writer, name string) int {
 // window is cancellable: a signal arriving while the endpoint lingers
 // cuts the window short instead of pinning the process in an
 // unkillable sleep, and the server still stops. When ctx is already
-// cancelled — the run was interrupted — the recorder additionally
-// dumps an unconditional <name>.interrupt.flight.json post-mortem
-// artifact, violations or not.
+// cancelled — the run was interrupted — a monitored session
+// additionally dumps an unconditional <name>.interrupt.flight.json
+// post-mortem artifact, violations or not.
 func (s *Session) FinishContext(ctx context.Context, w io.Writer, name string) int {
 	var violations []monitor.Violation
-	if s.Monitors != nil {
-		violations = s.Monitors.Violations()
+	if s.Flight != nil {
+		violations = s.Flight.Violations()
 	}
 	for _, v := range violations {
 		fmt.Fprintf(w, "obs: VIOLATION %s\n", v)
 	}
-	if s.Recorder != nil && s.flightDir != "" {
-		if path, err := s.Recorder.DumpOnViolation(s.flightDir, name); err != nil {
-			fmt.Fprintf(w, "obs: flight dump: %v\n", err)
-		} else if path != "" {
-			fmt.Fprintf(w, "obs: flight-recorder artifact: %s\n", path)
+	if s.Flight != nil && s.flightDir != "" {
+		if len(violations) > 0 && !s.dumped {
+			if path, err := s.Flight.DumpToFile(s.flightDir, name); err != nil {
+				fmt.Fprintf(w, "obs: flight dump: %v\n", err)
+			} else {
+				fmt.Fprintf(w, "obs: flight-recorder artifact: %s\n", path)
+			}
 		}
-		if ctx.Err() != nil {
-			if path, err := s.Recorder.DumpToFile(s.flightDir, name+".interrupt"); err != nil {
+		if ctx.Err() != nil && s.monitored {
+			if path, err := s.Flight.DumpToFile(s.flightDir, name+".interrupt"); err != nil {
 				fmt.Fprintf(w, "obs: interrupt flight dump: %v\n", err)
 			} else {
 				fmt.Fprintf(w, "obs: interrupt flight-recorder artifact: %s\n", path)

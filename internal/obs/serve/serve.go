@@ -1,16 +1,17 @@
 // Package serve embeds a live ops endpoint into the tbtso CLIs: the
 // metrics registry in Prometheus text exposition format and as JSON,
-// the monitor violation report, a flight-recorder dump, health, and
+// the flight recorder's violation report and dump, health, and
 // net/http/pprof — so a long fuzz campaign or bench run is scrapeable
-// and debuggable while it executes. All five commands wire it through
-// the shared flag helper in flags.go (-obs.listen, -obs.monitor).
-// See docs/OBSERVABILITY.md for curl examples.
+// and debuggable while it executes. Every command wires it through the
+// shared flag helper in flags.go: all of them take -obs.listen and
+// -obs.linger, and the two that run monitored machines, tbtso-sim and
+// tbtso-fuzz, also take -obs.monitor and -obs.flightdir. See
+// docs/OBSERVABILITY.md for curl examples.
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -21,34 +22,24 @@ import (
 	"tbtso/internal/obs/monitor"
 )
 
-// FlightDumper is anything that can dump a flight artifact:
-// *monitor.FlightRecorder (single-machine runs) or
-// *monitor.ShardedFlight (parallel campaigns).
-type FlightDumper interface {
-	Dump(w io.Writer) error
-}
-
 // Server is the embedded ops endpoint. Zero-value fields degrade
-// gracefully: without a monitor set /violations reports an empty
-// list, without a recorder /flightrecorder is 404, without a coverage
-// source /coverage is 404.
+// gracefully: without a flight recorder /violations reports an empty
+// list and /flightrecorder is 404, without a coverage source /coverage
+// is 404.
 type Server struct {
-	reg *obs.Registry
-	rec FlightDumper
-	mux *http.ServeMux
+	reg    *obs.Registry
+	flight *monitor.ShardedFlight
+	mux    *http.ServeMux
 
 	mu         sync.Mutex
-	set        *monitor.Set
-	violSrcs   []func() []monitor.Violation
 	coverageFn func() *coverage.Snapshot
 
 	ln   net.Listener
 	http *http.Server
 }
 
-// New returns a server exposing reg. Attach monitors, a flight
-// recorder and a coverage source with SetMonitors/SetFlightRecorder/
-// SetCoverage before Start.
+// New returns a server exposing reg. Attach a flight recorder and a
+// coverage source with SetFlight/SetCoverage before Start.
 func New(reg *obs.Registry) *Server {
 	s := &Server{reg: reg, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
@@ -65,26 +56,9 @@ func New(reg *obs.Registry) *Server {
 	return s
 }
 
-// SetMonitors attaches the monitor set behind /violations and the
-// health check.
-func (s *Server) SetMonitors(set *monitor.Set) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.set = set
-}
-
-// SetFlightRecorder attaches the dumper behind /flightrecorder — the
-// classic FlightRecorder or a campaign's ShardedFlight.
-func (s *Server) SetFlightRecorder(rec FlightDumper) { s.rec = rec }
-
-// AddViolations registers an extra violation source folded into
-// /violations and /healthz alongside the monitor set — e.g. a sharded
-// campaign recorder's per-seed violations.
-func (s *Server) AddViolations(src func() []monitor.Violation) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.violSrcs = append(s.violSrcs, src)
-}
+// SetFlight attaches the flight recorder behind /flightrecorder,
+// /violations and /healthz.
+func (s *Server) SetFlight(f *monitor.ShardedFlight) { s.flight = f }
 
 // SetCoverage attaches the /coverage source: a function returning the
 // latest published campaign coverage snapshot (it must be safe for
@@ -106,17 +80,12 @@ func (s *Server) coverageSnapshot() *coverage.Snapshot {
 	return fn()
 }
 
-func (s *Server) allViolations() []monitor.Violation {
-	s.mu.Lock()
-	set := s.set
-	srcs := append([]func() []monitor.Violation(nil), s.violSrcs...)
-	s.mu.Unlock()
+// violations returns the flight's retained violations (never nil, so
+// /violations renders an empty list).
+func (s *Server) violations() []monitor.Violation {
 	violations := []monitor.Violation{}
-	if set != nil {
-		violations = append(violations, set.Violations()...)
-	}
-	for _, src := range srcs {
-		violations = append(violations, src()...)
+	if s.flight != nil {
+		violations = append(violations, s.flight.Violations()...)
 	}
 	return violations
 }
@@ -162,7 +131,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	n := len(s.allViolations())
+	n := len(s.violations())
 	w.Header().Set("Content-Type", "application/json")
 	if n > 0 {
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -176,7 +145,7 @@ func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(map[string]any{"violations": s.allViolations()}) //nolint:errcheck
+	enc.Encode(map[string]any{"violations": s.violations()}) //nolint:errcheck
 }
 
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
@@ -192,12 +161,12 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
-	if s.rec == nil {
+	if s.flight == nil {
 		http.Error(w, "no flight recorder attached (run with -obs.monitor)", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := s.rec.Dump(w); err != nil {
+	if err := s.flight.Dump(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

@@ -57,11 +57,11 @@ func TestWritePrometheusExposition(t *testing.T) {
 
 func TestHandlers(t *testing.T) {
 	reg := testRegistry()
-	set := monitor.NewSet(monitor.NewResidency(reg, 5))
-	rec := monitor.NewFlightRecorder(reg, set, 64)
+	flight := monitor.NewShardedFlight(func() *monitor.Set {
+		return monitor.NewSet(monitor.NewResidency(reg, 5))
+	}, 0)
 	srv := New(reg)
-	srv.SetMonitors(set)
-	srv.SetFlightRecorder(rec)
+	srv.SetFlight(flight)
 
 	get := func(path string) (*http.Response, string) {
 		t.Helper()
@@ -92,8 +92,10 @@ func TestHandlers(t *testing.T) {
 	}
 
 	// Trip the residency monitor, then health must flip to 503.
-	set.BeginRun([]string{"w"}, 0)
-	set.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 0, Tick: 50})
+	rec := flight.Record(0)
+	rec.BeginRun([]string{"w"}, 0)
+	rec.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 0, Tick: 50})
+	flight.Append(rec.Finish())
 	resp, body = get("/healthz")
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(body, `"status":"violations"`) {
 		t.Errorf("/healthz tripped = %d %q", resp.StatusCode, body)
@@ -108,12 +110,12 @@ func TestHandlers(t *testing.T) {
 	}
 
 	_, body = get("/flightrecorder")
-	doc, err := monitor.ReadFlightDump(strings.NewReader(body))
+	doc, err := monitor.ReadCampaignFlightDump(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("/flightrecorder not a flight dump: %v", err)
 	}
-	if len(doc.Violations) != 1 {
-		t.Errorf("flight dump violations = %d, want 1", len(doc.Violations))
+	if doc.TotalViolations != 1 {
+		t.Errorf("flight dump violations = %d, want 1", doc.TotalViolations)
 	}
 
 	resp, _ = get("/debug/pprof/cmdline")
@@ -155,20 +157,21 @@ func TestParseMonitors(t *testing.T) {
 // Finish with a flight artifact.
 func TestOptionsStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Listen: "127.0.0.1:0", Monitors: "residency=5,drain", FlightDir: dir, Ring: 128}
+	opts := Options{Listen: "127.0.0.1:0", Monitors: "residency=5,drain", FlightDir: dir}
 	sess, err := opts.Start(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Addr == "" || sess.Recorder == nil || len(sess.Sinks()) != 1 {
-		t.Fatalf("session incomplete: addr=%q rec=%v sinks=%d", sess.Addr, sess.Recorder, len(sess.Sinks()))
+	if sess.Addr == "" || sess.Flight == nil {
+		t.Fatalf("session incomplete: addr=%q flight=%v", sess.Addr, sess.Flight)
 	}
 
-	// Feed a violating commit through the session's sink.
-	sink := sess.Sinks()[0]
-	sess.Recorder.BeginRun([]string{"w"}, 0)
-	sink.Emit(tso.Event{Kind: tso.EvStore, Thread: 0, Addr: 1, Val: 1, Tick: 1})
-	sink.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 1, Tick: 40})
+	// Feed a violating commit through one recorded group.
+	rec := sess.Flight.Record(0)
+	rec.BeginRun([]string{"w"}, 0)
+	rec.Emit(tso.Event{Kind: tso.EvStore, Thread: 0, Addr: 1, Val: 1, Tick: 1})
+	rec.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 1, Tick: 40})
+	sess.Flight.Append(rec.Finish())
 
 	client := http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get("http://" + sess.Addr + "/metrics")
@@ -195,6 +198,33 @@ func TestOptionsStartRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDumpFlightSkipsViolationDump: a flight the command already dumped
+// under its own name (tbtso-fuzz's campaign artifact) is not dumped a
+// second time by Finish, though its violations are still reported.
+func TestDumpFlightSkipsViolationDump(t *testing.T) {
+	dir := t.TempDir()
+	sess, err := Options{Monitors: "residency=5", FlightDir: dir}.Start(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sess.Flight.Record(0)
+	rec.BeginRun([]string{"w"}, 0)
+	rec.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 1, Tick: 40})
+	sess.Flight.Append(rec.Finish())
+
+	path, err := sess.DumpFlight("cmd.campaign")
+	if err != nil || path != filepath.Join(dir, "cmd.campaign.flight.json") {
+		t.Fatalf("DumpFlight = %q, %v", path, err)
+	}
+	var report bytes.Buffer
+	if n := sess.Finish(&report, "cmd"); n != 1 {
+		t.Fatalf("Finish reported %d violations, want 1", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "cmd.flight.json")); !os.IsNotExist(err) {
+		t.Errorf("Finish dumped the flight a second time: %v", err)
+	}
+}
+
 // TestInertSession: zero Options must yield a no-op session so every
 // CLI can call Start/Finish unconditionally.
 func TestInertSession(t *testing.T) {
@@ -202,7 +232,7 @@ func TestInertSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Sinks() != nil || sess.Addr != "" {
+	if sess.Flight != nil || sess.Addr != "" {
 		t.Fatalf("inert session not inert: %+v", sess)
 	}
 	var buf bytes.Buffer
@@ -249,12 +279,14 @@ func TestFinishContextCancellableLinger(t *testing.T) {
 // and must skip the linger entirely.
 func TestFinishContextInterruptDump(t *testing.T) {
 	dir := t.TempDir()
-	sess, err := Options{Monitors: "residency=1000", FlightDir: dir, Ring: 64, Linger: time.Hour}.Start(nil)
+	sess, err := Options{Monitors: "residency=1000", FlightDir: dir, Linger: time.Hour}.Start(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Recorder.BeginRun([]string{"w"}, 0)
-	sess.Sinks()[0].Emit(tso.Event{Kind: tso.EvStore, Thread: 0, Addr: 1, Val: 1, Tick: 1})
+	rec := sess.Flight.Record(0)
+	rec.BeginRun([]string{"w"}, 0)
+	rec.Emit(tso.Event{Kind: tso.EvStore, Thread: 0, Addr: 1, Val: 1, Tick: 1})
+	sess.Flight.Append(rec.Finish())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -280,12 +312,12 @@ func TestFinishContextInterruptDump(t *testing.T) {
 		t.Fatalf("no interrupt post-mortem artifact: %v", err)
 	}
 	defer f.Close()
-	dump, err := monitor.ReadFlightDump(f)
+	dump, err := monitor.ReadCampaignFlightDump(f)
 	if err != nil {
 		t.Fatalf("interrupt artifact unreadable: %v", err)
 	}
-	if dump.RetainedEvents != 1 || len(dump.Violations) != 0 {
-		t.Errorf("interrupt artifact: retained=%d violations=%d, want 1/0",
-			dump.RetainedEvents, len(dump.Violations))
+	if dump.TotalEvents != 1 || dump.TotalViolations != 0 {
+		t.Errorf("interrupt artifact: events=%d violations=%d, want 1/0",
+			dump.TotalEvents, dump.TotalViolations)
 	}
 }

@@ -2,58 +2,6 @@ package obs
 
 import "tbtso/internal/tso"
 
-// RingSink keeps the most recent events of a run in a fixed-capacity
-// ring buffer: the tail of a long execution at O(1) memory, with an
-// allocation-free Emit. Attach it for runs whose full trace would not
-// fit in memory.
-type RingSink struct {
-	buf  []tso.Event
-	next uint64 // total events seen; next%cap is the write slot
-}
-
-// NewRingSink returns a ring holding the last n events.
-func NewRingSink(n int) *RingSink {
-	if n <= 0 {
-		panic("obs: ring sink capacity must be positive")
-	}
-	return &RingSink{buf: make([]tso.Event, n)}
-}
-
-// Emit implements tso.Sink. It sits on the model's fast path: one
-// slot write, no allocation, no fence.
-//
-//tbtso:fencefree
-func (r *RingSink) Emit(e tso.Event) {
-	r.buf[r.next%uint64(len(r.buf))] = e
-	r.next++
-}
-
-// Total reports how many events were emitted over the run, including
-// those the ring has since overwritten.
-func (r *RingSink) Total() uint64 { return r.next }
-
-// Dropped reports how many events were overwritten.
-func (r *RingSink) Dropped() uint64 {
-	if r.next <= uint64(len(r.buf)) {
-		return 0
-	}
-	return r.next - uint64(len(r.buf))
-}
-
-// Events returns the retained events in emission order.
-func (r *RingSink) Events() []tso.Event {
-	n := r.next
-	if n > uint64(len(r.buf)) {
-		n = uint64(len(r.buf))
-	}
-	out := make([]tso.Event, 0, n)
-	start := r.next - n
-	for i := uint64(0); i < n; i++ {
-		out = append(out, r.buf[(start+i)%uint64(len(r.buf))])
-	}
-	return out
-}
-
 // Machine metric names (with the drain-cause counters named
 // "machine.drain.<cause>" per tso.DrainCause.String).
 const (

@@ -36,39 +36,6 @@ func runMachine(t *testing.T, cfg tso.Config, sinks ...tso.Sink) tso.Result {
 	return res
 }
 
-func TestRingSinkRetainsTail(t *testing.T) {
-	ring := NewRingSink(16)
-	full := &sliceSink{}
-	runMachine(t, tso.Config{Delta: 25, Policy: tso.DrainRandom, Seed: 3}, ring, full)
-	if ring.Total() != uint64(len(full.evs)) {
-		t.Fatalf("ring saw %d events, full sink %d", ring.Total(), len(full.evs))
-	}
-	got := ring.Events()
-	if len(got) != 16 {
-		t.Fatalf("ring retained %d events, want 16", len(got))
-	}
-	want := full.evs[len(full.evs)-16:]
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("ring event %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if ring.Dropped() != ring.Total()-16 {
-		t.Fatalf("dropped = %d, want %d", ring.Dropped(), ring.Total()-16)
-	}
-}
-
-func TestRingSinkUnderCapacity(t *testing.T) {
-	ring := NewRingSink(1 << 16)
-	runMachine(t, tso.Config{Delta: 25, Policy: tso.DrainEager, Seed: 1}, ring)
-	if ring.Dropped() != 0 {
-		t.Fatalf("dropped %d events under capacity", ring.Dropped())
-	}
-	if uint64(len(ring.Events())) != ring.Total() {
-		t.Fatalf("events %d != total %d", len(ring.Events()), ring.Total())
-	}
-}
-
 func TestMachineMetricsMatchStats(t *testing.T) {
 	reg := NewRegistry()
 	mm := NewMachineMetrics(reg)
@@ -105,16 +72,14 @@ func TestMachineMetricsMatchStats(t *testing.T) {
 	}
 }
 
-// TestSinkEmitZeroAlloc asserts the hot-path sinks allocate nothing
-// per event once attached.
+// TestSinkEmitZeroAlloc asserts the machine-metrics sink allocates
+// nothing per event once attached.
 func TestSinkEmitZeroAlloc(t *testing.T) {
-	ring := NewRingSink(64)
 	mm := NewMachineMetrics(NewRegistry())
 	mm.BeginRun([]string{"a", "b"}, 10)
 	ev := tso.Event{Tick: 5, Thread: 1, Kind: tso.EvStore, Addr: 2, Val: 3}
 	commit := tso.Event{Tick: 9, Thread: 1, Kind: tso.EvCommit, Addr: 2, Val: 3, Enq: 5}
 	allocs := testing.AllocsPerRun(1000, func() {
-		ring.Emit(ev)
 		mm.Emit(ev)
 		mm.Emit(commit)
 	})
@@ -122,7 +87,3 @@ func TestSinkEmitZeroAlloc(t *testing.T) {
 		t.Fatalf("sink emit allocates %.1f bytes/op, want 0", allocs)
 	}
 }
-
-type sliceSink struct{ evs []tso.Event }
-
-func (s *sliceSink) Emit(e tso.Event) { s.evs = append(s.evs, e) }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tbtso/internal/obs/monitor"
 )
 
 // runCmdStdout executes a repository binary via `go run` and returns
@@ -162,6 +164,37 @@ func TestBenchJSON(t *testing.T) {
 	for i, r := range f.Rows {
 		if len(r) != len(f.Headers) {
 			t.Fatalf("row %d has %d cells for %d headers", i, len(r), len(f.Headers))
+		}
+	}
+}
+
+// TestSimPlantedFlightDump runs the planted control docs/OBSERVABILITY.md
+// advertises: the §4 reclaim demo's unsound rows break a residency bound
+// of 8 ticks, so tbtso-sim must exit 1 and dump the demo, recorded as
+// one flight group, with its exact event and violation counts — the
+// same on every run.
+func TestSimPlantedFlightDump(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI smoke takes a few seconds; skipped with -short")
+	}
+	for run := 0; run < 3; run++ {
+		dir := t.TempDir()
+		out, code := runExit(t, "./cmd/tbtso-sim", "-demo", "reclaim", "-obs.monitor", "residency=8", "-obs.flightdir", dir)
+		if code != 1 {
+			t.Fatalf("run %d: exit %d, want 1:\n%s", run, code, out)
+		}
+		f, err := os.Open(filepath.Join(dir, "tbtso-sim.flight.json"))
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		doc, err := monitor.ReadCampaignFlightDump(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if doc.TotalEvents != 689 || doc.TotalViolations != 4 || len(doc.Groups) != 1 {
+			t.Fatalf("run %d: %d events, %d violations, %d groups; want 689, 4, 1",
+				run, doc.TotalEvents, doc.TotalViolations, len(doc.Groups))
 		}
 	}
 }

@@ -1,7 +1,9 @@
 package tbtso_test
 
 import (
+	"errors"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +31,28 @@ func runCmd(t *testing.T, timeout time.Duration, args ...string) string {
 		t.Fatalf("go run %v: %v\n%s", args, err, out)
 	}
 	return string(out)
+}
+
+// runExit builds a repository command into a temporary directory and
+// runs it with args, returning its combined output and exit status —
+// `go run` reports every failure as status 1, so checks of a specific
+// exit code need the binary itself.
+func runExit(t *testing.T, pkg string, args ...string) (string, int) {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	out, err := exec.Command(bin, args...).CombinedOutput()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return string(out), 0
+	case errors.As(err, &ee):
+		return string(out), ee.ExitCode()
+	}
+	t.Fatalf("%s %v: %v", pkg, args, err)
+	return "", 0
 }
 
 // TestExamplesRun executes every example end to end and checks its
@@ -104,6 +128,14 @@ func TestCLIsRun(t *testing.T) {
 		out := runCmd(t, 2*time.Minute, "./cmd/tbtso-bench", "-figure", "4", "-quick", "-csv")
 		if !strings.Contains(out, "threads,quiesce avg") {
 			t.Fatalf("CSV output wrong:\n%s", out)
+		}
+	})
+	t.Run("bench-monitor-usage", func(t *testing.T) {
+		// tbtso-bench runs no monitored machine, so a monitor request is
+		// a usage error rather than a silent "0 violations".
+		out, code := runExit(t, "./cmd/tbtso-bench", "-obs.monitor", "drain")
+		if code != 2 || !strings.Contains(out, "-obs.monitor") {
+			t.Fatalf("tbtso-bench -obs.monitor exited %d, want 2:\n%s", code, out)
 		}
 	})
 }
