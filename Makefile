@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint verify test race check bench bench-guard bench-compare bench-sim mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos loc clean
+.PHONY: all build vet lint verify verify-cex test race check bench bench-guard bench-compare bench-sim mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos loc clean
 
 all: build lint test
 
@@ -25,6 +25,20 @@ lint: vet
 # After an intended protocol change: go run ./cmd/tbtso-verify -update
 verify:
 	$(GO) run ./cmd/tbtso-verify ./...
+
+# Counterexample gate: regenerate every certificate artifact into a
+# scratch directory inside the module and byte-compare the
+# counterexamples and their Perfetto traces with certs/ (verify compares
+# only certificates, with state counts normalized away).
+CEX_DIR := .verify-cex
+verify-cex:
+	rm -rf $(CEX_DIR)
+	$(GO) run ./cmd/tbtso-verify -update -certdir $(CEX_DIR) ./... > /dev/null
+	status=0; \
+	for f in certs/*.cex.json certs/*.trace.json $(CEX_DIR)/*.cex.json $(CEX_DIR)/*.trace.json; do \
+		n=$$(basename $$f); cmp certs/$$n $(CEX_DIR)/$$n || status=1; \
+	done; \
+	rm -rf $(CEX_DIR); exit $$status
 
 test:
 	$(GO) test ./...

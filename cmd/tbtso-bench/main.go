@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +28,7 @@ import (
 
 	"tbtso/internal/bench"
 	"tbtso/internal/cli"
+	"tbtso/internal/obs"
 	"tbtso/internal/obs/serve"
 	"tbtso/internal/quiesce"
 	"tbtso/internal/report"
@@ -224,9 +224,7 @@ func run(args []string) (code int) {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(map[string]any{"figures": figures}); err != nil {
+		if err := obs.EncodeDoc(os.Stdout, map[string]any{"figures": figures}); err != nil {
 			fmt.Fprintf(os.Stderr, "encoding figures: %v\n", err)
 			return 1
 		}

@@ -120,7 +120,8 @@ func run(args []string) (code int) {
 		return runPlanted(ctx, cfg, reg, *outDir, *shrinkMax, *jsonOut, *metrics)
 	default:
 		camp := &campaign{
-			cfg: cfg, reg: reg, n: *n, startSeed: *seed,
+			cfg: cfg, reg: reg,
+			ck:     fuzz.Checkpoint{Kind: fuzz.CheckpointKind, N: *n, FirstSeed: *seed, NextSeed: *seed},
 			budget: *timeBudget, shrinkMax: *shrinkMax, outDir: *outDir,
 			ckptPath: *ckptPath, ckptEvery: *ckptEvery, resumePath: *resumePath,
 			jsonOut: *jsonOut, metrics: *metrics, verbose: *verbose,
@@ -178,16 +179,12 @@ func parsePolicies(s string) ([]tso.DrainPolicy, error) {
 	return out, nil
 }
 
+// summary is the campaign's closing report; -json prints it verbatim.
 type summary struct {
-	Programs    int      `json:"programs"`
-	Runs        int      `json:"runs"`
-	Truncated   int      `json:"truncated"`
-	Mismatches  int      `json:"mismatches"`
-	ShrinkSteps int      `json:"shrink_steps"`
-	Artifacts   []string `json:"artifacts,omitempty"`
-	FirstSeed   int64    `json:"first_seed"`
-	LastSeed    int64    `json:"last_seed"`
-	ElapsedMS   int64    `json:"elapsed_ms"`
+	fuzz.Totals
+	FirstSeed int64 `json:"first_seed"`
+	LastSeed  int64 `json:"last_seed"`
+	ElapsedMS int64 `json:"elapsed_ms"`
 	// Interrupted marks a summary cut short by a signal or the time
 	// budget (omitted on complete campaigns, so a resumed-to-completion
 	// summary is byte-identical to an uninterrupted one).
@@ -196,13 +193,11 @@ type summary struct {
 	Checkpoint string `json:"checkpoint,omitempty"`
 }
 
-// campaign is one fuzz campaign invocation: the knobs plus the running
-// totals and shrink queue the checkpoint persists.
+// campaign is one fuzz campaign invocation: the knobs plus its running
+// state, which is the checkpoint it persists.
 type campaign struct {
 	cfg        fuzz.Config
 	reg        *obs.Registry
-	n          int
-	startSeed  int64
 	budget     time.Duration
 	shrinkMax  int
 	outDir     string
@@ -213,30 +208,30 @@ type campaign struct {
 	metrics    bool
 	verbose    bool
 
-	sum     summary
-	done    int             // seeds folded: [startSeed, startSeed+done) are complete
-	pending []fuzz.Mismatch // mismatches from folded seeds, not yet shrunk
+	// ck is the running state: every seed in [ck.FirstSeed,
+	// ck.NextSeed) is folded into its totals and coverage.
+	ck fuzz.Checkpoint
+	// pending is the shrink queue: mismatches from folded seeds, not yet
+	// shrunk. ck.Pending is its wire form, filled when written.
+	pending []fuzz.Mismatch
 
 	// sess is the obs session; its Flight (nil unless
 	// -obs.monitor/-obs.flightdir) records the campaign.
 	sess *serve.Session
-	// cov is the merged campaign coverage for the folded prefix; liveCov
-	// is its latest published clone, served on /coverage.
-	cov     coverage.Snapshot
+	// liveCov is the latest published clone of ck.Coverage, served on
+	// /coverage.
 	liveCov atomic.Pointer[coverage.Snapshot]
-	// resumed is the checkpoint this invocation resumed from (nil for a
-	// fresh campaign). Without a recorder of its own, the campaign
-	// carries its flight fields through to the next checkpoint, so they
-	// are conserved across segments.
-	resumed *fuzz.Checkpoint
 }
+
+// done is how many seeds are folded.
+func (c *campaign) done() int { return int(c.ck.NextSeed - c.ck.FirstSeed) }
 
 // liveCoverage serves /coverage: the latest published snapshot (nil
 // before any coverage exists, which the endpoint reports as 404).
 func (c *campaign) liveCoverage() *coverage.Snapshot { return c.liveCov.Load() }
 
 // publishCoverage clones the merged coverage for the ops endpoint.
-func (c *campaign) publishCoverage() { c.liveCov.Store(c.cov.Clone()) }
+func (c *campaign) publishCoverage() { c.liveCov.Store(c.ck.Coverage.Clone()) }
 
 // publish refreshes what the ops endpoint serves: the coverage clone and
 // the throughput gauges. The campaign calls it once per window of folded
@@ -244,58 +239,45 @@ func (c *campaign) publishCoverage() { c.liveCov.Store(c.cov.Clone()) }
 func (c *campaign) publish(start time.Time) {
 	c.publishCoverage()
 	if sec := time.Since(start).Seconds(); sec > 0 {
-		c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.sum.Programs) / sec))
-		c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.sum.Runs) / sec))
+		c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.ck.Programs) / sec))
+		c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.ck.Runs) / sec))
 	}
 }
 
 // checkpoint persists the campaign's resumable state; a no-op without
 // a checkpoint path.
-func (c *campaign) checkpoint(hash string) {
+func (c *campaign) checkpoint() {
 	if c.ckptPath == "" {
 		return
 	}
-	ck := &fuzz.Checkpoint{
-		Kind: fuzz.CheckpointKind, ConfigHash: hash,
-		N: c.n, FirstSeed: c.startSeed, NextSeed: c.startSeed + int64(c.done),
-		Programs: c.sum.Programs, Runs: c.sum.Runs, Truncated: c.sum.Truncated,
-		Mismatches: c.sum.Mismatches, ShrinkSteps: c.sum.ShrinkSteps,
-		Artifacts: c.sum.Artifacts,
+	if c.sess.Flight != nil {
+		c.ck.FlightEvents, c.ck.FlightViolations = c.sess.Flight.Totals()
+		c.ck.FlightViolating = c.sess.Flight.Violating()
 	}
-	if !c.cov.Empty() {
-		ck.Coverage = &c.cov
-	}
-	switch {
-	case c.sess.Flight != nil:
-		ck.FlightEvents, ck.FlightViolations = c.sess.Flight.Totals()
-		ck.FlightViolating = c.sess.Flight.Violating()
-	case c.resumed != nil:
-		ck.FlightEvents, ck.FlightViolations = c.resumed.FlightEvents, c.resumed.FlightViolations
-		ck.FlightViolating = c.resumed.FlightViolating
-	}
+	c.ck.Pending = nil
 	for _, m := range c.pending {
-		ck.Pending = append(ck.Pending, fuzz.EncodeMismatch(m))
+		c.ck.Pending = append(c.ck.Pending, fuzz.EncodeMismatch(m))
 	}
-	if _, err := fuzz.WriteCheckpointMetered(c.ckptPath, ck, c.reg); err != nil {
+	if _, err := fuzz.WriteCheckpoint(c.ckptPath, &c.ck, c.reg); err != nil {
 		fmt.Fprintln(os.Stderr, "tbtso-fuzz: checkpoint:", err)
 	}
 }
 
 // shrinkOne minimizes a mismatch and writes its artifacts, folding the
-// work into the summary.
+// work into the totals.
 func (c *campaign) shrinkOne(m fuzz.Mismatch) {
 	if c.verbose {
 		fmt.Fprintf(os.Stderr, "MISMATCH %s\n", m)
 	}
 	a := fuzz.ShrinkMismatch(c.cfg, m, c.shrinkMax)
-	c.sum.ShrinkSteps += a.ShrinkSteps
+	c.ck.ShrinkSteps += a.ShrinkSteps
 	c.reg.Counter("fuzz.shrink_steps").Add(uint64(a.ShrinkSteps))
 	name := fmt.Sprintf("mismatch-seed%d-d%d-%s", m.Seed, m.Delta, m.Kind)
 	path, err := writeArtifact(c.outDir, name, a)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	} else if path != "" {
-		c.sum.Artifacts = append(c.sum.Artifacts, path)
+		c.ck.Artifacts = append(c.ck.Artifacts, path)
 	}
 	if c.verbose || c.outDir == "" {
 		fmt.Fprintln(os.Stderr, a.GoSource("Shrunk"))
@@ -316,47 +298,44 @@ func (c *campaign) drainPending(ctx context.Context) bool {
 	return true
 }
 
+// resume replaces the fresh running state with the checkpoint at
+// c.resumePath, refusing one written by a different configuration.
+func (c *campaign) resume() error {
+	ck, err := fuzz.ReadCheckpoint(c.resumePath)
+	if err != nil {
+		return err
+	}
+	if err := ck.Validate(c.ck.ConfigHash); err != nil {
+		return err
+	}
+	if c.pending, err = ck.PendingMismatches(); err != nil {
+		return err
+	}
+	c.ck = *ck
+	c.publishCoverage()
+	if c.sess.Flight != nil {
+		c.sess.Flight.Restore(ck.FirstSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
+	}
+	c.reg.Counter("fuzz.resume.skipped_runs").Add(uint64(ck.Runs))
+	if c.ckptPath == "" {
+		c.ckptPath = c.resumePath
+	}
+	fmt.Fprintf(os.Stderr, "tbtso-fuzz: resuming at seed %d (%d/%d programs done, %d pending shrinks)\n",
+		ck.NextSeed, c.done(), ck.N, len(c.pending))
+	return nil
+}
+
 func (c *campaign) run(ctx context.Context) int {
 	start := time.Now()
-	hash := c.cfg.CampaignHash(c.n, c.startSeed, c.shrinkMax)
-	c.sum = summary{FirstSeed: c.startSeed, LastSeed: c.startSeed - 1}
+	c.ck.ConfigHash = c.cfg.CampaignHash(c.ck.N, c.ck.FirstSeed, c.shrinkMax)
 	if c.sess.Flight != nil {
-		c.sess.Flight.Begin(c.startSeed)
+		c.sess.Flight.Begin(c.ck.FirstSeed)
 	}
-
 	if c.resumePath != "" {
-		ck, err := fuzz.ReadCheckpoint(c.resumePath)
-		if err != nil {
+		if err := c.resume(); err != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-fuzz:", err)
 			return 2
 		}
-		if err := ck.Validate(hash); err != nil {
-			fmt.Fprintln(os.Stderr, "tbtso-fuzz:", err)
-			return 2
-		}
-		if c.pending, err = ck.PendingMismatches(); err != nil {
-			fmt.Fprintln(os.Stderr, "tbtso-fuzz:", err)
-			return 2
-		}
-		c.done = int(ck.NextSeed - ck.FirstSeed)
-		c.sum.Programs, c.sum.Runs, c.sum.Truncated = ck.Programs, ck.Runs, ck.Truncated
-		c.sum.Mismatches, c.sum.ShrinkSteps = ck.Mismatches, ck.ShrinkSteps
-		c.sum.Artifacts = ck.Artifacts
-		c.sum.LastSeed = ck.NextSeed - 1
-		if ck.Coverage != nil {
-			c.cov.Merge(ck.Coverage)
-			c.publishCoverage()
-		}
-		c.resumed = ck
-		if c.sess.Flight != nil {
-			c.sess.Flight.Restore(c.startSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
-		}
-		c.reg.Counter("fuzz.resume.skipped_runs").Add(uint64(ck.Runs))
-		if c.ckptPath == "" {
-			c.ckptPath = c.resumePath
-		}
-		fmt.Fprintf(os.Stderr, "tbtso-fuzz: resuming at seed %d (%d/%d programs done, %d pending shrinks)\n",
-			ck.NextSeed, c.done, c.n, len(c.pending))
 	}
 
 	workers, window := c.cfg.Parallelism()
@@ -365,58 +344,70 @@ func (c *campaign) run(ctx context.Context) int {
 	// A resumed campaign first drains the shrink queue its checkpoint
 	// carried — those mismatches precede every remaining seed, so the
 	// artifact order matches an uninterrupted run's.
-	if c.drainPending(ctx) && c.done < c.n {
+	if c.drainPending(ctx) && c.done() < c.ck.N {
 		// One seed-ordered stream over the remaining seeds; the workers
 		// keep checking ahead while the fold runs here. The fold shrinks
 		// each program's mismatches before the next is folded (shrinking
 		// re-runs the failure predicate thousands of times, so it stays
 		// off the workers; a signal mid-shrink queues the remainder into
 		// the checkpoint instead of finishing it). Stream's count and
-		// error need no handling: a campaign cut short leaves c.done < c.n.
-		lastCkpt, lastPub := c.done, c.done
-		fuzz.Stream(ctx, c.cfg, c.n-c.done, c.startSeed+int64(c.done), func(rep fuzz.Report) bool {
-			c.done++
-			c.sum.LastSeed = c.startSeed + int64(c.done) - 1
-			c.sum.Programs += rep.Programs
-			c.sum.Runs += rep.Runs
-			c.sum.Truncated += rep.Truncated
-			c.sum.Mismatches += len(rep.Mismatches)
-			c.cov.Merge(&rep.Coverage)
-			if c.done-lastPub >= window {
-				c.publish(start)
-				lastPub = c.done
+		// error need no handling: a campaign cut short leaves
+		// done() < N.
+		lastCkpt, lastPub := c.done(), c.done()
+		fuzz.Stream(ctx, c.cfg, c.ck.N-c.done(), c.ck.NextSeed, func(rep fuzz.Report) bool {
+			c.ck.NextSeed++
+			c.ck.Add(fuzz.Totals{Programs: rep.Programs, Runs: rep.Runs, Truncated: rep.Truncated, Mismatches: len(rep.Mismatches)})
+			if c.ck.Coverage == nil { // none until the first fold
+				c.ck.Coverage = &coverage.Snapshot{}
 			}
+			c.ck.Coverage.Merge(&rep.Coverage)
 			c.pending = append(c.pending, rep.Mismatches...)
+			if c.done()-lastPub >= window {
+				c.publish(start)
+				lastPub = c.done()
+			}
 			if !c.drainPending(ctx) {
 				return false
 			}
-			if c.ckptPath != "" && c.done-lastCkpt >= c.ckptEvery {
-				c.checkpoint(hash)
-				lastCkpt = c.done
+			if c.ckptPath != "" && c.done()-lastCkpt >= c.ckptEvery {
+				c.checkpoint()
+				lastCkpt = c.done()
 			}
 			return c.budget <= 0 || time.Since(start) <= c.budget
 		})
 		c.publish(start)
 	}
-	interrupted := c.done < c.n || len(c.pending) > 0
+	interrupted := c.done() < c.ck.N || len(c.pending) > 0
 
 	// One final checkpoint: on interruption it carries the resume state
 	// (cursor + unshrunk queue); on completion it records the campaign
 	// as done, so a re-resume is a no-op instead of a rerun.
-	c.checkpoint(hash)
-	c.sum.ElapsedMS = time.Since(start).Milliseconds()
+	c.checkpoint()
+	sum := summary{
+		Totals:    c.ck.Totals,
+		FirstSeed: c.ck.FirstSeed, LastSeed: c.ck.NextSeed - 1,
+		ElapsedMS: time.Since(start).Milliseconds(),
+	}
 	if interrupted {
-		c.sum.Interrupted = true
-		c.sum.Checkpoint = c.ckptPath
+		sum.Interrupted = true
+		sum.Checkpoint = c.ckptPath
 		if c.ckptPath != "" {
 			fmt.Fprintf(os.Stderr, "tbtso-fuzz: interrupted at seed %d; resume with -resume %s\n",
-				c.startSeed+int64(c.done), c.ckptPath)
+				c.ck.NextSeed, c.ckptPath)
 		} else {
 			fmt.Fprintf(os.Stderr, "tbtso-fuzz: interrupted at seed %d; no -ckpt, progress lost\n",
-				c.startSeed+int64(c.done))
+				c.ck.NextSeed)
 		}
 	}
-	emitSummary(c.sum, c.jsonOut)
+	if c.jsonOut {
+		obs.EncodeDoc(os.Stdout, sum)
+	} else {
+		fmt.Printf("programs %d (seeds %d..%d), machine runs %d, truncated explorations %d, mismatches %d, shrink steps %d, %dms\n",
+			sum.Programs, sum.FirstSeed, sum.LastSeed, sum.Runs, sum.Truncated, sum.Mismatches, sum.ShrinkSteps, sum.ElapsedMS)
+		for _, p := range sum.Artifacts {
+			fmt.Println("artifact:", p)
+		}
+	}
 	if c.metrics {
 		c.reg.WriteText(os.Stderr)
 	}
@@ -427,7 +418,7 @@ func (c *campaign) run(ctx context.Context) int {
 	}
 	// The session's Finish reports the flight's violations and folds
 	// them into the exit status.
-	if c.sum.Mismatches > 0 {
+	if c.ck.Mismatches > 0 {
 		return 1
 	}
 	return 0
@@ -482,9 +473,7 @@ func runPlanted(ctx context.Context, cfg fuzz.Config, reg *obs.Registry, outDir 
 		results = append(results, r)
 	}
 	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(map[string]any{"planted": results})
+		obs.EncodeDoc(os.Stdout, map[string]any{"planted": results})
 	} else {
 		for _, r := range results {
 			if r.Error != "" {
@@ -505,13 +494,7 @@ func runPlanted(ctx context.Context, cfg fuzz.Config, reg *obs.Registry, outDir 
 }
 
 func replayArtifact(path string, jsonOut bool) int {
-	f, err := os.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer f.Close()
-	a, err := fuzz.ReadArtifact(f)
+	a, err := fuzz.ReadArtifact(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -542,46 +525,16 @@ func writeArtifact(dir, name string, a fuzz.Artifact) (string, error) {
 		return "", err
 	}
 	path := filepath.Join(dir, name+".json")
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := a.WriteJSON(f); err != nil {
-		f.Close()
-		return "", err
-	}
-	if err := f.Close(); err != nil {
+	if _, err := obs.WriteDoc(path, a); err != nil {
 		return "", err
 	}
 	if err := os.WriteFile(filepath.Join(dir, name+".go.txt"), []byte(a.GoSource("Shrunk")), 0o644); err != nil {
 		return "", err
 	}
 	if a.Policy != "" {
-		tf, err := os.Create(filepath.Join(dir, name+".trace.json"))
-		if err != nil {
-			return "", err
-		}
-		if err := a.PerfettoTrace(tf); err != nil {
-			tf.Close()
+		if _, err := obs.WriteAtomic(filepath.Join(dir, name+".trace.json"), a.PerfettoTrace); err != nil {
 			return "", fmt.Errorf("%s: perfetto trace: %w", name, err)
-		}
-		if err := tf.Close(); err != nil {
-			return "", err
 		}
 	}
 	return path, nil
-}
-
-func emitSummary(sum summary, jsonOut bool) {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		enc.Encode(sum)
-		return
-	}
-	fmt.Printf("programs %d (seeds %d..%d), machine runs %d, truncated explorations %d, mismatches %d, shrink steps %d, %dms\n",
-		sum.Programs, sum.FirstSeed, sum.LastSeed, sum.Runs, sum.Truncated, sum.Mismatches, sum.ShrinkSteps, sum.ElapsedMS)
-	for _, p := range sum.Artifacts {
-		fmt.Println("artifact:", p)
-	}
 }

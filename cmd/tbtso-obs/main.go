@@ -47,13 +47,8 @@ type Input struct {
 type CampaignTotals struct {
 	Checkpoints int `json:"checkpoints"`
 	// Incomplete counts checkpoints whose campaign had not finished.
-	Incomplete  int      `json:"incomplete,omitempty"`
-	Programs    int      `json:"programs"`
-	Runs        int      `json:"runs"`
-	Truncated   int      `json:"truncated"`
-	Mismatches  int      `json:"mismatches"`
-	ShrinkSteps int      `json:"shrink_steps"`
-	Artifacts   []string `json:"artifacts,omitempty"`
+	Incomplete int `json:"incomplete,omitempty"`
+	fuzz.Totals
 }
 
 // FlightTotals folds flight-recorder dumps.
@@ -117,12 +112,12 @@ func run(args []string) int {
 	}
 
 	if *compare != "" {
-		base, err := readReport(*compare)
-		if err != nil {
+		var base Report
+		if err := obs.ReadDoc(*compare, ReportKind, &base); err != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-obs:", err)
 			return 2
 		}
-		drifts := Drift(base, rep)
+		drifts := Drift(&base, rep)
 		for _, d := range drifts {
 			fmt.Println("DRIFT", d)
 		}
@@ -135,9 +130,7 @@ func run(args []string) int {
 	}
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
+		if err := obs.EncodeDoc(os.Stdout, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-obs:", err)
 			return 2
 		}
@@ -260,12 +253,7 @@ func (r *Report) foldCheckpoint(ck *fuzz.Checkpoint) {
 	if !ck.Done() {
 		c.Incomplete++
 	}
-	c.Programs += ck.Programs
-	c.Runs += ck.Runs
-	c.Truncated += ck.Truncated
-	c.Mismatches += ck.Mismatches
-	c.ShrinkSteps += ck.ShrinkSteps
-	c.Artifacts = append(c.Artifacts, ck.Artifacts...)
+	c.Add(ck.Totals)
 	if ck.Coverage != nil {
 		r.mergeCoverage(ck.Coverage)
 	}
@@ -305,12 +293,7 @@ func (r *Report) mergeReport(o *Report) {
 		}
 		r.Campaign.Checkpoints += o.Campaign.Checkpoints
 		r.Campaign.Incomplete += o.Campaign.Incomplete
-		r.Campaign.Programs += o.Campaign.Programs
-		r.Campaign.Runs += o.Campaign.Runs
-		r.Campaign.Truncated += o.Campaign.Truncated
-		r.Campaign.Mismatches += o.Campaign.Mismatches
-		r.Campaign.ShrinkSteps += o.Campaign.ShrinkSteps
-		r.Campaign.Artifacts = append(r.Campaign.Artifacts, o.Campaign.Artifacts...)
+		r.Campaign.Add(o.Campaign.Totals)
 	}
 	if o.Flight != nil {
 		if r.Flight == nil {
@@ -377,21 +360,6 @@ func (r *Report) renderText(w *os.File) {
 	if len(r.Metrics) > 0 {
 		fmt.Fprintf(w, "metrics: %d merged series\n", len(r.Metrics))
 	}
-}
-
-func readReport(path string) (*Report, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(blob, &rep); err != nil {
-		return nil, fmt.Errorf("parsing report %s: %w", path, err)
-	}
-	if rep.Kind != ReportKind {
-		return nil, fmt.Errorf("%s: artifact kind %q, want %q", path, rep.Kind, ReportKind)
-	}
-	return &rep, nil
 }
 
 // Drift compares a candidate report against a baseline: coverage the

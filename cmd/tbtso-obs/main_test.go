@@ -30,15 +30,11 @@ func sampleSnapshot(off uint64) *coverage.Snapshot {
 	return &s
 }
 
-// writeJSON marshals v into dir/name and returns the path.
-func writeJSON(t *testing.T, dir, name string, v any) string {
+// writeDoc writes v to dir/name (obs.WriteDoc) and returns the path.
+func writeDoc(t *testing.T, dir, name string, v any) string {
 	t.Helper()
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
+	if _, err := obs.WriteDoc(path, v); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -50,20 +46,20 @@ func TestAggregateMixedArtifacts(t *testing.T) {
 	// Two campaign checkpoints (two runs), each carrying coverage.
 	ck1 := &fuzz.Checkpoint{
 		Kind: fuzz.CheckpointKind, ConfigHash: "sha256:aa", N: 10, FirstSeed: 0, NextSeed: 10,
-		Programs: 10, Runs: 60, Mismatches: 1, ShrinkSteps: 7,
+		Totals:   fuzz.Totals{Programs: 10, Runs: 60, Mismatches: 1, ShrinkSteps: 7},
 		Coverage: sampleSnapshot(0), FlightEvents: 100, FlightViolations: 0,
 	}
 	ck2 := &fuzz.Checkpoint{
 		Kind: fuzz.CheckpointKind, ConfigHash: "sha256:bb", N: 5, FirstSeed: 50, NextSeed: 52,
-		Programs: 2, Runs: 12,
+		Totals:   fuzz.Totals{Programs: 2, Runs: 12},
 		Coverage: sampleSnapshot(3),
 	}
 	p1 := filepath.Join(dir, "run1.ckpt")
 	p2 := filepath.Join(dir, "run2.ckpt")
-	if _, err := fuzz.WriteCheckpoint(p1, ck1); err != nil {
+	if _, err := fuzz.WriteCheckpoint(p1, ck1, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fuzz.WriteCheckpoint(p2, ck2); err != nil {
+	if _, err := fuzz.WriteCheckpoint(p2, ck2, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,11 +79,11 @@ func TestAggregateMixedArtifacts(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("x.total").Add(4)
 	var ms []obs.Metric = reg.Snapshot()
-	mp := writeJSON(t, dir, "metrics.json", ms)
+	mp := writeDoc(t, dir, "metrics.json", ms)
 	tab := report.NewTable("Figure X", "a", "b")
 	tab.AddRow("1", "2")
 	tab.Interrupted = true
-	fig := writeJSON(t, dir, "figures.json", map[string]any{"figures": []*report.Table{tab}})
+	fig := writeDoc(t, dir, "figures.json", map[string]any{"figures": []*report.Table{tab}})
 
 	rep, err := aggregate([]string{p1, p2, fp, mp, fig})
 	if err != nil {
@@ -117,7 +113,7 @@ func TestAggregateMixedArtifacts(t *testing.T) {
 
 	// The report is itself an artifact: re-aggregating it reproduces
 	// the same coverage and totals.
-	rp := writeJSON(t, dir, "report.json", rep)
+	rp := writeDoc(t, dir, "report.json", rep)
 	again, err := aggregate([]string{rp})
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +128,8 @@ func TestAggregateMixedArtifacts(t *testing.T) {
 
 func TestAggregateOrderInvariantCoverage(t *testing.T) {
 	dir := t.TempDir()
-	a := writeJSON(t, dir, "a.json", sampleSnapshot(0))
-	b := writeJSON(t, dir, "b.json", sampleSnapshot(9))
+	a := writeDoc(t, dir, "a.json", sampleSnapshot(0))
+	b := writeDoc(t, dir, "b.json", sampleSnapshot(9))
 	ab, err := aggregate([]string{a, b})
 	if err != nil {
 		t.Fatal(err)

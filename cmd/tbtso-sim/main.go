@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -200,12 +199,7 @@ func writeTrace(path string, perf *obs.Perfetto, reg *obs.Registry) int {
 	if perf == nil {
 		return 0
 	}
-	var buf bytes.Buffer
-	err := perf.WriteJSON(&buf)
-	if err == nil {
-		err = os.WriteFile(path, buf.Bytes(), 0o644)
-	}
-	if err != nil {
+	if _, err := obs.WriteAtomic(path, perf.WriteJSON); err != nil {
 		fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
 		return 1
 	}

@@ -43,6 +43,7 @@ import (
 	"tbtso/internal/analysis/extract"
 	"tbtso/internal/cli"
 	"tbtso/internal/mc"
+	"tbtso/internal/obs"
 	"tbtso/internal/obs/serve"
 )
 
@@ -190,7 +191,7 @@ func run(args []string) (code int) {
 		case prog == nil:
 			fmt.Fprintln(os.Stderr, "tbtso-verify: interrupted; no -progress file, sweep progress lost")
 		default:
-			if err := extract.WriteSweepProgress(*progressPath, prog); err != nil {
+			if _, err := obs.WriteDoc(*progressPath, prog); err != nil {
 				fmt.Fprintf(os.Stderr, "tbtso-verify: writing %s: %v\n", *progressPath, err)
 			} else {
 				fmt.Fprintf(os.Stderr, "tbtso-verify: interrupted; sweep progress saved to %s — rerun with the same flags to resume\n", *progressPath)
@@ -203,9 +204,7 @@ func run(args []string) (code int) {
 	}
 
 	if *formatFlag == "json" {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(certs); err != nil {
+		if err := obs.EncodeDoc(os.Stdout, certs); err != nil {
 			fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
 			return 2
 		}
@@ -275,40 +274,24 @@ func writeArtifacts(dir string, p *extract.Pair, rep *extract.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeJSON(certPath(dir, p.Name), rep.Cert); err != nil {
+	if _, err := obs.WriteDoc(certPath(dir, p.Name), rep.Cert); err != nil {
 		return err
 	}
 	fmt.Printf("     wrote %s\n", certPath(dir, p.Name))
 	if rep.Cex == nil {
 		return nil
 	}
-	if err := writeJSON(cexPath(dir, p.Name), rep.Cex); err != nil {
+	if _, err := obs.WriteDoc(cexPath(dir, p.Name), rep.Cex); err != nil {
 		return err
 	}
 	fmt.Printf("     wrote %s\n", cexPath(dir, p.Name))
 	if rep.Cex.Policy != "" {
-		f, err := os.Create(tracePath(dir, p.Name))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rep.Cex.PerfettoTrace(f); err != nil {
+		if _, err := obs.WriteAtomic(tracePath(dir, p.Name), rep.Cex.PerfettoTrace); err != nil {
 			return err
 		}
 		fmt.Printf("     wrote %s\n", tracePath(dir, p.Name))
 	}
 	return nil
-}
-
-func writeJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
 }
 
 // compareCert checks the freshly computed certificate against the

@@ -8,7 +8,6 @@ import (
 	"tbtso/internal/fuzz"
 	"tbtso/internal/mc"
 	"tbtso/internal/obs"
-	"tbtso/internal/tso"
 )
 
 // Certification semantics. "Holds" at a bound Δ means the exhaustive
@@ -339,8 +338,7 @@ func reductions(p *Pair) []string {
 
 // buildCex packages a violated sweep point as a counterexample,
 // searching the clocked machine for a concrete run that exhibits a
-// forbidden outcome (adversarial drains first, then random, MachSeeds
-// seeds each).
+// forbidden outcome (fuzz.MachineWitness, MachSeeds seeds per policy).
 func buildCex(p *Pair, kind string, pt SweepPoint, opt Options) *Counterexample {
 	prog := p.Instantiate(pt.Wait)
 	cex := &Counterexample{
@@ -355,20 +353,10 @@ func buildCex(p *Pair, kind string, pt SweepPoint, opt Options) *Counterexample 
 		ReaderRegs: p.ReaderRegs,
 		Program:    fuzz.EncodeProgram(prog),
 	}
-	for _, pol := range []tso.DrainPolicy{tso.DrainAdversarial, tso.DrainRandom} {
-		for s := 0; s < opt.MachSeeds; s++ {
-			run := fuzz.MachineRun{Delta: fuzz.MachineDelta(pt.Delta), Policy: pol, Seed: int64(s)}
-			outcome, err := fuzz.RunOnMachine(prog, run)
-			if err != nil {
-				continue
-			}
-			if p.Forbidden(outcome) {
-				cex.Policy = pol.String()
-				cex.MachSeed = run.Seed
-				cex.MachOutcome = outcome
-				return cex
-			}
-		}
+	if run, outcome, ok := fuzz.MachineWitness(prog, pt.Delta, opt.MachSeeds, p.Forbidden); ok {
+		cex.Policy = run.Policy.String()
+		cex.MachSeed = run.Seed
+		cex.MachOutcome = outcome
 	}
 	return cex
 }
@@ -388,15 +376,8 @@ func (c *Counterexample) PerfettoTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pf := obs.NewPerfetto()
-	names := make([]string, len(prog.Threads))
-	for i := range names {
-		names[i] = fmt.Sprintf("T%d", i)
-	}
-	pf.BeginRun(names, fuzz.MachineDelta(c.Delta))
-	if _, err := fuzz.RunOnMachine(prog, fuzz.MachineRun{
-		Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed,
-	}, pf); err != nil {
+	pf, err := fuzz.TraceRun(prog, fuzz.MachineRun{Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed})
+	if err != nil {
 		return err
 	}
 	return pf.WriteJSON(w)

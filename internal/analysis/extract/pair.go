@@ -271,19 +271,19 @@ func (p *Pair) Instantiate(wait int) mc.Program {
 	for i := 0; i < p.Copies; i++ {
 		prog.Threads = append(prog.Threads, append([]mc.Op(nil), rt...))
 	}
-	prog.Regs = len(p.WriterRegs)
-	if len(p.ReaderRegs) > prog.Regs {
-		prog.Regs = len(p.ReaderRegs)
-	}
+	prog.Regs = p.regs()
 	return prog
 }
+
+// regs is the instantiated program's registers per thread.
+func (p *Pair) regs() int { return max(len(p.WriterRegs), len(p.ReaderRegs)) }
 
 // Forbidden reports whether an outcome string (mc's canonical
 // "T0:r0=1 T1:r0=0" form) satisfies any property line: all writer atoms
 // hold on thread 0 and there is a single reader thread on which all
 // reader atoms hold.
 func (p *Pair) Forbidden(outcome string) bool {
-	regs, ok := parseOutcome(outcome, p.Threads())
+	regs, ok := mc.ParseOutcome(outcome, p.Threads(), p.regs())
 	if !ok {
 		return false
 	}
@@ -338,25 +338,6 @@ func regIndex(regs []string) map[string]int {
 		m[r] = i
 	}
 	return m
-}
-
-// parseOutcome inverts mc.FormatOutcome for a known thread count.
-func parseOutcome(outcome string, threads int) ([][]int, bool) {
-	regs := make([][]int, threads)
-	for _, f := range strings.Fields(outcome) {
-		var t, r, v int
-		if _, err := fmt.Sscanf(f, "T%d:r%d=%d", &t, &r, &v); err != nil {
-			return nil, false
-		}
-		if t < 0 || t >= threads {
-			return nil, false
-		}
-		for len(regs[t]) <= r {
-			regs[t] = append(regs[t], 0)
-		}
-		regs[t][r] = v
-	}
-	return regs, true
 }
 
 // PropertyStrings returns the normalized property lines for reports.

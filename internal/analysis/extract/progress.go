@@ -1,12 +1,10 @@
 package extract
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"tbtso/internal/fuzz"
+	"tbtso/internal/obs"
 )
 
 // SweepProgressKind is the progress artifact's "kind" field.
@@ -48,30 +46,21 @@ func NewSweepProgress(opt Options) *SweepProgress {
 // resumes partially).
 func (o Options) ProgressHash() string {
 	o = o.withDefaults()
-	blob, err := json.Marshal(struct {
+	return obs.HashDoc(struct {
 		MaxDelta  int `json:"max_delta"`
 		MaxStates int `json:"max_states"`
 	}{o.MaxDelta, o.MaxStates})
-	if err != nil {
-		panic("extract: marshaling progress key: " + err.Error())
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(blob))
 }
 
 // Fingerprint identifies the pair content a sweep ran against: the
 // property and the instantiated program (wait=1 instantiation; the
 // other waits are derived from it and Δ).
 func Fingerprint(p *Pair) string {
-	doc := struct {
+	return obs.HashDoc(struct {
 		Property []string         `json:"property"`
 		Program  fuzz.ProgramJSON `json:"program"`
 		Expect   bool             `json:"expect_fail"`
-	}{p.PropertyStrings(), fuzz.EncodeProgram(p.Instantiate(1)), p.ExpectFail}
-	blob, err := json.Marshal(doc)
-	if err != nil {
-		panic("extract: marshaling pair fingerprint: " + err.Error())
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(blob))
+	}{p.PropertyStrings(), fuzz.EncodeProgram(p.Instantiate(1)), p.ExpectFail})
 }
 
 // Record stores a pair's completed sweep prefix.
@@ -92,38 +81,14 @@ func (sp *SweepProgress) Lookup(p *Pair) []SweepPoint {
 	return pp.Points
 }
 
-// WriteSweepProgress atomically persists the document (temp + rename).
-func WriteSweepProgress(path string, sp *SweepProgress) error {
-	blob, err := json.MarshalIndent(sp, "", "  ")
-	if err != nil {
-		return err
-	}
-	blob = append(blob, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // ReadSweepProgress loads a progress document for a resume under opt.
 // A document written under different sweep options is refused — its
-// cells would not match the resumed sweep's.
+// cells would not match the resumed sweep's. The progress is written
+// with obs.WriteDoc.
 func ReadSweepProgress(path string, opt Options) (*SweepProgress, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var sp SweepProgress
-	if err := json.Unmarshal(blob, &sp); err != nil {
-		return nil, fmt.Errorf("extract: parsing sweep progress %s: %w", path, err)
-	}
-	if sp.Kind != SweepProgressKind {
-		return nil, fmt.Errorf("extract: %s: artifact kind %q, want %q", path, sp.Kind, SweepProgressKind)
+	if err := obs.ReadDoc(path, SweepProgressKind, &sp); err != nil {
+		return nil, err
 	}
 	if want := opt.ProgressHash(); sp.OptionsHash != want {
 		return nil, fmt.Errorf("extract: sweep progress %s was written under different options (progress %s, resume %s); refusing to reuse its cells",

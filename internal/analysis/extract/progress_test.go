@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tbtso/internal/mc"
+	"tbtso/internal/obs"
 )
 
 // TestCertifyCtxResume: interrupt a sweep, persist the completed cells,
@@ -83,7 +84,7 @@ func TestSweepProgressRoundTrip(t *testing.T) {
 	sp := NewSweepProgress(opt)
 	sp.Record(p, done[:2])
 	path := filepath.Join(t.TempDir(), "verify.progress")
-	if err := WriteSweepProgress(path, sp); err != nil {
+	if _, err := obs.WriteDoc(path, sp); err != nil {
 		t.Fatal(err)
 	}
 

@@ -4,10 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strings"
 
 	"tbtso/internal/mc"
-	"tbtso/internal/obs"
 	"tbtso/internal/tso"
 )
 
@@ -67,7 +67,7 @@ func DecodeProgram(pj ProgramJSON) (mc.Program, error) {
 
 // Artifact is a reproducible counterexample: the shrunk mismatch plus
 // everything needed to replay it — the original generator seed, the
-// minimized program, and the exact machine run. MarshalJSON/ReadArtifact
+// minimized program, and the exact machine run. obs.WriteDoc/ReadArtifact
 // round-trip it; GoSource renders it as a litmus-test function.
 type Artifact struct {
 	Kind     string      `json:"kind"`
@@ -105,18 +105,16 @@ func NewArtifact(m Mismatch, shrunk Candidate, sr ShrinkResult) Artifact {
 	}
 }
 
-// WriteJSON emits the artifact as indented JSON.
-func (a Artifact) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(a)
-}
-
-// ReadArtifact parses an artifact written by WriteJSON.
-func ReadArtifact(r io.Reader) (Artifact, error) {
-	var a Artifact
-	if err := json.NewDecoder(r).Decode(&a); err != nil {
+// ReadArtifact loads the artifact JSON at path (written with
+// obs.WriteDoc).
+func ReadArtifact(path string) (Artifact, error) {
+	blob, err := os.ReadFile(path)
+	if err != nil {
 		return Artifact{}, err
+	}
+	var a Artifact
+	if err := json.Unmarshal(blob, &a); err != nil {
+		return Artifact{}, fmt.Errorf("parsing %s: %w", path, err)
 	}
 	if _, err := DecodeProgram(a.Program); err != nil {
 		return Artifact{}, err
@@ -216,7 +214,8 @@ func (a Artifact) GoSource(name string) string {
 // Perfetto exporter and writes the Chrome trace-event JSON, giving the
 // counterexample a visual timeline (store→commit flows included). Only
 // meaningful for sampled-outcome and machine-error artifacts, which
-// name a concrete machine run.
+// name a concrete machine run; a machine-error trace ends at the
+// failure.
 func (a Artifact) PerfettoTrace(w io.Writer) error {
 	p, err := DecodeProgram(a.Program)
 	if err != nil {
@@ -226,17 +225,8 @@ func (a Artifact) PerfettoTrace(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	pf := obs.NewPerfetto()
-	names := make([]string, len(p.Threads))
-	for i := range names {
-		names[i] = fmt.Sprintf("T%d", i)
-	}
-	pf.BeginRun(names, MachineDelta(a.Delta))
-	if _, err := RunOnMachine(p, MachineRun{
-		Delta:  MachineDelta(a.Delta),
-		Policy: pol,
-		Seed:   a.MachSeed,
-	}, pf); err != nil && a.Kind != KindMachineError {
+	pf, err := TraceRun(p, MachineRun{Delta: MachineDelta(a.Delta), Policy: pol, Seed: a.MachSeed})
+	if err != nil && a.Kind != KindMachineError {
 		return err
 	}
 	return pf.WriteJSON(w)

@@ -1,10 +1,7 @@
 package fuzz
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"tbtso/internal/obs"
@@ -84,13 +81,8 @@ type Checkpoint struct {
 	// NextSeed is the resume cursor: the first seed not yet folded in.
 	NextSeed int64 `json:"next_seed"`
 
-	// Folded totals for [FirstSeed, NextSeed).
-	Programs    int      `json:"programs"`
-	Runs        int      `json:"runs"`
-	Truncated   int      `json:"truncated"`
-	Mismatches  int      `json:"mismatches"`
-	ShrinkSteps int      `json:"shrink_steps"`
-	Artifacts   []string `json:"artifacts,omitempty"`
+	// Totals are folded over [FirstSeed, NextSeed).
+	Totals
 
 	// Coverage is the merged campaign coverage for [FirstSeed,
 	// NextSeed). Because the snapshot is integer-only and merges in
@@ -115,6 +107,30 @@ type Checkpoint struct {
 	// seed order. A resumed campaign drains it before generating new
 	// programs.
 	Pending []MismatchJSON `json:"pending,omitempty"`
+}
+
+// Totals are a campaign's folded counts: the programs checked, machine
+// runs sampled, explorations truncated and mismatches found, plus the
+// shrink work and the artifacts it wrote. They are the checkpoint's
+// running totals, the tbtso-fuzz summary's and tbtso-obs's campaign
+// totals, so one wire form serves all three.
+type Totals struct {
+	Programs    int      `json:"programs"`
+	Runs        int      `json:"runs"`
+	Truncated   int      `json:"truncated"`
+	Mismatches  int      `json:"mismatches"`
+	ShrinkSteps int      `json:"shrink_steps"`
+	Artifacts   []string `json:"artifacts,omitempty"`
+}
+
+// Add folds o into t.
+func (t *Totals) Add(o Totals) {
+	t.Programs += o.Programs
+	t.Runs += o.Runs
+	t.Truncated += o.Truncated
+	t.Mismatches += o.Mismatches
+	t.ShrinkSteps += o.ShrinkSteps
+	t.Artifacts = append(t.Artifacts, o.Artifacts...)
 }
 
 // Done reports whether the campaign finished: every seed folded and
@@ -160,12 +176,7 @@ func (c Config) CampaignHash(n int, firstSeed int64, shrinkMax int) string {
 	for _, p := range c.Policies {
 		key.Policies = append(key.Policies, p.String())
 	}
-	blob, err := json.Marshal(key)
-	if err != nil {
-		// campaignKey is plain data; Marshal cannot fail on it.
-		panic("fuzz: marshaling campaign key: " + err.Error())
-	}
-	return fmt.Sprintf("sha256:%x", sha256.Sum256(blob))
+	return obs.HashDoc(key)
 }
 
 // Validate checks a loaded checkpoint against the resuming campaign's
@@ -182,69 +193,36 @@ func (ck *Checkpoint) Validate(hash string) error {
 		return fmt.Errorf("fuzz: checkpoint cursor %d outside campaign seed range [%d, %d]",
 			ck.NextSeed, ck.FirstSeed, ck.FirstSeed+int64(ck.N))
 	}
-	for i, mj := range ck.Pending {
-		if _, err := DecodeMismatch(mj); err != nil {
-			return fmt.Errorf("fuzz: checkpoint pending[%d]: %w", i, err)
-		}
-	}
-	return nil
+	_, err := ck.PendingMismatches()
+	return err
 }
 
-// WriteCheckpoint atomically persists the checkpoint (temp file +
-// rename, so an interruption mid-write can never leave a torn
-// checkpoint behind) and returns the byte size written.
-func WriteCheckpoint(path string, ck *Checkpoint) (int, error) {
-	blob, err := json.MarshalIndent(ck, "", "  ")
-	if err != nil {
-		return 0, err
-	}
-	blob = append(blob, '\n')
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return len(blob), nil
-}
-
-// CheckpointWriteBuckets are the fuzz.campaign.checkpoint_write_ns
-// histogram's bounds: ~1µs to ~4s, exponential.
-func CheckpointWriteBuckets() []int64 { return obs.ExpBuckets(1024, 4, 12) }
-
-// WriteCheckpointMetered is WriteCheckpoint plus write-amplification
-// instrumentation into reg (nil skips it): counters
-// fuzz.campaign.checkpoints_written and fuzz.campaign.checkpoint_bytes,
-// and the fuzz.campaign.checkpoint_write_ns latency histogram — the
-// data behind the ROADMAP "compact checkpoint encoding" decision.
-func WriteCheckpointMetered(path string, ck *Checkpoint, reg *obs.Registry) (int, error) {
+// WriteCheckpoint atomically persists the checkpoint (obs.WriteDoc) and
+// returns the byte size written. With a registry it also records the
+// write amplification: counters fuzz.campaign.checkpoints_written and
+// fuzz.campaign.checkpoint_bytes, and the
+// fuzz.campaign.checkpoint_write_ns latency histogram (~1µs to ~4s,
+// exponential) — the data behind the ROADMAP "compact checkpoint
+// encoding" decision.
+func WriteCheckpoint(path string, ck *Checkpoint, reg *obs.Registry) (int, error) {
 	start := time.Now()
-	nb, err := WriteCheckpoint(path, ck)
+	nb, err := obs.WriteDoc(path, ck)
 	if err != nil || reg == nil {
 		return nb, err
 	}
 	reg.Counter("fuzz.campaign.checkpoints_written").Add(1)
 	reg.Counter("fuzz.campaign.checkpoint_bytes").Add(uint64(nb))
-	reg.Histogram("fuzz.campaign.checkpoint_write_ns", CheckpointWriteBuckets()).Observe(time.Since(start).Nanoseconds())
-	return nb, err
+	reg.Histogram("fuzz.campaign.checkpoint_write_ns", obs.ExpBuckets(1024, 4, 12)).Observe(time.Since(start).Nanoseconds())
+	return nb, nil
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint. It
 // rejects documents of the wrong kind; configuration validation is the
 // caller's job (Validate, with the resuming campaign's hash).
 func ReadCheckpoint(path string) (*Checkpoint, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var ck Checkpoint
-	if err := json.Unmarshal(blob, &ck); err != nil {
-		return nil, fmt.Errorf("fuzz: parsing checkpoint %s: %w", path, err)
-	}
-	if ck.Kind != CheckpointKind {
-		return nil, fmt.Errorf("fuzz: %s: artifact kind %q, want %q", path, ck.Kind, CheckpointKind)
+	if err := obs.ReadDoc(path, CheckpointKind, &ck); err != nil {
+		return nil, err
 	}
 	return &ck, nil
 }

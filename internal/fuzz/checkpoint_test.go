@@ -140,15 +140,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	ck := &Checkpoint{
 		Kind: CheckpointKind, ConfigHash: hash,
 		N: 500, FirstSeed: 7, NextSeed: 131,
-		Programs: 124, Runs: 744, Truncated: 2, Mismatches: 3, ShrinkSteps: 11,
-		Artifacts: []string{"fuzz-000.json"},
+		Totals: Totals{
+			Programs: 124, Runs: 744, Truncated: 2, Mismatches: 3, ShrinkSteps: 11,
+			Artifacts: []string{"fuzz-000.json"},
+		},
 	}
 	for _, m := range sampleMismatches() {
 		ck.Pending = append(ck.Pending, EncodeMismatch(m))
 	}
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
-	nbytes, err := WriteCheckpoint(path, ck)
+	nbytes, err := WriteCheckpoint(path, ck, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

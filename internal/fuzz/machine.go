@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tbtso/internal/mc"
+	"tbtso/internal/obs"
 	"tbtso/internal/tso"
 )
 
@@ -197,6 +198,16 @@ func (s *Sampler) Trace() []tso.Event { return s.m.Trace() }
 func RunOnMachine(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, error) {
 	out, _, err := NewSampler().Sample(p, run, sinks...)
 	return out, err
+}
+
+// TraceRun replays run on p with a Perfetto exporter attached and
+// returns it. The machine announces the run (process and thread names)
+// to the exporter itself; when the run fails, the exporter holds the
+// events up to the failure and the error is returned alongside.
+func TraceRun(p mc.Program, run MachineRun) (*obs.Perfetto, error) {
+	pf := obs.NewPerfetto()
+	_, err := RunOnMachine(p, run, pf)
+	return pf, err
 }
 
 // RunOnMachineGoroutine executes p on the goroutine engine — each

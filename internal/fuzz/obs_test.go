@@ -19,13 +19,13 @@ func TestWriteCheckpointMetered(t *testing.T) {
 	ck := &Checkpoint{
 		Kind: CheckpointKind, ConfigHash: cfg.CampaignHash(100, 0, 400),
 		N: 100, FirstSeed: 0, NextSeed: 40,
-		Programs: 40, Runs: 240,
+		Totals: Totals{Programs: 40, Runs: 240},
 	}
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	reg := obs.NewRegistry()
 	const writes = 3
 	for i := 0; i < writes; i++ {
-		nb, err := WriteCheckpointMetered(path, ck, reg)
+		nb, err := WriteCheckpoint(path, ck, reg)
 		if err != nil || nb <= 0 {
 			t.Fatalf("write %d: nb=%d err=%v", i, nb, err)
 		}
@@ -46,7 +46,7 @@ func TestWriteCheckpointMetered(t *testing.T) {
 		t.Errorf("checkpoint_write_ns: count=%d sum=%d, want %d observations", h.Count(), h.Sum(), writes)
 	}
 	// nil registry skips metering but still writes.
-	if _, err := WriteCheckpointMetered(path, ck, nil); err != nil {
+	if _, err := WriteCheckpoint(path, ck, nil); err != nil {
 		t.Fatalf("nil-registry write: %v", err)
 	}
 }
@@ -228,7 +228,7 @@ func TestFlightViolationSurvivesResume(t *testing.T) {
 	ck.FlightEvents, ck.FlightViolations = cut.Totals()
 	ck.FlightViolating = cut.Violating()
 	path := filepath.Join(t.TempDir(), "c.ckpt")
-	if _, err := WriteCheckpoint(path, ck); err != nil {
+	if _, err := WriteCheckpoint(path, ck, nil); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadCheckpoint(path)

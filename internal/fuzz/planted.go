@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"fmt"
-	"strings"
 
 	"tbtso/internal/machalg"
 	"tbtso/internal/mc"
@@ -57,7 +56,7 @@ func PlantedControls() []Planted {
 // registers. Outcomes that do not parse against p's shape return false
 // (a witness needs evidence, never the benefit of the doubt).
 func FlagViolation(p mc.Program, outcome string) bool {
-	regs, ok := parseOutcomeInto(p, outcome)
+	regs, ok := mc.ParseOutcome(outcome, len(p.Threads), p.Regs)
 	if !ok {
 		return false
 	}
@@ -120,28 +119,6 @@ func scanMissed(p mc.Program, regs [][]int, i, h, v, u int) bool {
 	return false
 }
 
-// parseOutcomeInto decodes the checker's canonical outcome string into
-// a register matrix sized by p, rejecting (rather than panicking on)
-// malformed tokens or out-of-shape indices — shrunk programs change
-// shape under the predicate constantly.
-func parseOutcomeInto(p mc.Program, outcome string) ([][]int, bool) {
-	regs := make([][]int, len(p.Threads))
-	for i := range regs {
-		regs[i] = make([]int, p.Regs)
-	}
-	for _, part := range strings.Fields(outcome) {
-		var t, r, v int
-		if _, err := fmt.Sscanf(part, "T%d:r%d=%d", &t, &r, &v); err != nil {
-			return nil, false
-		}
-		if t < 0 || t >= len(regs) || r < 0 || r >= p.Regs {
-			return nil, false
-		}
-		regs[t][r] = v
-	}
-	return regs, true
-}
-
 // FindViolation explores p at delta and returns the lexically first
 // outcome witnessing a flag-principle violation, or "" if the
 // exhaustive set admits none. The error reports truncation (absence
@@ -162,12 +139,13 @@ func FindViolation(p mc.Program, delta, maxStates int) (string, error) {
 	return "", nil
 }
 
-// MachineWitness searches machine schedules for a run whose sampled
-// outcome witnesses the violation, making the artifact's replay recipe
+// MachineWitness searches machine schedules of p at sweep Δ delta for a
+// run whose sampled outcome satisfies witness, making a replay recipe
 // concrete end to end (checker admits it AND the machine exhibits it).
 // It tries the adversarial policy first — buffered stores living to the
-// bound is exactly the violation's mechanism — then random schedules.
-func MachineWitness(p mc.Program, delta int, seeds int) (MachineRun, string, bool) {
+// bound is exactly how a Δ violation shows — then random schedules,
+// seeds each (64 when seeds <= 0).
+func MachineWitness(p mc.Program, delta, seeds int, witness func(outcome string) bool) (MachineRun, string, bool) {
 	if seeds <= 0 {
 		seeds = 64
 	}
@@ -178,7 +156,7 @@ func MachineWitness(p mc.Program, delta int, seeds int) (MachineRun, string, boo
 			if err != nil {
 				continue
 			}
-			if FlagViolation(p, outcome) {
+			if witness(outcome) {
 				return run, outcome, true
 			}
 		}
@@ -217,7 +195,8 @@ func CheckPlanted(pl Planted, maxStates, maxAttempts int) (Artifact, error) {
 		ShrinkSteps:    sr.Steps,
 		ShrinkAttempts: sr.Attempts,
 	}
-	if run, _, found := MachineWitness(shrunk.Program, shrunk.Delta, 64); found {
+	flagged := func(o string) bool { return FlagViolation(shrunk.Program, o) }
+	if run, _, found := MachineWitness(shrunk.Program, shrunk.Delta, 64, flagged); found {
 		a.Policy = run.Policy.String()
 		a.MachSeed = run.Seed
 	}

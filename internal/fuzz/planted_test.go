@@ -2,8 +2,11 @@ package fuzz
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"tbtso/internal/obs"
 )
 
 // TestPlantedControls is the fuzzer's end-to-end validation: both
@@ -39,11 +42,11 @@ func TestPlantedControls(t *testing.T) {
 			}
 
 			// The artifact must survive serialization and still reproduce.
-			var buf bytes.Buffer
-			if err := a.WriteJSON(&buf); err != nil {
+			path := filepath.Join(t.TempDir(), pl.Name+".json")
+			if _, err := obs.WriteDoc(path, a); err != nil {
 				t.Fatal(err)
 			}
-			back, err := ReadArtifact(&buf)
+			back, err := ReadArtifact(path)
 			if err != nil {
 				t.Fatal(err)
 			}

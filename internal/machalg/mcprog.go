@@ -1,11 +1,6 @@
 package machalg
 
-import (
-	"fmt"
-	"strings"
-
-	"tbtso/internal/mc"
-)
+import "tbtso/internal/mc"
 
 // Model-checker program builders: straight-line mc.Program fragments of
 // the paper's fence-free algorithms, sized so the parallel explorer
@@ -50,11 +45,7 @@ func MCFFHP(rounds, readers, wait int) mc.Program {
 		}
 	}
 	threads = append(threads, rec)
-	regs := rounds * readers
-	if rounds > regs {
-		regs = rounds
-	}
-	return mc.Program{Threads: threads, Vars: rounds + readers, Regs: regs}
+	return mc.Program{Threads: threads, Vars: rounds + readers, Regs: max(rounds*readers, rounds)}
 }
 
 // MCFFHPMissed reports whether the outcome string witnesses a hazard
@@ -64,7 +55,7 @@ func MCFFHP(rounds, readers, wait int) mc.Program {
 // store never became visible to the scan — the reclaimer would free
 // the node the reader is using).
 func MCFFHPMissed(outcome string, rounds, readers int) bool {
-	regs := parseOutcome(outcome)
+	regs := mustParseOutcome(outcome, readers+1, max(rounds*readers, rounds))
 	for r := 0; r < rounds; r++ {
 		for k := 0; k < readers; k++ {
 			validated := regs[k][r] == 0
@@ -117,7 +108,7 @@ func MCFFBL(revokers, wait int) mc.Program {
 // on the fence-free fast path while some revoker concluded the owner
 // was absent.
 func MCFFBLOverlap(outcome string, revokers int) bool {
-	regs := parseOutcome(outcome)
+	regs := mustParseOutcome(outcome, revokers+1, 2)
 	if regs[0][0] != 0 {
 		return false // owner saw the flag and backed off
 	}
@@ -129,22 +120,13 @@ func MCFFBLOverlap(outcome string, revokers int) bool {
 	return false
 }
 
-// parseOutcome decodes the checker's canonical "T0:r0=1 T1:r0=0 ..."
-// outcome string into per-thread register values.
-func parseOutcome(outcome string) [][]int {
-	var regs [][]int
-	for _, part := range strings.Fields(outcome) {
-		var t, r, v int
-		if _, err := fmt.Sscanf(part, "T%d:r%d=%d", &t, &r, &v); err != nil {
-			panic("machalg: unparseable mc outcome " + outcome)
-		}
-		for len(regs) <= t {
-			regs = append(regs, nil)
-		}
-		for len(regs[t]) <= r {
-			regs[t] = append(regs[t], 0)
-		}
-		regs[t][r] = v
+// mustParseOutcome decodes an outcome of a fragment with the given
+// shape (mc.ParseOutcome). A property check must never read a garbled
+// outcome as "no violation", so a malformed one panics.
+func mustParseOutcome(outcome string, threads, regs int) [][]int {
+	out, ok := mc.ParseOutcome(outcome, threads, regs)
+	if !ok {
+		panic("machalg: unparseable mc outcome " + outcome)
 	}
-	return regs
+	return out
 }

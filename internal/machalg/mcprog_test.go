@@ -148,7 +148,7 @@ func TestFFBLRevocationExhaustiveScale(t *testing.T) {
 	// transferred bias word.
 	rebias := false
 	for o := range res.Outcomes {
-		if regs := parseOutcome(o); regs[0][1] == 2 {
+		if regs := mustParseOutcome(o, 5, 2); regs[0][1] == 2 {
 			rebias = true
 			break
 		}

@@ -232,6 +232,30 @@ func AppendOutcome(dst []byte, regs [][]int) []byte {
 	return dst
 }
 
+// ParseOutcome inverts FormatOutcome for a program of the given shape:
+// it returns the threads×regs register matrix the outcome names (a
+// register the outcome omits reads 0), or false when a token is not
+// "T<t>:r<r>=<v>" or names a thread or register outside the shape. It
+// never panics, so callers may feed it outcomes of programs whose shape
+// changed under them (shrinking does).
+func ParseOutcome(outcome string, threads, regs int) ([][]int, bool) {
+	out := make([][]int, threads)
+	for i := range out {
+		out[i] = make([]int, regs)
+	}
+	for _, tok := range strings.Fields(outcome) {
+		// The newline anchors the match: a token with trailing junk fails
+		// instead of parsing as its prefix.
+		var t, r, v int
+		if _, err := fmt.Sscanf(tok+"\n", "T%d:r%d=%d\n", &t, &r, &v); err != nil ||
+			t < 0 || t >= threads || r < 0 || r >= regs {
+			return nil, false
+		}
+		out[t][r] = v
+	}
+	return out, true
+}
+
 // outcomeString renders per-thread register files in the package's
 // canonical "T0:r0=1 T1:r0=0" form.
 func outcomeString(regs [][]int) string {

@@ -12,7 +12,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -447,7 +446,5 @@ func (r *Registry) WriteText(w io.Writer) {
 
 // WriteJSON renders the snapshot as a JSON array of metrics.
 func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return EncodeDoc(w, r.Snapshot())
 }

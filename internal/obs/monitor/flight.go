@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"tbtso/internal/obs"
 	"tbtso/internal/tso"
 )
 
@@ -269,10 +270,11 @@ type CampaignFlightDump struct {
 	Groups          []SeedGroup `json:"groups"`
 }
 
-// Dump writes the merged campaign flight artifact: seed-ordered
+// doc snapshots the merged campaign flight artifact: seed-ordered
 // retained groups plus prefix-wide totals.
-func (f *ShardedFlight) Dump(w io.Writer) error {
+func (f *ShardedFlight) doc() CampaignFlightDump {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	groups := f.groupsLocked()
 	doc := CampaignFlightDump{
 		Kind:            CampaignFlightKind,
@@ -282,33 +284,30 @@ func (f *ShardedFlight) Dump(w io.Writer) error {
 		DroppedSeeds:    (f.nextSeed - f.firstSeed) - int64(len(groups)),
 		TotalEvents:     f.totalEvents,
 		TotalViolations: f.totalViol,
+		Groups:          make([]SeedGroup, 0, len(groups)),
 	}
-	doc.Groups = make([]SeedGroup, 0, len(groups))
 	for _, g := range groups {
 		doc.Groups = append(doc.Groups, *g)
 	}
-	f.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return doc
 }
 
-// DumpToFile writes the artifact to dir/<name>.flight.json, creating
-// dir as needed, and returns the written path.
+// Dump writes the merged campaign flight artifact to w (the
+// /flightrecorder endpoint); DumpToFile writes the same bytes.
+func (f *ShardedFlight) Dump(w io.Writer) error {
+	return obs.EncodeDoc(w, f.doc())
+}
+
+// DumpToFile atomically writes the artifact to dir/<name>.flight.json
+// (obs.WriteDoc), creating dir as needed, and returns the written path.
+// A dump interrupted mid-write leaves no torn file behind.
 func (f *ShardedFlight) DumpToFile(dir, name string) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
 	path := filepath.Join(dir, name+".flight.json")
-	file, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := f.Dump(file); err != nil {
-		file.Close()
-		return "", err
-	}
-	return path, file.Close()
+	_, err := obs.WriteDoc(path, f.doc())
+	return path, err
 }
 
 // ReadCampaignFlightDump parses a flight artifact, rejecting documents

@@ -143,9 +143,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleViolations(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(map[string]any{"violations": s.violations()}) //nolint:errcheck
+	obs.EncodeDoc(w, map[string]any{"violations": s.violations()}) //nolint:errcheck
 }
 
 func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
@@ -155,9 +153,7 @@ func (s *Server) handleCoverage(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(snap) //nolint:errcheck
+	obs.EncodeDoc(w, snap) //nolint:errcheck
 }
 
 func (s *Server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
