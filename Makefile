@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint verify verify-cex test race check bench bench-guard bench-compare bench-sim mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos loc clean
+.PHONY: all build vet lint verify verify-cex test race check bench bench-guard bench-compare mc-bench sim-bench fuzz-smoke obs-smoke obs-report interrupt-smoke figures figures-quick demos loc clean
 
 all: build lint test
 
@@ -59,21 +59,14 @@ bench:
 bench-guard:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Figure-JSON regression gates: diff the committed baselines against
-# themselves (structure/codec sanity). Against a fresh run:
+# Figure-JSON regression gate: diff the committed baseline against
+# itself (structure/codec sanity). Against a fresh run:
 #   go run ./cmd/tbtso-bench -figure mc -json > new.json
 #   go run ./cmd/tbtso-bench -compare BENCH_mc.json new.json
-# (same for -figure sim and BENCH_sim.json). CI runs the mc one with
-# -compare.states 1.0 -compare.time 10: exact outcomes, no state growth.
+# CI runs that with -compare.states 1.0 -compare.time 10: exact
+# outcomes, no state growth.
 bench-compare:
 	$(GO) run ./cmd/tbtso-bench -compare BENCH_mc.json BENCH_mc.json
-	$(GO) run ./cmd/tbtso-bench -compare BENCH_sim.json BENCH_sim.json
-
-# Regenerate the simulator-throughput baseline (engine speedup + fuzz
-# worker scaling; docs/PERF.md).
-bench-sim:
-	$(GO) run ./cmd/tbtso-bench -figure sim -json > BENCH_sim.json
-	$(GO) run ./cmd/tbtso-bench -compare BENCH_sim.json BENCH_sim.json
 
 # Observability smoke: a short monitored litmus sweep with the live ops
 # endpoint up (the Prometheus scrape must show zero Δ-residency
@@ -102,9 +95,8 @@ interrupt-smoke:
 mc-bench:
 	$(GO) test -run '^$$' -bench BenchmarkExplore -benchtime=1x ./internal/mc
 
-# Machine execution-engine smoke benchmarks: the sim figure's cells as
-# testing.B benches (direct vs goroutine engine, campaign workers).
-# The committed baseline is BENCH_sim.json (tbtso-bench -figure sim -json).
+# Machine execution-engine smoke benchmarks: direct vs goroutine
+# engine and campaign worker scaling, one iteration each (docs/PERF.md).
 sim-bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine|BenchmarkCampaignWorkers' -benchtime=1x ./internal/bench
 

@@ -84,7 +84,6 @@ func run(args []string) (code int) {
 		fmt.Println("  rwlock   extension: passive RW lock vs sync.RWMutex")
 		fmt.Println("  machine6 abstract-machine lookup cost model (no-protection / FFHP / HP)")
 		fmt.Println("  mc       model-checker explorer engines: states, time, speedup (BENCH_mc.json)")
-		fmt.Println("  sim      machine execution engines + campaign worker scaling: ops/s, runs/s (BENCH_sim.json)")
 		fmt.Println("  sizing   §4.2.1 retirement-rate and R sizing numbers")
 		fmt.Println("  all      4, 5, bailout, 6, 7, 8, sizing")
 		return 0
@@ -199,8 +198,6 @@ func run(args []string) (code int) {
 			emit(bench.MachineCost(o))
 		case "mc":
 			emit(bench.MCExplorer(o))
-		case "sim":
-			emit(bench.Sim(o))
 		default:
 			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
 			return false

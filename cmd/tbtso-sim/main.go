@@ -155,7 +155,6 @@ func run(args []string) (code int) {
 			outcome, tr, err := litmus.OnceTraced(t, tso.Config{
 				Delta:  d,
 				Policy: tso.DrainAdversarial,
-				Trace:  *trace,
 				Sinks:  traceSinks,
 			})
 			if err != nil {
@@ -163,8 +162,10 @@ func run(args []string) (code int) {
 				continue
 			}
 			fmt.Printf("  trace (seed 0, adversarial): outcome %s\n", outcome)
-			for _, e := range tr {
-				fmt.Printf("    %s\n", e)
+			if *trace {
+				for _, e := range tr {
+					fmt.Printf("    %s\n", e)
+				}
 			}
 			fmt.Println()
 		}

@@ -154,7 +154,7 @@ func run(args []string) (code int) {
 			prior = prog.Lookup(p)
 			sess.Registry.Counter("verify.resume.skipped_cells").Add(uint64(len(prior)))
 		}
-		rep, done, err := extract.CertifyCtx(ctx, p, opt, prior)
+		rep, done, err := extract.Certify(ctx, p, opt, prior)
 		if prog != nil && len(done) > 0 {
 			prog.Record(p, done)
 		}

@@ -51,7 +51,7 @@ func main() {
 
 	fmt.Println("=== one adversarial TSO execution, traced ===")
 	out, trace, err := litmus.OnceTraced(litmus.StoreBuffering(false), tso.Config{
-		Policy: tso.DrainAdversarial, Seed: 0, Trace: true,
+		Policy: tso.DrainAdversarial, Seed: 0,
 	})
 	if err != nil {
 		fmt.Println("error:", err)

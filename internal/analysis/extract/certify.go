@@ -166,22 +166,16 @@ func (r *Report) Ok() bool {
 
 // Certify explores the pair across the Δ sweep and issues its verdict.
 // It fails (no certificate) only on exploration errors — a state-budget
-// truncation or an unassembled pair.
-func Certify(p *Pair, opt Options) (*Report, error) {
-	rep, _, err := CertifyCtx(nil, p, opt, nil)
-	return rep, err
-}
-
-// CertifyCtx is Certify with interruption and resume semantics. The
-// sweep runs in a fixed order — Δ=0, then 1..MaxDelta — and each
-// completed cell is appended to the returned progress slice (index i
-// holds Δ=i). prior is progress from an earlier, interrupted run of the
-// SAME pair under the SAME options (see SweepProgress, which guards
-// both): those cells are reused instead of re-explored, so a resumed
-// sweep re-certifies only the unfinished (pair, Δ) cells. On
-// cancellation the partial progress comes back with a nil Report and an
-// error satisfying errors.Is(err, mc.ErrInterrupted).
-func CertifyCtx(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Report, []SweepPoint, error) {
+// truncation or an unassembled pair — or on cancellation of ctx, which
+// may be nil. The sweep runs in a fixed order — Δ=0, then 1..MaxDelta
+// — and each completed cell is appended to the returned progress slice
+// (index i holds Δ=i). prior is progress from an earlier, interrupted
+// run of the SAME pair under the SAME options (see SweepProgress, which
+// guards both): those cells are reused instead of re-explored, so a
+// resumed sweep re-certifies only the unfinished (pair, Δ) cells. On
+// cancellation the partial progress comes back with a nil Report and
+// an error satisfying errors.Is(err, mc.ErrInterrupted).
+func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Report, []SweepPoint, error) {
 	if p.Failed {
 		return nil, nil, fmt.Errorf("pair %s failed extraction; see diagnostics", p.Name)
 	}

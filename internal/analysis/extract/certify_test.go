@@ -19,7 +19,7 @@ func TestCertifyRealPairs(t *testing.T) {
 	}
 	for name, status := range want {
 		p := pairByName(t, ex, name)
-		rep, err := Certify(p, Options{MachSeeds: 8})
+		rep, _, err := Certify(nil, p, Options{MachSeeds: 8}, nil)
 		if err != nil {
 			t.Errorf("certify %s: %v", name, err)
 			continue
@@ -70,7 +70,7 @@ func TestCertifySymmetry(t *testing.T) {
 	if p.Copies != 2 || p.Threads() != 3 {
 		t.Fatalf("ffbl-mach: copies=%d threads=%d, want 2/3", p.Copies, p.Threads())
 	}
-	rep, err := Certify(p, Options{MachSeeds: 1})
+	rep, _, err := Certify(nil, p, Options{MachSeeds: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	ex := Extract(load(t, "internal/analysis/extract/testdata/src/pairs"))
 
 	for _, name := range []string{"sb", "sb-shared"} {
-		rep, err := Certify(pairByName(t, ex, name), Options{MachSeeds: 1})
+		rep, _, err := Certify(nil, pairByName(t, ex, name), Options{MachSeeds: 1}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	}
 
 	short := pairByName(t, ex, "sb-shortwait")
-	rep, err := Certify(short, Options{MaxDelta: 10, MachSeeds: 8})
+	rep, _, err := Certify(nil, short, Options{MaxDelta: 10, MachSeeds: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	}
 
 	tso := pairByName(t, ex, "sb-tso")
-	rep, err = Certify(tso, Options{MachSeeds: 8})
+	rep, _, err = Certify(nil, tso, Options{MachSeeds: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 func TestCounterexampleRoundTrip(t *testing.T) {
 	ex := Extract(load(t, "internal/analysis/extract/testdata/src/pairs"))
 	p := pairByName(t, ex, "sb-tso")
-	rep, err := Certify(p, Options{MachSeeds: 32})
+	rep, _, err := Certify(nil, p, Options{MachSeeds: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

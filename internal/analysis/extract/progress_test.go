@@ -11,15 +11,15 @@ import (
 	"tbtso/internal/obs"
 )
 
-// TestCertifyCtxResume: interrupt a sweep, persist the completed cells,
+// TestCertifyResume: interrupt a sweep, persist the completed cells,
 // resume from them — the resumed run must reuse every recorded cell and
 // produce the same certificate as an uninterrupted run.
-func TestCertifyCtxResume(t *testing.T) {
+func TestCertifyResume(t *testing.T) {
 	ex := Extract(load(t, "internal/smr"))
 	p := pairByName(t, ex, "ffhp")
 	opt := Options{MachSeeds: 4}
 
-	full, fullDone, err := CertifyCtx(nil, p, opt, nil)
+	full, fullDone, err := Certify(nil, p, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,18 +31,18 @@ func TestCertifyCtxResume(t *testing.T) {
 	// typed.
 	gone, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, done, err := CertifyCtx(gone, p, opt, nil)
+	rep, done, err := Certify(gone, p, opt, nil)
 	if rep != nil || len(done) != 0 {
-		t.Fatalf("pre-cancelled CertifyCtx did work: rep=%v cells=%d", rep, len(done))
+		t.Fatalf("pre-cancelled Certify did work: rep=%v cells=%d", rep, len(done))
 	}
 	if !errors.Is(err, mc.ErrInterrupted) {
-		t.Fatalf("pre-cancelled CertifyCtx: err=%v, want ErrInterrupted", err)
+		t.Fatalf("pre-cancelled Certify: err=%v, want ErrInterrupted", err)
 	}
 
 	// Prior cells short-circuit exploration: with the full sweep as
 	// prior, even a cancelled context certifies (nothing left to run),
 	// and the certificate matches the uninterrupted one.
-	rep2, done2, err := CertifyCtx(gone, p, opt, fullDone)
+	rep2, done2, err := Certify(gone, p, opt, fullDone)
 	if err != nil {
 		t.Fatalf("resume with complete prior: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestCertifyCtxResume(t *testing.T) {
 
 	// Partial prior: the missing suffix is recomputed and the verdict
 	// still matches.
-	rep3, done3, err := CertifyCtx(nil, p, opt, fullDone[:2])
+	rep3, done3, err := Certify(nil, p, opt, fullDone[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,8 @@ func TestCertifyCtxResume(t *testing.T) {
 
 	// A corrupt prior (cells shifted) is detected, not trusted.
 	bad := []SweepPoint{fullDone[1]}
-	if _, _, err := CertifyCtx(nil, p, opt, bad); err == nil {
-		t.Error("CertifyCtx accepted a Δ-shifted prior")
+	if _, _, err := Certify(nil, p, opt, bad); err == nil {
+		t.Error("Certify accepted a Δ-shifted prior")
 	}
 }
 
@@ -77,7 +77,7 @@ func TestSweepProgressRoundTrip(t *testing.T) {
 	p := pairByName(t, ex, "ffhp")
 	opt := Options{MachSeeds: 4}
 
-	_, done, err := CertifyCtx(nil, p, opt, nil)
+	_, done, err := Certify(nil, p, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,8 +84,6 @@ var metricColumns = map[string]bool{
 	"time":     true,
 	"states/s": true,
 	"speedup":  true,
-	"ops/s":    true, // sim figure: machine actions per second
-	"runs/s":   true, // sim figure: whole program executions per second
 }
 
 // Interrupted returns the titles of figures the document itself marks

@@ -18,7 +18,6 @@ func TestFiguresInterruptible(t *testing.T) {
 		"machine": func(o Options) int { return len(MachineCost(o).Rows()) },
 		"bailout": func(o Options) int { return len(Bailout(o).Rows()) },
 		"mc":      func(o Options) int { return len(MCExplorer(o).Rows()) },
-		"sim":     func(o Options) int { return len(Sim(o).Rows()) },
 	}
 	for name, run := range figures {
 		if n := run(Options{Quick: true, Context: gone}); n != 0 {

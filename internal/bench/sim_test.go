@@ -5,16 +5,29 @@ import (
 	"testing"
 
 	"tbtso/internal/fuzz"
+	"tbtso/internal/mc"
 	"tbtso/internal/tso"
 )
 
-// The testing.B forms of the sim figure's cells, for benchstat use:
+// The clocked machine's two execution engines and the parallel
+// campaign driver, for benchstat use (make sim-bench runs each once):
 //
-//	go test -bench 'BenchmarkEngine' -count 10 ./internal/bench | benchstat -
+//	go test -bench 'BenchmarkEngine|BenchmarkCampaignWorkers' -count 10 ./internal/bench | benchstat -
 //
-// BenchmarkEngineDirect vs BenchmarkEngineGoroutine is the figure's
-// speedup column; both run the same fuzz.Gen corpus under the same
+// BenchmarkEngineDirect vs BenchmarkEngineGoroutine is the engine
+// speedup; both run the same fuzz.Gen corpus under the same
 // (Δ, policy, seed) cells, so ns/op is directly comparable.
+
+// simCorpus is the workload the engine benches run: a deterministic
+// slice of the fuzz generator's program distribution (the same
+// litmus-scale shapes campaigns sample).
+func simCorpus(n int) []mc.Program {
+	ps := make([]mc.Program, n)
+	for i := range ps {
+		ps[i] = fuzz.Gen(fuzz.GenConfig{}, int64(i+1))
+	}
+	return ps
+}
 
 func benchCorpus() []fuzz.MachineRun {
 	runs := make([]fuzz.MachineRun, 0, 3)

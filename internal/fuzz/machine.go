@@ -73,8 +73,8 @@ func machineConfig(run MachineRun, sinks []tso.Sink) tso.Config {
 // of a campaign. A Sampler executes checker programs on the machine's
 // direct-execution engine (tso.ExecProgram) — no goroutines, no
 // channels, zero steady-state allocation — and is the hot path of
-// fuzz campaigns and the sim benchmark figure. Not safe for concurrent
-// use; the parallel campaign driver gives each worker its own.
+// fuzz campaigns. Not safe for concurrent use; the parallel campaign
+// driver gives each worker its own.
 type Sampler struct {
 	m    *tso.Machine
 	prog tso.Prog
@@ -184,10 +184,6 @@ func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error)
 	s.buf = mc.AppendOutcome(s.buf[:0], s.ints[:len(p.Threads)])
 	return string(s.buf), res, nil
 }
-
-// Trace returns the last run's execution trace (empty unless its
-// configuration set Trace).
-func (s *Sampler) Trace() []tso.Event { return s.m.Trace() }
 
 // RunOnMachine executes p once on the clocked abstract machine under
 // run's configuration and returns the outcome in the checker's

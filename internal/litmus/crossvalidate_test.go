@@ -93,13 +93,16 @@ func TestEnginesAgreeOnLitmusPrograms(t *testing.T) {
 	for _, test := range All(crossWait) {
 		t.Run(test.Name, func(t *testing.T) {
 			for _, delta := range []int{0, 1, 3, 8} {
-				want := mc.ExploreSequential(test.Prog, delta).List()
+				want, err := mc.ExploreSequentialBounded(test.Prog, delta, mc.DefaultMaxStates)
+				if err != nil {
+					t.Fatalf("Δ=%d: %v", delta, err)
+				}
 				got, err := mc.ExploreParallel(test.Prog, delta, mc.Options{})
 				if err != nil {
 					t.Fatalf("Δ=%d: %v", delta, err)
 				}
-				if !slices.Equal(got.List(), want) {
-					t.Errorf("Δ=%d: engines disagree: parallel %v, sequential %v", delta, got.List(), want)
+				if !slices.Equal(got.List(), want.List()) {
+					t.Errorf("Δ=%d: engines disagree: parallel %v, sequential %v", delta, got.List(), want.List())
 				}
 			}
 		})

@@ -26,7 +26,6 @@ func ExampleOnceTraced() {
 	out, trace, err := litmus.OnceTraced(litmus.StoreBuffering(false), tso.Config{
 		Policy: tso.DrainAdversarial,
 		Seed:   0,
-		Trace:  true,
 	})
 	if err != nil {
 		fmt.Println("error:", err)

@@ -41,8 +41,10 @@ func TestGoldenOutcomeSets(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := map[string]func(mc.Program, int) (mc.Result, error){
-		"sequential": func(p mc.Program, d int) (mc.Result, error) { return mc.ExploreSequential(p, d), nil },
-		"parallel":   func(p mc.Program, d int) (mc.Result, error) { return mc.ExploreParallel(p, d, mc.Options{}) },
+		"sequential": func(p mc.Program, d int) (mc.Result, error) {
+			return mc.ExploreSequentialBounded(p, d, mc.DefaultMaxStates)
+		},
+		"parallel": func(p mc.Program, d int) (mc.Result, error) { return mc.ExploreParallel(p, d, mc.Options{}) },
 	}
 	for name, explore := range engines {
 		got, err := renderSets(explore)

@@ -97,11 +97,13 @@ func (r Report) String() string {
 }
 
 // OnceTraced executes a single run of the test and returns its outcome
-// and, when cfg.Trace is set, the machine's execution trace.
+// and the machine's execution trace, recorded by a tso.Recorder
+// attached after cfg.Sinks.
 func OnceTraced(t Test, cfg tso.Config) (string, []tso.Event, error) {
-	s := fuzz.NewSampler()
-	out, _, err := s.Exec(t.Prog, cfg)
-	return out, s.Trace(), err
+	rec := &tso.Recorder{}
+	cfg.Sinks = append(slices.Clip(cfg.Sinks), rec)
+	out, _, err := fuzz.NewSampler().Exec(t.Prog, cfg)
+	return out, rec.Events, err
 }
 
 // Run explores the test across seeds and policies and aggregates the

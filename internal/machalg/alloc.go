@@ -23,9 +23,9 @@ const (
 )
 
 // Violation records a memory-safety violation detected by the
-// allocator's machine monitor.
+// allocator's machine sink.
 type Violation struct {
-	Kind   string // "load", "store", "commit"
+	Kind   string // "load", "store", "commit", "rmw" (the event kind) or "free"
 	Thread int
 	Addr   tso.Addr
 	Tick   uint64
@@ -36,14 +36,14 @@ func (v Violation) String() string {
 }
 
 // Allocator is a fixed-pool object allocator for machine memory with
-// use-after-free detection. It implements tso.Monitor: any load from,
-// store to, or store-buffer commit into a freed object is recorded as a
+// use-after-free detection. It is a tso.Sink: any load from, store to,
+// RMW on, or store-buffer commit into a freed object is recorded as a
 // violation. This is the machine-level analogue of the poisoned arena
 // the native code uses — it makes misreclamation observable.
 //
-// Alloc and Free are called from thread goroutines while the monitor
-// callbacks run on the machine's scheduler goroutine, so all metadata
-// is mutex-protected.
+// Alloc and Free are called from thread goroutines while Emit runs on
+// the machine's scheduler goroutine, so all metadata is
+// mutex-protected.
 type Allocator struct {
 	mu       sync.Mutex
 	base     tso.Addr
@@ -56,8 +56,8 @@ type Allocator struct {
 }
 
 // NewAllocator reserves capacity objects of objWords words each from
-// the machine's memory and returns the allocator. It installs itself as
-// the machine's Monitor so violations are detected automatically.
+// the machine's memory and returns the allocator. It attaches itself as
+// a sink of the machine so violations are detected automatically.
 func NewAllocator(m *tso.Machine, capacity, objWords int) *Allocator {
 	a := &Allocator{
 		base:     m.AllocWords(capacity * objWords),
@@ -70,7 +70,7 @@ func NewAllocator(m *tso.Machine, capacity, objWords int) *Allocator {
 	for i := capacity - 1; i >= 0; i-- {
 		a.free = append(a.free, i)
 	}
-	m.SetMonitor(a)
+	m.AttachSink(a)
 	return a
 }
 
@@ -117,41 +117,23 @@ func (a *Allocator) index(addr tso.Addr) (int, bool) {
 	return idx, true
 }
 
-func (a *Allocator) check(kind string, thread int, addr tso.Addr, tick uint64) {
+// Emit implements tso.Sink. A commit into a freed object means a
+// buffered store outlived the object — the precise hazard the Δ bound
+// exists to prevent. Fences, and loads forwarded from the thread's own
+// buffer, touch no memory and are not checked.
+func (a *Allocator) Emit(e tso.Event) {
+	if e.Kind == tso.EvFence || e.Kind == tso.EvLoad && e.FromBuf {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	idx, ok := a.index(addr)
+	idx, ok := a.index(e.Addr)
 	if !ok {
 		return // not allocator-managed memory
 	}
 	if a.state[idx] == objFree {
-		a.viol = append(a.viol, Violation{Kind: kind, Thread: thread, Addr: addr, Tick: tick})
+		a.viol = append(a.viol, Violation{Kind: e.Kind.String(), Thread: e.Thread, Addr: e.Addr, Tick: e.Tick})
 	}
-}
-
-// StoreEnqueued implements tso.Monitor.
-func (a *Allocator) StoreEnqueued(thread int, addr tso.Addr, _ tso.Word, tick uint64) {
-	a.check("store", thread, addr, tick)
-}
-
-// StoreCommitted implements tso.Monitor. A commit into a freed object
-// means a buffered store outlived the object — the precise hazard the
-// Δ bound exists to prevent.
-func (a *Allocator) StoreCommitted(thread int, addr tso.Addr, _ tso.Word, _ uint64, tick uint64) {
-	a.check("commit", thread, addr, tick)
-}
-
-// LoadSatisfied implements tso.Monitor.
-func (a *Allocator) LoadSatisfied(thread int, addr tso.Addr, _ tso.Word, fromBuffer bool, tick uint64) {
-	if fromBuffer {
-		return // forwarded from the thread's own buffer; no memory touch
-	}
-	a.check("load", thread, addr, tick)
-}
-
-// RMWExecuted implements tso.Monitor.
-func (a *Allocator) RMWExecuted(thread int, addr tso.Addr, _, _ tso.Word, tick uint64) {
-	a.check("rmw", thread, addr, tick)
 }
 
 // Violations returns the recorded memory-safety violations.

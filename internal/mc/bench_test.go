@@ -67,7 +67,7 @@ func benchExplore(b *testing.B, run func(p Program, delta int) Result) {
 // BenchmarkExploreSequential is the reference explorer — the perf
 // baseline every optimization PR is measured against.
 func BenchmarkExploreSequential(b *testing.B) {
-	benchExplore(b, ExploreSequential)
+	benchExplore(b, func(p Program, delta int) Result { return sequential(b, p, delta) })
 }
 
 // BenchmarkExploreParallel is the production engine with all

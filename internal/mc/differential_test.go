@@ -78,7 +78,7 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 	for seed := int64(0); seed < seeds; seed++ {
 		p := genProgram(seed)
 		delta := deltas[seed%int64(len(deltas))]
-		want := ExploreSequential(p, delta)
+		want := sequential(t, p, delta)
 		for _, cfg := range configs {
 			got, err := ExploreParallel(p, delta, cfg.opts)
 			if err != nil {
@@ -149,7 +149,7 @@ func TestDifferentialStateCountsShrink(t *testing.T) {
 		if seed >= 40 {
 			delta = 2*len(p.Threads) + 2
 		}
-		ref := ExploreSequential(p, delta)
+		ref := sequential(t, p, delta)
 		bare, err := ExploreParallel(p, delta, Options{NoReduction: true, NoSymmetry: true})
 		if err != nil {
 			t.Fatal(err)

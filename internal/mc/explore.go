@@ -185,7 +185,7 @@ type counts struct {
 // ExploreParallel explores p under TBTSO[Δ] with a work-stealing
 // frontier of Options.Workers goroutines over the compact state
 // encoding, applying the reductions of reduce.go. The outcome set is
-// deterministic (identical to ExploreSequential's) regardless of
+// deterministic (identical to ExploreSequentialBounded's) regardless of
 // worker count or schedule; States/Transitions are deterministic for a
 // completed exploration. On budget exhaustion it returns the partial
 // Result and a *TruncatedError; on Options.Context cancellation it

@@ -16,13 +16,13 @@
 // such entries — the temporal bound as a scheduling constraint, exactly
 // the admissibility condition of §2. Δ = 0 means unbounded (plain TSO).
 //
-// Two engines share the model. ExploreSequential (reference.go) is the
-// original recursive DFS, memoized on a plain-text state key built with
-// strconv, kept as the independent oracle. Explore/ExploreBounded/ExploreParallel (explore.go) run a
-// work-stealing frontier over a compact binary state encoding with a
-// sharded visited set and sound reductions (terminal collapse,
-// partial order, symmetry and age-horizon erasure) — the same outcome
-// sets. With two workers on a 2-vCPU VM it explores about 1.1 M
+// Two engines share the model. ExploreSequentialBounded (reference.go)
+// is the original recursive DFS, memoized on a plain-text state key
+// built with strconv, kept as the independent oracle. ExploreParallel
+// (explore.go), and Explore on top of it, run a work-stealing frontier
+// over a compact binary state encoding with a sharded visited set and
+// sound reductions (terminal collapse, partial order, symmetry and
+// age-horizon erasure) — the same outcome sets. With two workers on a 2-vCPU VM it explores about 1.1 M
 // states/s at Ring4 scale, 1.0–2.2× the reference, and the reductions
 // can halve the states; on litmus-sized programs fixed setup dominates
 // and it is no faster than the reference (BENCH_mc.json). See
@@ -270,21 +270,12 @@ const DefaultMaxStates = 2_000_000
 // Explore exhaustively enumerates all executions of p under TBTSO with
 // the given drain bound Δ in transitions (0 = plain TSO, unbounded).
 // It panics — naming the program shape and the states visited — if the
-// state space exceeds DefaultMaxStates; use ExploreBounded to handle
-// truncation explicitly.
+// state space exceeds DefaultMaxStates; use ExploreParallel with
+// Options.MaxStates to handle truncation explicitly.
 func Explore(p Program, delta int) Result {
 	res, err := ExploreParallel(p, delta, Options{})
 	if err != nil {
 		panic(err.Error())
 	}
 	return res
-}
-
-// ExploreBounded is Explore with an explicit state budget. On
-// truncation it returns the partial Result (Outcomes is a subset and
-// absence proves nothing) together with a *TruncatedError describing
-// the budget, the states visited and the program shape; match it with
-// errors.Is(err, ErrTruncated) or errors.As.
-func ExploreBounded(p Program, delta, maxStates int) (Result, error) {
-	return ExploreParallel(p, delta, Options{MaxStates: maxStates})
 }

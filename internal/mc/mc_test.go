@@ -185,8 +185,8 @@ func TestStateCountsReported(t *testing.T) {
 	}
 }
 
-func TestExploreBoundedTruncates(t *testing.T) {
-	res, err := ExploreBounded(sb(false), 0, 5)
+func TestExploreBudgetTruncates(t *testing.T) {
+	res, err := ExploreParallel(sb(false), 0, Options{MaxStates: 5})
 	if err == nil {
 		t.Fatal("a 5-state budget cannot complete SB")
 	}
@@ -206,7 +206,7 @@ func TestExploreBoundedTruncates(t *testing.T) {
 	if res.States != 5 {
 		t.Fatalf("states = %d, want exactly the budget", res.States)
 	}
-	res, err = ExploreBounded(sb(false), 0, DefaultMaxStates)
+	res, err = ExploreParallel(sb(false), 0, Options{MaxStates: DefaultMaxStates})
 	if err != nil || len(res.Outcomes) != 4 {
 		t.Fatalf("full budget: err=%v outcomes=%d", err, len(res.Outcomes))
 	}

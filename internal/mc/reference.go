@@ -63,23 +63,13 @@ func (s *state) cloneInto(dst *state) {
 	}
 }
 
-// ExploreSequential is the reference explorer: single-threaded DFS with
-// no reduction, enumerating every interleaving and drain schedule. It
-// panics if the state space exceeds DefaultMaxStates. The parallel
-// engine must produce exactly this outcome set (its States count is
-// smaller when reductions collapse equivalent schedules).
-func ExploreSequential(p Program, delta int) Result {
-	res, err := ExploreSequentialBounded(p, delta, DefaultMaxStates)
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-// ExploreSequentialBounded is ExploreSequential with an explicit state
-// budget of distinct states (a budget equal to the full count
-// completes); a non-nil error is a *TruncatedError and res holds the
-// partial outcome set (absence proves nothing).
+// ExploreSequentialBounded is the reference explorer: single-threaded
+// DFS with no reduction, enumerating every interleaving and drain
+// schedule. The parallel engine must produce exactly this outcome set
+// (its States count is smaller when reductions collapse equivalent
+// schedules). maxStates budgets distinct states (a budget equal to the
+// full count completes); a non-nil error is a *TruncatedError and res
+// holds the partial outcome set (absence proves nothing).
 func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err error) {
 	if len(p.Threads) == 0 {
 		return Result{Outcomes: map[string]bool{"": true}, States: 1}, nil

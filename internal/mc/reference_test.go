@@ -69,12 +69,23 @@ func TestAppendKeyMatchesFmt(t *testing.T) {
 	}
 }
 
+// sequential runs the reference explorer under the default budget and
+// fails tb on truncation.
+func sequential(tb testing.TB, p Program, delta int) Result {
+	tb.Helper()
+	res, err := ExploreSequentialBounded(p, delta, DefaultMaxStates)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // TestSequentialExactBudget: a budget equal to the full state count
 // completes; one below it truncates with States == MaxStates.
 func TestSequentialExactBudget(t *testing.T) {
 	for _, p := range []Program{sb(false), iriwProg()} {
 		for _, delta := range []int{0, 2} {
-			full := ExploreSequential(p, delta)
+			full := sequential(t, p, delta)
 			res, err := ExploreSequentialBounded(p, delta, full.States)
 			if err != nil || res.States != full.States || len(res.Outcomes) != len(full.Outcomes) {
 				t.Fatalf("Δ=%d budget %d: states=%d outcomes=%d err=%v, want complete",
@@ -93,13 +104,13 @@ func TestSequentialExactBudget(t *testing.T) {
 // key per novel state plus map growth, outcome strings and per-depth
 // scratch, never a state clone per transition.
 func TestSequentialAllocs(t *testing.T) {
-	sbAllocs := testing.AllocsPerRun(20, func() { ExploreSequential(sb(false), 0) })
+	sbAllocs := testing.AllocsPerRun(20, func() { sequential(t, sb(false), 0) })
 	if sbAllocs > 200 {
 		t.Errorf("SB Δ=0: %.0f allocs, want ≤ 200", sbAllocs)
 	}
 	iriw := iriwProg()
-	states := ExploreSequential(iriw, 0).States
-	perState := testing.AllocsPerRun(5, func() { ExploreSequential(iriw, 0) }) / float64(states)
+	states := sequential(t, iriw, 0).States
+	perState := testing.AllocsPerRun(5, func() { sequential(t, iriw, 0) }) / float64(states)
 	if perState > 3 {
 		t.Errorf("IRIW Δ=0: %.2f allocs/state, want ≤ 3", perState)
 	}

@@ -10,7 +10,8 @@ import "fmt"
 //     matches store order);
 //   - every commit writes the value of the oldest pending store;
 //   - every load returns either the newest pending (uncommitted) store
-//     of its own thread to that address, or the current memory value;
+//     of its own thread to that address, or the current memory value,
+//     and is marked FromBuf exactly in the first case;
 //   - RMWs read-modify-write memory only when the issuing thread has
 //     no pending stores;
 //   - fences complete only with an empty buffer;
@@ -51,19 +52,20 @@ func CheckTrace(events []Event, threads int, delta uint64) error {
 			bufs[e.Thread] = buf[1:]
 
 		case EvLoad:
-			// Newest pending store to the address wins; else memory.
-			forwarded := false
-			for j := len(buf) - 1; j >= 0; j-- {
-				if buf[j].addr == e.Addr {
-					if buf[j].val != e.Val {
-						return fmt.Errorf("event %d: load [%d]=%d but newest pending store has %d",
-							i, e.Addr, e.Val, buf[j].val)
-					}
-					forwarded = true
-					break
-				}
+			// Newest pending store to the address wins, and only then is
+			// the load marked forwarded; else memory.
+			j := len(buf) - 1
+			for j >= 0 && buf[j].addr != e.Addr {
+				j--
 			}
-			if !forwarded && mem[e.Addr] != e.Val {
+			if e.FromBuf != (j >= 0) {
+				return fmt.Errorf("event %d: load [%d] has FromBuf=%v, want %v", i, e.Addr, e.FromBuf, j >= 0)
+			}
+			if j >= 0 && buf[j].val != e.Val {
+				return fmt.Errorf("event %d: load [%d]=%d but newest pending store has %d",
+					i, e.Addr, e.Val, buf[j].val)
+			}
+			if j < 0 && mem[e.Addr] != e.Val {
 				return fmt.Errorf("event %d: load [%d]=%d but memory has %d",
 					i, e.Addr, e.Val, mem[e.Addr])
 			}

@@ -11,7 +11,8 @@ import (
 // trace with the independent oracle.
 func runRandomProgram(t *testing.T, seed int64, policy DrainPolicy, delta uint64, threads int) {
 	t.Helper()
-	m := New(Config{Delta: delta, Policy: policy, Seed: seed, Trace: true, MaxTicks: 500_000})
+	rec := &Recorder{}
+	m := New(Config{Delta: delta, Policy: policy, Seed: seed, MaxTicks: 500_000, Sinks: []Sink{rec}})
 	base := m.AllocWords(8)
 	for i := 0; i < threads; i++ {
 		progSeed := seed*977 + int64(i)
@@ -38,7 +39,7 @@ func runRandomProgram(t *testing.T, seed int64, policy DrainPolicy, delta uint64
 	if res.Err != nil {
 		t.Fatalf("seed=%d policy=%v Δ=%d: run: %v", seed, policy, delta, res.Err)
 	}
-	if err := CheckTrace(m.Trace(), threads, delta); err != nil {
+	if err := CheckTrace(rec.Events, threads, delta); err != nil {
 		t.Fatalf("seed=%d policy=%v Δ=%d: oracle rejected trace: %v", seed, policy, delta, err)
 	}
 }
@@ -57,7 +58,8 @@ func TestQuickRandomProgramsSatisfyOracle(t *testing.T) {
 	f := func(seed int64, policyRaw, threadsRaw uint8) bool {
 		policy := DrainPolicy(int(policyRaw) % 3)
 		threads := int(threadsRaw)%3 + 1
-		m := New(Config{Delta: 90, Policy: policy, Seed: seed, Trace: true, MaxTicks: 500_000})
+		rec := &Recorder{}
+		m := New(Config{Delta: 90, Policy: policy, Seed: seed, MaxTicks: 500_000, Sinks: []Sink{rec}})
 		base := m.AllocWords(4)
 		for i := 0; i < threads; i++ {
 			progSeed := seed ^ int64(i)<<32
@@ -79,7 +81,7 @@ func TestQuickRandomProgramsSatisfyOracle(t *testing.T) {
 		if res := m.Run(); res.Err != nil {
 			return false
 		}
-		return CheckTrace(m.Trace(), threads, 90) == nil
+		return CheckTrace(rec.Events, threads, 90) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -104,11 +106,18 @@ func TestOracleRejectsBadTraces(t *testing.T) {
 		}},
 		{"stale load ignoring forwarding", []Event{
 			{Tick: 1, Thread: 0, Kind: EvStore, Addr: 1, Val: 5},
-			{Tick: 2, Thread: 0, Kind: EvLoad, Addr: 1, Val: 0},
+			{Tick: 2, Thread: 0, Kind: EvLoad, Addr: 1, Val: 0, FromBuf: true},
 		}},
 		{"fence with pending stores", []Event{
 			{Tick: 1, Thread: 0, Kind: EvStore, Addr: 1, Val: 5},
 			{Tick: 2, Thread: 0, Kind: EvFence},
+		}},
+		{"forwarded load with an empty buffer", []Event{
+			{Tick: 1, Thread: 0, Kind: EvLoad, Addr: 1, Val: 0, FromBuf: true},
+		}},
+		{"forwarded load not marked", []Event{
+			{Tick: 1, Thread: 0, Kind: EvStore, Addr: 1, Val: 5},
+			{Tick: 2, Thread: 0, Kind: EvLoad, Addr: 1, Val: 5},
 		}},
 		{"rmw with pending stores", []Event{
 			{Tick: 1, Thread: 0, Kind: EvStore, Addr: 1, Val: 5},

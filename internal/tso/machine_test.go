@@ -1,49 +1,10 @@
 package tso
 
-import (
-	"sync"
-	"testing"
-)
-
-// recordingMonitor captures monitor callbacks for verification.
-type recordingMonitor struct {
-	mu        sync.Mutex
-	enqueued  int
-	committed int
-	loads     int
-	rmws      int
-	lastEnq   uint64
-}
-
-func (r *recordingMonitor) StoreEnqueued(_ int, _ Addr, _ Word, tick uint64) {
-	r.mu.Lock()
-	r.enqueued++
-	r.lastEnq = tick
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) StoreCommitted(_ int, _ Addr, _ Word, enq, tick uint64) {
-	r.mu.Lock()
-	r.committed++
-	if tick < enq {
-		panic("commit before enqueue")
-	}
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) LoadSatisfied(_ int, _ Addr, _ Word, _ bool, _ uint64) {
-	r.mu.Lock()
-	r.loads++
-	r.mu.Unlock()
-}
-func (r *recordingMonitor) RMWExecuted(_ int, _ Addr, _, _ Word, _ uint64) {
-	r.mu.Lock()
-	r.rmws++
-	r.mu.Unlock()
-}
+import "testing"
 
 func TestMonitorSeesAllTraffic(t *testing.T) {
-	mon := &recordingMonitor{}
-	m := New(Config{Policy: DrainEager, Seed: 1})
-	m.SetMonitor(mon)
+	rec := &Recorder{}
+	m := New(Config{Policy: DrainEager, Seed: 1, Sinks: []Sink{rec}})
 	a := m.AllocWords(2)
 	m.Spawn("w", func(th *Thread) {
 		th.Store(a, 1)
@@ -55,11 +16,18 @@ func TestMonitorSeesAllTraffic(t *testing.T) {
 	if res := m.Run(); res.Err != nil {
 		t.Fatalf("run: %v", res.Err)
 	}
-	if mon.enqueued != 2 || mon.committed != 2 {
-		t.Fatalf("stores: enq=%d commit=%d, want 2/2", mon.enqueued, mon.committed)
+	var n [EvFence + 1]int
+	for _, e := range rec.Events {
+		n[e.Kind]++
+		if e.Kind == EvCommit && e.Tick < e.Enq {
+			t.Fatalf("commit before enqueue: %v", e)
+		}
 	}
-	if mon.loads != 1 || mon.rmws != 2 {
-		t.Fatalf("loads=%d rmws=%d, want 1/2", mon.loads, mon.rmws)
+	if n[EvStore] != 2 || n[EvCommit] != 2 {
+		t.Fatalf("stores: enq=%d commit=%d, want 2/2", n[EvStore], n[EvCommit])
+	}
+	if n[EvLoad] != 1 || n[EvRMW] != 2 {
+		t.Fatalf("loads=%d rmws=%d, want 1/2", n[EvLoad], n[EvRMW])
 	}
 }
 
@@ -92,7 +60,7 @@ func TestSettersPanicAfterRun(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"AllocWords":   func() { m.AllocWords(1) },
 		"SetWord":      func() { m.SetWord(1, 1) },
-		"SetMonitor":   func() { m.SetMonitor(nil) },
+		"AttachSink":   func() { m.AttachSink(&Recorder{}) },
 		"SetTickBoard": func() { m.SetTickBoard(1) },
 		"Spawn":        func() { m.Spawn("x", func(*Thread) {}) },
 		"Run":          func() { m.Run() },

@@ -287,9 +287,6 @@ func (m *Machine) commitOldest(i int, cause DrainCause) {
 	if m.cfg.Delta > 0 && lat > m.cfg.Delta {
 		m.fail(ErrDeltaViolated)
 	}
-	if mon := m.cfg.Monitor; mon != nil {
-		mon.StoreCommitted(i, e.addr, e.val, e.enq, m.clock)
-	}
 	if len(m.sinks) > 0 {
 		m.emit(Event{Tick: m.clock, Thread: i, Kind: EvCommit, Addr: e.addr, Val: e.val, Cause: cause, Enq: e.enq})
 	}
@@ -316,9 +313,6 @@ func (m *Machine) exec(i int, r *request) (resp response, done bool) {
 			m.stats.MaxBufOccupancy = n
 		}
 		m.stats.Stores++
-		if mon := m.cfg.Monitor; mon != nil {
-			mon.StoreEnqueued(i, r.addr, r.val, m.clock)
-		}
 		if len(m.sinks) > 0 {
 			m.emit(Event{Tick: m.clock, Thread: i, Kind: EvStore, Addr: r.addr, Val: r.val})
 		}
@@ -339,11 +333,8 @@ func (m *Machine) exec(i int, r *request) (resp response, done bool) {
 		if fromBuf {
 			m.stats.BufferHits++
 		}
-		if mon := m.cfg.Monitor; mon != nil {
-			mon.LoadSatisfied(i, r.addr, v, fromBuf, m.clock)
-		}
 		if len(m.sinks) > 0 {
-			m.emit(Event{Tick: m.clock, Thread: i, Kind: EvLoad, Addr: r.addr, Val: v})
+			m.emit(Event{Tick: m.clock, Thread: i, Kind: EvLoad, Addr: r.addr, Val: v, FromBuf: fromBuf})
 		}
 		return response{val: v}, true
 
@@ -416,9 +407,6 @@ func (m *Machine) execRMW(i int, r *request) (response, bool) {
 	}
 	m.holder = -1
 	m.stats.RMWs++
-	if mon := m.cfg.Monitor; mon != nil {
-		mon.RMWExecuted(i, r.addr, old, newVal, m.clock)
-	}
 	if len(m.sinks) > 0 {
 		m.emit(Event{Tick: m.clock, Thread: i, Kind: EvRMW, Addr: r.addr, Val: newVal})
 	}

@@ -109,18 +109,18 @@ func TestDrainCauseAttribution(t *testing.T) {
 	}
 }
 
-// TestSinkSeesTraceEvents asserts an attached sink observes exactly the
-// event stream the legacy Config.Trace API records, and that BeginRun
-// delivers thread names and Δ.
+// TestSinkSeesTraceEvents asserts a sink attached with AttachSink
+// observes exactly the event stream a Config.Sinks Recorder records,
+// and that BeginRun delivers thread names and Δ.
 func TestSinkSeesTraceEvents(t *testing.T) {
-	sink := &collectSink{}
-	cfg := Config{Delta: 40, Policy: DrainRandom, Seed: 11, Trace: true, Sinks: []Sink{sink}}
-	m := mixedWorkload(cfg)
+	sink, rec := &collectSink{}, &Recorder{}
+	m := mixedWorkload(Config{Delta: 40, Policy: DrainRandom, Seed: 11, Sinks: []Sink{rec}})
+	m.AttachSink(sink)
 	res := m.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	tr := m.Trace()
+	tr := rec.Events
 	if len(tr) == 0 {
 		t.Fatal("empty trace")
 	}

@@ -103,6 +103,10 @@ type Event struct {
 	// committing store was enqueued, so Tick-Enq is the store's commit
 	// latency.
 	Enq uint64
+	// FromBuf is meaningful for EvLoad events only: the value was
+	// forwarded from the thread's own store buffer, so the load did
+	// not touch memory.
+	FromBuf bool
 }
 
 func (e Event) String() string {
@@ -136,16 +140,16 @@ type RunObserver interface {
 	BeginRun(threadNames []string, delta uint64)
 }
 
-// traceSink is the in-memory sink backing the Config.Trace /
-// Machine.Trace API: it simply appends every event.
-type traceSink struct {
-	events []Event
+// Recorder is the in-memory sink that records an execution trace: it
+// appends every event to Events.
+type Recorder struct {
+	Events []Event
 }
 
 // Emit implements Sink.
 //
 //tbtso:fencefree
-func (s *traceSink) Emit(e Event) { s.events = append(s.events, e) }
+func (r *Recorder) Emit(e Event) { r.Events = append(r.Events, e) }
 
 // AttachSink registers an additional event sink. It may only be called
 // before Run.
@@ -164,13 +168,4 @@ func (m *Machine) emit(e Event) {
 	for _, s := range m.sinks {
 		s.Emit(e)
 	}
-}
-
-// Trace returns the recorded execution trace (empty unless Config.Trace
-// was set). It is only meaningful after Run returns.
-func (m *Machine) Trace() []Event {
-	if m.tsink == nil {
-		return nil
-	}
-	return m.tsink.events
 }

@@ -128,12 +128,6 @@ type Config struct {
 	// artificially as expensive as fenced ones. Semantically it only
 	// ADDS admissible interleavings of the same actions.
 	ParallelDrains bool
-	// Monitor, if non-nil, observes memory traffic (used for
-	// use-after-free detection by higher layers).
-	Monitor Monitor
-	// Trace, if true, records an execution trace retrievable via
-	// Machine.Trace.
-	Trace bool
 	// Sinks are event sinks attached before the run starts; each
 	// machine event (store/commit/load/rmw/fence) is streamed to every
 	// sink in order. Equivalent to calling AttachSink for each.
@@ -145,23 +139,6 @@ const DefaultMaxTicks = 2_000_000
 
 // DefaultDrainMargin is used when Config.DrainMargin is zero.
 const DefaultDrainMargin = 16
-
-// Monitor observes the memory traffic of a running machine. All methods
-// are invoked from the machine's scheduling goroutine, never
-// concurrently.
-type Monitor interface {
-	// StoreEnqueued is called when a thread buffers a store.
-	StoreEnqueued(thread int, a Addr, v Word, tick uint64)
-	// StoreCommitted is called when a buffered store reaches memory.
-	StoreCommitted(thread int, a Addr, v Word, enqueued, tick uint64)
-	// LoadSatisfied is called when a load completes. fromBuffer reports
-	// whether the value was forwarded from the thread's own store
-	// buffer.
-	LoadSatisfied(thread int, a Addr, v Word, fromBuffer bool, tick uint64)
-	// RMWExecuted is called when an atomic read-modify-write completes
-	// against memory.
-	RMWExecuted(thread int, a Addr, old, new Word, tick uint64)
-}
 
 // DrainStats breaks the run's commits down by drain cause. Every
 // commit has exactly one cause, so the fields sum to Stats.Commits
@@ -330,7 +307,7 @@ type threadState struct {
 
 // Machine is a TBTSO[Δ] abstract machine. Configure it, Spawn threads
 // (or compile a Prog), then Run (or ExecProgram). After a run finishes
-// the machine supports inspection (PeekWord, Trace, Result) and can be
+// the machine supports inspection (PeekWord, Result) and can be
 // returned to a fresh pre-run state with Reset, reusing its memory,
 // store buffers and scheduler scratch across an entire campaign.
 type Machine struct {
@@ -353,7 +330,6 @@ type Machine struct {
 	next     Addr     // bump allocator for AllocWords
 	stats    Stats
 	sinks    []Sink
-	tsink    *traceSink // backs Config.Trace / Machine.Trace
 	halted   chan struct{}
 	haltErr  error
 	haltMu   sync.Mutex
@@ -408,11 +384,6 @@ func (m *Machine) Reset(cfg Config) {
 	m.stats = Stats{}
 	m.sinks = m.sinks[:0]
 	m.sinks = append(m.sinks, cfg.Sinks...)
-	m.tsink = nil
-	if cfg.Trace {
-		m.tsink = &traceSink{}
-		m.sinks = append(m.sinks, m.tsink)
-	}
 	m.halted = nil // created on demand: only the goroutine engine's threads select on it
 	m.haltErr = nil
 	m.started = false
@@ -470,15 +441,6 @@ func (m *Machine) sizeRun(n int) {
 		m.pending[i] = nil
 		m.drained[i] = false
 	}
-}
-
-// SetMonitor installs a memory-traffic monitor. It may only be called
-// before Run; it overrides Config.Monitor.
-func (m *Machine) SetMonitor(mon Monitor) {
-	if m.started {
-		panic("tso: SetMonitor after Run")
-	}
-	m.cfg.Monitor = mon
 }
 
 // SetTickBoard installs the §6.2 time array's base address (normally

@@ -268,7 +268,8 @@ func TestThreadPanicPropagates(t *testing.T) {
 
 func TestDeterministicTraces(t *testing.T) {
 	run := func() []Event {
-		m := New(Config{Policy: DrainRandom, Seed: 99, Trace: true})
+		rec := &Recorder{}
+		m := New(Config{Policy: DrainRandom, Seed: 99, Sinks: []Sink{rec}})
 		a := m.AllocWords(2)
 		m.Spawn("w0", func(th *Thread) {
 			th.Store(a, 1)
@@ -284,7 +285,7 @@ func TestDeterministicTraces(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("run: %v", res.Err)
 		}
-		return m.Trace()
+		return rec.Events
 	}
 	t1, t2 := run(), run()
 	if len(t1) != len(t2) {
