@@ -102,13 +102,16 @@ sim-bench:
 
 # Differential-fuzzing smoke: short seeded runs of the native fuzz
 # targets (machine-vs-checker containment, state-encoding round trip)
-# plus the planted negative controls end to end (docs/FUZZ.md). A real
-# campaign: go test -fuzz=FuzzMachineVsChecker ./internal/fuzz, or
+# plus the planted negative controls end to end, and a short Δ > 0
+# campaign that fails if any sampled run does not replay as a checker
+# path at the covering Δ (docs/FUZZ.md). A real campaign: go test
+# -fuzz=FuzzMachineVsChecker ./internal/fuzz, or
 # go run ./cmd/tbtso-fuzz -n 10000 -deltas 0,1,3,inf.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMachineVsChecker -fuzztime 10s ./internal/fuzz
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime 10s ./internal/mc
 	$(GO) run ./cmd/tbtso-fuzz -plant
+	m=$$($(GO) run ./cmd/tbtso-fuzz -n 200 -deltas 1,3 -metrics 2>&1 >/dev/null) && echo "$$m" && ! echo "$$m" | grep -Eq '^fuzz\.replay_failed +[1-9]'
 
 # Regenerate every figure of the paper's evaluation (plus the §6.1
 # bail-out validation and the §4.2.1 sizing numbers).

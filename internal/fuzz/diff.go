@@ -40,7 +40,8 @@ type Config struct {
 	// (default 20_000; negative disables).
 	CrossCheckStates int
 	// Metrics, if non-nil, receives fuzz.* counters: programs, runs,
-	// explorations, truncated, mismatches.
+	// explorations, truncated, mismatches, and replayed / replay_failed
+	// (Δ > 0 samples whose run did / did not check as a witness path).
 	Metrics *obs.Registry
 	// Flight, if non-nil, is the campaign flight recorder: every
 	// program's sampled runs record into the program's own seed group,
@@ -242,6 +243,12 @@ func observeProgram(rep *Report, p mc.Program) (threads, totalOps int) {
 	return threads, totalOps
 }
 
+// sampler is the machine side of a program check (a *Sampler outside tests).
+type sampler interface {
+	Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error)
+	SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error)
+}
+
 // checkProgram is CheckProgram with an explicit execution context: the
 // sampler is the worker-local machine the program's runs reuse, and rec
 // (nil when cfg.Flight is off) is the program's own flight recorder —
@@ -252,7 +259,7 @@ func observeProgram(rep *Report, p mc.Program) (threads, totalOps int) {
 // be re-checked from scratch (it is deterministic per seed, so a re-run
 // reproduces the full report exactly), and rec's group is discarded
 // with it.
-func checkProgram(ctx context.Context, cfg Config, s *Sampler, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
+func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
 	rep = Report{Programs: 1}
 	cfg.count("fuzz.programs", 1)
 	threads, totalOps := observeProgram(&rep, p)
@@ -297,46 +304,33 @@ func checkProgram(ctx context.Context, cfg Config, s *Sampler, rec *monitor.Seed
 			}
 		}
 
-		// Containment: machine samples at Δ ticks vs the exhaustive set
-		// at the covering Δ (see CoverDelta for why this is sound).
+		// Containment: machine samples at Δ ticks vs the checker at the
+		// covering Δ (see CoverDelta for why this is sound). Above Δ 0
+		// each sample is first checked as a witness path at the cover;
+		// the covering exploration runs only for a sample whose path
+		// does not check, at most once per Δ, and then decides.
 		machDelta := MachineDelta(delta)
 		cover := CoverDelta(p, machDelta)
-		admitted := raw
-		if cover != delta {
-			var cok bool
-			admitted, cok, err = cfg.explore(ctx, p, cover)
-			if err != nil {
-				if errors.Is(err, mc.ErrInterrupted) {
-					return rep, false
-				}
-				rep.Mismatches = append(rep.Mismatches, Mismatch{
-					Kind: KindEngineDivergence, Seed: seed, Delta: delta, Cover: cover,
-					Detail: "cover exploration error: " + err.Error(), Program: p,
-				})
-				continue
-			}
-			if !cok {
-				rep.Truncated++
-				rep.Coverage.ObserveTruncated()
-				continue
-			}
-			rep.Coverage.ObserveExploration(admitted.States, admitted.Transitions, admitted.DedupHits, admitted.PorPrunes, admitted.TerminalCollapses)
-		}
+		admitted, decided, explored := raw, cover == delta, cover == delta
 		for pi, pol := range cfg.Policies {
 			for i := 0; i < cfg.MachSeeds; i++ {
 				machSeed := seed*1000003 + int64(pi)*101 + int64(i)
 				rep.Runs++
 				cfg.count("fuzz.runs", 1)
 				rep.Coverage.ObserveRun(delta, pol.String(), i)
-				outcome, mres, err := s.Sample(p, MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}, sinks...)
+				run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
+				var (
+					outcome   string
+					mres      tso.Result
+					witnessed bool
+				)
+				if decided {
+					outcome, mres, err = s.Sample(p, run, sinks...)
+				} else {
+					outcome, mres, witnessed, err = s.SampleWitness(p, run, cover, sinks...)
+				}
 				if rec != nil {
 					rec.TagRun(coverage.CellKey(delta, pol.String(), i))
-				}
-				if err == nil {
-					for c := 0; c < int(tso.NumDrainCauses); c++ {
-						cause := tso.DrainCause(c)
-						rep.Coverage.ObserveDrain(cause.String(), mres.Stats.Drains.ByCause(cause))
-					}
 				}
 				if err != nil {
 					rep.Mismatches = append(rep.Mismatches, Mismatch{
@@ -344,6 +338,42 @@ func checkProgram(ctx context.Context, cfg Config, s *Sampler, rec *monitor.Seed
 						Policy: pol, MachSeed: machSeed, Detail: err.Error(), Program: p,
 					})
 					continue
+				}
+				for c := 0; c < int(tso.NumDrainCauses); c++ {
+					cause := tso.DrainCause(c)
+					rep.Coverage.ObserveDrain(cause.String(), mres.Stats.Drains.ByCause(cause))
+				}
+				if witnessed {
+					cfg.count("fuzz.replayed", 1)
+					rep.Coverage.ObserveCheck(true)
+					continue
+				}
+				if !decided {
+					cfg.count("fuzz.replay_failed", 1)
+				}
+				if !explored {
+					explored = true
+					admitted, decided, err = cfg.explore(ctx, p, cover)
+					switch {
+					case errors.Is(err, mc.ErrInterrupted):
+						return rep, false
+					case err != nil:
+						rep.Mismatches = append(rep.Mismatches, Mismatch{
+							Kind: KindEngineDivergence, Seed: seed, Delta: delta, Cover: cover,
+							Detail: "cover exploration error: " + err.Error(), Program: p,
+						})
+					case !decided:
+						rep.Truncated++
+						rep.Coverage.ObserveTruncated()
+					default:
+						rep.Coverage.ObserveExploration(admitted.States, admitted.Transitions, admitted.DedupHits, admitted.PorPrunes, admitted.TerminalCollapses)
+					}
+				}
+				if !decided {
+					continue // no verdict: the covering exploration did not complete
+				}
+				if cover != delta {
+					rep.Coverage.ObserveCheck(false) // a failed replay, decided by the covering set
 				}
 				if !admitted.Has(outcome) {
 					rep.Mismatches = append(rep.Mismatches, Mismatch{

@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"fmt"
+	"slices"
 
 	"tbtso/internal/mc"
 	"tbtso/internal/obs"
@@ -77,11 +78,21 @@ func machineConfig(run MachineRun, sinks []tso.Sink) tso.Config {
 // driver gives each worker its own.
 type Sampler struct {
 	m    *tso.Machine
+	base tso.Addr // machine address of the last run's variable 0
 	prog tso.Prog
 	ops  []tso.ProgOp // backing storage for prog.Threads
 	regs [][]tso.Word
 	ints [][]int
 	buf  []byte // outcome formatting scratch
+
+	// Witness scratch: the run's events and sinks, the path, the last
+	// tick each thread acted, the threads with a Wait.
+	rec   tso.Recorder
+	sinks []tso.Sink
+	steps []mc.Step
+	acted []uint64
+	waits []int
+	path  mc.PathChecker
 }
 
 // NewSampler returns an empty sampler; the first Run sizes it.
@@ -169,8 +180,8 @@ func (s *Sampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (strin
 // litmus runner's: default drain margin, stall probability, tick cap.
 func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error) {
 	s.m.Reset(cfg)
-	base := s.m.AllocWords(p.Vars)
-	s.compile(p, base)
+	s.base = s.m.AllocWords(p.Vars)
+	s.compile(p, s.base)
 	s.sizeResults(p)
 	res := s.m.ExecProgram(s.prog, s.regs)
 	if res.Err != nil {
@@ -183,6 +194,65 @@ func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error)
 	}
 	s.buf = mc.AppendOutcome(s.buf[:0], s.ints[:len(p.Threads)])
 	return string(s.buf), res, nil
+}
+
+// SampleWitness is Sample plus a containment verdict that needs no
+// exploration: witnessed reports that the run, read as a path of the
+// checker at cover (docs/FUZZ.md, "The covering Δ"), reaches outcome.
+// false proves nothing.
+func (s *Sampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (outcome string, res tso.Result, witnessed bool, err error) {
+	s.rec.Events = s.rec.Events[:0]
+	s.sinks = append(append(s.sinks[:0], sinks...), &s.rec)
+	outcome, res, err = s.Sample(p, run, s.sinks...)
+	if err != nil {
+		return outcome, res, false, err
+	}
+	return outcome, res, s.witness(p, cover, outcome, res.Ticks), nil
+}
+
+// stepKinds maps the op events to checker op kinds.
+var stepKinds = [...]mc.OpKind{tso.EvStore: mc.OpStore, tso.EvLoad: mc.OpLoad, tso.EvRMW: mc.OpRMW, tso.EvFence: mc.OpFence}
+
+// witness checks the recorded run as a path at cover. Each event is a
+// step: a commit dequeues the thread's oldest entry, any other event is
+// its next op. A Wait's clock reads leave no event; without stalls
+// (machineConfig) they fall on exactly the ticks at which the thread
+// has none, since a tick in which it drained grants it nothing else. So
+// each eventless tick of a thread with a Wait is an idle step. The final
+// flush follows the last tick.
+func (s *Sampler) witness(p mc.Program, cover int, outcome string, ticks uint64) bool {
+	s.waits = s.waits[:0]
+	for i, th := range p.Threads {
+		if slices.ContainsFunc(th, func(op mc.Op) bool { return op.Kind == mc.OpWait }) {
+			s.waits = append(s.waits, i)
+		}
+	}
+	s.acted = slices.Grow(s.acted[:0], len(p.Threads))[:len(p.Threads)]
+	clear(s.acted)
+	steps, ev, k := s.steps[:0], s.rec.Events, 0
+	for t := uint64(1); t <= ticks; t++ {
+		for ; k < len(ev) && ev[k].Tick == t && ev[k].Cause != tso.CauseFinal; k++ {
+			s.acted[ev[k].Thread] = t
+			steps = append(steps, s.pathStep(ev[k]))
+		}
+		for _, i := range s.waits {
+			if s.acted[i] != t {
+				steps = append(steps, mc.Step{Thread: i, Kind: mc.OpWait})
+			}
+		}
+	}
+	for ; k < len(ev); k++ {
+		steps = append(steps, s.pathStep(ev[k]))
+	}
+	s.steps = steps
+	return s.path.Check(p, cover, steps, outcome)
+}
+
+// pathStep is the checker step of one event, its address relative to
+// the run's base.
+func (s *Sampler) pathStep(e tso.Event) mc.Step {
+	return mc.Step{Thread: e.Thread, Dequeue: e.Kind == tso.EvCommit, Kind: stepKinds[e.Kind],
+		Addr: int(e.Addr - s.base), Val: int(e.Val), FromBuf: e.FromBuf}
 }
 
 // RunOnMachine executes p once on the clocked abstract machine under

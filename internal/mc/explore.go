@@ -207,14 +207,11 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	e := &engine{
 		p:          p,
 		delta:      delta,
-		ageCap:     delta + 1,
+		ageCap:     ageCapFor(delta),
 		maxStates:  int64(maxStates),
 		collapseOK: !opts.NoReduction,
 		vis:        newVisited(),
 		start:      time.Now(),
-	}
-	if delta == 0 {
-		e.ageCap = 0 // ages are irrelevant without a bound; keep them 0
 	}
 	if !opts.NoReduction && delta == 0 && p.Vars <= 64 && !hasWaits(p) {
 		e.porOK = true
@@ -475,14 +472,7 @@ func (w *worker) emit() {
 // dequeue emits the successor where thread i's oldest entry commits.
 func (w *worker) dequeue(s *state, i int) {
 	s.copyInto(&w.next)
-	n := &w.next
-	en := n.bufs[i][0]
-	// Shift down rather than reslice so the scratch slice keeps its
-	// backing array (and capacity) across millions of reuses.
-	copy(n.bufs[i], n.bufs[i][1:])
-	n.bufs[i] = n.bufs[i][:len(n.bufs[i])-1]
-	n.mem[en.addr] = en.val
-	n.ageAll(w.e.ageCap)
+	w.next.dequeue(i, w.e.ageCap)
 	w.emit()
 }
 
@@ -493,9 +483,9 @@ func (w *worker) recordOutcome(s *state) {
 	}
 }
 
-// expand generates every admissible successor of the encoded state,
-// mirroring the reference explorer's transition relation with the
-// reductions of reduce.go layered on top.
+// expand generates every admissible successor of the encoded state
+// through the transition helpers (mc.go), with the reductions of
+// reduce.go layered on top.
 func (w *worker) expand(key []byte) {
 	e := w.e
 	if e.truncated.Load() || e.interrupted.Load() {
@@ -546,7 +536,7 @@ func (w *worker) expand(key []byte) {
 	if e.delta > 0 {
 		forced := false
 		for i := range s.bufs {
-			if len(s.bufs[i]) > 0 && s.bufs[i][0].age >= e.delta {
+			if s.mustDequeue(i, e.delta) {
 				forced = true
 				w.dequeue(s, i)
 			}
@@ -571,67 +561,9 @@ func (w *worker) expand(key []byte) {
 		if len(s.bufs[i]) > 0 {
 			w.dequeue(s, i)
 		}
-		if s.pc[i] >= len(ops) {
-			continue
-		}
-		op := ops[s.pc[i]]
-		switch op.Kind {
-		case OpStore:
+		if s.pc[i] < len(ops) && s.enabled(i, ops[s.pc[i]]) {
 			s.copyInto(&w.next)
-			n := &w.next
-			n.bufs[i] = append(n.bufs[i], bufEntry{addr: op.Addr, val: op.Val})
-			n.pc[i]++
-			n.ageAll(e.ageCap)
-			w.emit()
-		case OpLoad:
-			s.copyInto(&w.next)
-			n := &w.next
-			v := n.mem[op.Addr]
-			for j := len(n.bufs[i]) - 1; j >= 0; j-- {
-				if n.bufs[i][j].addr == op.Addr {
-					v = n.bufs[i][j].val
-					break
-				}
-			}
-			n.regs[i][op.Reg] = v
-			n.pc[i]++
-			n.ageAll(e.ageCap)
-			w.emit()
-		case OpFence:
-			if len(s.bufs[i]) == 0 {
-				s.copyInto(&w.next)
-				n := &w.next
-				n.pc[i]++
-				n.ageAll(e.ageCap)
-				w.emit()
-			}
-		case OpRMW:
-			if len(s.bufs[i]) == 0 {
-				s.copyInto(&w.next)
-				n := &w.next
-				old := n.mem[op.Addr]
-				n.regs[i][op.Reg] = old
-				n.mem[op.Addr] = old + op.Val
-				n.pc[i]++
-				n.ageAll(e.ageCap)
-				w.emit()
-			}
-		case OpWait:
-			s.copyInto(&w.next)
-			n := &w.next
-			switch {
-			case !n.armed[i] && op.Val > 0:
-				// Arm the wait; it elapses as transitions occur.
-				n.armed[i] = true
-				n.wait[i] = op.Val
-			case n.wait[i] == 0:
-				// Elapsed (or zero-length): advance.
-				n.armed[i] = false
-				n.pc[i]++
-			default:
-				// Still pending: burn one transition.
-			}
-			n.ageAll(e.ageCap)
+			w.next.step(i, ops[s.pc[i]], e.ageCap)
 			w.emit()
 		}
 	}

@@ -144,18 +144,39 @@ type state struct {
 }
 
 func newState(p Program) *state {
-	s := &state{
-		pc:    make([]int, len(p.Threads)),
-		wait:  make([]int, len(p.Threads)),
-		armed: make([]bool, len(p.Threads)),
-		bufs:  make([][]bufEntry, len(p.Threads)),
-		mem:   make([]int, p.Vars),
-		regs:  make([][]int, len(p.Threads)),
-	}
-	for i := range s.regs {
-		s.regs[i] = make([]int, p.Regs)
-	}
+	s := &state{}
+	s.reset(p)
 	return s
+}
+
+// reset makes s p's initial state, reusing s's slice capacity.
+func (s *state) reset(p Program) {
+	n := len(p.Threads)
+	s.pc = zeroed(s.pc, n)
+	s.wait = zeroed(s.wait, n)
+	s.armed = zeroed(s.armed, n)
+	s.mem = zeroed(s.mem, p.Vars)
+	if cap(s.bufs) < n {
+		s.bufs = make([][]bufEntry, n)
+	}
+	if cap(s.regs) < n {
+		s.regs = make([][]int, n)
+	}
+	s.bufs, s.regs = s.bufs[:n], s.regs[:n]
+	for i := range s.bufs {
+		s.bufs[i] = s.bufs[i][:0]
+		s.regs[i] = zeroed(s.regs[i], p.Regs)
+	}
+}
+
+// zeroed returns xs resized to n zero elements, reusing its capacity.
+func zeroed[T any](xs []T, n int) []T {
+	if xs == nil || cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
 }
 
 // copyInto overwrites dst with src, reusing dst's slice capacity so the
@@ -197,6 +218,82 @@ func (s *state) ageAll(cap int) {
 			s.wait[i]--
 		}
 	}
+}
+
+// The transition relation: every engine (explore.go, reference.go) and
+// the path checker (path.go) take transitions through these helpers, so
+// the TSO/TBTSO rules are stated once. step and dequeue each end with
+// the transition's ageing.
+
+// ageCapFor is the age at which ageAll stops counting under Δ: ages past
+// the bound are equivalent, and without a bound they stay 0.
+func ageCapFor(delta int) int {
+	if delta == 0 {
+		return 0
+	}
+	return delta + 1
+}
+
+// mustDequeue reports whether thread i's oldest entry has reached Δ.
+// While any thread's has, only such dequeues are admissible.
+func (s *state) mustDequeue(i, delta int) bool {
+	return delta > 0 && len(s.bufs[i]) > 0 && s.bufs[i][0].age >= delta
+}
+
+// dequeue is the transition that commits thread i's oldest entry to
+// memory. It shifts the buffer in place so s keeps its capacity.
+func (s *state) dequeue(i, ageCap int) {
+	e := s.bufs[i][0]
+	s.bufs[i] = append(s.bufs[i][:0], s.bufs[i][1:]...)
+	s.mem[e.addr] = e.val
+	s.ageAll(ageCap)
+}
+
+// enabled reports whether thread i may take op, its next op: a fence or
+// an RMW needs an empty buffer.
+func (s *state) enabled(i int, op Op) bool {
+	return (op.Kind != OpFence && op.Kind != OpRMW) || len(s.bufs[i]) == 0
+}
+
+// load is thread i's read of addr: its newest buffered entry for addr,
+// else memory. fromBuf reports a forwarded value.
+func (s *state) load(i, addr int) (v int, fromBuf bool) {
+	for j := len(s.bufs[i]) - 1; j >= 0; j-- {
+		if s.bufs[i][j].addr == addr {
+			return s.bufs[i][j].val, true
+		}
+	}
+	return s.mem[addr], false
+}
+
+// step is the transition that takes op, thread i's next op, which must
+// be enabled.
+func (s *state) step(i int, op Op, ageCap int) {
+	switch op.Kind {
+	case OpStore:
+		s.bufs[i] = append(s.bufs[i], bufEntry{addr: op.Addr, val: op.Val})
+	case OpLoad:
+		s.regs[i][op.Reg], _ = s.load(i, op.Addr)
+	case OpRMW:
+		s.regs[i][op.Reg] = s.mem[op.Addr]
+		s.mem[op.Addr] += op.Val
+	case OpWait:
+		switch {
+		case !s.armed[i] && op.Val > 0:
+			// Arm the wait; it elapses as transitions occur.
+			s.armed[i], s.wait[i] = true, op.Val
+		case s.wait[i] > 0:
+			// Still pending: burn one transition.
+		default:
+			// Elapsed (or zero-length): advance.
+			s.armed[i] = false
+			s.pc[i]++
+		}
+		s.ageAll(ageCap)
+		return
+	}
+	s.pc[i]++
+	s.ageAll(ageCap)
 }
 
 func (s *state) outcome() string {

@@ -39,15 +39,17 @@ import (
 //
 //  4. Age-horizon erasure (Δ>0): an age matters only once it reaches Δ.
 //     remaining(s) bounds the transitions any run from s can still
-//     take, and every transition lowers it by at least one, so an entry
-//     with age + remaining(s) < Δ is never forced. States that differ
-//     only in such ages have the same futures and outcomes, so those
-//     ages are zeroed before symmetry canonicalization.
+//     take, and every transition lowers it by at least one. An entry's
+//     own dequeue is one of those transitions, so before it the entry
+//     ages by at most remaining(s)−1, and an entry with
+//     age + remaining(s) ≤ Δ is never forced. States that differ only
+//     in such ages have the same futures and outcomes, so those ages
+//     are zeroed before symmetry canonicalization.
 
 // horizons precomputes, per thread and per pc, an upper bound on the
 // transitions the suffix Threads[i][pc:] can still take: a Store counts
-// 2 (the op and its dequeue), a Wait(n) n+2, every other op 1. Row
-// pc == len(ops) is zero.
+// 2 (the op and its dequeue), a Wait(n) n+1 (the arm, at most n−1
+// burns, the advance), every other op 1. Row pc == len(ops) is zero.
 func horizons(p Program) [][]int {
 	h := make([][]int, len(p.Threads))
 	for i, ops := range p.Threads {
@@ -58,7 +60,7 @@ func horizons(p Program) [][]int {
 			case OpStore:
 				c = 2
 			case OpWait:
-				c = max(ops[pc].Val, 0) + 2
+				c = max(ops[pc].Val, 0) + 1
 			}
 			h[i][pc] = h[i][pc+1] + c
 		}
@@ -83,7 +85,7 @@ func (e *engine) remaining(s *state) int {
 }
 
 // eraseAges zeroes every buffered age that can no longer reach Δ
-// (age + remaining(s) < Δ), mutating s in place.
+// (age + remaining(s) ≤ Δ), mutating s in place.
 func (e *engine) eraseAges(s *state) {
 	lim := e.delta - e.remaining(s)
 	if lim <= 0 {
@@ -91,7 +93,7 @@ func (e *engine) eraseAges(s *state) {
 	}
 	for i := range s.bufs {
 		for j := range s.bufs[i] {
-			if s.bufs[i][j].age < lim {
+			if s.bufs[i][j].age <= lim {
 				s.bufs[i][j].age = 0
 			}
 		}

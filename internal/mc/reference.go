@@ -5,11 +5,13 @@ import "strconv"
 // This file is the sequential reference explorer, the oracle for the
 // parallel engine in explore.go. What it protects is independence, not
 // slowness: a recursive DFS with no reductions and no symmetry, keyed
-// by a plain-text rendering of the whole state, sharing no hot-path
-// code with explore.go, encode.go or reduce.go, so differential tests
-// (differential_test.go) pin two unrelated implementations to each
-// other. Per-state cost may be cut as long as the search, the key text
-// and the visit order stay the same.
+// by a plain-text rendering of the whole state, sharing no code with
+// explore.go, encode.go or reduce.go, so differential tests
+// (differential_test.go) pin the engine's search, encoding and
+// reductions to an unrelated implementation. The transition rules are
+// shared (mc.go); docs/MC.md lists the tests that pin them. Per-state
+// cost may be cut as long as the search, the key text and the visit
+// order stay the same.
 
 // appendKey appends the state's canonical text key to dst:
 // "p<pc>.<wait>.<armed>;" then "<addr>=<val>@<age>," per buffered
@@ -77,15 +79,11 @@ func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err 
 	res = Result{Outcomes: map[string]bool{}}
 	complete := true
 	seen := map[string]struct{}{}
-	ageCap := delta + 1
-	if delta == 0 {
-		ageCap = 0 // ages are irrelevant without a bound; keep them 0
-	}
+	ageCap := ageCapFor(delta)
 
 	// dfs(s, d) builds s's successors in scratch[d], one at a time:
 	// each is fully explored before its sibling overwrites the slot, and
-	// deeper calls only write scratch[d+1:]. Dequeues shift a buffer in
-	// place so the slot keeps its capacity.
+	// deeper calls only write scratch[d+1:].
 	var kb []byte
 	var scratch []*state
 	var dfs func(s *state, d int)
@@ -110,13 +108,10 @@ func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err 
 		if delta > 0 {
 			forced := false
 			for i := range s.bufs {
-				if len(s.bufs[i]) > 0 && s.bufs[i][0].age >= delta {
+				if s.mustDequeue(i, delta) {
 					forced = true
 					s.cloneInto(n)
-					e := n.bufs[i][0]
-					n.bufs[i] = append(n.bufs[i][:0], n.bufs[i][1:]...)
-					n.mem[e.addr] = e.val
-					n.ageAll(ageCap)
+					n.dequeue(i, ageCap)
 					dfs(n, d+1)
 				}
 			}
@@ -131,73 +126,13 @@ func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err 
 			if len(s.bufs[i]) > 0 {
 				progress = true
 				s.cloneInto(n)
-				e := n.bufs[i][0]
-				n.bufs[i] = append(n.bufs[i][:0], n.bufs[i][1:]...)
-				n.mem[e.addr] = e.val
-				n.ageAll(ageCap)
+				n.dequeue(i, ageCap)
 				dfs(n, d+1)
 			}
-			if s.pc[i] >= len(ops) {
-				continue
-			}
-			op := ops[s.pc[i]]
-			switch op.Kind {
-			case OpStore:
+			if s.pc[i] < len(ops) && s.enabled(i, ops[s.pc[i]]) {
 				progress = true
 				s.cloneInto(n)
-				n.bufs[i] = append(n.bufs[i], bufEntry{addr: op.Addr, val: op.Val})
-				n.pc[i]++
-				n.ageAll(ageCap)
-				dfs(n, d+1)
-			case OpLoad:
-				progress = true
-				s.cloneInto(n)
-				v := n.mem[op.Addr]
-				for j := len(n.bufs[i]) - 1; j >= 0; j-- {
-					if n.bufs[i][j].addr == op.Addr {
-						v = n.bufs[i][j].val
-						break
-					}
-				}
-				n.regs[i][op.Reg] = v
-				n.pc[i]++
-				n.ageAll(ageCap)
-				dfs(n, d+1)
-			case OpFence:
-				if len(s.bufs[i]) == 0 {
-					progress = true
-					s.cloneInto(n)
-					n.pc[i]++
-					n.ageAll(ageCap)
-					dfs(n, d+1)
-				}
-			case OpRMW:
-				if len(s.bufs[i]) == 0 {
-					progress = true
-					s.cloneInto(n)
-					old := n.mem[op.Addr]
-					n.regs[i][op.Reg] = old
-					n.mem[op.Addr] = old + op.Val
-					n.pc[i]++
-					n.ageAll(ageCap)
-					dfs(n, d+1)
-				}
-			case OpWait:
-				progress = true
-				s.cloneInto(n)
-				switch {
-				case !n.armed[i] && op.Val > 0:
-					// Arm the wait; it elapses as transitions occur.
-					n.armed[i] = true
-					n.wait[i] = op.Val
-				case n.wait[i] == 0:
-					// Elapsed (or zero-length): advance.
-					n.armed[i] = false
-					n.pc[i]++
-				default:
-					// Still pending: burn one transition.
-				}
-				n.ageAll(ageCap)
+				n.step(i, ops[s.pc[i]], ageCap)
 				dfs(n, d+1)
 			}
 		}
