@@ -43,10 +43,13 @@ verify-cex:
 test:
 	$(GO) test ./...
 
+# Race-test the whole module twice: the parallel explorer, the clocked
+# machine and the fuzz harness all run goroutine fleets.
 race:
-	$(GO) test -race ./internal/...
+	$(GO) test -race -count=2 ./...
 
-# The full gate: everything CI runs.
+# The full local gate. CI runs the same targets, each once, split
+# across its check (build lint test race) and verify jobs.
 check: build lint test race verify
 
 # testing.B versions of every figure + micro/ablation benches.

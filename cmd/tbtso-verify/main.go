@@ -83,8 +83,8 @@ func run(args []string) (code int) {
 	ctx, stop := cli.SignalContext(context.Background(), os.Stderr)
 	defer stop()
 
-	// The ops endpoint gives long certification sweeps a pprof and
-	// metrics surface; the checker itself runs no monitored machines.
+	// The ops endpoint gives long certification sweeps a pprof
+	// surface; the checker itself runs no monitored machines.
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tbtso-verify:", err)

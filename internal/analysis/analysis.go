@@ -58,7 +58,7 @@ const (
 	CheckEscape        = "escape"
 	CheckMixed         = "mixed"
 	// CheckAnnotation reports misuse of the annotation grammar itself
-	// (unknown check names, ignores without a justification). It cannot
+	// (unknown directive or check names, unjustified ignores). It cannot
 	// be suppressed.
 	CheckAnnotation = "annotation"
 )
@@ -102,10 +102,10 @@ func (a *Analyzer) Run() []Diagnostic {
 		diags = append(diags, checkFenceDiscipline(a.Packages, a.facts)...)
 	}
 	if a.enabled(CheckEscape) {
-		diags = append(diags, checkEscape(a.Packages, a.facts)...)
+		diags = append(diags, checkEscape(a.Packages)...)
 	}
 	if a.enabled(CheckMixed) {
-		diags = append(diags, checkMixed(a.Packages, a.facts)...)
+		diags = append(diags, checkMixed(a.Packages)...)
 	}
 	diags = append(diags, a.facts.annotationErrors...)
 
@@ -116,8 +116,16 @@ func (a *Analyzer) Run() []Diagnostic {
 		}
 		kept = append(kept, d)
 	}
-	sort.Slice(kept, func(i, j int) bool {
-		a, b := kept[i].Pos, kept[j].Pos
+	SortDiagnostics(kept)
+	return kept
+}
+
+// SortDiagnostics orders diagnostics by file, line, column, check and
+// message: a pure function of the set, independent of map iteration
+// anywhere upstream. tbtso-lint and tbtso-verify both report in it.
+func SortDiagnostics(diags []Diagnostic) {
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i].Pos, diags[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
@@ -127,15 +135,11 @@ func (a *Analyzer) Run() []Diagnostic {
 		if a.Column != b.Column {
 			return a.Column < b.Column
 		}
-		if kept[i].Check != kept[j].Check {
-			return kept[i].Check < kept[j].Check
+		if diags[i].Check != diags[j].Check {
+			return diags[i].Check < diags[j].Check
 		}
-		// Full tiebreak on the message text so the order is a pure
-		// function of the diagnostic set, independent of map iteration
-		// anywhere upstream.
-		return kept[i].Message < kept[j].Message
+		return diags[i].Message < diags[j].Message
 	})
-	return kept
 }
 
 func (a *Analyzer) enabled(check string) bool {

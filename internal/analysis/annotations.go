@@ -7,40 +7,26 @@ import (
 	"strings"
 )
 
-// annotationPrefix introduces every analyzer directive.
-const annotationPrefix = "//tbtso:"
-
 // funcFacts records the directives attached to one function declaration.
 type funcFacts struct {
 	decl          *ast.FuncDecl
 	pkg           *Package
 	fenceFree     bool
 	requiresFence bool
-	// ignores maps check name -> justified for function-scoped
-	// //tbtso:ignore directives in the doc comment.
-	ignores map[string]bool
 }
 
-// lineIgnore is a //tbtso:ignore directive tied to a source line; it
-// suppresses matching diagnostics on its own line and the line below
-// (so both trailing comments and comment-above styles work).
-type lineIgnore struct {
-	checks    map[string]bool
-	justified bool
-}
-
-// funcRange is the source extent of a function with doc-level ignores.
+// funcRange is the source extent of a function whose doc comment
+// carries a justified //tbtso:ignore.
 type funcRange struct {
 	file       string
 	start, end int // line numbers, inclusive
-	ignores    map[string]bool
+	check      string
 }
 
 // factTable aggregates annotation facts across all packages.
 type factTable struct {
-	// byFunc maps the types object of each annotated or declared
-	// module function to its facts (every module FuncDecl gets an
-	// entry; most have no directives).
+	// byFunc maps the types object of each module function declaration
+	// to its facts (most have no directives).
 	byFunc map[*types.Func]*funcFacts
 	// bodies maps module function objects to their declarations, for
 	// transitive traversal.
@@ -48,8 +34,10 @@ type factTable struct {
 	// declPkg maps module function objects to their package (for Info
 	// lookups while traversing bodies).
 	declPkg map[*types.Func]*Package
-	// lineIgnores maps filename -> line -> directive.
-	lineIgnores map[string]map[int]*lineIgnore
+	// lineIgnores maps filename -> line -> checks a justified
+	// //tbtso:ignore on that line suppresses (on its own line and the
+	// line below, so both trailing and comment-above styles work).
+	lineIgnores map[string]map[int]map[string]bool
 	funcRanges  []funcRange
 	// modulePath scopes "same module" decisions.
 	modulePath string
@@ -63,14 +51,42 @@ func collectFacts(pkgs []*Package) *factTable {
 		byFunc:      make(map[*types.Func]*funcFacts),
 		bodies:      make(map[*types.Func]*ast.FuncDecl),
 		declPkg:     make(map[*types.Func]*Package),
-		lineIgnores: make(map[string]map[int]*lineIgnore),
+		lineIgnores: make(map[string]map[int]map[string]bool),
 	}
 	if len(pkgs) > 0 {
 		ft.modulePath = moduleOf(pkgs[0].Path)
 	}
 	for _, p := range pkgs {
 		for _, f := range p.Files {
-			ft.collectFile(p, f)
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				obj, ok := p.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				ft.byFunc[obj] = &funcFacts{decl: fd, pkg: p}
+				if fd.Body != nil {
+					ft.bodies[obj] = fd
+					ft.declPkg[obj] = p
+				}
+			}
+		}
+		dirs, errs := Directives(p, CheckAnnotation)
+		ft.annotationErrors = append(ft.annotationErrors, errs...)
+		for _, d := range dirs {
+			ft.apply(p, d)
+		}
+	}
+	for _, facts := range ft.byFunc {
+		if facts.fenceFree && facts.requiresFence {
+			ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
+				Pos:     facts.pkg.Fset.Position(facts.decl.Name.Pos()),
+				Check:   CheckAnnotation,
+				Message: "function is annotated both //tbtso:fencefree and //tbtso:requires-fence",
+			})
 		}
 	}
 	return ft
@@ -85,120 +101,53 @@ func moduleOf(path string) string {
 	return path
 }
 
-func (ft *factTable) collectFile(p *Package, f *ast.File) {
-	// Line-scoped ignore directives can appear in any comment group.
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			ft.collectComment(p, c)
+// apply records one lint directive. fencefree and requires-fence count
+// only in a function's doc comment; the extraction directives (verify,
+// property, model, shared) belong to tbtso-verify.
+func (ft *factTable) apply(p *Package, d Directive) {
+	var facts *funcFacts
+	if d.Func != nil {
+		if obj, ok := p.Info.Defs[d.Func.Name].(*types.Func); ok {
+			facts = ft.byFunc[obj]
 		}
 	}
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
+	switch {
+	case d.Name == "fencefree" && facts != nil:
+		facts.fenceFree = true
+	case d.Name == "requires-fence" && facts != nil:
+		facts.requiresFence = true
+	case d.Name == "ignore":
+		check, justified := parseIgnoreArgs(d.Args)
+		if !ft.validateIgnore(d.Pos, check, justified) {
+			return
 		}
-		obj, ok := p.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
+		m := ft.lineIgnores[d.Pos.Filename]
+		if m == nil {
+			m = make(map[int]map[string]bool)
+			ft.lineIgnores[d.Pos.Filename] = m
 		}
-		facts := &funcFacts{decl: fd, pkg: p, ignores: make(map[string]bool)}
-		ft.byFunc[obj] = facts
-		if fd.Body != nil {
-			ft.bodies[obj] = fd
-			ft.declPkg[obj] = p
+		if m[d.Pos.Line] == nil {
+			m[d.Pos.Line] = make(map[string]bool)
 		}
-		if fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			ft.applyFuncDirective(p, facts, fd, c)
-		}
-		if facts.fenceFree && facts.requiresFence {
-			ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
-				Pos:     p.Fset.Position(fd.Name.Pos()),
-				Check:   CheckAnnotation,
-				Message: "function is annotated both //tbtso:fencefree and //tbtso:requires-fence",
+		m[d.Pos.Line][check] = true
+		if d.Func != nil {
+			// In a doc comment the ignore covers the whole function.
+			ft.funcRanges = append(ft.funcRanges, funcRange{
+				file:  d.Pos.Filename,
+				start: p.Fset.Position(d.Func.Pos()).Line,
+				end:   p.Fset.Position(d.Func.End()).Line,
+				check: check,
 			})
 		}
 	}
 }
 
-// applyFuncDirective interprets one doc-comment line of a function.
-func (ft *factTable) applyFuncDirective(p *Package, facts *funcFacts, fd *ast.FuncDecl, c *ast.Comment) {
-	dir, rest, ok := splitDirective(c.Text)
-	if !ok {
-		return
-	}
-	switch dir {
-	case "fencefree":
-		facts.fenceFree = true
-	case "requires-fence":
-		facts.requiresFence = true
-	case "verify", "property", "model", "shared":
-		// Extraction directives consumed by internal/analysis/extract
-		// (tbtso-verify). Their grammar is validated there; the lint
-		// checks only need to not mistake them for typos.
-	case "ignore":
-		// Doc comments are also visited by collectComment (they appear
-		// in File.Comments), which validates and reports problems; here
-		// we only widen a valid ignore to the whole function body.
-		check, justified := parseIgnoreArgs(rest)
-		if check == "" || !ValidCheck(check) || !justified {
-			return
-		}
-		facts.ignores[check] = true
-		pos := p.Fset.Position(fd.Pos())
-		end := p.Fset.Position(fd.End())
-		ft.funcRanges = append(ft.funcRanges, funcRange{
-			file:    pos.Filename,
-			start:   pos.Line,
-			end:     end.Line,
-			ignores: map[string]bool{check: true},
-		})
-	default:
-		ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
-			Pos:     p.Fset.Position(c.Pos()),
-			Check:   CheckAnnotation,
-			Message: "unknown directive //tbtso:" + dir,
-		})
-	}
-}
-
-// collectComment handles line-scoped //tbtso:ignore directives. Other
-// //tbtso: directives outside function doc comments are diagnosed when
-// they are ignores with problems; fencefree/requires-fence directives
-// attached to functions are handled by applyFuncDirective (doc comments
-// are also part of f.Comments, so this must not double-report them).
-func (ft *factTable) collectComment(p *Package, c *ast.Comment) {
-	dir, rest, ok := splitDirective(c.Text)
-	if !ok || dir != "ignore" {
-		return
-	}
-	check, justified := parseIgnoreArgs(rest)
-	if !ft.validateIgnore(p, c.Pos(), check, justified) {
-		return
-	}
-	pos := p.Fset.Position(c.Pos())
-	m := ft.lineIgnores[pos.Filename]
-	if m == nil {
-		m = make(map[int]*lineIgnore)
-		ft.lineIgnores[pos.Filename] = m
-	}
-	li := m[pos.Line]
-	if li == nil {
-		li = &lineIgnore{checks: make(map[string]bool)}
-		m[pos.Line] = li
-	}
-	li.checks[check] = true
-	li.justified = justified
-}
-
 // validateIgnore reports grammar problems with an ignore directive; it
 // returns false when the directive must not take effect.
-func (ft *factTable) validateIgnore(p *Package, pos token.Pos, check string, justified bool) bool {
+func (ft *factTable) validateIgnore(pos token.Position, check string, justified bool) bool {
 	if check == "" || !ValidCheck(check) {
 		ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
-			Pos:     p.Fset.Position(pos),
+			Pos:     pos,
 			Check:   CheckAnnotation,
 			Message: "//tbtso:ignore needs a known check name (" + strings.Join(AllChecks, ", ") + " or all), got " + strings.TrimSpace("\""+check+"\""),
 		})
@@ -206,27 +155,13 @@ func (ft *factTable) validateIgnore(p *Package, pos token.Pos, check string, jus
 	}
 	if !justified {
 		ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
-			Pos:     p.Fset.Position(pos),
+			Pos:     pos,
 			Check:   CheckAnnotation,
 			Message: "//tbtso:ignore " + check + " has no justification; write //tbtso:ignore " + check + " <why this is safe>",
 		})
 		return false
 	}
 	return true
-}
-
-// splitDirective parses "//tbtso:<dir> rest..." comment text.
-func splitDirective(text string) (dir, rest string, ok bool) {
-	body, found := strings.CutPrefix(text, annotationPrefix)
-	if !found {
-		return "", "", false
-	}
-	fields := strings.SplitN(body, " ", 2)
-	dir = strings.TrimSpace(fields[0])
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
-	return dir, rest, true
 }
 
 // parseIgnoreArgs splits "check justification..." after an ignore.
@@ -243,14 +178,14 @@ func parseIgnoreArgs(rest string) (check string, justified bool) {
 func (ft *factTable) suppressed(check string, pos token.Position) bool {
 	if m := ft.lineIgnores[pos.Filename]; m != nil {
 		for _, line := range [2]int{pos.Line, pos.Line - 1} {
-			if li := m[line]; li != nil && li.justified && (li.checks[check] || li.checks["all"]) {
+			if m[line][check] || m[line]["all"] {
 				return true
 			}
 		}
 	}
 	for _, fr := range ft.funcRanges {
 		if fr.file == pos.Filename && pos.Line >= fr.start && pos.Line <= fr.end &&
-			(fr.ignores[check] || fr.ignores["all"]) {
+			(fr.check == check || fr.check == "all") {
 			return true
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // checkEscape flags Go-side shared-memory accesses inside machine code.
@@ -36,20 +35,19 @@ import (
 // a machine function legitimately keeps Go-side state — thread-private
 // result recording, mutex-protected statistics — suppress with a
 // justified //tbtso:ignore escape comment.
-func checkEscape(pkgs []*Package, ft *factTable) []Diagnostic {
+func checkEscape(pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		// The machine implementation itself is below the model: the
 		// tso package's own goroutine plumbing is what DEFINES the
 		// Thread API, so it is exempt.
-		if strings.HasSuffix(p.Path, "internal/tso") {
+		if PkgIs(p.Types, "internal/tso") {
 			continue
 		}
 		for _, f := range p.Files {
 			diags = append(diags, escapeInFile(p, f)...)
 		}
 	}
-	_ = ft
 	return diags
 }
 
@@ -60,10 +58,10 @@ func isThreadPtr(t types.Type) bool {
 		return false
 	}
 	n, ok := p.Elem().(*types.Named)
-	if !ok || n.Obj().Pkg() == nil {
+	if !ok {
 		return false
 	}
-	return n.Obj().Name() == "Thread" && strings.HasSuffix(n.Obj().Pkg().Path(), "internal/tso")
+	return n.Obj().Name() == "Thread" && PkgIs(n.Obj().Pkg(), "internal/tso")
 }
 
 // hasThreadParam reports whether the signature takes a *tso.Thread.
@@ -183,7 +181,7 @@ func (ec *escapeChecker) checkWrite(lhs ast.Expr) {
 		return
 	}
 	switch {
-	case ec.isPackageLevel(obj):
+	case IsPackageVar(obj):
 		ec.reported[root.Pos()] = true
 		ec.report(root, "%s writes package-level variable %s, bypassing the *tso.Thread memory API", ec.fname, obj.Name())
 	case !ec.declaredInScope(obj):
@@ -199,7 +197,7 @@ func (ec *escapeChecker) checkGlobalRead(id *ast.Ident) {
 		return
 	}
 	obj, ok := ec.p.Info.Uses[id].(*types.Var)
-	if !ok || obj.IsField() || !ec.isPackageLevel(obj) {
+	if !ok || !IsPackageVar(obj) {
 		return
 	}
 	ec.report(id, "%s reads package-level variable %s, bypassing the *tso.Thread memory API", ec.fname, obj.Name())
@@ -256,13 +254,6 @@ func (ec *escapeChecker) lvalueRoot(e ast.Expr) (*ast.Ident, bool) {
 		return root, deref
 	}
 	return nil, true
-}
-
-func (ec *escapeChecker) isPackageLevel(v *types.Var) bool {
-	if v.Pkg() == nil {
-		return false
-	}
-	return v.Parent() == v.Pkg().Scope()
 }
 
 // declaredInScope reports whether v is declared inside the machine

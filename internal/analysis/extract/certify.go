@@ -7,7 +7,6 @@ import (
 
 	"tbtso/internal/fuzz"
 	"tbtso/internal/mc"
-	"tbtso/internal/obs"
 )
 
 // Certification semantics. "Holds" at a bound Δ means the exhaustive
@@ -128,13 +127,9 @@ type Options struct {
 	// A truncated exploration aborts certification — no certificate is
 	// issued on a partial state space.
 	MaxStates int
-	// Workers is the explorer's worker count (0 = GOMAXPROCS).
-	Workers int
 	// MachSeeds is how many scheduler seeds per drain policy the
 	// machine-witness search samples (default 64).
 	MachSeeds int
-	// Metrics, if non-nil, receives explorer counters.
-	Metrics *obs.Registry
 }
 
 func (o Options) withDefaults() Options {
@@ -223,9 +218,7 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 			wait = 1
 		}
 		prog := p.Instantiate(wait)
-		res, err := mc.ExploreParallel(prog, delta, mc.Options{
-			MaxStates: opt.MaxStates, Workers: opt.Workers, Metrics: opt.Metrics, Context: ctx,
-		})
+		res, err := mc.ExploreParallel(prog, delta, mc.Options{MaxStates: opt.MaxStates, Context: ctx})
 		if err != nil {
 			return SweepPoint{}, fmt.Errorf("pair %s at Δ=%d: %w", p.Name, delta, err)
 		}
@@ -392,7 +385,7 @@ func (c *Counterexample) Replay(p *Pair, opt Options) error {
 	if !p.Forbidden(c.Outcome) {
 		return fmt.Errorf("outcome %q is no longer forbidden by %s's property", c.Outcome, c.Pair)
 	}
-	res, err := mc.ExploreParallel(prog, c.Delta, mc.Options{MaxStates: opt.MaxStates, Workers: opt.Workers})
+	res, err := mc.ExploreParallel(prog, c.Delta, mc.Options{MaxStates: opt.MaxStates})
 	if err != nil {
 		return err
 	}

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -59,8 +58,6 @@ const (
 	RoleWriter = "writer"
 	RoleReader = "reader"
 )
-
-const annotationPrefix = "//tbtso:"
 
 // verifyArgs is a parsed //tbtso:verify directive.
 type verifyArgs struct {
@@ -95,36 +92,32 @@ type directives struct {
 	shared map[string]map[int]bool
 	// properties in file/position order.
 	properties []propertyDecl
+	// verifies are the //tbtso:verify-annotated functions in source
+	// order.
+	verifies []verifyDecl
 
 	diags []analysis.Diagnostic
 }
 
-func splitDirective(text string) (dir, rest string, ok bool) {
-	body, found := strings.CutPrefix(text, annotationPrefix)
-	if !found {
-		return "", "", false
-	}
-	fields := strings.SplitN(body, " ", 2)
-	dir = strings.TrimSpace(fields[0])
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
-	return dir, rest, true
+// verifyDecl is one function documented with a //tbtso:verify line.
+type verifyDecl struct {
+	pkg  *analysis.Package
+	fd   *ast.FuncDecl
+	args verifyArgs
 }
 
-// collectDirectives scans all comments of all packages.
+// collectDirectives parses the extraction directives of every package
+// from the comment walk tbtso-lint shares.
 func collectDirectives(pkgs []*analysis.Package) *directives {
 	d := &directives{
 		models: make(map[string]map[int]modelDir),
 		shared: make(map[string]map[int]bool),
 	}
 	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					d.collect(p, c)
-				}
-			}
+		dirs, errs := analysis.Directives(p, Check)
+		d.diags = append(d.diags, errs...)
+		for _, dir := range dirs {
+			d.collect(p, dir)
 		}
 	}
 	return d
@@ -136,13 +129,20 @@ func (d *directives) errorf(pos token.Position, format string, args ...any) {
 	})
 }
 
-func (d *directives) collect(p *analysis.Package, c *ast.Comment) {
-	dir, rest, ok := splitDirective(c.Text)
-	if !ok {
-		return
-	}
-	pos := p.Fset.Position(c.Pos())
-	switch dir {
+func (d *directives) collect(p *analysis.Package, dir analysis.Directive) {
+	pos := dir.Pos
+	rest := dir.Args
+	switch dir.Name {
+	case "verify":
+		if dir.Func == nil {
+			return // only a function doc comment names a step
+		}
+		va, err := parseVerify(rest)
+		if err != nil {
+			d.errorf(pos, "%v", err)
+			return
+		}
+		d.verifies = append(d.verifies, verifyDecl{pkg: p, fd: dir.Func, args: va})
 	case "model":
 		md, err := parseModel(rest)
 		if err != nil {
@@ -371,21 +371,4 @@ func (d *directives) sharedAt(pos token.Position) bool {
 		return false
 	}
 	return m[pos.Line] || m[pos.Line-1]
-}
-
-// sortDiags orders diagnostics the same way Analyzer.Run does.
-func sortDiags(diags []analysis.Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		return diags[i].Message < diags[j].Message
-	})
 }

@@ -77,43 +77,17 @@ type Extraction struct {
 func Extract(pkgs []*analysis.Package) *Extraction {
 	dirs := collectDirectives(pkgs)
 	idx := indexFuncs(pkgs)
-	ex := &Extraction{}
-	var diags []analysis.Diagnostic
-	diags = append(diags, dirs.diags...)
-
+	diags := dirs.diags
 	var steps []*Step
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Doc == nil {
-					continue
-				}
-				for _, c := range fd.Doc.List {
-					dir, rest, ok := splitDirective(c.Text)
-					if !ok || dir != "verify" {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					va, err := parseVerify(rest)
-					if err != nil {
-						diags = append(diags, analysis.Diagnostic{Pos: pos, Check: Check, Message: err.Error()})
-						continue
-					}
-					st, ds := extractFunc(p, fd, va, dirs, idx)
-					steps = append(steps, st)
-					diags = append(diags, ds...)
-				}
-			}
-		}
+	for _, v := range dirs.verifies {
+		st, ds := extractFunc(v.pkg, v.fd, v.args, dirs, idx)
+		steps = append(steps, st)
+		diags = append(diags, ds...)
 	}
-
 	pairs, ds := assemblePairs(steps, dirs.properties)
 	diags = append(diags, ds...)
-	sortDiags(diags)
-	ex.Pairs = pairs
-	ex.Diags = diags
-	return ex
+	analysis.SortDiagnostics(diags)
+	return &Extraction{Pairs: pairs, Diags: diags}
 }
 
 // funcIndex maps module function objects to their declarations, for
@@ -156,8 +130,8 @@ type callClass int
 const (
 	ccPure          callClass = iota // no shared-memory effect
 	ccAtomic                         // sync/atomic method
-	ccThread                         // tso.Thread memory/fence/wait method
-	ccFence                          // fence.Line/Lines Full
+	ccThread                         // tso.Thread memory/wait method
+	ccFence                          // a fence primitive (analysis.IsFence)
 	ccBoundWait                      // core.Bound.Wait
 	ccBoundEligible                  // core.Bound.Eligible (spin conditions only)
 	ccClock                          // tso.Thread.Clock (pure; marks spin conditions)
@@ -168,12 +142,6 @@ type callInfo struct {
 	class  callClass
 	method string
 	callee *types.Func // for ccUnknown module funcs, to name in diagnostics
-}
-
-// pkgSuffix tests a package path against a module-internal package,
-// robust to the module path itself ("tbtso/internal/tso" etc.).
-func pkgSuffix(pkg *types.Package, suffix string) bool {
-	return pkg != nil && (pkg.Path() == suffix || strings.HasSuffix(pkg.Path(), "/"+suffix))
 }
 
 // extractor walks one annotated function body.
@@ -390,13 +358,13 @@ func (x *extractor) assign(st *ast.AssignStmt) {
 				x.plainStore(st, i, lhs.Name)
 				continue
 			}
-			if isPackageLevel(obj) {
+			if analysis.IsPackageVar(obj) {
 				x.rejectf(l.Pos(), "assignment to package-level %s is not modeled; "+
 					"mark it //tbtso:shared or use an atomic", lhs.Name)
 			}
 			// Local (including parameters): invisible to the model.
 		case *ast.SelectorExpr:
-			if obj := x.fieldObj(lhs); obj != nil && x.sharedObj(obj) {
+			if obj := analysis.FieldVar(x.pkg, lhs); obj != nil && x.sharedObj(obj) {
 				if loc, ok := x.resolveLoc(l); ok {
 					x.plainStore(st, i, loc)
 				}
@@ -435,7 +403,7 @@ func (x *extractor) expr(e ast.Expr) {
 			x.emit(v.Pos(), AbsOp{Kind: mc.OpLoad, Loc: v.Name})
 		}
 	case *ast.SelectorExpr:
-		if obj := x.fieldObj(v); obj != nil && x.sharedObj(obj) {
+		if obj := analysis.FieldVar(x.pkg, v); obj != nil && x.sharedObj(obj) {
 			if loc, ok := x.resolveLoc(v); ok {
 				x.emit(v.Pos(), AbsOp{Kind: mc.OpLoad, Loc: loc})
 			}
@@ -579,8 +547,6 @@ func (x *extractor) threadCall(call *ast.CallExpr, method string) {
 			return
 		}
 		x.emit(call.Pos(), AbsOp{Kind: mc.OpRMW, Loc: loc, Val: val})
-	case "Fence":
-		x.emit(call.Pos(), AbsOp{Kind: mc.OpFence})
 	case "WaitUntil":
 		md, ok := x.dirs.modelAt(x.position(call.Pos()))
 		if !ok || !md.isWait {
@@ -656,30 +622,24 @@ func (x *extractor) classify(call *ast.CallExpr) callInfo {
 }
 
 // classifyMethod classifies a resolved method by its declaring package.
+// Fences are exactly tbtso-lint's fence primitives (analysis.IsFence).
 func (x *extractor) classifyMethod(m *types.Func) callInfo {
 	pkg := m.Pkg()
 	name := m.Name()
 	switch {
+	case analysis.IsFence(m):
+		return callInfo{class: ccFence}
 	case pkg != nil && pkg.Path() == "sync/atomic":
 		return callInfo{class: ccAtomic, method: name}
-	case pkgSuffix(pkg, "internal/tso"):
-		if recvNamed(m) == "Thread" {
-			switch name {
-			case "Clock":
-				return callInfo{class: ccClock}
-			case "ID", "Name", "Yield", "Machine":
-				return callInfo{class: ccPure}
-			default:
-				return callInfo{class: ccThread, method: name}
-			}
+	case analysis.PkgIs(pkg, "internal/tso") && analysis.ReceiverTypeName(m) == "Thread":
+		switch name {
+		case "Clock":
+			return callInfo{class: ccClock}
+		case "ID", "Name", "Yield", "Machine":
+			return callInfo{class: ccPure}
 		}
-		return x.classifyFunc(m)
-	case pkgSuffix(pkg, "internal/fence"):
-		if name == "Full" {
-			return callInfo{class: ccFence}
-		}
-		return x.classifyFunc(m)
-	case pkgSuffix(pkg, "internal/core"):
+		return callInfo{class: ccThread, method: name}
+	case analysis.PkgIs(pkg, "internal/core"):
 		switch name {
 		case "Wait":
 			return callInfo{class: ccBoundWait}
@@ -689,27 +649,8 @@ func (x *extractor) classifyMethod(m *types.Func) callInfo {
 			// Time readings: no modeled-memory effect.
 			return callInfo{class: ccPure}
 		}
-		return x.classifyFunc(m)
-	default:
-		return x.classifyFunc(m)
 	}
-}
-
-// recvNamed returns the name of a method's receiver's named type
-// (pointer stripped), or "".
-func recvNamed(m *types.Func) string {
-	sig, ok := m.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return ""
+	return x.classifyFunc(m)
 }
 
 // classifyFunc classifies a package-level function (or a method not
@@ -727,7 +668,7 @@ func (x *extractor) classifyFunc(f *types.Func) callInfo {
 			return callInfo{class: ccPure}
 		}
 	}
-	if pkgSuffix(pkg, "internal/vclock") && f.Name() == "Now" {
+	if analysis.PkgIs(pkg, "internal/vclock") && f.Name() == "Now" {
 		return callInfo{class: ccPure}
 	}
 	if d, ok := x.idx.decls[f]; ok {
@@ -782,7 +723,7 @@ func (x *extractor) hasShared(n ast.Node) bool {
 				found = true
 			}
 		case *ast.SelectorExpr:
-			if obj := x.fieldObj(v); obj != nil && x.sharedObj(obj) {
+			if obj := analysis.FieldVar(x.pkg, v); obj != nil && x.sharedObj(obj) {
 				found = true
 			}
 		}
@@ -798,15 +739,6 @@ func (x *extractor) sharedObj(obj types.Object) bool {
 		return false
 	}
 	return x.dirs.sharedAt(x.pkg.Fset.Position(obj.Pos()))
-}
-
-// fieldObj resolves a selector to the field object it denotes, or nil
-// for package selectors and methods.
-func (x *extractor) fieldObj(sel *ast.SelectorExpr) types.Object {
-	if s, ok := x.pkg.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
-		return s.Obj()
-	}
-	return nil
 }
 
 // resolveLoc names the shared location an expression denotes. Naming
@@ -837,7 +769,7 @@ func (x *extractor) resolveLoc(e ast.Expr) (string, bool) {
 					return "", false
 				}
 				return strings.Join(parts, "."), true
-			case x.params[obj] || isPackageLevel(obj):
+			case x.params[obj] || analysis.IsPackageVar(obj):
 				return strings.Join(append([]string{v.Name}, parts...), "."), true
 			default:
 				x.rejectf(v.Pos(), "shared location rooted at local %q is not nameable; "+
@@ -873,14 +805,6 @@ func identOf(e ast.Expr) *ast.Ident {
 		return id
 	}
 	return &ast.Ident{}
-}
-
-func isPackageLevel(obj types.Object) bool {
-	v, ok := obj.(*types.Var)
-	if !ok || v.IsField() {
-		return false
-	}
-	return obj.Parent() != nil && obj.Parent().Parent() == types.Universe
 }
 
 // opValue determines the abstract value written by a store or added by

@@ -110,6 +110,7 @@ func TestUnmodelableRejected(t *testing.T) {
 		"conditional control flow",
 		"a channel send",
 		"non-constant stored value",
+		"unknown directive //tbtso:sharde",
 	}
 	for _, frag := range wantFragments {
 		found := false

@@ -40,10 +40,9 @@ func NewSweepProgress(opt Options) *SweepProgress {
 }
 
 // ProgressHash fingerprints the options that determine sweep-point
-// content: the sweep shape and the exploration budget. Workers and
-// Metrics are excluded (worker-count invariance), as is MachSeeds (it
-// only drives the post-sweep machine-witness search, which never
-// resumes partially).
+// content: the sweep shape and the exploration budget. MachSeeds is
+// excluded: it only drives the post-sweep machine-witness search, which
+// never resumes partially.
 func (o Options) ProgressHash() string {
 	o = o.withDefaults()
 	return obs.HashDoc(struct {

@@ -40,7 +40,7 @@ func SuggestFences(p *Pair, opt Options) ([]Suggestion, error) {
 
 	holds := func(wIns, rIns []int) (bool, error) {
 		prog := instantiateWithFences(p, wIns, rIns, 1)
-		res, err := mc.ExploreParallel(prog, 0, mc.Options{MaxStates: opt.MaxStates, Workers: opt.Workers})
+		res, err := mc.ExploreParallel(prog, 0, mc.Options{MaxStates: opt.MaxStates})
 		if err != nil {
 			return false, fmt.Errorf("pair %s: %w", p.Name, err)
 		}

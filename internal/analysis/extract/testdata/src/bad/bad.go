@@ -42,3 +42,9 @@ func NonConstWriter(n uint64) uint64 {
 func OKReader() uint64 {
 	return v.Load()
 }
+
+// A misspelt //tbtso:shared must be reported, not silently leave the
+// variable unmodeled.
+//
+//tbtso:sharde
+var plain uint64

@@ -8,37 +8,39 @@ import (
 )
 
 // fenceFuncs identifies the repository's fence primitives: calling any
-// of these drains the store buffer (§2's fence action). The analyzer
-// matches by package suffix + receiver + name so it keeps working if
-// the module is ever renamed.
+// of these drains the store buffer (§2's fence action). Both tools
+// classify fences from this one list. Matching is by package suffix +
+// receiver + name so it keeps working if the module is ever renamed.
 var fenceFuncs = []struct {
-	pkgSuffix string // import-path suffix
-	recv      string // receiver type name ("" = package function)
-	name      string
+	pkg  string // import-path suffix
+	recv string // receiver type name ("" = package function)
+	name string
 }{
 	{"internal/fence", "Line", "Full"},
 	{"internal/fence", "Lines", "Full"},
 	{"internal/tso", "Thread", "Fence"},
 }
 
-// isFencePrimitive reports whether fn is one of the fence primitives.
-func isFencePrimitive(fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	recv := receiverTypeName(fn)
+// IsFence reports whether fn is one of the fence primitives.
+func IsFence(fn *types.Func) bool {
+	recv := ReceiverTypeName(fn)
 	for _, ff := range fenceFuncs {
-		if strings.HasSuffix(path, ff.pkgSuffix) && fn.Name() == ff.name && recv == ff.recv {
+		if PkgIs(fn.Pkg(), ff.pkg) && fn.Name() == ff.name && recv == ff.recv {
 			return true
 		}
 	}
 	return false
 }
 
-// receiverTypeName returns the name of fn's receiver type ("" for
+// PkgIs reports whether pkg is the module package with the given
+// import-path suffix ("internal/tso"), whatever the module path is.
+func PkgIs(pkg *types.Package, suffix string) bool {
+	return pkg != nil && (pkg.Path() == suffix || strings.HasSuffix(pkg.Path(), "/"+suffix))
+}
+
+// ReceiverTypeName returns the name of fn's receiver type ("" for
 // package functions), with any pointer indirection stripped.
-func receiverTypeName(fn *types.Func) string {
+func ReceiverTypeName(fn *types.Func) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return ""
@@ -140,7 +142,7 @@ func (fc *fenceChecker) checkFenceFree(p *Package, fn *types.Func, facts *funcFa
 // "calls x, which calls y, which calls a.Full"); "" if it provably
 // does not through statically resolvable module calls.
 func (fc *fenceChecker) fenceChain(callee *types.Func, visiting map[*types.Func]bool) string {
-	if isFencePrimitive(callee) {
+	if IsFence(callee) {
 		return "calls the fence primitive " + callee.FullName()
 	}
 	if !fc.ft.isModuleFunc(callee) || visiting[callee] {
@@ -174,7 +176,7 @@ func (fc *fenceChecker) checkRequiresFence(p *Package, fn *types.Func, facts *fu
 	}
 	hasAny := false
 	for _, cs := range callsIn(p, facts.decl.Body) {
-		if fc.surelyFences(cs.fn) || isFencePrimitive(cs.fn) {
+		if fc.surelyFences(cs.fn) || IsFence(cs.fn) {
 			hasAny = true
 			break
 		}
@@ -202,7 +204,7 @@ func (fc *fenceChecker) checkRequiresFence(p *Package, fn *types.Func, facts *fu
 // fence: fence primitives, //tbtso:requires-fence contracts, and module
 // functions whose bodies fence on every path (computed transitively).
 func (fc *fenceChecker) surelyFences(fn *types.Func) bool {
-	if isFencePrimitive(fn) {
+	if IsFence(fn) {
 		return true
 	}
 	if !fc.ft.isModuleFunc(fn) {

@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // checkMixed flags struct fields and package-level variables that are
@@ -21,8 +20,7 @@ import (
 // Fields wrapped in atomic.Uint64-style types are immune by
 // construction and never flagged — this check exists for the old-style
 // sync/atomic call pattern.
-func checkMixed(pkgs []*Package, ft *factTable) []Diagnostic {
-	_ = ft
+func checkMixed(pkgs []*Package) []Diagnostic {
 	type access struct {
 		pos token.Position
 	}
@@ -48,7 +46,7 @@ func checkMixed(pkgs []*Package, ft *factTable) []Diagnostic {
 					var v *types.Var
 					switch t := target.(type) {
 					case *ast.SelectorExpr:
-						v = fieldVar(p, t)
+						v = FieldVar(p, t)
 					case *ast.Ident:
 						v = globalVar(p, t)
 					}
@@ -68,7 +66,7 @@ func checkMixed(pkgs []*Package, ft *factTable) []Diagnostic {
 					if atomicOperand[e.Pos()] {
 						return true // the atomic site itself
 					}
-					v = fieldVar(p, e)
+					v = FieldVar(p, e)
 				case *ast.Ident:
 					if atomicOperand[e.Pos()] {
 						return true
@@ -104,13 +102,6 @@ func checkMixed(pkgs []*Package, ft *factTable) []Diagnostic {
 			})
 		}
 	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
 	return diags
 }
 
@@ -130,16 +121,16 @@ func isAtomicCall(p *Package, call *ast.CallExpr) bool {
 	return fn.Pkg().Path() == "sync/atomic" && (sig == nil || sig.Recv() == nil)
 }
 
-// fieldVar resolves a selector to the struct field it denotes, if any.
-func fieldVar(p *Package, sel *ast.SelectorExpr) *types.Var {
+// FieldVar resolves a selector to the struct field or qualified
+// package-level variable (pkg.Var) it denotes, if any.
+func FieldVar(p *Package, sel *ast.SelectorExpr) *types.Var {
 	if s, ok := p.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
 			return v
 		}
 		return nil
 	}
-	// Qualified package-level variable (pkg.Var).
-	if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && !v.IsField() && isGlobal(v) {
+	if v, ok := p.Info.Uses[sel.Sel].(*types.Var); ok && IsPackageVar(v) {
 		return v
 	}
 	return nil
@@ -147,15 +138,17 @@ func fieldVar(p *Package, sel *ast.SelectorExpr) *types.Var {
 
 // globalVar resolves a bare identifier to a package-level variable.
 func globalVar(p *Package, id *ast.Ident) *types.Var {
-	v, ok := p.Info.Uses[id].(*types.Var)
-	if !ok || v.IsField() || !isGlobal(v) {
-		return nil
+	if v, ok := p.Info.Uses[id].(*types.Var); ok && IsPackageVar(v) {
+		return v
 	}
-	return v
+	return nil
 }
 
-func isGlobal(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+// IsPackageVar reports whether obj is a package-level variable (never
+// a field, parameter or local).
+func IsPackageVar(obj types.Object) bool {
+	v, ok := obj.(*types.Var)
+	return ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
 // isMixableType restricts the check to types sync/atomic operates on.

@@ -26,3 +26,15 @@ func h() { // want-1 annotation "unknown directive"
 func clash() { // want annotation "annotated both" requires-fence "contains no fence call at all"
 	x = 4
 }
+
+// Misspelt directives are errors wherever they appear, not only in a
+// function's doc comment.
+func trailing() {
+	// want+1 annotation "unknown directive"
+	x = 5 //tbtso:modle val=1
+}
+
+// want+2 annotation "unknown directive"
+//
+//tbtso:sharde
+var y int

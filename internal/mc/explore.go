@@ -7,14 +7,11 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"tbtso/internal/obs"
 )
 
 // Options configures ExploreParallel. The zero value asks for the
 // defaults: DefaultMaxStates budget, GOMAXPROCS workers, all
-// reductions on, no metrics.
+// reductions on.
 type Options struct {
 	// MaxStates bounds the number of distinct (canonical) states
 	// visited; 0 means DefaultMaxStates.
@@ -28,11 +25,6 @@ type Options struct {
 	NoReduction bool
 	// NoSymmetry disables identical-thread canonicalization.
 	NoSymmetry bool
-	// Metrics, if non-nil, receives explorer progress: counters
-	// mc.states, mc.transitions, mc.dedup_hits, mc.por_prunes,
-	// mc.terminal_collapses and gauges mc.states_per_sec,
-	// mc.frontier_depth, mc.workers.
-	Metrics *obs.Registry
 	// Context, if non-nil, makes the exploration cooperatively
 	// cancellable: on cancellation the workers drain their frontiers
 	// without expanding further and ExploreParallel returns the partial
@@ -127,28 +119,6 @@ type engine struct {
 	states      atomic.Int64 // distinct canonical states admitted
 	truncated   atomic.Bool
 	interrupted atomic.Bool // Options.Context cancelled; workers drain without expanding
-
-	start   time.Time
-	metrics *engineMetrics
-}
-
-type engineMetrics struct {
-	states, transitions, dedup, porPrunes, collapses *obs.Counter
-	statesPerSec, frontier, workers                  *obs.Gauge
-	pub                                              atomic.Bool
-}
-
-func newEngineMetrics(r *obs.Registry) *engineMetrics {
-	return &engineMetrics{
-		states:       r.Counter("mc.states"),
-		transitions:  r.Counter("mc.transitions"),
-		dedup:        r.Counter("mc.dedup_hits"),
-		porPrunes:    r.Counter("mc.por_prunes"),
-		collapses:    r.Counter("mc.terminal_collapses"),
-		statesPerSec: r.Gauge("mc.states_per_sec"),
-		frontier:     r.Gauge("mc.frontier_depth"),
-		workers:      r.Gauge("mc.workers"),
-	}
 }
 
 // worker owns a LIFO stack of encoded frontier states (views of the
@@ -166,7 +136,6 @@ type worker struct {
 	stealBuf  [][]byte
 	symKeys   [][][]byte          // per identity group, per member: encoding scratch
 	outcomes  map[string]struct{} // reg-encoding outcome set
-	sinceTick int
 	counts
 }
 
@@ -211,7 +180,6 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 		maxStates:  int64(maxStates),
 		collapseOK: !opts.NoReduction,
 		vis:        newVisited(),
-		start:      time.Now(),
 	}
 	if !opts.NoReduction && delta == 0 && p.Vars <= 64 && !hasWaits(p) {
 		e.porOK = true
@@ -223,11 +191,6 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	if !opts.NoSymmetry {
 		e.groups = symGroups(p)
 	}
-	if opts.Metrics != nil {
-		e.metrics = newEngineMetrics(opts.Metrics)
-		e.metrics.workers.Set(int64(nw))
-	}
-
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
 		w := &worker{e: e, id: i, outcomes: make(map[string]struct{})}
@@ -293,7 +256,6 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 		res.PorPrunes += w.porPrunes
 		res.TerminalCollapses += w.collapses
 	}
-	e.publishFinal(res)
 	if e.truncated.Load() {
 		return res, &TruncatedError{MaxStates: maxStates, States: res.States, Shape: p.shape(delta), Partial: res}
 	}
@@ -327,43 +289,6 @@ func (e *engine) mergeOutcomes() map[string]bool {
 		}
 	}
 	return out
-}
-
-func (e *engine) publishFinal(res Result) {
-	m := e.metrics
-	if m == nil {
-		return
-	}
-	m.states.Add(uint64(res.States))
-	m.transitions.Add(uint64(res.Transitions))
-	m.dedup.Add(uint64(res.DedupHits))
-	m.porPrunes.Add(uint64(res.PorPrunes))
-	m.collapses.Add(uint64(res.TerminalCollapses))
-	m.frontier.Set(0)
-	if el := time.Since(e.start).Seconds(); el > 0 {
-		m.statesPerSec.Set(int64(float64(res.States) / el))
-	}
-}
-
-// publishTick refreshes the live gauges; workers call it every few
-// thousand expansions and the flag keeps concurrent publishers from
-// piling up on the stack locks.
-func (e *engine) publishTick() {
-	m := e.metrics
-	if m == nil || !m.pub.CompareAndSwap(false, true) {
-		return
-	}
-	var depth int64
-	for _, w := range e.workers {
-		w.mu.Lock()
-		depth += int64(len(w.stack))
-		w.mu.Unlock()
-	}
-	m.frontier.Set(depth)
-	if el := time.Since(e.start).Seconds(); el > 0 {
-		m.statesPerSec.Set(int64(float64(e.states.Load()) / el))
-	}
-	m.pub.Store(false)
 }
 
 func (w *worker) pop() ([]byte, bool) {
@@ -490,10 +415,6 @@ func (w *worker) expand(key []byte) {
 	e := w.e
 	if e.truncated.Load() || e.interrupted.Load() {
 		return
-	}
-	if w.sinceTick++; w.sinceTick >= 16384 {
-		w.sinceTick = 0
-		e.publishTick()
 	}
 	decodeState(&w.cur, e.p, key)
 	s := &w.cur

@@ -101,42 +101,25 @@ type Monitor interface {
 // Set is a composite of monitors that fans the event stream out to all
 // of them and aggregates their violations. It implements tso.Sink and
 // tso.RunObserver, so one Set attaches to a machine as a single sink.
-// Attach is safe to call concurrently with Emit: the monitor list is
-// copy-on-write, so the hot path reads one atomic pointer.
+// Its monitor list is fixed by NewSet.
 type Set struct {
-	mu   sync.Mutex
-	mons atomic.Pointer[[]Monitor]
+	mons []Monitor
 }
 
 // NewSet returns a set over the given monitors.
 func NewSet(mons ...Monitor) *Set {
-	s := &Set{}
-	list := append([]Monitor(nil), mons...)
-	s.mons.Store(&list)
-	return s
+	return &Set{mons: append([]Monitor(nil), mons...)}
 }
 
-// Attach adds a monitor. Events already streamed are not replayed to
-// it; attach before Run for full coverage.
-func (s *Set) Attach(m Monitor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	old := *s.mons.Load()
-	list := make([]Monitor, len(old)+1)
-	copy(list, old)
-	list[len(old)] = m
-	s.mons.Store(&list)
-}
-
-// Monitors returns the current monitor list.
+// Monitors returns a copy of the monitor list.
 func (s *Set) Monitors() []Monitor {
-	return append([]Monitor(nil), *s.mons.Load()...)
+	return append([]Monitor(nil), s.mons...)
 }
 
 // BeginRun implements tso.RunObserver by forwarding to every monitor
 // that observes runs.
 func (s *Set) BeginRun(names []string, delta uint64) {
-	for _, m := range *s.mons.Load() {
+	for _, m := range s.mons {
 		if ro, ok := m.(tso.RunObserver); ok {
 			ro.BeginRun(names, delta)
 		}
@@ -147,7 +130,7 @@ func (s *Set) BeginRun(names []string, delta uint64) {
 //
 //tbtso:fencefree
 func (s *Set) Emit(e tso.Event) {
-	for _, m := range *s.mons.Load() {
+	for _, m := range s.mons {
 		m.Emit(e)
 	}
 }
@@ -156,7 +139,7 @@ func (s *Set) Emit(e tso.Event) {
 // that accepts one (the SMR visibility monitor), so a Set can be
 // handed to machalg demos as a single opaque sink.
 func (s *Set) SetHazardRange(base tso.Addr, n int) {
-	for _, m := range *s.mons.Load() {
+	for _, m := range s.mons {
 		if rs, ok := m.(interface {
 			SetHazardRange(base tso.Addr, n int)
 		}); ok {
@@ -165,10 +148,10 @@ func (s *Set) SetHazardRange(base tso.Addr, n int) {
 	}
 }
 
-// Violations aggregates every monitor's report, in attachment order.
+// Violations aggregates every monitor's report, in NewSet order.
 func (s *Set) Violations() []Violation {
 	var out []Violation
-	for _, m := range *s.mons.Load() {
+	for _, m := range s.mons {
 		out = append(out, m.Violations()...)
 	}
 	return out
@@ -176,7 +159,7 @@ func (s *Set) Violations() []Violation {
 
 // Ok reports whether no monitor has tripped.
 func (s *Set) Ok() bool {
-	for _, m := range *s.mons.Load() {
+	for _, m := range s.mons {
 		if len(m.Violations()) > 0 {
 			return false
 		}

@@ -352,34 +352,3 @@ func TestViolationOverflowMarker(t *testing.T) {
 		t.Fatalf("overflow marker wrong: %q", last.Detail)
 	}
 }
-
-// TestSetAttachDuringEmit races monitor attachment against a live
-// event stream — the copy-on-write list must keep both sides safe
-// (run under -race; the concurrent-attachment satellite).
-func TestSetAttachDuringEmit(t *testing.T) {
-	set := monitor.NewSet(monitor.NewDrainAccounting())
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		e := tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: 1, Val: 1, Enq: 1, Tick: 2}
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				set.Emit(e)
-			}
-		}
-	}()
-	for i := 0; i < 50; i++ {
-		set.Attach(monitor.NewResidency(nil, 100))
-	}
-	close(stop)
-	wg.Wait()
-	if got := len(set.Monitors()); got != 51 {
-		t.Fatalf("attached %d monitors, want 51", got)
-	}
-	set.Violations() // must not race either
-}

@@ -111,15 +111,15 @@ func (o Options) Start(reg *obs.Registry) (*Session, error) {
 // ParseMonitors builds a monitor set from a -obs.monitor spec:
 // "residency", "residency=40,drain", "all", ... publishing into reg.
 func ParseMonitors(spec string, reg *obs.Registry) (*monitor.Set, error) {
-	set := monitor.NewSet()
+	var mons []monitor.Monitor
 	add := func(name string, bound uint64) error {
 		switch name {
 		case "residency":
-			set.Attach(monitor.NewResidency(reg, bound))
+			mons = append(mons, monitor.NewResidency(reg, bound))
 		case "drain":
-			set.Attach(monitor.NewDrainAccounting())
+			mons = append(mons, monitor.NewDrainAccounting())
 		case "smr":
-			set.Attach(monitor.NewSMRVisibility(reg, bound))
+			mons = append(mons, monitor.NewSMRVisibility(reg, bound))
 		default:
 			return fmt.Errorf("serve: unknown monitor %q (valid: residency[=Δ], drain, smr[=Δ], all)", name)
 		}
@@ -154,7 +154,7 @@ func ParseMonitors(spec string, reg *obs.Registry) (*monitor.Set, error) {
 			return nil, err
 		}
 	}
-	return set, nil
+	return monitor.NewSet(mons...), nil
 }
 
 // Server returns the running ops server (nil unless -obs.listen), so
