@@ -29,7 +29,8 @@ verify:
 # Counterexample gate: regenerate every certificate artifact into a
 # scratch directory inside the module and byte-compare the
 # counterexamples and their Perfetto traces with certs/ (verify compares
-# only certificates, with state counts normalized away).
+# only certificates, with state counts normalized away), then replay
+# each committed counterexample against the current source.
 CEX_DIR := .verify-cex
 verify-cex:
 	rm -rf $(CEX_DIR)
@@ -39,6 +40,7 @@ verify-cex:
 		n=$$(basename $$f); cmp certs/$$n $(CEX_DIR)/$$n || status=1; \
 	done; \
 	rm -rf $(CEX_DIR); exit $$status
+	for f in certs/*.cex.json; do $(GO) run ./cmd/tbtso-verify -replay $$f || exit 1; done
 
 test:
 	$(GO) test ./...
@@ -49,8 +51,9 @@ race:
 	$(GO) test -race -count=2 ./...
 
 # The full local gate. CI runs the same targets, each once, split
-# across its check (build lint test race) and verify jobs.
-check: build lint test race verify
+# across its check (build lint test race) and verify (verify
+# verify-cex) jobs.
+check: build lint test race verify verify-cex
 
 # testing.B versions of every figure + micro/ablation benches.
 bench:

@@ -454,12 +454,11 @@ func runPlanted(ctx context.Context, cfg fuzz.Config, reg *obs.Registry, outDir 
 			results = append(results, r)
 			continue
 		}
-		p, _ := fuzz.DecodeProgram(a.Program)
-		for _, th := range p.Threads {
+		for _, th := range a.Program.Threads {
 			r.Ops += len(th)
 		}
 		r.Found = true
-		r.Threads = len(p.Threads)
+		r.Threads = len(a.Program.Threads)
 		r.Delta = a.Delta
 		r.Outcome = a.Outcome
 		r.Policy = a.Policy

@@ -7,10 +7,39 @@ import (
 	"strings"
 )
 
-// funcFacts records the directives attached to one function declaration.
+// FuncDecl is a function declaration and the package declaring it.
+type FuncDecl struct {
+	Decl *ast.FuncDecl
+	Pkg  *Package
+}
+
+// FuncIndex maps the types object of every function declared in a set
+// of packages to its declaration. Lint's fence checks and the
+// extractor's purity check walk callees' bodies through it.
+type FuncIndex map[*types.Func]FuncDecl
+
+// NewFuncIndex indexes the function declarations of pkgs.
+func NewFuncIndex(pkgs []*Package) FuncIndex {
+	idx := make(FuncIndex)
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+					idx[obj] = FuncDecl{Decl: fd, Pkg: p}
+				}
+			}
+		}
+	}
+	return idx
+}
+
+// funcFacts records the lint directives attached to one function
+// declaration.
 type funcFacts struct {
-	decl          *ast.FuncDecl
-	pkg           *Package
 	fenceFree     bool
 	requiresFence bool
 }
@@ -25,15 +54,12 @@ type funcRange struct {
 
 // factTable aggregates annotation facts across all packages.
 type factTable struct {
-	// byFunc maps the types object of each module function declaration
-	// to its facts (most have no directives).
+	// funcs indexes every module function declaration, for transitive
+	// traversal.
+	funcs FuncIndex
+	// byFunc holds the facts of the functions that carry a lint
+	// directive.
 	byFunc map[*types.Func]*funcFacts
-	// bodies maps module function objects to their declarations, for
-	// transitive traversal.
-	bodies map[*types.Func]*ast.FuncDecl
-	// declPkg maps module function objects to their package (for Info
-	// lookups while traversing bodies).
-	declPkg map[*types.Func]*Package
 	// lineIgnores maps filename -> line -> checks a justified
 	// //tbtso:ignore on that line suppresses (on its own line and the
 	// line below, so both trailing and comment-above styles work).
@@ -48,42 +74,25 @@ type factTable struct {
 // collectFacts scans every package for directives and function bodies.
 func collectFacts(pkgs []*Package) *factTable {
 	ft := &factTable{
+		funcs:       NewFuncIndex(pkgs),
 		byFunc:      make(map[*types.Func]*funcFacts),
-		bodies:      make(map[*types.Func]*ast.FuncDecl),
-		declPkg:     make(map[*types.Func]*Package),
 		lineIgnores: make(map[string]map[int]map[string]bool),
 	}
 	if len(pkgs) > 0 {
 		ft.modulePath = moduleOf(pkgs[0].Path)
 	}
 	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				obj, ok := p.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				ft.byFunc[obj] = &funcFacts{decl: fd, pkg: p}
-				if fd.Body != nil {
-					ft.bodies[obj] = fd
-					ft.declPkg[obj] = p
-				}
-			}
-		}
 		dirs, errs := Directives(p, CheckAnnotation)
 		ft.annotationErrors = append(ft.annotationErrors, errs...)
 		for _, d := range dirs {
 			ft.apply(p, d)
 		}
 	}
-	for _, facts := range ft.byFunc {
+	for fn, facts := range ft.byFunc {
 		if facts.fenceFree && facts.requiresFence {
+			d := ft.funcs[fn]
 			ft.annotationErrors = append(ft.annotationErrors, Diagnostic{
-				Pos:     facts.pkg.Fset.Position(facts.decl.Name.Pos()),
+				Pos:     d.Pkg.Fset.Position(d.Decl.Name.Pos()),
 				Check:   CheckAnnotation,
 				Message: "function is annotated both //tbtso:fencefree and //tbtso:requires-fence",
 			})
@@ -105,17 +114,15 @@ func moduleOf(path string) string {
 // only in a function's doc comment; the extraction directives (verify,
 // property, model, shared) belong to tbtso-verify.
 func (ft *factTable) apply(p *Package, d Directive) {
-	var facts *funcFacts
+	var fn *types.Func
 	if d.Func != nil {
-		if obj, ok := p.Info.Defs[d.Func.Name].(*types.Func); ok {
-			facts = ft.byFunc[obj]
-		}
+		fn, _ = p.Info.Defs[d.Func.Name].(*types.Func)
 	}
 	switch {
-	case d.Name == "fencefree" && facts != nil:
-		facts.fenceFree = true
-	case d.Name == "requires-fence" && facts != nil:
-		facts.requiresFence = true
+	case d.Name == "fencefree" && fn != nil:
+		ft.facts(fn).fenceFree = true
+	case d.Name == "requires-fence" && fn != nil:
+		ft.facts(fn).requiresFence = true
 	case d.Name == "ignore":
 		check, justified := parseIgnoreArgs(d.Args)
 		if !ft.validateIgnore(d.Pos, check, justified) {
@@ -190,6 +197,14 @@ func (ft *factTable) suppressed(check string, pos token.Position) bool {
 		}
 	}
 	return false
+}
+
+// facts returns fn's facts, recording it as a function with directives.
+func (ft *factTable) facts(fn *types.Func) *funcFacts {
+	if ft.byFunc[fn] == nil {
+		ft.byFunc[fn] = &funcFacts{}
+	}
+	return ft.byFunc[fn]
 }
 
 // isModuleFunc reports whether fn is declared inside the module under

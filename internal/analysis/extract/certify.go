@@ -93,7 +93,7 @@ type Certificate struct {
 	Sweep []SweepPoint `json:"sweep"`
 	// Program is the instantiation the status rests on: at
 	// CertifiedDelta for certified pairs, at Δ=0 for refuted ones.
-	Program fuzz.ProgramJSON `json:"program"`
+	Program mc.Program `json:"program"`
 }
 
 // Counterexample is a concrete violation: the checker witness plus (when
@@ -113,10 +113,10 @@ type Counterexample struct {
 	MachSeed    int64  `json:"mach_seed,omitempty"`
 	MachOutcome string `json:"mach_outcome,omitempty"`
 
-	Threads    int              `json:"threads"`
-	WriterRegs []string         `json:"writer_regs"`
-	ReaderRegs []string         `json:"reader_regs"`
-	Program    fuzz.ProgramJSON `json:"program"`
+	Threads    int        `json:"threads"`
+	WriterRegs []string   `json:"writer_regs"`
+	ReaderRegs []string   `json:"reader_regs"`
+	Program    mc.Program `json:"program"`
 }
 
 // Options configures certification.
@@ -272,18 +272,18 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 			cert.Status = StatusRefuted
 			rep.Cex = buildCex(p, "planted-tso", cert.TSO, opt)
 		}
-		cert.Program = fuzz.EncodeProgram(p.Instantiate(cert.TSO.Wait))
+		cert.Program = p.Instantiate(cert.TSO.Wait)
 	case firstFail != 0:
 		cert.Status = StatusDecertified
 		pt := cert.Sweep[firstFail-1]
 		rep.Cex = buildCex(p, "decertified", pt, opt)
-		cert.Program = fuzz.EncodeProgram(p.Instantiate(pt.Wait))
+		cert.Program = p.Instantiate(pt.Wait)
 	case cert.TSO.Holds:
 		cert.Status = StatusVacuous
-		cert.Program = fuzz.EncodeProgram(p.Instantiate(cert.TSO.Wait))
+		cert.Program = p.Instantiate(cert.TSO.Wait)
 	default:
 		cert.Status = StatusCertified
-		cert.Program = fuzz.EncodeProgram(p.Instantiate(cert.CertifiedDelta + 1))
+		cert.Program = p.Instantiate(cert.CertifiedDelta + 1)
 	}
 	rep.Cert = cert
 	return rep, done, nil
@@ -338,7 +338,7 @@ func buildCex(p *Pair, kind string, pt SweepPoint, opt Options) *Counterexample 
 		Threads:    p.Threads(),
 		WriterRegs: p.WriterRegs,
 		ReaderRegs: p.ReaderRegs,
-		Program:    fuzz.EncodeProgram(prog),
+		Program:    prog,
 	}
 	if run, outcome, ok := fuzz.MachineWitness(prog, pt.Delta, opt.MachSeeds, p.Forbidden); ok {
 		cex.Policy = run.Policy.String()
@@ -355,15 +355,11 @@ func (c *Counterexample) PerfettoTrace(w io.Writer) error {
 	if c.Policy == "" {
 		return fmt.Errorf("extract: counterexample for %s has no machine witness to trace", c.Pair)
 	}
-	prog, err := fuzz.DecodeProgram(c.Program)
-	if err != nil {
-		return err
-	}
 	pol, err := fuzz.ParsePolicy(c.Policy)
 	if err != nil {
 		return err
 	}
-	pf, err := fuzz.TraceRun(prog, fuzz.MachineRun{Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed})
+	pf, err := fuzz.TraceRun(c.Program, fuzz.MachineRun{Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed})
 	if err != nil {
 		return err
 	}
@@ -378,14 +374,10 @@ func (c *Counterexample) Replay(p *Pair, opt Options) error {
 	if p.Failed {
 		return fmt.Errorf("pair %s failed extraction", p.Name)
 	}
-	prog, err := fuzz.DecodeProgram(c.Program)
-	if err != nil {
-		return err
-	}
 	if !p.Forbidden(c.Outcome) {
 		return fmt.Errorf("outcome %q is no longer forbidden by %s's property", c.Outcome, c.Pair)
 	}
-	res, err := mc.ExploreParallel(prog, c.Delta, mc.Options{MaxStates: opt.MaxStates})
+	res, err := mc.ExploreParallel(c.Program, c.Delta, mc.Options{MaxStates: opt.MaxStates})
 	if err != nil {
 		return err
 	}
@@ -397,7 +389,7 @@ func (c *Counterexample) Replay(p *Pair, opt Options) error {
 		if err != nil {
 			return err
 		}
-		outcome, err := fuzz.RunOnMachine(prog, fuzz.MachineRun{
+		outcome, err := fuzz.RunOnMachine(c.Program, fuzz.MachineRun{
 			Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed,
 		})
 		if err != nil {

@@ -76,7 +76,7 @@ type Extraction struct {
 // with any failed ingredient has Pair.Failed set and is not checkable.
 func Extract(pkgs []*analysis.Package) *Extraction {
 	dirs := collectDirectives(pkgs)
-	idx := indexFuncs(pkgs)
+	idx := &funcIndex{funcs: analysis.NewFuncIndex(pkgs), purity: make(map[*types.Func]bool)}
 	diags := dirs.diags
 	var steps []*Step
 	for _, v := range dirs.verifies {
@@ -90,37 +90,11 @@ func Extract(pkgs []*analysis.Package) *Extraction {
 	return &Extraction{Pairs: pairs, Diags: diags}
 }
 
-// funcIndex maps module function objects to their declarations, for
-// transitive-purity checks of helper calls.
+// funcIndex is what transitive-purity checks of helper calls read:
+// every module function's declaration, and the memoized verdicts.
 type funcIndex struct {
-	decls  map[*types.Func]*funcDecl
+	funcs  analysis.FuncIndex
 	purity map[*types.Func]bool
-}
-
-type funcDecl struct {
-	fd  *ast.FuncDecl
-	pkg *analysis.Package
-}
-
-func indexFuncs(pkgs []*analysis.Package) *funcIndex {
-	idx := &funcIndex{
-		decls:  make(map[*types.Func]*funcDecl),
-		purity: make(map[*types.Func]bool),
-	}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-					idx.decls[obj] = &funcDecl{fd: fd, pkg: p}
-				}
-			}
-		}
-	}
-	return idx
 }
 
 // Call classification: what an extracted function may call, and what
@@ -671,11 +645,8 @@ func (x *extractor) classifyFunc(f *types.Func) callInfo {
 	if analysis.PkgIs(pkg, "internal/vclock") && f.Name() == "Now" {
 		return callInfo{class: ccPure}
 	}
-	if d, ok := x.idx.decls[f]; ok {
-		if x.funcIsPure(f, d) {
-			return callInfo{class: ccPure}
-		}
-		return callInfo{class: ccUnknown, callee: f}
+	if d, ok := x.idx.funcs[f]; ok && x.funcIsPure(f, d) {
+		return callInfo{class: ccPure}
 	}
 	return callInfo{class: ccUnknown, callee: f}
 }
@@ -684,12 +655,12 @@ func (x *extractor) classifyFunc(f *types.Func) callInfo {
 // free of shared operations (memoized; cycles resolve optimistically —
 // any impure op on the cycle still marks every participant impure
 // through its own body).
-func (x *extractor) funcIsPure(f *types.Func, d *funcDecl) bool {
+func (x *extractor) funcIsPure(f *types.Func, d analysis.FuncDecl) bool {
 	if pure, ok := x.idx.purity[f]; ok {
 		return pure
 	}
 	x.idx.purity[f] = true // break recursion optimistically
-	pure := d.fd.Body != nil && !x.inPkg(d.pkg, func() bool { return x.hasShared(d.fd.Body) })
+	pure := d.Decl.Body != nil && !x.inPkg(d.Pkg, func() bool { return x.hasShared(d.Decl.Body) })
 	x.idx.purity[f] = pure
 	return pure
 }

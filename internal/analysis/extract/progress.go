@@ -3,7 +3,7 @@ package extract
 import (
 	"fmt"
 
-	"tbtso/internal/fuzz"
+	"tbtso/internal/mc"
 	"tbtso/internal/obs"
 )
 
@@ -56,10 +56,10 @@ func (o Options) ProgressHash() string {
 // other waits are derived from it and Δ).
 func Fingerprint(p *Pair) string {
 	return obs.HashDoc(struct {
-		Property []string         `json:"property"`
-		Program  fuzz.ProgramJSON `json:"program"`
-		Expect   bool             `json:"expect_fail"`
-	}{p.PropertyStrings(), fuzz.EncodeProgram(p.Instantiate(1)), p.ExpectFail})
+		Property []string   `json:"property"`
+		Program  mc.Program `json:"program"`
+		Expect   bool       `json:"expect_fail"`
+	}{p.PropertyStrings(), p.Instantiate(1), p.ExpectFail})
 }
 
 // Record stores a pair's completed sweep prefix.

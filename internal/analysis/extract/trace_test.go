@@ -22,14 +22,13 @@ func TestPerfettoTracesAnnounceRunOnce(t *testing.T) {
 		},
 		Vars: 3, Regs: 1,
 	}
-	pj := fuzz.EncodeProgram(prog)
 	traces := map[string]func(w *bytes.Buffer) error{
 		"counterexample": func(w *bytes.Buffer) error {
-			c := Counterexample{Pair: "sb3", Delta: 1, Policy: "adversarial", MachSeed: 1, Program: pj}
+			c := Counterexample{Pair: "sb3", Delta: 1, Policy: "adversarial", MachSeed: 1, Program: prog}
 			return c.PerfettoTrace(w)
 		},
 		"artifact": func(w *bytes.Buffer) error {
-			a := fuzz.Artifact{Kind: fuzz.KindSampledOutcome, Delta: 1, Policy: "adversarial", MachSeed: 1, Program: pj}
+			a := fuzz.Artifact{Kind: fuzz.KindSampledOutcome, Delta: 1, Policy: "adversarial", MachSeed: 1, Program: prog}
 			return a.PerfettoTrace(w)
 		},
 	}

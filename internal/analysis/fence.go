@@ -61,14 +61,15 @@ func checkFenceDiscipline(pkgs []*Package, ft *factTable) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range pkgs {
 		for fn, facts := range ft.byFunc {
-			if facts.pkg != p { // report in deterministic package order
+			d := ft.funcs[fn]
+			if d.Pkg != p { // report in deterministic package order
 				continue
 			}
 			if facts.fenceFree {
-				diags = append(diags, fc.checkFenceFree(p, fn, facts)...)
+				diags = append(diags, fc.checkFenceFree(p, fn, d.Decl)...)
 			}
 			if facts.requiresFence {
-				diags = append(diags, fc.checkRequiresFence(p, fn, facts)...)
+				diags = append(diags, fc.checkRequiresFence(p, fn, d.Decl)...)
 			}
 		}
 	}
@@ -120,12 +121,12 @@ func callsIn(p *Package, body ast.Node) []callSite {
 
 // checkFenceFree verifies that fn never reaches a fence primitive
 // through same-module calls.
-func (fc *fenceChecker) checkFenceFree(p *Package, fn *types.Func, facts *funcFacts) []Diagnostic {
-	if facts.decl.Body == nil {
+func (fc *fenceChecker) checkFenceFree(p *Package, fn *types.Func, decl *ast.FuncDecl) []Diagnostic {
+	if decl.Body == nil {
 		return nil
 	}
 	var diags []Diagnostic
-	for _, cs := range callsIn(p, facts.decl.Body) {
+	for _, cs := range callsIn(p, decl.Body) {
 		if chain := fc.fenceChain(cs.fn, map[*types.Func]bool{fn: true}); chain != "" {
 			msg := fmt.Sprintf("%s is annotated //tbtso:fencefree but %s", fn.Name(), chain)
 			diags = append(diags, Diagnostic{
@@ -151,14 +152,13 @@ func (fc *fenceChecker) fenceChain(callee *types.Func, visiting map[*types.Func]
 	if facts, ok := fc.ft.byFunc[callee]; ok && facts.requiresFence {
 		return "calls " + callee.FullName() + ", which is annotated //tbtso:requires-fence"
 	}
-	decl, ok := fc.ft.bodies[callee]
-	if !ok || decl.Body == nil {
+	d, ok := fc.ft.funcs[callee]
+	if !ok || d.Decl.Body == nil {
 		return ""
 	}
 	visiting[callee] = true
 	defer delete(visiting, callee)
-	p := fc.ft.declPkg[callee]
-	for _, cs := range callsIn(p, decl.Body) {
+	for _, cs := range callsIn(d.Pkg, d.Decl.Body) {
 		if chain := fc.fenceChain(cs.fn, visiting); chain != "" {
 			return "calls " + callee.FullName() + ", which " + chain
 		}
@@ -170,12 +170,12 @@ func (fc *fenceChecker) fenceChain(callee *types.Func, visiting map[*types.Func]
 // (per-block approximation). A body with no fence call at all is the
 // hard failure; a body that fences only on some paths gets the weaker
 // diagnostic.
-func (fc *fenceChecker) checkRequiresFence(p *Package, fn *types.Func, facts *funcFacts) []Diagnostic {
-	if facts.decl.Body == nil {
+func (fc *fenceChecker) checkRequiresFence(p *Package, fn *types.Func, decl *ast.FuncDecl) []Diagnostic {
+	if decl.Body == nil {
 		return nil
 	}
 	hasAny := false
-	for _, cs := range callsIn(p, facts.decl.Body) {
+	for _, cs := range callsIn(p, decl.Body) {
 		if fc.surelyFences(cs.fn) || IsFence(cs.fn) {
 			hasAny = true
 			break
@@ -183,15 +183,15 @@ func (fc *fenceChecker) checkRequiresFence(p *Package, fn *types.Func, facts *fu
 	}
 	if !hasAny {
 		return []Diagnostic{{
-			Pos:   p.Fset.Position(facts.decl.Name.Pos()),
+			Pos:   p.Fset.Position(decl.Name.Pos()),
 			Check: CheckRequiresFence,
 			Message: fmt.Sprintf("%s is annotated //tbtso:requires-fence but its body contains no fence call at all",
 				fn.Name()),
 		}}
 	}
-	if !fc.blockAlwaysFences(p, facts.decl.Body.List) {
+	if !fc.blockAlwaysFences(p, decl.Body.List) {
 		return []Diagnostic{{
-			Pos:   p.Fset.Position(facts.decl.Name.Pos()),
+			Pos:   p.Fset.Position(decl.Name.Pos()),
 			Check: CheckRequiresFence,
 			Message: fmt.Sprintf("%s is annotated //tbtso:requires-fence but a path through its body reaches the end without a fence (per-block approximation)",
 				fn.Name()),
@@ -220,12 +220,11 @@ func (fc *fenceChecker) surelyFences(fn *types.Func) bool {
 		return false
 	}
 	fc.always[fn] = -1 // cycle / in-progress resolves to "not sure"
-	decl, ok := fc.ft.bodies[fn]
-	if !ok || decl.Body == nil {
+	d, ok := fc.ft.funcs[fn]
+	if !ok || d.Decl.Body == nil {
 		return false
 	}
-	p := fc.ft.declPkg[fn]
-	if fc.blockAlwaysFences(p, decl.Body.List) {
+	if fc.blockAlwaysFences(d.Pkg, d.Decl.Body.List) {
 		fc.always[fn] = 1
 		return true
 	}

@@ -11,79 +11,25 @@ import (
 	"tbtso/internal/tso"
 )
 
-// OpJSON is one instruction in the artifact's stable wire form.
-type OpJSON struct {
-	Kind string `json:"kind"`
-	Addr int    `json:"addr,omitempty"`
-	Val  int    `json:"val,omitempty"`
-	Reg  int    `json:"reg,omitempty"`
-}
-
-// ProgramJSON is mc.Program in the artifact's stable wire form.
-type ProgramJSON struct {
-	Vars    int        `json:"vars"`
-	Regs    int        `json:"regs"`
-	Threads [][]OpJSON `json:"threads"`
-}
-
-var kindNames = map[mc.OpKind]string{
-	mc.OpStore: "st", mc.OpLoad: "ld", mc.OpFence: "fence", mc.OpRMW: "rmw", mc.OpWait: "wait",
-}
-
-// EncodeProgram converts to the wire form.
-func EncodeProgram(p mc.Program) ProgramJSON {
-	pj := ProgramJSON{Vars: p.Vars, Regs: p.Regs}
-	for _, th := range p.Threads {
-		ops := make([]OpJSON, len(th))
-		for i, op := range th {
-			ops[i] = OpJSON{Kind: kindNames[op.Kind], Addr: op.Addr, Val: op.Val, Reg: op.Reg}
-		}
-		pj.Threads = append(pj.Threads, ops)
-	}
-	return pj
-}
-
-// DecodeProgram converts back from the wire form.
-func DecodeProgram(pj ProgramJSON) (mc.Program, error) {
-	p := mc.Program{Vars: pj.Vars, Regs: pj.Regs}
-	for ti, th := range pj.Threads {
-		ops := make([]mc.Op, len(th))
-		for i, op := range th {
-			kind := mc.OpKind(-1)
-			for k, n := range kindNames {
-				if n == op.Kind {
-					kind = k
-				}
-			}
-			if kind < 0 {
-				return mc.Program{}, fmt.Errorf("fuzz: thread %d op %d: unknown kind %q", ti, i, op.Kind)
-			}
-			ops[i] = mc.Op{Kind: kind, Addr: op.Addr, Val: op.Val, Reg: op.Reg}
-		}
-		p.Threads = append(p.Threads, ops)
-	}
-	return p, nil
-}
-
 // Artifact is a reproducible counterexample: the shrunk mismatch plus
 // everything needed to replay it — the original generator seed, the
 // minimized program, and the exact machine run. obs.WriteDoc/ReadArtifact
 // round-trip it; GoSource renders it as a litmus-test function.
 type Artifact struct {
-	Kind     string      `json:"kind"`
-	Seed     int64       `json:"seed"`
-	Delta    int         `json:"delta"`
-	Cover    int         `json:"cover,omitempty"`
-	Policy   string      `json:"policy,omitempty"`
-	MachSeed int64       `json:"mach_seed,omitempty"`
-	Outcome  string      `json:"outcome,omitempty"`
-	Detail   string      `json:"detail,omitempty"`
-	Program  ProgramJSON `json:"program"`
+	Kind     string     `json:"kind"`
+	Seed     int64      `json:"seed"`
+	Delta    int        `json:"delta"`
+	Cover    int        `json:"cover,omitempty"`
+	Policy   string     `json:"policy,omitempty"`
+	MachSeed int64      `json:"mach_seed,omitempty"`
+	Outcome  string     `json:"outcome,omitempty"`
+	Detail   string     `json:"detail,omitempty"`
+	Program  mc.Program `json:"program"`
 	// Original is the unshrunk program, kept so a suspect shrinker can
 	// never hide the bug it started from.
-	Original       ProgramJSON `json:"original,omitempty"`
-	ShrinkSteps    int         `json:"shrink_steps"`
-	ShrinkAttempts int         `json:"shrink_attempts"`
+	Original       mc.Program `json:"original"`
+	ShrinkSteps    int        `json:"shrink_steps"`
+	ShrinkAttempts int        `json:"shrink_attempts"`
 }
 
 // NewArtifact packages a (possibly shrunk) mismatch.
@@ -97,8 +43,8 @@ func NewArtifact(m Mismatch, shrunk Candidate, sr ShrinkResult) Artifact {
 		MachSeed: m.MachSeed,
 		Outcome:  m.Outcome,
 		Detail:   m.Detail,
-		Program:  EncodeProgram(shrunk.Program),
-		Original: EncodeProgram(m.Program),
+		Program:  shrunk.Program,
+		Original: m.Program,
 
 		ShrinkSteps:    sr.Steps,
 		ShrinkAttempts: sr.Attempts,
@@ -106,7 +52,7 @@ func NewArtifact(m Mismatch, shrunk Candidate, sr ShrinkResult) Artifact {
 }
 
 // ReadArtifact loads the artifact JSON at path (written with
-// obs.WriteDoc).
+// obs.WriteDoc), rejecting a malformed program.
 func ReadArtifact(path string) (Artifact, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -116,9 +62,6 @@ func ReadArtifact(path string) (Artifact, error) {
 	if err := json.Unmarshal(blob, &a); err != nil {
 		return Artifact{}, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	if _, err := DecodeProgram(a.Program); err != nil {
-		return Artifact{}, err
-	}
 	return a, nil
 }
 
@@ -127,12 +70,8 @@ func ReadArtifact(path string) (Artifact, error) {
 // sampled-outcome artifacts the exact (policy, machine seed) run is
 // repeated; other kinds re-run the full sweep at the artifact's Δ.
 func (a Artifact) Replay() (bool, error) {
-	p, err := DecodeProgram(a.Program)
-	if err != nil {
-		return false, err
-	}
 	if a.Kind == KindFlagViolation {
-		o, err := FindViolation(p, a.Delta, 0)
+		o, err := FindViolation(a.Program, a.Delta, 0)
 		return o != "", err
 	}
 	cfg := Config{Deltas: []int{a.Delta}}.orDefault()
@@ -143,7 +82,7 @@ func (a Artifact) Replay() (bool, error) {
 		}
 		cfg.Policies = []tso.DrainPolicy{pol}
 	}
-	rep := CheckProgram(cfg, p, a.Seed)
+	rep := CheckProgram(cfg, a.Program, a.Seed)
 	return len(rep.Mismatches) > 0, nil
 }
 
@@ -161,10 +100,7 @@ func ParsePolicy(s string) (tso.DrainPolicy, error) {
 // litmus-test function over the mc package — paste-ready for a
 // regression suite. name is the function suffix (TestFuzz<name>).
 func (a Artifact) GoSource(name string) string {
-	p, err := DecodeProgram(a.Program)
-	if err != nil {
-		return "// " + err.Error()
-	}
+	p := a.Program
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Shrunk by tbtso-fuzz: %s at Δ=%d (seed %d", a.Kind, a.Delta, a.Seed)
 	if a.Kind == KindSampledOutcome {
@@ -217,15 +153,11 @@ func (a Artifact) GoSource(name string) string {
 // name a concrete machine run; a machine-error trace ends at the
 // failure.
 func (a Artifact) PerfettoTrace(w io.Writer) error {
-	p, err := DecodeProgram(a.Program)
-	if err != nil {
-		return err
-	}
 	pol, err := ParsePolicy(a.Policy)
 	if err != nil {
 		return err
 	}
-	pf, err := TraceRun(p, MachineRun{Delta: MachineDelta(a.Delta), Policy: pol, Seed: a.MachSeed})
+	pf, err := TraceRun(a.Program, MachineRun{Delta: MachineDelta(a.Delta), Policy: pol, Seed: a.MachSeed})
 	if err != nil && a.Kind != KindMachineError {
 		return err
 	}

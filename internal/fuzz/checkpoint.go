@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"tbtso/internal/mc"
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/coverage"
 	"tbtso/internal/obs/monitor"
@@ -18,15 +19,15 @@ const CheckpointKind = "fuzz-checkpoint"
 // campaign's not-yet-shrunk findings survive in the checkpoint's
 // shrink queue.
 type MismatchJSON struct {
-	Kind     string      `json:"kind"`
-	Seed     int64       `json:"seed"`
-	Delta    int         `json:"delta"`
-	Cover    int         `json:"cover,omitempty"`
-	Policy   string      `json:"policy,omitempty"`
-	MachSeed int64       `json:"mach_seed,omitempty"`
-	Outcome  string      `json:"outcome,omitempty"`
-	Detail   string      `json:"detail,omitempty"`
-	Program  ProgramJSON `json:"program"`
+	Kind     string     `json:"kind"`
+	Seed     int64      `json:"seed"`
+	Delta    int        `json:"delta"`
+	Cover    int        `json:"cover,omitempty"`
+	Policy   string     `json:"policy,omitempty"`
+	MachSeed int64      `json:"mach_seed,omitempty"`
+	Outcome  string     `json:"outcome,omitempty"`
+	Detail   string     `json:"detail,omitempty"`
+	Program  mc.Program `json:"program"`
 }
 
 // EncodeMismatch converts to the wire form. Engine-divergence
@@ -35,7 +36,7 @@ func EncodeMismatch(m Mismatch) MismatchJSON {
 	mj := MismatchJSON{
 		Kind: m.Kind, Seed: m.Seed, Delta: m.Delta, Cover: m.Cover,
 		MachSeed: m.MachSeed, Outcome: m.Outcome, Detail: m.Detail,
-		Program: EncodeProgram(m.Program),
+		Program: m.Program,
 	}
 	if m.Kind == KindSampledOutcome || m.Kind == KindMachineError {
 		mj.Policy = m.Policy.String()
@@ -45,14 +46,10 @@ func EncodeMismatch(m Mismatch) MismatchJSON {
 
 // DecodeMismatch converts back from the wire form.
 func DecodeMismatch(mj MismatchJSON) (Mismatch, error) {
-	p, err := DecodeProgram(mj.Program)
-	if err != nil {
-		return Mismatch{}, err
-	}
 	m := Mismatch{
 		Kind: mj.Kind, Seed: mj.Seed, Delta: mj.Delta, Cover: mj.Cover,
 		MachSeed: mj.MachSeed, Outcome: mj.Outcome, Detail: mj.Detail,
-		Program: p,
+		Program: mj.Program,
 	}
 	if mj.Policy != "" {
 		pol, err := ParsePolicy(mj.Policy)

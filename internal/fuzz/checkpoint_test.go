@@ -211,7 +211,7 @@ func TestCheckpointValidateRejects(t *testing.T) {
 	}
 
 	badPending := good
-	badPending.Pending = []MismatchJSON{{Kind: KindSampledOutcome, Policy: "no-such-policy", Program: EncodeProgram(ckptProg())}}
+	badPending.Pending = []MismatchJSON{{Kind: KindSampledOutcome, Policy: "no-such-policy", Program: ckptProg()}}
 	if err := badPending.Validate(hash); err == nil {
 		t.Error("Validate accepted an undecodable pending mismatch")
 	}

@@ -87,9 +87,10 @@ func (c Config) count(name string, n uint64) {
 
 // Mismatch kinds.
 const (
-	// KindSampledOutcome: the machine sampled an outcome the checker's
-	// exhaustive set at the covering Δ does not admit — the core
-	// containment violation.
+	// KindSampledOutcome: the machine sampled an outcome the checker
+	// does not admit at the covering Δ — its run did not replay as a
+	// checker path there, and the covering exploration's outcome set
+	// lacks it. The core containment violation.
 	KindSampledOutcome = "sampled-outcome"
 	// KindEngineDivergence: the parallel engine and the sequential
 	// reference disagree on the outcome set at the same (program, Δ).
@@ -201,9 +202,12 @@ func diffOutcomes(a, b map[string]bool) string {
 // CheckProgram runs the full differential sweep on one program: for
 // every Δ in the sweep, (1) the two checker engines are compared on the
 // exact Δ, and (2) every (policy × machine seed) sample of the clocked
-// machine at Δ ticks is asserted to be admitted by the checker's
-// exhaustive outcome set at the covering Δ. seed tags mismatches for
-// replay; pass the generator seed (or 0 for hand-built programs).
+// machine at Δ ticks is asserted to be admitted by the checker at the
+// covering Δ. At Δ 0 the sample's outcome must be in the exact
+// exploration's set; above Δ 0 the run is first replayed as a checker
+// path at the cover, and only a sample that does not replay is looked
+// up in the covering exploration's outcome set. seed tags mismatches
+// for replay; pass the generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
 	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, p, seed)
 	return rep

@@ -84,20 +84,10 @@ func TestEngineEquivalenceStall(t *testing.T) {
 		p := Gen(GenConfig{}, seed)
 		cfg := tso.Config{Delta: 4, DrainMargin: 1, Policy: tso.DrainRandom, Seed: seed, StallProb: 0.3}
 
-		s.m.Reset(cfg)
-		base := s.m.AllocWords(p.Vars)
-		s.compile(p, base)
-		s.sizeResults(p)
-		resI := s.m.ExecProgram(s.prog, s.regs)
-		if resI.Err != nil {
-			t.Fatalf("seed=%d: interp err=%v", seed, resI.Err)
+		outI, resI, err := s.Exec(p, cfg)
+		if err != nil {
+			t.Fatalf("seed=%d: interp err=%v", seed, err)
 		}
-		for th := range p.Threads {
-			for r := 0; r < p.Regs; r++ {
-				s.ints[th][r] = int(s.regs[th][r])
-			}
-		}
-		outI := mc.FormatOutcome(s.ints[:len(p.Threads)])
 
 		m := tso.New(cfg)
 		gbase := m.AllocWords(p.Vars)

@@ -70,19 +70,16 @@ func machineConfig(run MachineRun, sinks []tso.Sink) tso.Config {
 }
 
 // Sampler is a reusable direct-execution context: one clocked machine
-// plus compiled-program and register scratch, reused across every run
-// of a campaign. A Sampler executes checker programs on the machine's
-// direct-execution engine (tso.ExecProgram) — no goroutines, no
-// channels, zero steady-state allocation — and is the hot path of
-// fuzz campaigns. Not safe for concurrent use; the parallel campaign
-// driver gives each worker its own.
+// plus register scratch, reused across every run of a campaign. A
+// Sampler executes checker programs on the machine's direct-execution
+// engine (tso.ExecProgram) — no goroutines, no channels, zero
+// steady-state allocation — and is the hot path of fuzz campaigns. Not
+// safe for concurrent use; the parallel campaign driver gives each
+// worker its own.
 type Sampler struct {
 	m    *tso.Machine
 	base tso.Addr // machine address of the last run's variable 0
-	prog tso.Prog
-	ops  []tso.ProgOp // backing storage for prog.Threads
-	regs [][]tso.Word
-	ints [][]int
+	regs [][]int
 	buf  []byte // outcome formatting scratch
 
 	// Witness scratch: the run's events and sinks, the path, the last
@@ -100,71 +97,17 @@ func NewSampler() *Sampler {
 	return &Sampler{m: tso.New(tso.Config{})}
 }
 
-// compile translates p into the machine's program vocabulary with
-// variable v at machine address base+v, reusing the sampler's op
-// storage. The mapping mirrors RunOnMachineGoroutine's Thread calls
-// op for op: St → Store, Ld → Load, Fence → Fence, RMW(a,v,r) →
-// FetchAdd (old value into r), Wait(n) → an n-tick clock-polling wait.
-func (s *Sampler) compile(p mc.Program, base tso.Addr) {
-	total := 0
-	for _, th := range p.Threads {
-		total += len(th)
-	}
-	if cap(s.ops) >= total {
-		s.ops = s.ops[:total]
-	} else {
-		s.ops = make([]tso.ProgOp, total)
-	}
-	if cap(s.prog.Threads) >= len(p.Threads) {
-		s.prog.Threads = s.prog.Threads[:len(p.Threads)]
-	} else {
-		s.prog.Threads = make([][]tso.ProgOp, len(p.Threads))
-	}
-	next := 0
-	for ti, th := range p.Threads {
-		start := next
-		for _, op := range th {
-			po := tso.ProgOp{}
-			switch op.Kind {
-			case mc.OpStore:
-				po = tso.ProgOp{Kind: tso.POpStore, Addr: base + tso.Addr(op.Addr), Val: tso.Word(op.Val)}
-			case mc.OpLoad:
-				po = tso.ProgOp{Kind: tso.POpLoad, Addr: base + tso.Addr(op.Addr), Reg: op.Reg}
-			case mc.OpFence:
-				po = tso.ProgOp{Kind: tso.POpFence}
-			case mc.OpRMW:
-				po = tso.ProgOp{Kind: tso.POpRMW, Addr: base + tso.Addr(op.Addr), Val: tso.Word(op.Val), Reg: op.Reg}
-			case mc.OpWait:
-				po = tso.ProgOp{Kind: tso.POpWait, Val: tso.Word(op.Val)}
-			}
-			s.ops[next] = po
-			next++
-		}
-		s.prog.Threads[ti] = s.ops[start:next:next]
-	}
-}
-
-// sizeResults (re)dimensions the register scratch for p.
-func (s *Sampler) sizeResults(p mc.Program) {
+// results returns the sampler's register scratch sized and zeroed for p.
+func (s *Sampler) results(p mc.Program) [][]int {
 	for len(s.regs) < len(p.Threads) {
 		s.regs = append(s.regs, nil)
-		s.ints = append(s.ints, nil)
 	}
-	for th := 0; th < len(p.Threads); th++ {
-		if cap(s.regs[th]) >= p.Regs {
-			s.regs[th] = s.regs[th][:p.Regs]
-		} else {
-			s.regs[th] = make([]tso.Word, p.Regs)
-		}
-		if cap(s.ints[th]) >= p.Regs {
-			s.ints[th] = s.ints[th][:p.Regs]
-		} else {
-			s.ints[th] = make([]int, p.Regs)
-		}
-		for r := 0; r < p.Regs; r++ {
-			s.regs[th][r] = 0
-		}
+	regs := s.regs[:len(p.Threads)]
+	for th := range regs {
+		regs[th] = slices.Grow(regs[th][:0], p.Regs)[:p.Regs]
+		clear(regs[th])
 	}
+	return regs
 }
 
 // Sample executes p once on the direct-execution engine under run's
@@ -181,18 +124,12 @@ func (s *Sampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (strin
 func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error) {
 	s.m.Reset(cfg)
 	s.base = s.m.AllocWords(p.Vars)
-	s.compile(p, s.base)
-	s.sizeResults(p)
-	res := s.m.ExecProgram(s.prog, s.regs)
+	regs := s.results(p)
+	res := s.m.ExecProgram(p, s.base, regs)
 	if res.Err != nil {
 		return "", res, res.Err
 	}
-	for th := 0; th < len(p.Threads); th++ {
-		for r := 0; r < p.Regs; r++ {
-			s.ints[th][r] = int(s.regs[th][r])
-		}
-	}
-	s.buf = mc.AppendOutcome(s.buf[:0], s.ints[:len(p.Threads)])
+	s.buf = mc.AppendOutcome(s.buf[:0], regs)
 	return string(s.buf), res, nil
 }
 

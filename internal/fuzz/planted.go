@@ -190,8 +190,8 @@ func CheckPlanted(pl Planted, maxStates, maxAttempts int) (Artifact, error) {
 		Cover:          CoverDelta(shrunk.Program, MachineDelta(shrunk.Delta)),
 		Outcome:        wo,
 		Detail:         "planted control " + pl.Name,
-		Program:        EncodeProgram(shrunk.Program),
-		Original:       EncodeProgram(pl.Program),
+		Program:        shrunk.Program,
+		Original:       pl.Program,
 		ShrinkSteps:    sr.Steps,
 		ShrinkAttempts: sr.Attempts,
 	}

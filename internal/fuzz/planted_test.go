@@ -22,10 +22,7 @@ func TestPlantedControls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := DecodeProgram(a.Program)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := a.Program
 			ops := 0
 			for _, th := range p.Threads {
 				ops += len(th)

@@ -116,7 +116,7 @@ func ShrinkMismatch(cfg Config, m Mismatch, maxAttempts int) Artifact {
 		}
 	}
 	a := NewArtifact(final, sr.Candidate, sr)
-	a.Original = EncodeProgram(m.Program)
+	a.Original = m.Program
 	return a
 }
 

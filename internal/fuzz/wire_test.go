@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tbtso/internal/obs/coverage"
@@ -69,5 +70,31 @@ func TestCheckpointWireGolden(t *testing.T) {
 	}
 	if back.Done() {
 		t.Error("golden checkpoint is mid-campaign but reports Done")
+	}
+}
+
+// TestMalformedProgramRejectedOnLoad: an artifact or checkpoint whose
+// program addresses a variable it does not declare fails to load, with
+// the op named, rather than loading and panicking in the checker when
+// it is replayed.
+func TestMalformedProgramRejectedOnLoad(t *testing.T) {
+	const bad = `{"vars":1,"regs":1,"threads":[[{"kind":"st","addr":5,"val":1}],[{"kind":"ld","reg":0}]]}`
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "a.json")
+	doc := `{"kind":"sampled-outcome","seed":1,"delta":1,"policy":"random","program":` + bad + `,"original":` + bad + `,"shrink_steps":0,"shrink_attempts":0}`
+	if err := os.WriteFile(artifact, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if a, err := ReadArtifact(artifact); err == nil || !strings.Contains(err.Error(), "thread 0 op 0: address 5 outside [0, 1)") {
+		t.Fatalf("ReadArtifact on a malformed program: %+v, error %v", a, err)
+	}
+
+	ckpt := filepath.Join(dir, "ck.json")
+	doc = `{"kind":"fuzz-checkpoint","config_hash":"sha256:00","n":2,"first_seed":1,"next_seed":2,"pending":[{"kind":"sampled-outcome","seed":1,"delta":1,"program":` + bad + `}]}`
+	if err := os.WriteFile(ckpt, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(ckpt); err == nil || !strings.Contains(err.Error(), "address 5") {
+		t.Fatalf("ReadCheckpoint with a malformed pending program: error %v", err)
 	}
 }

@@ -56,12 +56,12 @@ const (
 	OpWait
 )
 
-// Op is one instruction.
+// Op is one instruction. Its JSON form is wire.go's.
 type Op struct {
-	Kind OpKind
-	Addr int
-	Val  int
-	Reg  int
+	Kind OpKind `json:"kind"`
+	Addr int    `json:"addr,omitempty"`
+	Val  int    `json:"val,omitempty"`
+	Reg  int    `json:"reg,omitempty"`
 }
 
 // Convenience constructors.

@@ -1,6 +1,10 @@
 package tso
 
-import "testing"
+import (
+	"testing"
+
+	"tbtso/internal/mc"
+)
 
 // TestGoroutineEngineZeroAllocPerOp pins the goroutine engine's
 // steady-state allocation behaviour: with no sinks attached, a run's
@@ -42,31 +46,19 @@ func TestGoroutineEngineZeroAllocPerOp(t *testing.T) {
 // a Reset+ExecProgram cycle performs ZERO heap allocations — a whole
 // campaign runs on one machine without garbage.
 func TestInterpSteadyStateZeroAlloc(t *testing.T) {
-	prog := Prog{Threads: [][]ProgOp{
-		{
-			{Kind: POpStore, Addr: 1, Val: 1},
-			{Kind: POpLoad, Addr: 2, Reg: 0},
-			{Kind: POpRMW, Addr: 3, Val: 2, Reg: 1},
-			{Kind: POpFence},
-			{Kind: POpWait, Val: 3},
-			{Kind: POpStore, Addr: 2, Val: 7},
-		},
-		{
-			{Kind: POpStore, Addr: 2, Val: 5},
-			{Kind: POpLoad, Addr: 1, Reg: 0},
-			{Kind: POpStore, Addr: 3, Val: 9},
-			{Kind: POpLoad, Addr: 3, Reg: 1},
-		},
+	prog := mc.Program{Vars: 4, Regs: 2, Threads: [][]mc.Op{
+		{mc.St(1, 1), mc.Ld(2, 0), mc.RMW(3, 2, 1), mc.Fence(), mc.Wait(3), mc.St(2, 7)},
+		{mc.St(2, 5), mc.Ld(1, 0), mc.St(3, 9), mc.Ld(3, 1)},
 	}}
-	regs := [][]Word{make([]Word, 2), make([]Word, 2)}
+	regs := [][]int{make([]int, 2), make([]int, 2)}
 	cfg := Config{Delta: 4, DrainMargin: 1, Policy: DrainRandom, Seed: 42}
 
 	m := New(cfg)
 	m.AllocWords(4)
 	run := func() {
 		m.Reset(cfg)
-		m.AllocWords(4)
-		if res := m.ExecProgram(prog, regs); res.Err != nil {
+		base := m.AllocWords(prog.Vars)
+		if res := m.ExecProgram(prog, base, regs); res.Err != nil {
 			panic(res.Err)
 		}
 	}
@@ -101,7 +93,7 @@ func TestPeekWordNeverAllocated(t *testing.T) {
 	// Direct-execution engine.
 	m2 := New(Config{})
 	a2 := m2.AllocWords(1)
-	if res := m2.ExecProgram(Prog{Threads: [][]ProgOp{{{Kind: POpStore, Addr: a2, Val: 9}}}}, nil); res.Err != nil {
+	if res := m2.ExecProgram(mc.Program{Vars: 1, Threads: [][]mc.Op{{mc.St(0, 9)}}}, a2, nil); res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if got := m2.PeekWord(a2); got != 9 {

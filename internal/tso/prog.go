@@ -1,9 +1,13 @@
 package tso
 
-import "fmt"
+import (
+	"fmt"
+
+	"tbtso/internal/mc"
+)
 
 // This file is the direct-execution engine: an interpreter that runs
-// straight-line Prog threads inline in the scheduler loop — no
+// straight-line mc.Program threads inline in the scheduler loop — no
 // goroutines, no channel handshakes, zero allocations per operation.
 // It exists because every empirical campaign (fuzzing, planted-control
 // detection, figure benchmarks) bottoms out in executing litmus-scale
@@ -20,62 +24,29 @@ import "fmt"
 // goroutine engine remains the oracle — and the only engine able to
 // run arbitrary Go-closure workloads (the machalg kernels and demos).
 
-// ProgOpKind enumerates the direct-execution engine's op alphabet. It
-// deliberately mirrors the model checker's vocabulary (internal/mc)
-// so checker programs compile 1:1.
-type ProgOpKind uint8
-
-// The operations.
-const (
-	// POpStore buffers Val into Addr (Thread.Store).
-	POpStore ProgOpKind = iota
-	// POpLoad reads Addr into register Reg (Thread.Load).
-	POpLoad
-	// POpFence completes only with an empty buffer (Thread.Fence).
-	POpFence
-	// POpRMW atomically adds Val to Addr, old value into Reg
-	// (Thread.FetchAdd).
-	POpRMW
-	// POpWait is a clock-polling wait of Val ticks: one clock read to
-	// arm, then clock reads until the deadline passes — exactly
-	// Thread.WaitUntil(Thread.Clock()+Val), the §3 "wait Δ time units"
-	// of the flag principle.
-	POpWait
-)
-
-// ProgOp is one instruction of a Prog thread.
-type ProgOp struct {
-	Kind ProgOpKind
-	Addr Addr
-	Val  Word
-	Reg  int
-}
-
-// Prog is a straight-line program for the direct-execution engine: one
-// op sequence per thread. Addresses are absolute machine addresses
-// (allocate them with AllocWords before ExecProgram).
-type Prog struct {
-	Threads [][]ProgOp
-}
-
 // progThread is the interpreter's per-thread state: a program counter
 // plus the wait-loop sub-state, and the reusable request the scheduler
 // sees — the same struct a goroutine-engine Thread would fill in.
 type progThread struct {
-	ops      []ProgOp
-	regs     []Word
+	ops      []mc.Op
+	base     Addr // machine address of the program's variable 0
+	regs     []int
 	pc       int
-	inWait   bool   // current op is a POpWait whose clock loop is running
+	inWait   bool   // current op is an OpWait whose clock loop is running
 	armed    bool   // the wait's first (deadline-arming) clock read completed
 	deadline uint64 // absolute tick the wait spins until
 	done     bool
 	req      request
 }
 
-// ExecProgram runs p on the direct-execution engine and returns the
-// same Result a goroutine-engine run of the equivalent Thread-handle
-// program would. Loads and RMWs write into regs[thread][Reg] when regs
-// is non-nil (the caller sizes it; a nil regs discards results).
+// ExecProgram runs p on the direct-execution engine, with p's variable
+// v at machine address base+v (allocate p.Vars words with AllocWords
+// first), and returns the same Result a goroutine-engine run of the
+// equivalent Thread-handle program would: St → Store, Ld → Load,
+// Fence → Fence, RMW → FetchAdd (old value into the register), Wait(n)
+// → WaitUntil(Clock()+n). Loads and RMWs write into regs[thread][Reg]
+// when regs is non-nil (the caller sizes it; a nil regs discards
+// results).
 //
 // The machine must be in the pre-run state (fresh from New or Reset)
 // with no spawned threads; afterwards it supports the same post-run
@@ -83,7 +54,7 @@ type progThread struct {
 // Reset+ExecProgram in a loop executes an entire campaign on one
 // machine with zero steady-state heap allocation
 // (TestInterpSteadyStateZeroAlloc).
-func (m *Machine) ExecProgram(p Prog, regs [][]Word) Result {
+func (m *Machine) ExecProgram(p mc.Program, base Addr, regs [][]int) Result {
 	if m.started {
 		panic("tso: Run called twice")
 	}
@@ -103,6 +74,7 @@ func (m *Machine) ExecProgram(p Prog, regs [][]Word) Result {
 	for i := range m.itr {
 		t := &m.itr[i]
 		t.ops = p.Threads[i]
+		t.base = base
 		t.regs = nil
 		if regs != nil {
 			t.regs = regs[i]
@@ -168,21 +140,21 @@ func (t *progThread) next() bool {
 	}
 	op := t.ops[t.pc]
 	switch op.Kind {
-	case POpStore:
-		t.req = request{kind: opStore, addr: op.Addr, val: op.Val}
-	case POpLoad:
-		t.req = request{kind: opLoad, addr: op.Addr}
-	case POpFence:
+	case mc.OpStore:
+		t.req = request{kind: opStore, addr: t.base + Addr(op.Addr), val: Word(op.Val)}
+	case mc.OpLoad:
+		t.req = request{kind: opLoad, addr: t.base + Addr(op.Addr)}
+	case mc.OpFence:
 		t.req = request{kind: opFence}
-	case POpRMW:
-		t.req = request{kind: opFetchAdd, addr: op.Addr, val: op.Val}
-	case POpWait:
+	case mc.OpRMW:
+		t.req = request{kind: opFetchAdd, addr: t.base + Addr(op.Addr), val: Word(op.Val)}
+	case mc.OpWait:
 		// First clock read arms the deadline; see progDeliver.
 		t.inWait = true
 		t.armed = false
 		t.req = request{kind: opClock}
 	default:
-		panic(fmt.Sprintf("tso: unknown ProgOpKind %d", op.Kind))
+		panic(fmt.Sprintf("tso: unknown mc.OpKind %d", op.Kind))
 	}
 	return true
 }
@@ -211,8 +183,8 @@ func (m *Machine) progDeliver(i int, resp response) {
 		return
 	}
 	op := t.ops[t.pc]
-	if (op.Kind == POpLoad || op.Kind == POpRMW) && t.regs != nil {
-		t.regs[op.Reg] = resp.val
+	if (op.Kind == mc.OpLoad || op.Kind == mc.OpRMW) && t.regs != nil {
+		t.regs[op.Reg] = int(resp.val)
 	}
 	t.pc++
 }

@@ -10,7 +10,7 @@ import "fmt"
 // Run is the goroutine engine: each thread is a Go function issuing
 // actions through a *Thread handle and blocking between grants. The
 // direct-execution engine (ExecProgram) drives the same scheduler core
-// over straight-line Prog threads without goroutines; the two engines
+// over straight-line mc.Program threads without goroutines; the two engines
 // consume the seeded RNG identically, so a given (workload, Config)
 // produces byte-identical outcomes, Stats and event streams on both.
 func (m *Machine) Run() Result {

@@ -305,8 +305,8 @@ type threadState struct {
 	done  bool
 }
 
-// Machine is a TBTSO[Δ] abstract machine. Configure it, Spawn threads
-// (or compile a Prog), then Run (or ExecProgram). After a run finishes
+// Machine is a TBTSO[Δ] abstract machine. Configure it, then Spawn
+// threads and Run, or ExecProgram an mc.Program. After a run finishes
 // the machine supports inspection (PeekWord, Result) and can be
 // returned to a fresh pre-run state with Reset, reusing its memory,
 // store buffers and scheduler scratch across an entire campaign.
