@@ -65,14 +65,15 @@ bench:
 bench-guard:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
-# Figure-JSON regression gate: diff the committed baseline against
-# itself (structure/codec sanity). Against a fresh run:
-#   go run ./cmd/tbtso-bench -figure mc -json > new.json
-#   go run ./cmd/tbtso-bench -compare BENCH_mc.json new.json
-# CI runs that with -compare.states 1.0 -compare.time 10: exact
-# outcomes, no state growth.
+# Model-checker baseline gate: a fresh -figure mc run against the
+# committed BENCH_mc.json. Outcome counts must match exactly, any
+# growth in a state count fails, and wall time is checked loosely
+# (10×: hosts vary). CI runs the same target.
+MC_FRESH := .bench-mc.json
 bench-compare:
-	$(GO) run ./cmd/tbtso-bench -compare BENCH_mc.json BENCH_mc.json
+	$(GO) run ./cmd/tbtso-bench -figure mc -json > $(MC_FRESH)
+	status=0; $(GO) run ./cmd/tbtso-bench -compare.states 1.0 -compare.time 10 -compare BENCH_mc.json $(MC_FRESH) || status=$$?; \
+	rm -f $(MC_FRESH); exit $$status
 
 # Observability smoke: a short monitored litmus sweep with the live ops
 # endpoint up (the Prometheus scrape must show zero Δ-residency

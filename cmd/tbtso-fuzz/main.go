@@ -209,11 +209,9 @@ type campaign struct {
 	verbose    bool
 
 	// ck is the running state: every seed in [ck.FirstSeed,
-	// ck.NextSeed) is folded into its totals and coverage.
+	// ck.NextSeed) is folded into its totals and coverage, and
+	// ck.Pending is the shrink queue of their not-yet-shrunk mismatches.
 	ck fuzz.Checkpoint
-	// pending is the shrink queue: mismatches from folded seeds, not yet
-	// shrunk. ck.Pending is its wire form, filled when written.
-	pending []fuzz.Mismatch
 
 	// sess is the obs session; its Flight (nil unless
 	// -obs.monitor/-obs.flightdir) records the campaign.
@@ -254,10 +252,6 @@ func (c *campaign) checkpoint() {
 		c.ck.FlightEvents, c.ck.FlightViolations = c.sess.Flight.Totals()
 		c.ck.FlightViolating = c.sess.Flight.Violating()
 	}
-	c.ck.Pending = nil
-	for _, m := range c.pending {
-		c.ck.Pending = append(c.ck.Pending, fuzz.EncodeMismatch(m))
-	}
 	if _, err := fuzz.WriteCheckpoint(c.ckptPath, &c.ck, c.reg); err != nil {
 		fmt.Fprintln(os.Stderr, "tbtso-fuzz: checkpoint:", err)
 	}
@@ -287,12 +281,12 @@ func (c *campaign) shrinkOne(m fuzz.Mismatch) {
 // drainPending shrinks queued mismatches until the queue is empty or
 // ctx cancels; it reports whether the queue fully drained.
 func (c *campaign) drainPending(ctx context.Context) bool {
-	for len(c.pending) > 0 {
+	for len(c.ck.Pending) > 0 {
 		if ctx.Err() != nil {
 			return false
 		}
-		m := c.pending[0]
-		c.pending = c.pending[1:]
+		m := c.ck.Pending[0]
+		c.ck.Pending = c.ck.Pending[1:]
 		c.shrinkOne(m)
 	}
 	return true
@@ -308,9 +302,6 @@ func (c *campaign) resume() error {
 	if err := ck.Validate(c.ck.ConfigHash); err != nil {
 		return err
 	}
-	if c.pending, err = ck.PendingMismatches(); err != nil {
-		return err
-	}
 	c.ck = *ck
 	c.publishCoverage()
 	if c.sess.Flight != nil {
@@ -321,7 +312,7 @@ func (c *campaign) resume() error {
 		c.ckptPath = c.resumePath
 	}
 	fmt.Fprintf(os.Stderr, "tbtso-fuzz: resuming at seed %d (%d/%d programs done, %d pending shrinks)\n",
-		ck.NextSeed, c.done(), ck.N, len(c.pending))
+		ck.NextSeed, c.done(), ck.N, len(ck.Pending))
 	return nil
 }
 
@@ -361,7 +352,7 @@ func (c *campaign) run(ctx context.Context) int {
 				c.ck.Coverage = &coverage.Snapshot{}
 			}
 			c.ck.Coverage.Merge(&rep.Coverage)
-			c.pending = append(c.pending, rep.Mismatches...)
+			c.ck.Pending = append(c.ck.Pending, rep.Mismatches...)
 			if c.done()-lastPub >= window {
 				c.publish(start)
 				lastPub = c.done()
@@ -377,7 +368,7 @@ func (c *campaign) run(ctx context.Context) int {
 		})
 		c.publish(start)
 	}
-	interrupted := c.done() < c.ck.N || len(c.pending) > 0
+	interrupted := c.done() < c.ck.N || len(c.ck.Pending) > 0
 
 	// One final checkpoint: on interruption it carries the resume state
 	// (cursor + unshrunk queue); on completion it records the campaign
@@ -461,7 +452,9 @@ func runPlanted(ctx context.Context, cfg fuzz.Config, reg *obs.Registry, outDir 
 		r.Threads = len(a.Program.Threads)
 		r.Delta = a.Delta
 		r.Outcome = a.Outcome
-		r.Policy = a.Policy
+		if a.Schedule != nil {
+			r.Policy = a.Policy.String()
+		}
 		r.ShrinkSteps = a.ShrinkSteps
 		reg.Counter("fuzz.shrink_steps").Add(uint64(a.ShrinkSteps))
 		if path, err := writeArtifact(outDir, pl.Name, a); err != nil {
@@ -530,7 +523,7 @@ func writeArtifact(dir, name string, a fuzz.Artifact) (string, error) {
 	if err := os.WriteFile(filepath.Join(dir, name+".go.txt"), []byte(a.GoSource("Shrunk")), 0o644); err != nil {
 		return "", err
 	}
-	if a.Policy != "" {
+	if a.Schedule != nil {
 		if _, err := obs.WriteAtomic(filepath.Join(dir, name+".trace.json"), a.PerfettoTrace); err != nil {
 			return "", fmt.Errorf("%s: perfetto trace: %w", name, err)
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tbtso/internal/fuzz"
+	"tbtso/internal/mc"
 	"tbtso/internal/obs/monitor"
 )
 
@@ -233,5 +234,68 @@ func TestResumeRejectsForeignConfig(t *testing.T) {
 	}
 	if want := "different campaign configuration"; !strings.Contains(stderr, want) {
 		t.Errorf("rejection stderr lacks %q:\n%s", want, stderr)
+	}
+}
+
+// TestUnknownPolicyExits2: -replay of an artifact and -resume of a
+// checkpoint that name an unknown drain policy are load errors: exit 2,
+// with the name on stderr.
+func TestUnknownPolicyExits2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	const prog = `{"vars":1,"regs":1,"threads":[[{"kind":"st","val":1}]]}`
+	const record = `"seed":1,"delta":1,"policy":"no-such-policy","program":` + prog
+	tmp := t.TempDir()
+	artifact := filepath.Join(tmp, "a.json")
+	if err := os.WriteFile(artifact, []byte(`{"kind":"sampled-outcome",`+record+`,"original":`+prog+`}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The resume hash must match, so the checkpoint is written by a real
+	// campaign and its shrink queue is then edited in.
+	flags := []string{"-n", "2", "-deltas", "0", "-machseeds", "1", "-crosscheck", "-1"}
+	ckpt := filepath.Join(tmp, "c.ckpt")
+	if _, stderr, code := runFuzz(t, append(flags, "-ckpt", ckpt)...); code != 0 {
+		t.Fatalf("seed campaign exited %d\n%s", code, stderr)
+	}
+	blob, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob = []byte(strings.Replace(string(blob), `"kind": "fuzz-checkpoint",`,
+		`"kind": "fuzz-checkpoint", "pending": [{"kind":"machine-error",`+record+`}],`, 1))
+	if err := os.WriteFile(ckpt, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-replay", artifact}, append(flags, "-resume", ckpt)} {
+		_, stderr, code := runFuzz(t, args...)
+		if code != 2 || !strings.Contains(stderr, `"no-such-policy"`) {
+			t.Errorf("%v: exit %d, want 2 naming the policy\n%s", args, code, stderr)
+		}
+	}
+}
+
+// TestEngineDivergenceArtifactHasNoTrace: an engine divergence names no
+// machine run, so its artifact carries no policy and gets no trace.
+func TestEngineDivergenceArtifactHasNoTrace(t *testing.T) {
+	m := fuzz.Mismatch{
+		Kind: fuzz.KindEngineDivergence, Seed: 43,
+		Program: mc.Program{Threads: [][]mc.Op{{mc.St(0, 1)}}, Vars: 1, Regs: 1},
+	}
+	a := fuzz.NewArtifact(m, fuzz.Candidate{Program: m.Program}, fuzz.ShrinkResult{})
+	dir := t.TempDir()
+	path, err := writeArtifact(dir, "div", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(blob), `"policy"`) {
+		t.Errorf("engine-divergence artifact names a policy:\n%s", blob)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "div.trace.json")); !os.IsNotExist(err) {
+		t.Errorf("engine-divergence artifact got a machine trace (stat error %v)", err)
 	}
 }

@@ -230,7 +230,7 @@ func report(p *extract.Pair, rep *extract.Report) {
 			strings.Join(c.Reductions, ","))
 	case extract.StatusRefuted:
 		fmt.Printf("%s %-10s refuted at Δ=0 as planted (witness %q", mark, c.Pair, c.TSO.Witness)
-		if rep.Cex != nil && rep.Cex.Policy != "" {
+		if rep.Cex != nil && rep.Cex.Schedule != nil {
 			fmt.Printf("; machine run %s/seed=%d reproduces", rep.Cex.Policy, rep.Cex.MachSeed)
 		}
 		fmt.Printf(")\n")
@@ -285,7 +285,7 @@ func writeArtifacts(dir string, p *extract.Pair, rep *extract.Report) error {
 		return err
 	}
 	fmt.Printf("     wrote %s\n", cexPath(dir, p.Name))
-	if rep.Cex.Policy != "" {
+	if rep.Cex.Schedule != nil {
 		if _, err := obs.WriteAtomic(tracePath(dir, p.Name), rep.Cex.PerfettoTrace); err != nil {
 			return err
 		}
@@ -349,7 +349,7 @@ func replayCex(ex *extract.Extraction, path string, opt extract.Options) int {
 			return 1
 		}
 		fmt.Printf("ok   %s reproduces: outcome %q at Δ=%d", cex.Pair, cex.Outcome, cex.Delta)
-		if cex.Policy != "" {
+		if cex.Schedule != nil {
 			fmt.Printf(" (machine run %s/seed=%d)", cex.Policy, cex.MachSeed)
 		}
 		fmt.Println()

@@ -106,11 +106,10 @@ type Counterexample struct {
 	Property []string `json:"property"`
 	// Outcome is the forbidden outcome the exhaustive checker admits.
 	Outcome string `json:"outcome"`
-	// Policy/MachSeed/MachOutcome name a concrete machine run exhibiting
-	// a forbidden outcome (empty if none of the sampled runs hit one —
-	// the checker witness alone still proves admissibility).
-	Policy      string `json:"policy,omitempty"`
-	MachSeed    int64  `json:"mach_seed,omitempty"`
+	// Schedule and MachOutcome name a concrete machine run exhibiting a
+	// forbidden outcome (nil and empty if none of the sampled runs hit
+	// one — the checker witness alone still proves admissibility).
+	*fuzz.Schedule
 	MachOutcome string `json:"mach_outcome,omitempty"`
 
 	Threads    int        `json:"threads"`
@@ -341,8 +340,7 @@ func buildCex(p *Pair, kind string, pt SweepPoint, opt Options) *Counterexample 
 		Program:    prog,
 	}
 	if run, outcome, ok := fuzz.MachineWitness(prog, pt.Delta, opt.MachSeeds, p.Forbidden); ok {
-		cex.Policy = run.Policy.String()
-		cex.MachSeed = run.Seed
+		cex.Schedule = &fuzz.Schedule{Policy: run.Policy, MachSeed: run.Seed}
 		cex.MachOutcome = outcome
 	}
 	return cex
@@ -350,16 +348,12 @@ func buildCex(p *Pair, kind string, pt SweepPoint, opt Options) *Counterexample 
 
 // PerfettoTrace replays the counterexample's machine run with a
 // Perfetto exporter attached and writes the Chrome trace-event JSON.
-// Requires a machine witness (Policy set).
+// Requires a machine witness (Schedule set).
 func (c *Counterexample) PerfettoTrace(w io.Writer) error {
-	if c.Policy == "" {
+	if c.Schedule == nil {
 		return fmt.Errorf("extract: counterexample for %s has no machine witness to trace", c.Pair)
 	}
-	pol, err := fuzz.ParsePolicy(c.Policy)
-	if err != nil {
-		return err
-	}
-	pf, err := fuzz.TraceRun(c.Program, fuzz.MachineRun{Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed})
+	pf, err := fuzz.TraceRun(c.Program, c.Schedule.Run(c.Delta))
 	if err != nil {
 		return err
 	}
@@ -384,14 +378,8 @@ func (c *Counterexample) Replay(p *Pair, opt Options) error {
 	if !res.Has(c.Outcome) {
 		return fmt.Errorf("checker no longer admits outcome %q at Δ=%d", c.Outcome, c.Delta)
 	}
-	if c.Policy != "" {
-		pol, err := fuzz.ParsePolicy(c.Policy)
-		if err != nil {
-			return err
-		}
-		outcome, err := fuzz.RunOnMachine(c.Program, fuzz.MachineRun{
-			Delta: fuzz.MachineDelta(c.Delta), Policy: pol, Seed: c.MachSeed,
-		})
+	if c.Schedule != nil {
+		outcome, err := fuzz.RunOnMachine(c.Program, c.Schedule.Run(c.Delta))
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,7 @@ package extract
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -159,8 +160,13 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	if err := back.Replay(p, Options{}); err != nil {
 		t.Errorf("round-tripped counterexample does not replay: %v", err)
 	}
-	if cex.Policy == "" {
+	if cex.Schedule == nil {
 		t.Skip("no machine witness found; trace not applicable")
+	}
+	named := []byte(`"policy":"` + cex.Policy.String() + `"`)
+	bad := bytes.Replace(data, named, []byte(`"policy":"no-such-policy"`), 1)
+	if err := json.Unmarshal(bad, &back); err == nil || !strings.Contains(err.Error(), `"no-such-policy"`) {
+		t.Errorf("counterexample with an unknown policy decoded (error %v)", err)
 	}
 	var buf bytes.Buffer
 	if err := cex.PerfettoTrace(&buf); err != nil {

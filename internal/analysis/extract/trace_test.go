@@ -7,6 +7,7 @@ import (
 
 	"tbtso/internal/fuzz"
 	"tbtso/internal/mc"
+	"tbtso/internal/tso"
 )
 
 // TestPerfettoTracesAnnounceRunOnce: a replayed counterexample's trace
@@ -22,13 +23,14 @@ func TestPerfettoTracesAnnounceRunOnce(t *testing.T) {
 		},
 		Vars: 3, Regs: 1,
 	}
+	sched := &fuzz.Schedule{Policy: tso.DrainAdversarial, MachSeed: 1}
 	traces := map[string]func(w *bytes.Buffer) error{
 		"counterexample": func(w *bytes.Buffer) error {
-			c := Counterexample{Pair: "sb3", Delta: 1, Policy: "adversarial", MachSeed: 1, Program: prog}
+			c := Counterexample{Pair: "sb3", Delta: 1, Schedule: sched, Program: prog}
 			return c.PerfettoTrace(w)
 		},
 		"artifact": func(w *bytes.Buffer) error {
-			a := fuzz.Artifact{Kind: fuzz.KindSampledOutcome, Delta: 1, Policy: "adversarial", MachSeed: 1, Program: prog}
+			a := fuzz.Artifact{Mismatch: fuzz.Mismatch{Kind: fuzz.KindSampledOutcome, Delta: 1, Schedule: sched, Program: prog}}
 			return a.PerfettoTrace(w)
 		},
 	}

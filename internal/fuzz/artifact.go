@@ -16,15 +16,9 @@ import (
 // minimized program, and the exact machine run. obs.WriteDoc/ReadArtifact
 // round-trip it; GoSource renders it as a litmus-test function.
 type Artifact struct {
-	Kind     string     `json:"kind"`
-	Seed     int64      `json:"seed"`
-	Delta    int        `json:"delta"`
-	Cover    int        `json:"cover,omitempty"`
-	Policy   string     `json:"policy,omitempty"`
-	MachSeed int64      `json:"mach_seed,omitempty"`
-	Outcome  string     `json:"outcome,omitempty"`
-	Detail   string     `json:"detail,omitempty"`
-	Program  mc.Program `json:"program"`
+	// Mismatch is the shrunk record: its Delta, Cover and Program are
+	// the minimized candidate's.
+	Mismatch
 	// Original is the unshrunk program, kept so a suspect shrinker can
 	// never hide the bug it started from.
 	Original       mc.Program `json:"original"`
@@ -34,25 +28,15 @@ type Artifact struct {
 
 // NewArtifact packages a (possibly shrunk) mismatch.
 func NewArtifact(m Mismatch, shrunk Candidate, sr ShrinkResult) Artifact {
-	return Artifact{
-		Kind:     m.Kind,
-		Seed:     m.Seed,
-		Delta:    shrunk.Delta,
-		Cover:    CoverDelta(shrunk.Program, MachineDelta(shrunk.Delta)),
-		Policy:   m.Policy.String(),
-		MachSeed: m.MachSeed,
-		Outcome:  m.Outcome,
-		Detail:   m.Detail,
-		Program:  shrunk.Program,
-		Original: m.Program,
-
-		ShrinkSteps:    sr.Steps,
-		ShrinkAttempts: sr.Attempts,
-	}
+	a := Artifact{Mismatch: m, Original: m.Program, ShrinkSteps: sr.Steps, ShrinkAttempts: sr.Attempts}
+	a.Delta = shrunk.Delta
+	a.Cover = CoverDelta(shrunk.Program, MachineDelta(shrunk.Delta))
+	a.Program = shrunk.Program
+	return a
 }
 
 // ReadArtifact loads the artifact JSON at path (written with
-// obs.WriteDoc), rejecting a malformed program.
+// obs.WriteDoc), rejecting a malformed program or an unknown policy.
 func ReadArtifact(path string) (Artifact, error) {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -65,35 +49,37 @@ func ReadArtifact(path string) (Artifact, error) {
 	return a, nil
 }
 
-// Replay re-runs the artifact's differential check on its shrunk
-// program and reports whether the mismatch still reproduces. For
-// sampled-outcome artifacts the exact (policy, machine seed) run is
-// repeated; other kinds re-run the full sweep at the artifact's Δ.
+// Replay re-runs the artifact's check on its shrunk program and reports
+// whether the mismatch still reproduces. A machine-error artifact
+// repeats its recorded machine run, which must fault again; a
+// sampled-outcome artifact re-runs the differential check under its
+// recorded policy; an engine divergence re-runs the full sweep at the
+// artifact's Δ. The two machine kinds fail without a schedule.
 func (a Artifact) Replay() (bool, error) {
-	if a.Kind == KindFlagViolation {
+	cfg := Config{Deltas: []int{a.Delta}}.orDefault()
+	switch a.Kind {
+	case KindFlagViolation:
 		o, err := FindViolation(a.Program, a.Delta, 0)
 		return o != "", err
-	}
-	cfg := Config{Deltas: []int{a.Delta}}.orDefault()
-	if a.Kind == KindSampledOutcome {
-		pol, err := ParsePolicy(a.Policy)
+	case KindMachineError, KindSampledOutcome:
+		run, err := a.machineRun()
 		if err != nil {
 			return false, err
 		}
-		cfg.Policies = []tso.DrainPolicy{pol}
+		if a.Kind == KindMachineError {
+			_, err := RunOnMachine(a.Program, run)
+			return err != nil, nil
+		}
+		cfg.Policies = []tso.DrainPolicy{run.Policy}
 	}
 	rep := CheckProgram(cfg, a.Program, a.Seed)
 	return len(rep.Mismatches) > 0, nil
 }
 
-// ParsePolicy is the inverse of tso.DrainPolicy.String.
-func ParsePolicy(s string) (tso.DrainPolicy, error) {
-	for _, p := range []tso.DrainPolicy{tso.DrainRandom, tso.DrainEager, tso.DrainAdversarial} {
-		if p.String() == s {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("fuzz: unknown drain policy %q", s)
+// ParsePolicy parses a drain policy name (tso.DrainPolicy.UnmarshalText).
+func ParsePolicy(s string) (p tso.DrainPolicy, err error) {
+	err = p.UnmarshalText([]byte(s))
+	return p, err
 }
 
 // GoSource renders the artifact's shrunk program as a self-contained Go
@@ -103,8 +89,11 @@ func (a Artifact) GoSource(name string) string {
 	p := a.Program
 	var b strings.Builder
 	fmt.Fprintf(&b, "// Shrunk by tbtso-fuzz: %s at Δ=%d (seed %d", a.Kind, a.Delta, a.Seed)
+	if a.Kind != KindFlagViolation && a.Schedule != nil {
+		fmt.Fprintf(&b, ", policy %s, machine seed %d", a.Policy, a.MachSeed)
+	}
 	if a.Kind == KindSampledOutcome {
-		fmt.Fprintf(&b, ", policy %s, machine seed %d, outcome %q", a.Policy, a.MachSeed, a.Outcome)
+		fmt.Fprintf(&b, ", outcome %q", a.Outcome)
 	}
 	fmt.Fprintf(&b, ").\nfunc TestFuzz%s(t *testing.T) {\n", name)
 	fmt.Fprintf(&b, "\tp := mc.Program{\n\t\tThreads: [][]mc.Op{\n")
@@ -137,10 +126,21 @@ func (a Artifact) GoSource(name string) string {
 	case KindFlagViolation:
 		fmt.Fprintf(&b, "\tres := mc.Explore(p, %d)\n", a.Delta)
 		fmt.Fprintf(&b, "\tif res.Has(%q) {\n\t\tt.Fatalf(\"flag-principle violation admitted: wait inadequate for Δ=%d\")\n\t}\n", a.Outcome, a.Delta)
+	case KindMachineError:
+		run, err := a.machineRun()
+		if err != nil {
+			fmt.Fprintf(&b, "\tt.Fatal(%q)\n", err.Error())
+			break
+		}
+		pol := run.Policy.String()
+		fmt.Fprintf(&b, "\trun := fuzz.MachineRun{Delta: %d, Policy: tso.Drain%s, Seed: %d}\n",
+			run.Delta, strings.ToUpper(pol[:1])+pol[1:], run.Seed)
+		b.WriteString("\tif _, err := fuzz.RunOnMachine(p, run); err != nil {\n\t\tt.Fatalf(\"machine faults on the recorded schedule: %v\", err)\n\t}\n")
 	default:
-		fmt.Fprintf(&b, "\tseq, _ := mc.ExploreSequentialBounded(p, %d, mc.DefaultMaxStates)\n", a.Delta)
+		fmt.Fprintf(&b, "\tseq, err := mc.ExploreSequentialBounded(p, %d, mc.DefaultMaxStates)\n", a.Delta)
+		b.WriteString("\tif err != nil {\n\t\tt.Fatal(err)\n\t}\n")
 		fmt.Fprintf(&b, "\tpar := mc.Explore(p, %d)\n", a.Delta)
-		b.WriteString("\tif len(seq.Outcomes) != len(par.Outcomes) {\n\t\tt.Fatalf(\"engines diverge: %d vs %d outcomes\", len(seq.Outcomes), len(par.Outcomes))\n\t}\n")
+		b.WriteString("\tif !maps.Equal(seq.Outcomes, par.Outcomes) {\n\t\tt.Fatalf(\"engines diverge:\\n seq %v\\n par %v\", seq.List(), par.List())\n\t}\n")
 	}
 	b.WriteString("}\n")
 	return b.String()
@@ -148,16 +148,16 @@ func (a Artifact) GoSource(name string) string {
 
 // PerfettoTrace replays the artifact's machine run with an attached
 // Perfetto exporter and writes the Chrome trace-event JSON, giving the
-// counterexample a visual timeline (store→commit flows included). Only
-// meaningful for sampled-outcome and machine-error artifacts, which
-// name a concrete machine run; a machine-error trace ends at the
-// failure.
+// counterexample a visual timeline (store→commit flows included). It
+// needs a schedule, so it fails for engine divergences and for flag
+// violations no machine run exhibited; a machine-error trace ends at
+// the failure.
 func (a Artifact) PerfettoTrace(w io.Writer) error {
-	pol, err := ParsePolicy(a.Policy)
+	run, err := a.machineRun()
 	if err != nil {
 		return err
 	}
-	pf, err := TraceRun(a.Program, MachineRun{Delta: MachineDelta(a.Delta), Policy: pol, Seed: a.MachSeed})
+	pf, err := TraceRun(a.Program, run)
 	if err != nil && a.Kind != KindMachineError {
 		return err
 	}

@@ -4,62 +4,16 @@ import (
 	"fmt"
 	"time"
 
-	"tbtso/internal/mc"
 	"tbtso/internal/obs"
 	"tbtso/internal/obs/coverage"
 	"tbtso/internal/obs/monitor"
+	"tbtso/internal/tso"
 )
 
 // CheckpointKind is the artifact's "kind" field, following the
 // self-identifying-JSON convention of the fuzz artifacts, the
 // certificates, and the flight-recorder dumps.
 const CheckpointKind = "fuzz-checkpoint"
-
-// MismatchJSON is Mismatch in a stable wire form, so an interrupted
-// campaign's not-yet-shrunk findings survive in the checkpoint's
-// shrink queue.
-type MismatchJSON struct {
-	Kind     string     `json:"kind"`
-	Seed     int64      `json:"seed"`
-	Delta    int        `json:"delta"`
-	Cover    int        `json:"cover,omitempty"`
-	Policy   string     `json:"policy,omitempty"`
-	MachSeed int64      `json:"mach_seed,omitempty"`
-	Outcome  string     `json:"outcome,omitempty"`
-	Detail   string     `json:"detail,omitempty"`
-	Program  mc.Program `json:"program"`
-}
-
-// EncodeMismatch converts to the wire form. Engine-divergence
-// mismatches carry no machine run; their Policy encodes as "".
-func EncodeMismatch(m Mismatch) MismatchJSON {
-	mj := MismatchJSON{
-		Kind: m.Kind, Seed: m.Seed, Delta: m.Delta, Cover: m.Cover,
-		MachSeed: m.MachSeed, Outcome: m.Outcome, Detail: m.Detail,
-		Program: m.Program,
-	}
-	if m.Kind == KindSampledOutcome || m.Kind == KindMachineError {
-		mj.Policy = m.Policy.String()
-	}
-	return mj
-}
-
-// DecodeMismatch converts back from the wire form.
-func DecodeMismatch(mj MismatchJSON) (Mismatch, error) {
-	m := Mismatch{
-		Kind: mj.Kind, Seed: mj.Seed, Delta: mj.Delta, Cover: mj.Cover,
-		MachSeed: mj.MachSeed, Outcome: mj.Outcome, Detail: mj.Detail,
-		Program: mj.Program,
-	}
-	if mj.Policy != "" {
-		pol, err := ParsePolicy(mj.Policy)
-		if err != nil {
-			return Mismatch{}, err
-		}
-		m.Policy = pol
-	}
-	return m, nil
-}
 
 // Checkpoint is a resumable snapshot of a fuzz campaign. The contract:
 // every seed in [FirstSeed, NextSeed) has been fully checked, its
@@ -102,8 +56,8 @@ type Checkpoint struct {
 	// Pending is the shrink queue: mismatches from folded seeds whose
 	// shrinking had not finished when the checkpoint was written, in
 	// seed order. A resumed campaign drains it before generating new
-	// programs.
-	Pending []MismatchJSON `json:"pending,omitempty"`
+	// programs; a running one queues into it directly.
+	Pending []Mismatch `json:"pending,omitempty"`
 }
 
 // Totals are a campaign's folded counts: the programs checked, machine
@@ -142,15 +96,15 @@ func (ck *Checkpoint) Done() bool {
 // invariant, so a campaign may resume with different parallelism), as
 // are Metrics/Flight (observers) and wall-clock budgets.
 type campaignKey struct {
-	Gen              GenConfig `json:"gen"`
-	Deltas           []int     `json:"deltas"`
-	Policies         []string  `json:"policies"`
-	MachSeeds        int       `json:"mach_seeds"`
-	MaxStates        int       `json:"max_states"`
-	CrossCheckStates int       `json:"cross_check_states"`
-	N                int       `json:"n"`
-	FirstSeed        int64     `json:"first_seed"`
-	ShrinkMax        int       `json:"shrink_max"`
+	Gen              GenConfig         `json:"gen"`
+	Deltas           []int             `json:"deltas"`
+	Policies         []tso.DrainPolicy `json:"policies"`
+	MachSeeds        int               `json:"mach_seeds"`
+	MaxStates        int               `json:"max_states"`
+	CrossCheckStates int               `json:"cross_check_states"`
+	N                int               `json:"n"`
+	FirstSeed        int64             `json:"first_seed"`
+	ShrinkMax        int               `json:"shrink_max"`
 }
 
 // CampaignHash fingerprints everything that determines the campaign
@@ -163,15 +117,13 @@ func (c Config) CampaignHash(n int, firstSeed int64, shrinkMax int) string {
 	key := campaignKey{
 		Gen:              c.Gen,
 		Deltas:           c.Deltas,
+		Policies:         c.Policies,
 		MachSeeds:        c.MachSeeds,
 		MaxStates:        c.MaxStates,
 		CrossCheckStates: c.CrossCheckStates,
 		N:                n,
 		FirstSeed:        firstSeed,
 		ShrinkMax:        shrinkMax,
-	}
-	for _, p := range c.Policies {
-		key.Policies = append(key.Policies, p.String())
 	}
 	return obs.HashDoc(key)
 }
@@ -190,8 +142,7 @@ func (ck *Checkpoint) Validate(hash string) error {
 		return fmt.Errorf("fuzz: checkpoint cursor %d outside campaign seed range [%d, %d]",
 			ck.NextSeed, ck.FirstSeed, ck.FirstSeed+int64(ck.N))
 	}
-	_, err := ck.PendingMismatches()
-	return err
+	return nil
 }
 
 // WriteCheckpoint atomically persists the checkpoint (obs.WriteDoc) and
@@ -214,25 +165,13 @@ func WriteCheckpoint(path string, ck *Checkpoint, reg *obs.Registry) (int, error
 }
 
 // ReadCheckpoint loads a checkpoint written by WriteCheckpoint. It
-// rejects documents of the wrong kind; configuration validation is the
-// caller's job (Validate, with the resuming campaign's hash).
+// rejects documents of the wrong kind and pending mismatches with a
+// malformed program or an unknown policy; configuration validation is
+// the caller's job (Validate, with the resuming campaign's hash).
 func ReadCheckpoint(path string) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := obs.ReadDoc(path, CheckpointKind, &ck); err != nil {
 		return nil, err
 	}
 	return &ck, nil
-}
-
-// PendingMismatches decodes the checkpoint's shrink queue.
-func (ck *Checkpoint) PendingMismatches() ([]Mismatch, error) {
-	out := make([]Mismatch, 0, len(ck.Pending))
-	for i, mj := range ck.Pending {
-		m, err := DecodeMismatch(mj)
-		if err != nil {
-			return nil, fmt.Errorf("fuzz: checkpoint pending[%d]: %w", i, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

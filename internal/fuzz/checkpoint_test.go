@@ -1,7 +1,9 @@
 package fuzz
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -100,8 +102,8 @@ func sampleMismatches() []Mismatch {
 	return []Mismatch{
 		{
 			Kind: KindSampledOutcome, Seed: 42, Delta: 1, Cover: 9,
-			Policy: tso.DrainAdversarial, MachSeed: 3,
-			Outcome: "r0=1 r1=0", Detail: "outcome outside exhaustive set",
+			Schedule: &Schedule{Policy: tso.DrainAdversarial, MachSeed: 3},
+			Outcome:  "r0=1 r1=0", Detail: "outcome outside exhaustive set",
 			Program: ckptProg(),
 		},
 		{
@@ -111,21 +113,27 @@ func sampleMismatches() []Mismatch {
 		},
 		{
 			Kind: KindMachineError, Seed: 44, Delta: 3, Cover: 15,
-			Policy: tso.DrainEager, MachSeed: 1,
-			Detail:  "machine fault: deadlock",
-			Program: ckptProg(),
+			Schedule: &Schedule{Policy: tso.DrainEager, MachSeed: 1},
+			Detail:   "machine fault: deadlock",
+			Program:  ckptProg(),
 		},
 	}
 }
 
+// TestMismatchWireRoundTrip: a mismatch is its own wire form. The
+// schedule's keys appear exactly when the record names a machine run.
 func TestMismatchWireRoundTrip(t *testing.T) {
 	for _, m := range sampleMismatches() {
-		mj := EncodeMismatch(m)
-		if m.Kind == KindEngineDivergence && mj.Policy != "" {
-			t.Errorf("engine-divergence mismatch encoded policy %q, want empty", mj.Policy)
-		}
-		back, err := DecodeMismatch(mj)
+		blob, err := json.Marshal(m)
 		if err != nil {
+			t.Fatalf("encode %s: %v", m.Kind, err)
+		}
+		hasSchedule := m.Kind != KindEngineDivergence
+		if got := bytes.Contains(blob, []byte(`"policy":`)); got != hasSchedule {
+			t.Errorf("%s: policy key present=%v, want %v: %s", m.Kind, got, hasSchedule, blob)
+		}
+		var back Mismatch
+		if err := json.Unmarshal(blob, &back); err != nil {
 			t.Fatalf("decode %s: %v", m.Kind, err)
 		}
 		if !reflect.DeepEqual(back, m) {
@@ -145,9 +153,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			Artifacts: []string{"fuzz-000.json"},
 		},
 	}
-	for _, m := range sampleMismatches() {
-		ck.Pending = append(ck.Pending, EncodeMismatch(m))
-	}
+	ck.Pending = sampleMismatches()
 
 	path := filepath.Join(t.TempDir(), "campaign.ckpt")
 	nbytes, err := WriteCheckpoint(path, ck, nil)
@@ -167,11 +173,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err := back.Validate(hash); err != nil {
 		t.Errorf("Validate on a faithful checkpoint: %v", err)
 	}
-	pend, err := back.PendingMismatches()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pend, sampleMismatches()) {
+	if !reflect.DeepEqual(back.Pending, sampleMismatches()) {
 		t.Error("pending shrink queue did not survive the round trip")
 	}
 	if back.Done() {
@@ -208,12 +210,6 @@ func TestCheckpointValidateRejects(t *testing.T) {
 	badCursor.NextSeed = 101
 	if err := badCursor.Validate(hash); err == nil {
 		t.Error("Validate accepted an out-of-range cursor")
-	}
-
-	badPending := good
-	badPending.Pending = []MismatchJSON{{Kind: KindSampledOutcome, Policy: "no-such-policy", Program: ckptProg()}}
-	if err := badPending.Validate(hash); err == nil {
-		t.Error("Validate accepted an undecodable pending mismatch")
 	}
 }
 

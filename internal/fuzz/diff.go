@@ -103,21 +103,49 @@ const (
 
 // Mismatch is one differential failure, carrying everything needed to
 // replay it: the program, the sweep Δ, and (for sampled-outcome and
-// machine-error kinds) the exact machine run.
+// machine-error kinds) the machine schedule that showed it. It is its
+// own wire form: the checkpoint's shrink queue holds it verbatim, and
+// Artifact embeds it.
 type Mismatch struct {
-	Kind     string
-	Seed     int64 // generator seed (0 if the program wasn't generated)
-	Delta    int   // sweep Δ, checker transitions
-	Cover    int   // covering Δ the containment was checked at
-	Policy   tso.DrainPolicy
-	MachSeed int64
-	Outcome  string // offending outcome (sampled-outcome kind)
-	Detail   string
-	Program  mc.Program
+	Kind  string `json:"kind"`
+	Seed  int64  `json:"seed"`            // generator seed (0 if the program wasn't generated)
+	Delta int    `json:"delta"`           // sweep Δ, checker transitions
+	Cover int    `json:"cover,omitempty"` // covering Δ the containment was checked at
+	// Schedule is the machine run; nil when the record names none.
+	*Schedule
+	Outcome string     `json:"outcome,omitempty"` // offending outcome (sampled-outcome kind)
+	Detail  string     `json:"detail,omitempty"`
+	Program mc.Program `json:"program"`
+}
+
+// Schedule names one machine run of a record's program: the drain
+// policy and the scheduler seed. Records embed it as a pointer, so the
+// "policy" and "mach_seed" keys appear exactly when the record names a
+// machine run, and an unknown policy name fails to decode.
+type Schedule struct {
+	Policy   tso.DrainPolicy `json:"policy"`
+	MachSeed int64           `json:"mach_seed,omitempty"`
+}
+
+// Run is the machine run s names at sweep Δ delta.
+func (s *Schedule) Run(delta int) MachineRun {
+	return MachineRun{Delta: MachineDelta(delta), Policy: s.Policy, Seed: s.MachSeed}
+}
+
+// machineRun is the run m's schedule names, or an error when it names
+// none.
+func (m Mismatch) machineRun() (MachineRun, error) {
+	if m.Schedule == nil {
+		return MachineRun{}, fmt.Errorf("fuzz: %s record names no machine schedule", m.Kind)
+	}
+	return m.Schedule.Run(m.Delta), nil
 }
 
 func (m Mismatch) String() string {
-	s := fmt.Sprintf("%s: seed=%d Δ=%d policy=%v machSeed=%d", m.Kind, m.Seed, m.Delta, m.Policy, m.MachSeed)
+	s := fmt.Sprintf("%s: seed=%d Δ=%d", m.Kind, m.Seed, m.Delta)
+	if m.Schedule != nil {
+		s += fmt.Sprintf(" policy=%v machSeed=%d", m.Policy, m.MachSeed)
+	}
 	if m.Outcome != "" {
 		s += " outcome=" + m.Outcome
 	}
@@ -339,7 +367,7 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 				if err != nil {
 					rep.Mismatches = append(rep.Mismatches, Mismatch{
 						Kind: KindMachineError, Seed: seed, Delta: delta, Cover: cover,
-						Policy: pol, MachSeed: machSeed, Detail: err.Error(), Program: p,
+						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error(), Program: p,
 					})
 					continue
 				}
@@ -382,7 +410,7 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 				if !admitted.Has(outcome) {
 					rep.Mismatches = append(rep.Mismatches, Mismatch{
 						Kind: KindSampledOutcome, Seed: seed, Delta: delta, Cover: cover,
-						Policy: pol, MachSeed: machSeed, Outcome: outcome, Program: p,
+						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome, Program: p,
 					})
 				}
 			}

@@ -185,20 +185,21 @@ func CheckPlanted(pl Planted, maxStates, maxAttempts int) (Artifact, error) {
 		return Artifact{}, fmt.Errorf("planted %s: shrunk candidate lost the violation (%v)", pl.Name, err)
 	}
 	a := Artifact{
-		Kind:           KindFlagViolation,
-		Delta:          shrunk.Delta,
-		Cover:          CoverDelta(shrunk.Program, MachineDelta(shrunk.Delta)),
-		Outcome:        wo,
-		Detail:         "planted control " + pl.Name,
-		Program:        shrunk.Program,
+		Mismatch: Mismatch{
+			Kind:    KindFlagViolation,
+			Delta:   shrunk.Delta,
+			Cover:   CoverDelta(shrunk.Program, MachineDelta(shrunk.Delta)),
+			Outcome: wo,
+			Detail:  "planted control " + pl.Name,
+			Program: shrunk.Program,
+		},
 		Original:       pl.Program,
 		ShrinkSteps:    sr.Steps,
 		ShrinkAttempts: sr.Attempts,
 	}
 	flagged := func(o string) bool { return FlagViolation(shrunk.Program, o) }
 	if run, _, found := MachineWitness(shrunk.Program, shrunk.Delta, 64, flagged); found {
-		a.Policy = run.Policy.String()
-		a.MachSeed = run.Seed
+		a.Schedule = &Schedule{Policy: run.Policy, MachSeed: run.Seed}
 	}
 	return a, nil
 }

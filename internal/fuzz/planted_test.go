@@ -34,7 +34,7 @@ func TestPlantedControls(t *testing.T) {
 			if a.ShrinkSteps == 0 {
 				t.Fatal("shrinker accepted nothing on an 18-op control")
 			}
-			if a.Policy == "" {
+			if a.Schedule == nil {
 				t.Fatal("no machine schedule exhibits the shrunk violation")
 			}
 
@@ -70,6 +70,43 @@ func TestPlantedControls(t *testing.T) {
 				t.Fatalf("Perfetto trace missing traceEvents: %.120s", trace.String())
 			}
 		})
+	}
+}
+
+// TestGoSourceCanFail: the regression test GoSource renders for an
+// engine divergence compares the two outcome sets, not their sizes, and
+// the one for a machine error replays the recorded schedule and fails
+// on its error — an engine comparison cannot see a machine fault.
+func TestGoSourceCanFail(t *testing.T) {
+	for _, c := range []struct {
+		a       Artifact
+		want    []string
+		notWant string
+	}{
+		{
+			a:       Artifact{Mismatch: sampleMismatches()[1]},
+			want:    []string{"mc.ExploreSequentialBounded(p, 0, mc.DefaultMaxStates)", "if !maps.Equal(seq.Outcomes, par.Outcomes) {"},
+			notWant: "len(seq.Outcomes)",
+		},
+		{
+			a: Artifact{Mismatch: sampleMismatches()[2]},
+			want: []string{
+				"(seed 44, policy eager, machine seed 1)",
+				"run := fuzz.MachineRun{Delta: 3, Policy: tso.DrainEager, Seed: 1}",
+				"if _, err := fuzz.RunOnMachine(p, run); err != nil {",
+			},
+			notWant: "mc.Explore",
+		},
+	} {
+		src := c.a.GoSource("Case")
+		for _, want := range c.want {
+			if !strings.Contains(src, want) {
+				t.Errorf("%s: GoSource missing %q:\n%s", c.a.Kind, want, src)
+			}
+		}
+		if strings.Contains(src, c.notWant) {
+			t.Errorf("%s: GoSource contains %q:\n%s", c.a.Kind, c.notWant, src)
+		}
 	}
 }
 

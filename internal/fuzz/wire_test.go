@@ -37,9 +37,7 @@ func goldenCheckpoint() *Checkpoint {
 	ck.Programs, ck.Runs, ck.Truncated = 124, 744, 2
 	ck.Mismatches, ck.ShrinkSteps = 3, 11
 	ck.Artifacts = []string{"out/a.json", "out/b.json"}
-	for _, m := range sampleMismatches() {
-		ck.Pending = append(ck.Pending, EncodeMismatch(m))
-	}
+	ck.Pending = sampleMismatches()
 	return ck
 }
 
@@ -96,5 +94,55 @@ func TestMalformedProgramRejectedOnLoad(t *testing.T) {
 	}
 	if _, err := ReadCheckpoint(ckpt); err == nil || !strings.Contains(err.Error(), "address 5") {
 		t.Fatalf("ReadCheckpoint with a malformed pending program: error %v", err)
+	}
+}
+
+// TestUnknownPolicyRejectedOnLoad: an artifact or checkpoint naming a
+// drain policy the machine does not have fails to load, naming it.
+func TestUnknownPolicyRejectedOnLoad(t *testing.T) {
+	const prog = `{"vars":1,"regs":1,"threads":[[{"kind":"st","val":1}]]}`
+	const schedule = `"policy":"no-such-policy","mach_seed":3`
+	dir := t.TempDir()
+	artifact := filepath.Join(dir, "a.json")
+	doc := `{"kind":"sampled-outcome","seed":1,"delta":1,` + schedule + `,"program":` + prog + `,"original":` + prog + `,"shrink_steps":0,"shrink_attempts":0}`
+	if err := os.WriteFile(artifact, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadArtifact(artifact); err == nil || !strings.Contains(err.Error(), `"no-such-policy"`) {
+		t.Errorf("ReadArtifact with an unknown policy: error %v", err)
+	}
+
+	ckpt := filepath.Join(dir, "ck.json")
+	doc = `{"kind":"fuzz-checkpoint","config_hash":"sha256:00","n":2,"first_seed":1,"next_seed":2,"pending":[{"kind":"machine-error","seed":1,"delta":1,` + schedule + `,"program":` + prog + `}]}`
+	if err := os.WriteFile(ckpt, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadCheckpoint(ckpt); err == nil || !strings.Contains(err.Error(), `"no-such-policy"`) {
+		t.Errorf("ReadCheckpoint with an unknown pending policy: error %v", err)
+	}
+}
+
+// TestScheduleOnlyWhereARunIsNamed: an engine-divergence record names
+// no machine run, so it prints none and has no trace; a sampled-outcome
+// or machine-error record loaded without a schedule cannot be replayed
+// or traced.
+func TestScheduleOnlyWhereARunIsNamed(t *testing.T) {
+	ms := sampleMismatches()
+	if s := ms[1].String(); strings.Contains(s, "policy=") {
+		t.Errorf("engine-divergence record prints a machine run: %s", s)
+	}
+	var trace bytes.Buffer
+	if err := (Artifact{Mismatch: ms[1]}).PerfettoTrace(&trace); err == nil {
+		t.Error("engine-divergence artifact produced a machine trace")
+	}
+	for _, m := range []Mismatch{ms[0], ms[2]} {
+		m.Schedule = nil
+		a := Artifact{Mismatch: m}
+		if _, err := a.Replay(); err == nil {
+			t.Errorf("%s artifact without a schedule replayed", m.Kind)
+		}
+		if err := a.PerfettoTrace(&trace); err == nil {
+			t.Errorf("%s artifact without a schedule produced a trace", m.Kind)
+		}
 	}
 }

@@ -62,17 +62,40 @@ const (
 	DrainAdversarial
 )
 
+// drainPolicyNames holds each policy's name: String, MarshalText and
+// UnmarshalText all read it, so a policy's text form is defined once.
+var drainPolicyNames = [...]string{
+	DrainRandom:      "random",
+	DrainEager:       "eager",
+	DrainAdversarial: "adversarial",
+}
+
 func (p DrainPolicy) String() string {
-	switch p {
-	case DrainRandom:
-		return "random"
-	case DrainEager:
-		return "eager"
-	case DrainAdversarial:
-		return "adversarial"
-	default:
-		return fmt.Sprintf("DrainPolicy(%d)", int(p))
+	if p >= 0 && int(p) < len(drainPolicyNames) {
+		return drainPolicyNames[p]
 	}
+	return fmt.Sprintf("DrainPolicy(%d)", int(p))
+}
+
+// MarshalText encodes the policy as its name, so JSON documents and
+// flags spell it "random", "eager" or "adversarial".
+func (p DrainPolicy) MarshalText() ([]byte, error) {
+	if p < 0 || int(p) >= len(drainPolicyNames) {
+		return nil, fmt.Errorf("tso: unknown drain policy %d", int(p))
+	}
+	return []byte(drainPolicyNames[p]), nil
+}
+
+// UnmarshalText is MarshalText's inverse; an unknown name is an error
+// that quotes it.
+func (p *DrainPolicy) UnmarshalText(text []byte) error {
+	for i, name := range drainPolicyNames {
+		if name == string(text) {
+			*p = DrainPolicy(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("tso: unknown drain policy %q", text)
 }
 
 // Config parameterizes a Machine.

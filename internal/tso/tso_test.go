@@ -2,6 +2,7 @@ package tso
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -386,5 +387,27 @@ func TestQuickCommitLatencyRespectsDelta(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDrainPolicyText: every policy's text form is its String name and
+// round-trips; an unknown name or value is an error that names it.
+func TestDrainPolicyText(t *testing.T) {
+	for _, p := range []DrainPolicy{DrainRandom, DrainEager, DrainAdversarial} {
+		text, err := p.MarshalText()
+		if err != nil || string(text) != p.String() {
+			t.Fatalf("%v: MarshalText = %q, %v", p, text, err)
+		}
+		var back DrainPolicy
+		if err := back.UnmarshalText(text); err != nil || back != p {
+			t.Fatalf("%q: UnmarshalText = %v, %v", text, back, err)
+		}
+	}
+	var p DrainPolicy
+	if err := p.UnmarshalText([]byte("lazy")); err == nil || !strings.Contains(err.Error(), `"lazy"`) {
+		t.Errorf("UnmarshalText(lazy): %v", err)
+	}
+	if _, err := DrainPolicy(7).MarshalText(); err == nil {
+		t.Error("MarshalText accepted an undefined policy")
 	}
 }
