@@ -101,7 +101,6 @@ func run(args []string) (code int) {
 		MachSeeds:        *machSeeds,
 		MaxStates:        *maxStates,
 		CrossCheckStates: *crossCheck,
-		Metrics:          reg,
 		Workers:          *workers,
 	}
 	if cfg.Deltas, err = parseDeltas(*deltasStr); err != nil {
@@ -132,7 +131,7 @@ func run(args []string) (code int) {
 		// lock on the event hot path.
 		camp.cfg.Flight = sess.Flight
 		if srv := sess.Server(); srv != nil {
-			srv.SetCoverage(camp.liveCoverage)
+			srv.SetCoverage(camp.liveCov.Load)
 		}
 		if sess.Addr != "" {
 			fmt.Fprintf(os.Stderr, "tbtso-fuzz: ops endpoint http://%s\n", sess.Addr)
@@ -212,33 +211,33 @@ type campaign struct {
 	// ck.NextSeed) is folded into its totals and coverage, and
 	// ck.Pending is the shrink queue of their not-yet-shrunk mismatches.
 	ck fuzz.Checkpoint
+	// base is the totals restored from a checkpoint: earlier processes'
+	// work, which this process's throughput gauges leave out.
+	base fuzz.Totals
 
 	// sess is the obs session; its Flight (nil unless
 	// -obs.monitor/-obs.flightdir) records the campaign.
 	sess *serve.Session
 	// liveCov is the latest published clone of ck.Coverage, served on
-	// /coverage.
+	// /coverage (nil before any coverage exists: a 404).
 	liveCov atomic.Pointer[coverage.Snapshot]
 }
 
 // done is how many seeds are folded.
 func (c *campaign) done() int { return int(c.ck.NextSeed - c.ck.FirstSeed) }
 
-// liveCoverage serves /coverage: the latest published snapshot (nil
-// before any coverage exists, which the endpoint reports as 404).
-func (c *campaign) liveCoverage() *coverage.Snapshot { return c.liveCov.Load() }
-
 // publishCoverage clones the merged coverage for the ops endpoint.
 func (c *campaign) publishCoverage() { c.liveCov.Store(c.ck.Coverage.Clone()) }
 
 // publish refreshes what the ops endpoint serves: the coverage clone and
-// the throughput gauges. The campaign calls it once per window of folded
+// the throughput gauges, which rate the programs and runs this process
+// folded since start. The campaign calls it once per window of folded
 // programs, never once per program.
 func (c *campaign) publish(start time.Time) {
 	c.publishCoverage()
 	if sec := time.Since(start).Seconds(); sec > 0 {
-		c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.ck.Programs) / sec))
-		c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.ck.Runs) / sec))
+		c.reg.Gauge("fuzz.campaign.programs_per_sec").Set(int64(float64(c.ck.Programs-c.base.Programs) / sec))
+		c.reg.Gauge("fuzz.campaign.runs_per_sec").Set(int64(float64(c.ck.Runs-c.base.Runs) / sec))
 	}
 }
 
@@ -303,6 +302,7 @@ func (c *campaign) resume() error {
 		return err
 	}
 	c.ck = *ck
+	c.base = ck.Totals
 	c.publishCoverage()
 	if c.sess.Flight != nil {
 		c.sess.Flight.Restore(ck.FirstSeed, ck.NextSeed, ck.FlightEvents, ck.FlightViolations, ck.FlightViolating)
@@ -346,13 +346,8 @@ func (c *campaign) run(ctx context.Context) int {
 		// done() < N.
 		lastCkpt, lastPub := c.done(), c.done()
 		fuzz.Stream(ctx, c.cfg, c.ck.N-c.done(), c.ck.NextSeed, func(rep fuzz.Report) bool {
-			c.ck.NextSeed++
-			c.ck.Add(fuzz.Totals{Programs: rep.Programs, Runs: rep.Runs, Truncated: rep.Truncated, Mismatches: len(rep.Mismatches)})
-			if c.ck.Coverage == nil { // none until the first fold
-				c.ck.Coverage = &coverage.Snapshot{}
-			}
-			c.ck.Coverage.Merge(&rep.Coverage)
-			c.ck.Pending = append(c.ck.Pending, rep.Mismatches...)
+			c.ck.Fold(rep)
+			rep.Publish(c.reg)
 			if c.done()-lastPub >= window {
 				c.publish(start)
 				lastPub = c.done()

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -14,6 +16,7 @@ import (
 
 	"tbtso/internal/fuzz"
 	"tbtso/internal/mc"
+	"tbtso/internal/obs/coverage"
 	"tbtso/internal/obs/monitor"
 )
 
@@ -53,16 +56,108 @@ func campaignFlags(extra ...string) []string {
 func runFuzz(t *testing.T, args ...string) (string, string, int) {
 	t.Helper()
 	cmd := exec.Command(binPath, args...)
-	var stdout, stderr []byte
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	stdout, err := cmd.Output()
 	if ee, ok := err.(*exec.ExitError); ok {
-		stderr = ee.Stderr
-		return string(stdout), string(stderr), ee.ExitCode()
+		return string(stdout), stderr.String(), ee.ExitCode()
 	}
 	if err != nil {
 		t.Fatalf("running %v: %v", args, err)
 	}
-	return string(stdout), "", 0
+	return string(stdout), stderr.String(), 0
+}
+
+// metricValues reads the integer lines ("name value") of a -metrics
+// dump.
+func metricValues(stderr string) map[string]int64 {
+	out := map[string]int64{}
+	for _, line := range strings.Split(stderr, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			continue
+		}
+		if v, err := strconv.ParseInt(f[1], 10, 64); err == nil {
+			out[f[0]] = v
+		}
+	}
+	return out
+}
+
+// TestCountersMatchSummaryWhenCut: a campaign cut short by its time
+// budget publishes fuzz.* counters for exactly the programs its summary
+// reports — checks the workers ran past the last fold count nowhere.
+func TestCountersMatchSummaryWhenCut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess campaign test")
+	}
+	stdout, stderr, code := runFuzz(t, campaignFlags("-n", "100000", "-time", "300ms", "-workers", "4", "-metrics")...)
+	if code != 130 && code != 0 {
+		t.Fatalf("budgeted campaign exited %d\n%s", code, stderr)
+	}
+	var sum summary
+	if err := json.Unmarshal([]byte(stdout), &sum); err != nil {
+		t.Fatalf("summary: %v\n%s", err, stdout)
+	}
+	if !sum.Interrupted || sum.Programs == 0 {
+		t.Fatalf("the budget did not cut the campaign after some programs: %+v", sum)
+	}
+	m := metricValues(stderr)
+	for name, want := range map[string]int{
+		"fuzz.programs":   sum.Programs,
+		"fuzz.runs":       sum.Runs,
+		"fuzz.mismatches": sum.Mismatches,
+	} {
+		if got, ok := m[name]; !ok || got != int64(want) {
+			t.Errorf("%s = %d (printed %v), summary says %d", name, got, ok, want)
+		}
+	}
+}
+
+// TestResumeGaugesRateThisProcess: the throughput gauges of a resumed
+// campaign rate only the programs and runs this process folded, not the
+// totals restored from the checkpoint.
+func TestResumeGaugesRateThisProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	const done, left = 1_000_000, 5
+	flags := []string{"-n", strconv.Itoa(done + left), "-seed", "1", "-deltas", "0", "-machseeds", "1", "-crosscheck", "-1", "-json", "-metrics"}
+	cfg := fuzz.Config{Deltas: []int{0}, MachSeeds: 1, CrossCheckStates: -1}
+	ck := &fuzz.Checkpoint{
+		Kind: fuzz.CheckpointKind, ConfigHash: cfg.CampaignHash(done+left, 1, 4000),
+		N: done + left, FirstSeed: 1, NextSeed: 1 + done,
+		Totals:   fuzz.Totals{Programs: done, Runs: 3 * done},
+		Coverage: &coverage.Snapshot{Programs: done, Runs: 3 * done},
+	}
+	path := filepath.Join(t.TempDir(), "c.ckpt")
+	if _, err := fuzz.WriteCheckpoint(path, ck, nil); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, code := runFuzz(t, append(flags, "-resume", path)...)
+	if code != 0 {
+		t.Fatalf("resumed campaign exited %d\n%s", code, stderr)
+	}
+	var sum summary
+	if err := json.Unmarshal([]byte(stdout), &sum); err != nil {
+		t.Fatalf("summary: %v\n%s", err, stdout)
+	}
+	if sum.Programs != done+left {
+		t.Fatalf("summary counts %d programs, want %d", sum.Programs, done+left)
+	}
+	// The gauges are set before the summary's clock stops, so rating the
+	// restored totals would give at least restored/elapsed.
+	sec := float64(sum.ElapsedMS+1) / 1e3
+	m := metricValues(stderr)
+	for name, restored := range map[string]int{
+		"fuzz.campaign.programs_per_sec": ck.Programs,
+		"fuzz.campaign.runs_per_sec":     ck.Runs,
+	} {
+		got, ok := m[name]
+		if limit := float64(restored) / sec; !ok || float64(got) >= limit {
+			t.Errorf("%s = %d (printed %v), want the rate of the %d programs this process folded, below %.0f", name, got, ok, left, limit)
+		}
+	}
 }
 
 // TestSigintCheckpointResume interrupts a live parallel campaign with

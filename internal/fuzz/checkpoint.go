@@ -62,9 +62,11 @@ type Checkpoint struct {
 
 // Totals are a campaign's folded counts: the programs checked, machine
 // runs sampled, explorations truncated and mismatches found, plus the
-// shrink work and the artifacts it wrote. They are the checkpoint's
-// running totals, the tbtso-fuzz summary's and tbtso-obs's campaign
-// totals, so one wire form serves all three.
+// shrink work and the artifacts it wrote. The first three are read from
+// each folded report's coverage (Checkpoint.Fold), the account they are
+// made in. They are the checkpoint's running totals, the tbtso-fuzz
+// summary's and tbtso-obs's campaign totals, so one wire form serves
+// all three.
 type Totals struct {
 	Programs    int      `json:"programs"`
 	Runs        int      `json:"runs"`
@@ -82,6 +84,21 @@ func (t *Totals) Add(o Totals) {
 	t.Mismatches += o.Mismatches
 	t.ShrinkSteps += o.ShrinkSteps
 	t.Artifacts = append(t.Artifacts, o.Artifacts...)
+}
+
+// Fold adds the next seed's report: it advances the cursor, merges the
+// coverage, adds the program, run and truncation counts read from the
+// report's coverage to the totals, and queues the mismatches for
+// shrinking.
+func (ck *Checkpoint) Fold(rep Report) {
+	ck.NextSeed++
+	if ck.Coverage == nil { // none until the first fold
+		ck.Coverage = &coverage.Snapshot{}
+	}
+	cov := &rep.Coverage
+	ck.Coverage.Merge(cov)
+	ck.Add(Totals{Programs: int(cov.Programs), Runs: int(cov.Runs), Truncated: int(cov.MC.Truncated), Mismatches: len(rep.Mismatches)})
+	ck.Pending = append(ck.Pending, rep.Mismatches...)
 }
 
 // Done reports whether the campaign finished: every seed folded and
@@ -141,6 +158,13 @@ func (ck *Checkpoint) Validate(hash string) error {
 	if ck.NextSeed < ck.FirstSeed || ck.NextSeed > ck.FirstSeed+int64(ck.N) {
 		return fmt.Errorf("fuzz: checkpoint cursor %d outside campaign seed range [%d, %d]",
 			ck.NextSeed, ck.FirstSeed, ck.FirstSeed+int64(ck.N))
+	}
+	// Every fold advances the cursor by one program.
+	if folded := ck.NextSeed - ck.FirstSeed; int64(ck.Programs) != folded {
+		return fmt.Errorf("fuzz: checkpoint totals count %d programs but its cursor has folded %d", ck.Programs, folded)
+	}
+	if ck.Coverage != nil && ck.Coverage.Programs != uint64(ck.Programs) {
+		return fmt.Errorf("fuzz: checkpoint coverage counts %d programs but its totals count %d", ck.Coverage.Programs, ck.Programs)
 	}
 	return nil
 }

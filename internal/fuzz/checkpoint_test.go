@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"tbtso/internal/mc"
+	"tbtso/internal/obs/coverage"
 	"tbtso/internal/tso"
 )
 
@@ -50,8 +51,8 @@ func TestRunContextPrefixResume(t *testing.T) {
 		if err == nil {
 			t.Fatalf("workers=%d: pre-cancelled RunContext returned nil error", workers)
 		}
-		if done != 0 || rep.Programs != 0 {
-			t.Fatalf("workers=%d: pre-cancelled RunContext did work: done=%d programs=%d", workers, done, rep.Programs)
+		if done != 0 || rep.Coverage.Programs != 0 {
+			t.Fatalf("workers=%d: pre-cancelled RunContext did work: done=%d programs=%d", workers, done, rep.Coverage.Programs)
 		}
 
 		// Mid-flight cancellations at assorted points: whatever prefix
@@ -67,9 +68,9 @@ func TestRunContextPrefixResume(t *testing.T) {
 			if done < 0 || done > n {
 				t.Fatalf("workers=%d trial=%d: done=%d out of range", workers, trial, done)
 			}
-			if part.Programs != done {
+			if part.Coverage.Programs != uint64(done) {
 				t.Fatalf("workers=%d trial=%d: partial report has %d programs, done=%d",
-					workers, trial, part.Programs, done)
+					workers, trial, part.Coverage.Programs, done)
 			}
 			rest, rdone, rerr := RunContext(nil, wcfg, n-done, startSeed+int64(done))
 			if rerr != nil || rdone != n-done {
@@ -190,7 +191,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 func TestCheckpointValidateRejects(t *testing.T) {
 	cfg := Config{Deltas: []int{0, 1}, MachSeeds: 1}
 	hash := cfg.CampaignHash(100, 0, 400)
-	good := Checkpoint{Kind: CheckpointKind, ConfigHash: hash, N: 100, FirstSeed: 0, NextSeed: 50}
+	good := Checkpoint{
+		Kind: CheckpointKind, ConfigHash: hash, N: 100, FirstSeed: 0, NextSeed: 50,
+		Totals: Totals{Programs: 50}, Coverage: &coverage.Snapshot{Programs: 50},
+	}
+	if err := good.Validate(hash); err != nil {
+		t.Fatalf("Validate rejected a consistent checkpoint: %v", err)
+	}
 
 	wrongHash := good
 	other := Config{Deltas: []int{0, 5}, MachSeeds: 1}
@@ -210,6 +217,36 @@ func TestCheckpointValidateRejects(t *testing.T) {
 	badCursor.NextSeed = 101
 	if err := badCursor.Validate(hash); err == nil {
 		t.Error("Validate accepted an out-of-range cursor")
+	}
+
+	// Every fold advances the cursor by one program, so the totals and
+	// the coverage must count exactly the folded seeds.
+	badTotals := good
+	badTotals.Programs = 49
+	badCoverage := good
+	badCoverage.Coverage = &coverage.Snapshot{Programs: 51}
+	for name, c := range map[string]struct {
+		ck   Checkpoint
+		nums []string
+	}{
+		"totals":   {badTotals, []string{"49", "50"}},
+		"coverage": {badCoverage, []string{"51", "50"}},
+	} {
+		err := c.ck.Validate(hash)
+		if err == nil {
+			t.Errorf("Validate accepted a checkpoint whose %s program count disagrees", name)
+			continue
+		}
+		for _, n := range c.nums {
+			if !strings.Contains(err.Error(), n) {
+				t.Errorf("%s: error does not name %s: %v", name, n, err)
+			}
+		}
+	}
+	noCoverage := good
+	noCoverage.Coverage = nil
+	if err := noCoverage.Validate(hash); err != nil {
+		t.Errorf("Validate rejected a checkpoint without coverage: %v", err)
 	}
 }
 
@@ -264,4 +301,35 @@ func TestCampaignHashSensitivity(t *testing.T) {
 	mut("N", base, 101, 1, 400)
 	mut("FirstSeed", base, 100, 2, 400)
 	mut("ShrinkMax", base, 100, 1, 500)
+}
+
+// TestCheckpointFoldReadsCoverage: folding a stream of reports leaves
+// the checkpoint's totals equal to its coverage's counts and its cursor
+// one seed past each folded program, so it validates.
+func TestCheckpointFoldReadsCoverage(t *testing.T) {
+	cfg := obsTestConfig(2)
+	const n, first = 20, int64(5)
+	hash := cfg.CampaignHash(n, first, 400)
+	ck := Checkpoint{Kind: CheckpointKind, ConfigHash: hash, N: n, FirstSeed: first, NextSeed: first}
+	var all Report
+	if done, err := Stream(nil, cfg, n, first, func(r Report) bool {
+		ck.Fold(r)
+		all.Add(r)
+		return true
+	}); err != nil || done != n {
+		t.Fatalf("done=%d err=%v", done, err)
+	}
+	want := Totals{
+		Programs: n, Runs: int(all.Coverage.Runs),
+		Truncated: int(all.Coverage.MC.Truncated), Mismatches: len(all.Mismatches),
+	}
+	if !reflect.DeepEqual(ck.Totals, want) || !reflect.DeepEqual(ck.Pending, all.Mismatches) {
+		t.Errorf("folded totals %+v, %d pending; want %+v, %d", ck.Totals, len(ck.Pending), want, len(all.Mismatches))
+	}
+	if !reflect.DeepEqual(ck.Coverage, &all.Coverage) {
+		t.Error("folded coverage differs from the merged report's")
+	}
+	if err := ck.Validate(hash); err != nil || !ck.Done() {
+		t.Errorf("folded checkpoint: Validate %v, Done %v", err, ck.Done())
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -39,10 +40,6 @@ type Config struct {
 	// run on the same (program, Δ) and the outcome sets compared
 	// (default 20_000; negative disables).
 	CrossCheckStates int
-	// Metrics, if non-nil, receives fuzz.* counters: programs, runs,
-	// explorations, truncated, mismatches, and replayed / replay_failed
-	// (Δ > 0 samples whose run did / did not check as a witness path).
-	Metrics *obs.Registry
 	// Flight, if non-nil, is the campaign flight recorder: every
 	// program's sampled runs record into the program's own seed group,
 	// under a fresh monitor set from the flight's factory (so a
@@ -77,12 +74,6 @@ func (c Config) orDefault() Config {
 		c.CrossCheckStates = 20_000
 	}
 	return c
-}
-
-func (c Config) count(name string, n uint64) {
-	if c.Metrics != nil {
-		c.Metrics.Counter(name).Add(n)
-	}
 }
 
 // Mismatch kinds.
@@ -155,27 +146,40 @@ func (m Mismatch) String() string {
 	return s
 }
 
-// Report accumulates driver statistics across programs.
+// Report is what checking programs found: the mismatches, and the
+// coverage, which is the only account of the work — programs checked,
+// machine runs sampled, explorations completed and truncated, replays.
+// Checkpoint.Fold and Publish read their counts from it.
 type Report struct {
-	Programs   int
-	Runs       int // machine executions sampled
-	Truncated  int // explorations that hit MaxStates and were skipped
 	Mismatches []Mismatch
 	// Coverage is the campaign coverage accumulated over the report's
-	// programs (op mix, shapes, swept cells, drain causes, mc
-	// reduction hits). Like the totals above it merges in seed order,
-	// and because every field is an integer accumulator the merged
-	// snapshot is identical for every worker count.
+	// programs (counts, op mix, shapes, swept cells, drain causes, mc
+	// reduction hits). It merges in seed order, and because every field
+	// is an integer accumulator the merged snapshot is identical for
+	// every worker count.
 	Coverage coverage.Snapshot
 }
 
 // Add folds r2 into r.
 func (r *Report) Add(r2 Report) {
-	r.Programs += r2.Programs
-	r.Runs += r2.Runs
-	r.Truncated += r2.Truncated
 	r.Mismatches = append(r.Mismatches, r2.Mismatches...)
 	r.Coverage.Merge(&r2.Coverage)
+}
+
+// Publish adds r's counts to reg's fuzz.* counters: programs, runs,
+// explorations (completed or truncated), truncated, mismatches, and
+// replayed / replay_failed (Δ > 0 samples whose run did / did not check
+// as a witness path). A campaign publishes each report it folds, so the
+// counters cover exactly the folded programs.
+func (r *Report) Publish(reg *obs.Registry) {
+	st := r.Coverage.MC
+	reg.Counter("fuzz.programs").Add(r.Coverage.Programs)
+	reg.Counter("fuzz.runs").Add(r.Coverage.Runs)
+	reg.Counter("fuzz.explorations").Add(st.Explorations + st.Truncated)
+	reg.Counter("fuzz.truncated").Add(st.Truncated)
+	reg.Counter("fuzz.mismatches").Add(uint64(len(r.Mismatches)))
+	reg.Counter("fuzz.replayed").Add(st.WitnessedChecks)
+	reg.Counter("fuzz.replay_failed").Add(st.ReplayFailed)
 }
 
 // explore runs the parallel engine, tolerating truncation: a truncated
@@ -184,12 +188,10 @@ func (r *Report) Add(r2 Report) {
 // the caller must treat the whole program check as incomplete, never
 // as a finding.
 func (c Config) explore(ctx context.Context, p mc.Program, delta int) (mc.Result, bool, error) {
-	c.count("fuzz.explorations", 1)
 	res, err := mc.ExploreParallel(p, delta, mc.Options{MaxStates: c.MaxStates, Context: ctx})
 	if err != nil {
 		var te *mc.TruncatedError
 		if errors.As(err, &te) {
-			c.count("fuzz.truncated", 1)
 			return mc.Result{}, false, nil
 		}
 		return mc.Result{}, false, err
@@ -292,13 +294,15 @@ type sampler interface {
 // reproduces the full report exactly), and rec's group is discarded
 // with it.
 func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
-	rep = Report{Programs: 1}
-	cfg.count("fuzz.programs", 1)
 	threads, totalOps := observeProgram(&rep, p)
 
 	var sinks []tso.Sink
 	if rec != nil {
 		sinks = []tso.Sink{rec}
+	}
+	flag := func(m Mismatch) { // every finding carries the replay key
+		m.Seed, m.Program = seed, p
+		rep.Mismatches = append(rep.Mismatches, m)
 	}
 
 	for _, delta := range cfg.Deltas {
@@ -310,14 +314,10 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 			if errors.Is(err, mc.ErrInterrupted) {
 				return rep, false
 			}
-			rep.Mismatches = append(rep.Mismatches, Mismatch{
-				Kind: KindEngineDivergence, Seed: seed, Delta: delta,
-				Detail: "parallel engine error: " + err.Error(), Program: p,
-			})
+			flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: "parallel engine error: " + err.Error()})
 			continue
 		}
 		if !ok {
-			rep.Truncated++
 			rep.Coverage.ObserveTruncated()
 			continue
 		}
@@ -328,11 +328,8 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 		// engine-to-engine even though containment runs at the cover.
 		if cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
 			seqRes, seqErr := mc.ExploreSequentialBounded(p, delta, cfg.MaxStates)
-			if seqErr == nil && !sameOutcomes(raw.Outcomes, seqRes.Outcomes) {
-				rep.Mismatches = append(rep.Mismatches, Mismatch{
-					Kind: KindEngineDivergence, Seed: seed, Delta: delta,
-					Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes), Program: p,
-				})
+			if seqErr == nil && !maps.Equal(raw.Outcomes, seqRes.Outcomes) {
+				flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes)})
 			}
 		}
 
@@ -347,8 +344,6 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 		for pi, pol := range cfg.Policies {
 			for i := 0; i < cfg.MachSeeds; i++ {
 				machSeed := seed*1000003 + int64(pi)*101 + int64(i)
-				rep.Runs++
-				cfg.count("fuzz.runs", 1)
 				rep.Coverage.ObserveRun(delta, pol.String(), i)
 				run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
 				var (
@@ -365,10 +360,8 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 					rec.TagRun(coverage.CellKey(delta, pol.String(), i))
 				}
 				if err != nil {
-					rep.Mismatches = append(rep.Mismatches, Mismatch{
-						Kind: KindMachineError, Seed: seed, Delta: delta, Cover: cover,
-						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error(), Program: p,
-					})
+					flag(Mismatch{Kind: KindMachineError, Delta: delta, Cover: cover,
+						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error()})
 					continue
 				}
 				for c := 0; c < int(tso.NumDrainCauses); c++ {
@@ -376,12 +369,11 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 					rep.Coverage.ObserveDrain(cause.String(), mres.Stats.Drains.ByCause(cause))
 				}
 				if witnessed {
-					cfg.count("fuzz.replayed", 1)
 					rep.Coverage.ObserveCheck(true)
 					continue
 				}
 				if !decided {
-					cfg.count("fuzz.replay_failed", 1)
+					rep.Coverage.MC.ReplayFailed++
 				}
 				if !explored {
 					explored = true
@@ -390,12 +382,9 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 					case errors.Is(err, mc.ErrInterrupted):
 						return rep, false
 					case err != nil:
-						rep.Mismatches = append(rep.Mismatches, Mismatch{
-							Kind: KindEngineDivergence, Seed: seed, Delta: delta, Cover: cover,
-							Detail: "cover exploration error: " + err.Error(), Program: p,
-						})
+						flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Cover: cover,
+							Detail: "cover exploration error: " + err.Error()})
 					case !decided:
-						rep.Truncated++
 						rep.Coverage.ObserveTruncated()
 					default:
 						rep.Coverage.ObserveExploration(admitted.States, admitted.Transitions, admitted.DedupHits, admitted.PorPrunes, admitted.TerminalCollapses)
@@ -408,15 +397,12 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 					rep.Coverage.ObserveCheck(false) // a failed replay, decided by the covering set
 				}
 				if !admitted.Has(outcome) {
-					rep.Mismatches = append(rep.Mismatches, Mismatch{
-						Kind: KindSampledOutcome, Seed: seed, Delta: delta, Cover: cover,
-						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome, Program: p,
-					})
+					flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
+						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
 				}
 			}
 		}
 	}
-	cfg.count("fuzz.mismatches", uint64(len(rep.Mismatches)))
 	return rep, true
 }
 
@@ -571,16 +557,4 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 		<-credit
 	}
 	return done, nil
-}
-
-func sameOutcomes(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for o := range a {
-		if !b[o] {
-			return false
-		}
-	}
-	return true
 }

@@ -18,24 +18,25 @@ func TestDifferentialNoMismatch(t *testing.T) {
 		MachSeeds:        2,
 		MaxStates:        80_000,
 		CrossCheckStates: 4_000,
-		Metrics:          obs.NewRegistry(),
 	}
 	const programs = 120
 	rep := Run(cfg, programs, 1)
 	for _, m := range rep.Mismatches {
 		t.Errorf("%s", m)
 	}
-	if rep.Programs != programs {
-		t.Fatalf("checked %d programs, want %d", rep.Programs, programs)
+	if got := rep.Coverage.Programs; got != programs {
+		t.Fatalf("checked %d programs, want %d", got, programs)
 	}
-	if rep.Runs == 0 {
+	if rep.Coverage.Runs == 0 {
 		t.Fatal("no machine runs sampled")
 	}
-	if got := cfg.Metrics.Counter("fuzz.programs").Load(); got != programs {
+	reg := obs.NewRegistry()
+	rep.Publish(reg)
+	if got := reg.Counter("fuzz.programs").Load(); got != programs {
 		t.Fatalf("fuzz.programs counter = %d, want %d", got, programs)
 	}
-	if got := cfg.Metrics.Counter("fuzz.runs").Load(); got != uint64(rep.Runs) {
-		t.Fatalf("fuzz.runs counter = %d, report says %d", got, rep.Runs)
+	if got := reg.Counter("fuzz.runs").Load(); got != rep.Coverage.Runs {
+		t.Fatalf("fuzz.runs counter = %d, report says %d", got, rep.Coverage.Runs)
 	}
 }
 

@@ -120,8 +120,8 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 		if err != nil || done != count {
 			t.Fatalf("segment done=%d err=%v", done, err)
 		}
-		if rep.Programs != count {
-			t.Fatalf("segment programs=%d want %d", rep.Programs, count)
+		if rep.Coverage.Programs != uint64(count) {
+			t.Fatalf("segment programs=%d want %d", rep.Coverage.Programs, count)
 		}
 	}
 	dump := func(f *monitor.ShardedFlight) string {

@@ -87,7 +87,6 @@ func Shrink(c Candidate, fails func(Candidate) bool, maxAttempts int) ShrinkResu
 // the artifact wraps the original unshrunk program instead of lying.
 func ShrinkMismatch(cfg Config, m Mismatch, maxAttempts int) Artifact {
 	narrow := cfg.orDefault()
-	narrow.Metrics = nil // predicate runs should not pollute campaign counters
 	fails := func(c Candidate) bool {
 		n := narrow
 		n.Deltas = []int{c.Delta}

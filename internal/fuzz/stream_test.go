@@ -3,24 +3,29 @@ package fuzz
 import (
 	"bytes"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"tbtso/internal/obs"
 	"tbtso/internal/obs/monitor"
 )
 
 // TestStreamWindowBound: while fold blocks on the first program, the
 // workers check exactly one window of seeds and then stall — the
-// bound that keeps a campaign's memory flat in n.
+// bound that keeps a campaign's memory flat in n. Checks are counted as
+// they start: Stream opens a flight recorder for each seed it takes,
+// just before checking it.
 func TestStreamWindowBound(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		reg := obs.NewRegistry()
+		var programs atomic.Uint64
 		cfg := obsTestConfig(workers)
-		cfg.Metrics = reg
+		cfg.Flight = monitor.NewShardedFlight(func() *monitor.Set {
+			programs.Add(1)
+			return nil
+		}, 0)
+		cfg.Flight.Begin(1)
 		_, window := cfg.Parallelism()
 		n := 2*window + 5
-		programs := reg.Counter("fuzz.programs")
 
 		release := make(chan struct{})
 		type outcome struct {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tbtso/internal/mc"
-	"tbtso/internal/obs"
 	"tbtso/internal/tso"
 )
 
@@ -61,22 +60,19 @@ func TestRunWitnessesEveryRun(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		programs = 100
 	}
-	reg := obs.NewRegistry()
-	rep := Run(Config{Deltas: []int{1, 3}, Metrics: reg}, programs, 1)
-	if len(rep.Mismatches) != 0 || rep.Truncated != 0 {
-		t.Fatalf("%d mismatches, %d truncated; first mismatch %v", len(rep.Mismatches), rep.Truncated, rep.Mismatches)
+	rep := Run(Config{Deltas: []int{1, 3}}, programs, 1)
+	runs, st := rep.Coverage.Runs, rep.Coverage.MC
+	if len(rep.Mismatches) != 0 || st.Truncated != 0 {
+		t.Fatalf("%d mismatches, %d truncated; first mismatch %v", len(rep.Mismatches), st.Truncated, rep.Mismatches)
 	}
-	if got := reg.Counter("fuzz.replay_failed").Load(); got != 0 {
-		t.Errorf("fuzz.replay_failed = %d, want 0", got)
+	if st.ReplayFailed != 0 {
+		t.Errorf("%d failed replays, want 0", st.ReplayFailed)
 	}
-	if got := reg.Counter("fuzz.replayed").Load(); got != uint64(rep.Runs) {
-		t.Errorf("fuzz.replayed = %d, want every run (%d)", got, rep.Runs)
+	if st.WitnessedChecks != runs || st.ExploredChecks != 0 {
+		t.Errorf("coverage containment checks: %d witnessed, %d explored; want every run (%d), 0", st.WitnessedChecks, st.ExploredChecks, runs)
 	}
-	if got := reg.Counter("fuzz.explorations").Load(); got != uint64(2*programs) {
-		t.Errorf("fuzz.explorations = %d, want the %d sweep explorations only", got, 2*programs)
-	}
-	if mc := rep.Coverage.MC; mc.WitnessedChecks != uint64(rep.Runs) || mc.ExploredChecks != 0 {
-		t.Errorf("coverage containment checks: %d witnessed, %d explored; want %d, 0", mc.WitnessedChecks, mc.ExploredChecks, rep.Runs)
+	if got := st.Explorations + st.Truncated; got != uint64(2*programs) {
+		t.Errorf("%d explorations, want the %d sweep explorations only", got, 2*programs)
 	}
 }
 
@@ -122,14 +118,13 @@ func TestCheckProgramFlagsImpossibleOutcomeAboveZero(t *testing.T) {
 	machine := mc.Program{Threads: [][]mc.Op{{mc.St(0, 2), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
 	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
 	for _, delta := range []int{0, 2} {
-		reg := obs.NewRegistry()
-		cfg := Config{Deltas: []int{delta}, MachSeeds: 2, Metrics: reg}.orDefault()
+		cfg := Config{Deltas: []int{delta}, MachSeeds: 2}.orDefault()
 		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, nil, checker, 7)
 		if !complete {
 			t.Fatalf("Δ=%d: check cut short", delta)
 		}
-		if len(rep.Mismatches) != rep.Runs || rep.Runs != 6 {
-			t.Fatalf("Δ=%d: %d mismatches over %d runs, want one per run", delta, len(rep.Mismatches), rep.Runs)
+		if runs := rep.Coverage.Runs; uint64(len(rep.Mismatches)) != runs || runs != 6 {
+			t.Fatalf("Δ=%d: %d mismatches over %d runs, want one per run", delta, len(rep.Mismatches), runs)
 		}
 		for _, m := range rep.Mismatches {
 			if m.Kind != KindSampledOutcome || m.Outcome != "T0:r0=2" {
@@ -140,11 +135,12 @@ func TestCheckProgramFlagsImpossibleOutcomeAboveZero(t *testing.T) {
 		if delta > 0 {
 			wantExplorations, wantFailed = 2, 1 // the sweep, then the cover once
 		}
-		if got := reg.Counter("fuzz.explorations").Load(); got != wantExplorations {
-			t.Errorf("Δ=%d: fuzz.explorations = %d, want %d", delta, got, wantExplorations)
+		st := rep.Coverage.MC
+		if got := st.Explorations + st.Truncated; got != wantExplorations {
+			t.Errorf("Δ=%d: %d explorations, want %d", delta, got, wantExplorations)
 		}
-		if got := reg.Counter("fuzz.replay_failed").Load(); got != wantFailed {
-			t.Errorf("Δ=%d: fuzz.replay_failed = %d, want %d", delta, got, wantFailed)
+		if st.ReplayFailed != wantFailed {
+			t.Errorf("Δ=%d: %d failed replays, want %d", delta, st.ReplayFailed, wantFailed)
 		}
 	}
 }

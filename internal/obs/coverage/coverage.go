@@ -144,6 +144,9 @@ type MCStats struct {
 	// failed replay, by the covering exploration's outcome set.
 	WitnessedChecks uint64 `json:"witnessed_checks,omitempty"`
 	ExploredChecks  uint64 `json:"explored_checks,omitempty"`
+	// ReplayFailed counts sampled runs whose witness replay failed, each
+	// sending the check to the covering exploration.
+	ReplayFailed uint64 `json:"replay_failed,omitempty"`
 }
 
 func (m *MCStats) merge(o MCStats) {
@@ -156,6 +159,7 @@ func (m *MCStats) merge(o MCStats) {
 	m.TerminalCollapses += o.TerminalCollapses
 	m.WitnessedChecks += o.WitnessedChecks
 	m.ExploredChecks += o.ExploredChecks
+	m.ReplayFailed += o.ReplayFailed
 }
 
 // Snapshot is the mergeable coverage document. The zero value is ready
@@ -163,8 +167,10 @@ func (m *MCStats) merge(o MCStats) {
 // use — one goroutine observes, and campaigns publish merged copies at
 // report boundaries (Clone).
 type Snapshot struct {
-	// Programs and Runs mirror the fuzz report totals this snapshot
-	// covers (programs checked, machine runs sampled).
+	// Programs and Runs count the programs checked and the machine runs
+	// sampled. They are the campaign's only account of both: the fuzz
+	// report, the checkpoint totals and the fuzz.* counters read them
+	// here.
 	Programs uint64 `json:"programs"`
 	Runs     uint64 `json:"runs"`
 	// OpMix counts generated ops by kind ("store", "load", ...).

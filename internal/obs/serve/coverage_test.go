@@ -112,7 +112,6 @@ func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 		MaxStates:        40_000,
 		CrossCheckStates: -1,
 		Workers:          4,
-		Metrics:          reg,
 		Flight:           flight,
 	}
 
@@ -129,6 +128,7 @@ func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 				return
 			}
 			seed += int64(d)
+			rep.Publish(reg)
 			cov.Merge(&rep.Coverage)
 			published.Store(cov.Clone())
 		}
