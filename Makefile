@@ -153,7 +153,7 @@ demos:
 # Non-test Go line count outside the benchmark module: the size figure
 # CHANGES.md records.
 loc:
-	@git ls-files '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v _test.go | grep -v '^benchmark/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

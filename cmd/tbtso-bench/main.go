@@ -138,7 +138,7 @@ func run(args []string) (code int) {
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return 1
+		return 2
 	}
 	defer func() {
 		sess.FinishContext(ctx, os.Stderr, "tbtso-bench") // no flight: never a violation

@@ -87,7 +87,7 @@ func run(args []string) (code int) {
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "obs:", err)
-		return 1
+		return 2
 	}
 	defer func() {
 		if nv := sess.FinishContext(ctx, os.Stderr, "tbtso-fuzz"); nv > 0 && code == 0 {

@@ -370,6 +370,17 @@ func TestUnknownPolicyExits2(t *testing.T) {
 	}
 }
 
+// TestBadObsFlagExits2: an -obs.* flag the session cannot start from is
+// a usage error (2), not "mismatches found" (1).
+func TestBadObsFlagExits2(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess test")
+	}
+	if _, stderr, code := runFuzz(t, "-n", "1", "-obs.monitor", "bogus"); code != 2 || !strings.Contains(stderr, "bogus") {
+		t.Errorf("exit %d, want 2 naming the monitor\n%s", code, stderr)
+	}
+}
+
 // TestEngineDivergenceArtifactHasNoTrace: an engine divergence names no
 // machine run, so its artifact carries no policy and gets no trace.
 func TestEngineDivergenceArtifactHasNoTrace(t *testing.T) {

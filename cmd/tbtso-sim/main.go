@@ -73,7 +73,7 @@ func run(args []string) (code int) {
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return 1
+		return 2
 	}
 	defer func() {
 		if n := sess.FinishContext(ctx, os.Stderr, "tbtso-sim"); n > 0 && code == 0 {

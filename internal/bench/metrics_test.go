@@ -60,8 +60,8 @@ func TestRunLockPatternPublishesLockMetrics(t *testing.T) {
 			}
 			res := runLockPattern(mk, pat, 30*time.Millisecond, reg)
 			name = res.Lock
-			if v := lk.VerifyAccounting(); v != nil {
-				t.Errorf("%s under %s: %v", name, pat.Name, v)
+			if err := lk.VerifyAccounting(); err != nil {
+				t.Errorf("%s under %s: %v", name, pat.Name, err)
 			}
 		}
 		if counterValue(t, reg, "lock."+name+".bias_transfers") == 0 {

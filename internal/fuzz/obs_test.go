@@ -38,12 +38,17 @@ func TestWriteCheckpointMetered(t *testing.T) {
 	if !ok || b.Load() == 0 {
 		t.Error("checkpoint_bytes not populated")
 	}
-	h, ok := reg.LookupHistogram("fuzz.campaign.checkpoint_write_ns")
-	if !ok {
+	var h *obs.Metric
+	for _, m := range reg.Snapshot() {
+		if m.Name == "fuzz.campaign.checkpoint_write_ns" {
+			h = &m
+		}
+	}
+	if h == nil {
 		t.Fatal("checkpoint_write_ns histogram missing")
 	}
-	if h.Count() != writes || h.Sum() <= 0 {
-		t.Errorf("checkpoint_write_ns: count=%d sum=%d, want %d observations", h.Count(), h.Sum(), writes)
+	if h.Count != writes || h.Sum <= 0 {
+		t.Errorf("checkpoint_write_ns: count=%d sum=%d, want %d observations", h.Count, h.Sum, writes)
 	}
 	// nil registry skips metering but still writes.
 	if _, err := WriteCheckpoint(path, ck, nil); err != nil {

@@ -154,10 +154,11 @@ func TestConcurrentMixedWorkloadAllSchemes(t *testing.T) {
 			// The hazard-pointer schemes' own books must balance too:
 			// every retired node freed or still pending.
 			if hp, ok := s.(*smr.HazardPointers); ok {
-				reg := obs.NewRegistry()
-				if v := hp.VerifyAccounting(reg); v != nil {
-					t.Fatalf("accounting violated: %v", v)
+				if err := hp.VerifyAccounting(); err != nil {
+					t.Fatalf("accounting violated: %v", err)
 				}
+				reg := obs.NewRegistry()
+				hp.Metrics(reg)
 				if c, ok := reg.LookupCounter("smr." + s.Name() + ".retires"); !ok || c.Load() == 0 {
 					t.Fatal("no retires published; the accounting check is vacuous")
 				}

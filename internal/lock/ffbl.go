@@ -8,7 +8,6 @@ import (
 	"tbtso/internal/core"
 	"tbtso/internal/fence"
 	"tbtso/internal/obs"
-	"tbtso/internal/obs/monitor"
 	"tbtso/internal/vclock"
 )
 
@@ -216,15 +215,11 @@ func (b *FFBL) OtherUnlock() {
 // full, so echoes + fullWaits must equal transfers. Call it at
 // quiescence (no acquisition in flight); mid-acquisition the counters
 // are transiently inconsistent by design. Returns nil when the books
-// balance, one monitor violation otherwise.
-func (b *FFBL) VerifyAccounting() []monitor.Violation {
+// balance.
+func (b *FFBL) VerifyAccounting() error {
 	t, e, f := b.transfers.Load(), b.echoes.Load(), b.fullWaits.Load()
 	if e+f != t {
-		return []monitor.Violation{{
-			Monitor: "lock-accounting", Thread: -1,
-			Detail: fmt.Sprintf("%s: echoes %d + full waits %d != bias transfers %d",
-				b.name, e, f, t),
-		}}
+		return fmt.Errorf("%s: echoes %d + full waits %d != bias transfers %d", b.name, e, f, t)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package lock
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -273,5 +274,26 @@ func TestPlantedPlainTSO(t *testing.T) {
 	}
 	if _, f := unpackFlag(lk.flag1.v.Load()); f != 1 {
 		t.Fatal("revoker probe did not raise flag1")
+	}
+}
+
+func TestFFBLVerifyAccounting(t *testing.T) {
+	lk := NewFFBL(core.NewFixedDelta(100*time.Microsecond), false)
+	for i := 0; i < 2; i++ {
+		lk.OtherLock()
+		lk.OtherUnlock()
+	}
+	if err := lk.VerifyAccounting(); err != nil {
+		t.Fatalf("balanced books flagged: %v", err)
+	}
+	lk.echoes.Add(1) // an echo no transfer accounts for
+	err := lk.VerifyAccounting()
+	if err == nil {
+		t.Fatal("unbalanced books not flagged")
+	}
+	for _, want := range []string{"echoes 1", "full waits 2", "bias transfers 2"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

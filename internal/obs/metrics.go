@@ -175,8 +175,8 @@ func (h *Histogram) Min() int64 {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 <= q <= 1): the
-// upper edge of the bucket containing it, or Max for the overflow
-// bucket.
+// upper edge of the bucket containing it, capped at Max (so a bucket
+// holding the largest sample never reports more than that sample).
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -191,7 +191,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 		seen += h.counts[i].Load()
 		if seen > target {
 			if i < len(h.bounds) {
-				return h.bounds[i]
+				return min(h.bounds[i], h.Max())
 			}
 			return h.Max()
 		}
@@ -359,31 +359,14 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// LookupCounter returns the named counter without creating it. Readers
-// that must not perturb the registry (monitors cross-checking what an
-// instrumented component published) use these instead of the
-// get-or-create accessors.
+// LookupCounter returns the named counter without creating it, for
+// readers that must not perturb the registry (the benchmark's paper
+// workload reading what the figure harness published).
 func (r *Registry) LookupCounter(name string) (*Counter, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	return c, ok
-}
-
-// LookupGauge returns the named gauge without creating it.
-func (r *Registry) LookupGauge(name string) (*Gauge, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	return g, ok
-}
-
-// LookupHistogram returns the named histogram without creating it.
-func (r *Registry) LookupHistogram(name string) (*Histogram, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	return h, ok
 }
 
 // Metric is one snapshotted registry entry.

@@ -66,6 +66,14 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if q := h.Quantile(1.0); q != 1000 {
 		t.Fatalf("p100 = %d, want 1000", q)
 	}
+	// A bucket edge above the largest sample caps at that sample.
+	one := NewHistogram(ExpBuckets(1, 2, 24))
+	one.Observe(1066037)
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := one.Quantile(q); got != 1066037 {
+			t.Fatalf("single sample: q%v = %d, want the sample 1066037", q, got)
+		}
+	}
 	bs := h.Buckets()
 	if len(bs) != 11 {
 		t.Fatalf("bucket count = %d, want 11", len(bs))
@@ -173,8 +181,9 @@ func TestEmptyHistogramEdges(t *testing.T) {
 		t.Fatal("empty histogram must have nil CDF")
 	}
 	h.Observe(-5) // negative samples land in the first bucket
-	if h.Count() != 1 || h.Quantile(0.99) != 16 || h.Min() != -5 {
-		t.Fatalf("negative sample: n=%d p99=%d min=%d", h.Count(), h.Quantile(0.99), h.Min())
+	if h.Count() != 1 || h.Buckets()[0].Count != 1 || h.Quantile(0.99) != -5 || h.Min() != -5 {
+		t.Fatalf("negative sample: n=%d first bucket=%d p99=%d min=%d",
+			h.Count(), h.Buckets()[0].Count, h.Quantile(0.99), h.Min())
 	}
 }
 

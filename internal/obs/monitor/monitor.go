@@ -2,13 +2,12 @@
 // abstract machine: composable tso.Sink implementations that check the
 // paper's temporal invariants on the live event stream — the Δ
 // residency bound on every commit, drain accounting, SMR hazard
-// visibility — plus registry-fed checks (quiescence-bound coverage,
-// SMR reclaim accounting) and the flight recorder, ShardedFlight, which
-// records monitored runs in seed-ordered groups, each checked by a
-// fresh monitor set, and dumps them as one JSON artifact. Monitors
-// never panic on a violation; they record typed
-// Violations and keep streaming, so a monitored run always finishes
-// and always reports. See docs/OBSERVABILITY.md.
+// visibility — plus the flight recorder, ShardedFlight, which records
+// monitored runs in seed-ordered groups, each checked by a fresh
+// monitor set, and dumps them as one JSON artifact. Monitors never
+// panic on a violation; they record typed Violations and keep
+// streaming, so a monitored run always finishes and always reports.
+// See docs/OBSERVABILITY.md.
 package monitor
 
 import (
@@ -30,14 +29,15 @@ type Violation struct {
 	// is not attributable to one thread).
 	Thread int `json:"thread"`
 	// Enq..Tick is the offending tick window: for a residency breach,
-	// the store's enqueue and commit ticks. Both are zero for
-	// registry-fed checks that have no tick coordinates.
+	// the store's enqueue and commit ticks. Both are zero when no
+	// single event is at fault (a VerifyStats mismatch, the overflow
+	// marker).
 	Enq  uint64 `json:"enq,omitempty"`
 	Tick uint64 `json:"tick,omitempty"`
 	// Detail states the breached invariant with the observed values.
 	Detail string `json:"detail"`
-	// Event is the first offending event, rendered (empty for
-	// registry-fed checks).
+	// Event is the first offending event, rendered (empty when no
+	// single event is at fault).
 	Event string `json:"event,omitempty"`
 }
 

@@ -292,46 +292,6 @@ func TestSMRVisibilityOnReclaimDemo(t *testing.T) {
 	}
 }
 
-// TestCheckSMRAccounting exercises the registry-fed reclaim invariant.
-func TestCheckSMRAccounting(t *testing.T) {
-	reg := obs.NewRegistry()
-	if vs := monitor.CheckSMRAccounting(reg, "X"); vs != nil {
-		t.Fatalf("empty registry flagged: %v", vs)
-	}
-	reg.Counter("smr.X.retires").Add(10)
-	reg.Counter("smr.X.frees").Add(7)
-	reg.Gauge("smr.X.unreclaimed").Set(3)
-	if vs := monitor.CheckSMRAccounting(reg, "X"); vs != nil {
-		t.Fatalf("balanced books flagged: %v", vs)
-	}
-	reg.Gauge("smr.X.unreclaimed").Set(2) // lost a node
-	vs := monitor.CheckSMRAccounting(reg, "X")
-	if len(vs) != 1 || vs[0].Monitor != "smr-accounting" {
-		t.Fatalf("lost node not flagged: %v", vs)
-	}
-}
-
-// TestQuiesceCoverCheck exercises the registry-fed quiescence bound
-// check directly.
-func TestQuiesceCoverCheck(t *testing.T) {
-	reg := obs.NewRegistry()
-	qc := monitor.NewQuiesceCover(reg, 1000)
-	if vs := qc.Check(); len(vs) != 0 {
-		t.Fatalf("empty registry flagged: %v", vs)
-	}
-	h := reg.Histogram("quiesce.wait_ns", obs.ExpBuckets(1, 4, 16))
-	h.Observe(400)
-	h.Observe(990)
-	if vs := qc.Check(); len(vs) != 0 {
-		t.Fatalf("covered waits flagged: %v", vs)
-	}
-	h.Observe(1500)
-	vs := monitor.NewQuiesceCover(reg, 1000).Check()
-	if len(vs) != 1 || vs[0].Monitor != "quiesce-cover" {
-		t.Fatalf("uncovered wait not flagged: %v", vs)
-	}
-}
-
 // TestViolationOverflowMarker checks the retention cap: a monitor
 // flooded with violations keeps a bounded report plus an overflow
 // marker carrying the count of what was dropped.

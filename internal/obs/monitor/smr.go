@@ -120,28 +120,3 @@ func (m *SMRVisibility) Emit(e tso.Event) {
 
 // Violations implements Monitor.
 func (m *SMRVisibility) Violations() []Violation { return m.rec.violations() }
-
-// CheckSMRAccounting is the registry-fed half of SMR monitoring: for a
-// scheme publishing under "smr.<scheme>." (smr.HazardPointers.Metrics),
-// frees + unreclaimed must equal retires — no node may be lost or
-// double-counted by reclamation. Returns nil when the scheme has
-// published nothing into reg. The returned violations carry monitor
-// name "smr-accounting".
-func CheckSMRAccounting(reg *obs.Registry, scheme string) []Violation {
-	prefix := "smr." + scheme + "."
-	retires, ok1 := reg.LookupCounter(prefix + "retires")
-	frees, ok2 := reg.LookupCounter(prefix + "frees")
-	unreclaimed, ok3 := reg.LookupGauge(prefix + "unreclaimed")
-	if !ok1 || !ok2 || !ok3 {
-		return nil
-	}
-	r, f, u := retires.Load(), frees.Load(), unreclaimed.Load()
-	if u < 0 || f+uint64(u) != r {
-		return []Violation{{
-			Monitor: "smr-accounting", Thread: -1,
-			Detail: fmt.Sprintf("scheme %s: frees %d + unreclaimed %d != retires %d",
-				scheme, f, u, r),
-		}}
-	}
-	return nil
-}

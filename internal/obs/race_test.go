@@ -44,7 +44,6 @@ func TestRegistryConcurrentStress(t *testing.T) {
 					_ = m.Name
 				}
 				r.LookupCounter("stress.count")
-				r.LookupHistogram("stress.hist")
 			}
 		}()
 	}

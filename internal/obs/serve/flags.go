@@ -163,7 +163,7 @@ func ParseMonitors(spec string, reg *obs.Registry) (*monitor.Set, error) {
 func (s *Session) Server() *Server { return s.srv }
 
 // DumpFlight writes the flight to FlightDir/<name>.flight.json now and
-// returns the path ("" without a flight or a flight dir). Finish then
+// returns the path ("" without a flight or a flight dir). FinishContext then
 // skips its on-violation dump, which would only repeat this one.
 func (s *Session) DumpFlight(name string) (string, error) {
 	if s.Flight == nil || s.flightDir == "" {
@@ -173,22 +173,17 @@ func (s *Session) DumpFlight(name string) (string, error) {
 	return s.Flight.DumpToFile(s.flightDir, name)
 }
 
-// Finish ends the session: it reports the flight's violations to w,
-// dumps the flight into FlightDir if any monitor tripped, honors the
-// linger window, and stops the server. name labels the artifact file.
-// It returns the number of violations (callers fold it into their
-// exit code).
-func (s *Session) Finish(w io.Writer, name string) int {
-	return s.FinishContext(context.Background(), w, name)
-}
-
-// FinishContext is Finish with interruption semantics. The linger
-// window is cancellable: a signal arriving while the endpoint lingers
-// cuts the window short instead of pinning the process in an
-// unkillable sleep, and the server still stops. When ctx is already
-// cancelled — the run was interrupted — a monitored session
-// additionally dumps an unconditional <name>.interrupt.flight.json
-// post-mortem artifact, violations or not.
+// FinishContext ends the session: it reports the flight's violations
+// to w, dumps the flight into FlightDir if any monitor tripped, honors
+// the linger window, and stops the server. name labels the artifact
+// file. It returns the number of violations (callers fold it into
+// their exit code). The linger window is cancellable: a signal
+// arriving while the endpoint lingers cuts the window short instead
+// of pinning the process in an unkillable sleep, and the server still
+// stops. When ctx is already cancelled — the run was interrupted — a
+// monitored session additionally dumps an unconditional
+// <name>.interrupt.flight.json post-mortem artifact, violations or
+// not.
 func (s *Session) FinishContext(ctx context.Context, w io.Writer, name string) int {
 	var violations []monitor.Violation
 	if s.Flight != nil {

@@ -154,7 +154,7 @@ func TestParseMonitors(t *testing.T) {
 
 // TestOptionsStartRoundTrip runs the full session lifecycle over a real
 // listener: flags → session → monitored machine run → live scrape →
-// Finish with a flight artifact.
+// FinishContext with a flight artifact.
 func TestOptionsStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Listen: "127.0.0.1:0", Monitors: "residency=5,drain", FlightDir: dir}
@@ -185,7 +185,7 @@ func TestOptionsStartRoundTrip(t *testing.T) {
 	}
 
 	var report bytes.Buffer
-	n := sess.Finish(&report, "roundtrip")
+	n := sess.FinishContext(context.Background(), &report, "roundtrip")
 	if n != 1 {
 		t.Fatalf("Finish reported %d violations, want 1", n)
 	}
@@ -200,7 +200,7 @@ func TestOptionsStartRoundTrip(t *testing.T) {
 
 // TestDumpFlightSkipsViolationDump: a flight the command already dumped
 // under its own name (tbtso-fuzz's campaign artifact) is not dumped a
-// second time by Finish, though its violations are still reported.
+// second time by FinishContext, though its violations are still reported.
 func TestDumpFlightSkipsViolationDump(t *testing.T) {
 	dir := t.TempDir()
 	sess, err := Options{Monitors: "residency=5", FlightDir: dir}.Start(nil)
@@ -217,7 +217,7 @@ func TestDumpFlightSkipsViolationDump(t *testing.T) {
 		t.Fatalf("DumpFlight = %q, %v", path, err)
 	}
 	var report bytes.Buffer
-	if n := sess.Finish(&report, "cmd"); n != 1 {
+	if n := sess.FinishContext(context.Background(), &report, "cmd"); n != 1 {
 		t.Fatalf("Finish reported %d violations, want 1", n)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cmd.flight.json")); !os.IsNotExist(err) {
@@ -226,7 +226,7 @@ func TestDumpFlightSkipsViolationDump(t *testing.T) {
 }
 
 // TestInertSession: zero Options must yield a no-op session so every
-// CLI can call Start/Finish unconditionally.
+// CLI can call Start/FinishContext unconditionally.
 func TestInertSession(t *testing.T) {
 	sess, err := Options{}.Start(nil)
 	if err != nil {
@@ -236,7 +236,7 @@ func TestInertSession(t *testing.T) {
 		t.Fatalf("inert session not inert: %+v", sess)
 	}
 	var buf bytes.Buffer
-	if n := sess.Finish(&buf, "x"); n != 0 || buf.Len() != 0 {
+	if n := sess.FinishContext(context.Background(), &buf, "x"); n != 0 || buf.Len() != 0 {
 		t.Fatalf("inert Finish: n=%d out=%q", n, buf.String())
 	}
 }

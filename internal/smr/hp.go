@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -8,7 +9,6 @@ import (
 	"tbtso/internal/core"
 	"tbtso/internal/fence"
 	"tbtso/internal/obs"
-	"tbtso/internal/obs/monitor"
 	"tbtso/internal/vclock"
 )
 
@@ -374,17 +374,20 @@ func (hp *HazardPointers) Metrics(reg *obs.Registry) {
 	reg.Gauge(prefix + "unreclaimed").Set(int64(hp.Unreclaimed()))
 }
 
-// VerifyAccounting publishes the scheme's counters into reg and
-// cross-checks the reclamation accounting invariant — every retired
-// node is either freed or still pending, frees + unreclaimed ==
-// retires — via the obs/monitor registry-fed check. Call it at
-// quiescence (workers joined); mid-run the counters are transiently
-// inconsistent by design. Returns nil when the books balance.
-//
-// reg must be private to this scheme instance or the "smr.<name>."
-// namespace must have a single publisher; counters accumulated from
-// several instances cannot be attributed back.
-func (hp *HazardPointers) VerifyAccounting(reg *obs.Registry) []monitor.Violation {
-	hp.Metrics(reg)
-	return monitor.CheckSMRAccounting(reg, hp.name)
+// VerifyAccounting cross-checks the reclamation accounting invariant
+// on the scheme's own per-thread counters: every retired node is
+// either freed or still pending, frees + unreclaimed == retires. Call
+// it at quiescence (workers joined); mid-run the counters are
+// transiently inconsistent by design. Returns nil when the books
+// balance.
+func (hp *HazardPointers) VerifyAccounting() error {
+	var frees, retires uint64
+	for i := range hp.perTh {
+		frees += hp.perTh[i].frees
+		retires += hp.perTh[i].retires
+	}
+	if u := hp.Unreclaimed(); u < 0 || frees+uint64(u) != retires {
+		return fmt.Errorf("%s: frees %d + unreclaimed %d != retires %d", hp.name, frees, u, retires)
+	}
+	return nil
 }

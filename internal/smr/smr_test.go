@@ -1,6 +1,7 @@
 package smr
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -372,5 +373,34 @@ func TestRCUOfflineIdempotent(t *testing.T) {
 			t.Fatal("grace periods frozen after double Offline")
 		}
 		time.Sleep(DefaultGracePeriod)
+	}
+}
+
+func TestHPVerifyAccounting(t *testing.T) {
+	cfg := testConfig(2)
+	hp := NewHP(cfg)
+	defer hp.Close()
+	// Thread 1 protects three of the ten nodes thread 0 retires, so a
+	// flush frees seven and leaves three pending.
+	for i := 0; i < 10; i++ {
+		h := cfg.Arena.Alloc(0)
+		if i < cfg.K {
+			hp.Protect(1, i, h)
+		}
+		hp.Retire(0, h)
+	}
+	hp.Flush(0)
+	if err := hp.VerifyAccounting(); err != nil {
+		t.Fatalf("balanced books flagged: %v", err)
+	}
+	hp.perTh[0].rcount.Add(-1) // lose a pending node
+	err := hp.VerifyAccounting()
+	if err == nil {
+		t.Fatal("lost node not flagged")
+	}
+	for _, want := range []string{"frees 7", "unreclaimed 2", "retires 10"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }
