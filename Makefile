@@ -110,19 +110,19 @@ sim-bench:
 # Differential-fuzzing smoke: short seeded runs of the native fuzz
 # targets (machine-vs-checker containment, state-encoding round trip)
 # plus the planted negative controls end to end, and a short Δ > 0
-# campaign that fails if any sampled run does not replay as a checker
-# path at the covering Δ (docs/FUZZ.md). Last, the sharded CLI must
-# agree with the serial one: the same 64-program campaign at -workers 1
-# and 4 writes byte-identical checkpoints and summaries that differ only
-# in elapsed_ms. A real campaign: go test
-# -fuzz=FuzzMachineVsChecker ./internal/fuzz, or
+# campaign, which exits 1 on any mismatch, a sampled run that does not
+# replay as a checker path at the covering Δ among them (docs/FUZZ.md).
+# Last, the sharded CLI must agree with the serial one: the same
+# 64-program campaign at -workers 1 and 4 writes byte-identical
+# checkpoints and summaries that differ only in elapsed_ms. A real
+# campaign: go test -fuzz=FuzzMachineVsChecker ./internal/fuzz, or
 # go run ./cmd/tbtso-fuzz -n 10000 -deltas 0,1,3,inf.
 SMOKE_DIR := .fuzz-smoke
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMachineVsChecker -fuzztime 10s ./internal/fuzz
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime 10s ./internal/mc
 	$(GO) run ./cmd/tbtso-fuzz -plant
-	m=$$($(GO) run ./cmd/tbtso-fuzz -n 200 -deltas 1,3 -metrics 2>&1 >/dev/null) && echo "$$m" && ! echo "$$m" | grep -Eq '^fuzz\.replay_failed +[1-9]'
+	$(GO) run ./cmd/tbtso-fuzz -n 200 -deltas 1,3
 	rm -rf $(SMOKE_DIR) && mkdir $(SMOKE_DIR)
 	for w in 1 4; do \
 		$(GO) run ./cmd/tbtso-fuzz -n 64 -workers $$w -json -ckpt $(SMOKE_DIR)/w$$w.ckpt > $(SMOKE_DIR)/w$$w.json || exit 1; \

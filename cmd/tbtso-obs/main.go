@@ -340,8 +340,7 @@ func (r *Report) renderText(w *os.File) {
 			cov.Programs, cov.Runs, len(cov.Cells), len(cov.OpMix), len(cov.Shapes), len(cov.DrainMix))
 		fmt.Fprintf(w, "coverage: mc %d explorations (%d truncated), %d states, %d transitions\n",
 			cov.MC.Explorations, cov.MC.Truncated, cov.MC.States, cov.MC.Transitions)
-		fmt.Fprintf(w, "coverage: containment %d witnessed by replay, %d by covering explorations\n",
-			cov.MC.WitnessedChecks, cov.MC.ExploredChecks)
+		fmt.Fprintf(w, "coverage: containment %d witnessed by replay\n", cov.MC.WitnessedChecks)
 	}
 	if f := r.Flight; f != nil {
 		fmt.Fprintf(w, "flight: %d dumps, %d events, %d violations\n", f.Dumps, f.Events, f.Violations)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tbtso/internal/mc"
@@ -50,30 +51,43 @@ func ReadArtifact(path string) (Artifact, error) {
 }
 
 // Replay re-runs the artifact's check on its shrunk program and reports
-// whether the mismatch still reproduces. A machine-error artifact
-// repeats its recorded machine run, which must fault again; a
-// sampled-outcome artifact re-runs the differential check under its
-// recorded policy; an engine divergence re-runs the full sweep at the
-// artifact's Δ. The two machine kinds fail without a schedule.
-func (a Artifact) Replay() (bool, error) {
-	cfg := Config{Deltas: []int{a.Delta}}.orDefault()
+// whether it still finds a mismatch of the artifact's kind. A
+// machine-error artifact repeats its recorded machine run, which must
+// fault again; a sampled-outcome artifact repeats its recorded run
+// under the campaign's verdict (checkRun), which must reject it again;
+// an engine divergence re-runs the full sweep at the artifact's Δ. The
+// two machine kinds fail without a schedule.
+func (a Artifact) Replay() (bool, error) { return a.replay(NewSampler()) }
+
+// replay is Replay on the machine runs of s.
+func (a Artifact) replay(s sampler) (bool, error) {
 	switch a.Kind {
 	case KindFlagViolation:
 		o, err := FindViolation(a.Program, a.Delta, 0)
 		return o != "", err
+	case KindEngineDivergence:
+		rep := CheckProgram(Config{Deltas: []int{a.Delta}}, a.Program, a.Seed)
+		return slices.ContainsFunc(rep.Mismatches, func(m Mismatch) bool { return m.Kind == a.Kind }), nil
 	case KindMachineError, KindSampledOutcome:
 		run, err := a.machineRun()
 		if err != nil {
 			return false, err
 		}
 		if a.Kind == KindMachineError {
-			_, err := RunOnMachine(a.Program, run)
+			_, _, err := s.Sample(a.Program, run)
 			return err != nil, nil
 		}
-		cfg.Policies = []tso.DrainPolicy{run.Policy}
+		var exact mc.Result
+		if a.Cover == 0 {
+			exact, err = mc.ExploreParallel(a.Program, 0, mc.Options{MaxStates: Config{}.orDefault().MaxStates})
+			if err != nil {
+				return false, err
+			}
+		}
+		_, _, admitted, err := checkRun(s, a.Program, a.Cover, exact, run)
+		return err == nil && !admitted, nil
 	}
-	rep := CheckProgram(cfg, a.Program, a.Seed)
-	return len(rep.Mismatches) > 0, nil
+	return false, fmt.Errorf("fuzz: unknown mismatch kind %q", a.Kind)
 }
 
 // ParsePolicy parses a drain policy name (tso.DrainPolicy.UnmarshalText).
@@ -120,13 +134,10 @@ func (a Artifact) GoSource(name string) string {
 	}
 	fmt.Fprintf(&b, "\t\t},\n\t\tVars: %d, Regs: %d,\n\t}\n", p.Vars, p.Regs)
 	switch a.Kind {
-	case KindSampledOutcome:
-		fmt.Fprintf(&b, "\tres := mc.Explore(p, %d)\n", a.Cover)
-		fmt.Fprintf(&b, "\tif res.Has(%q) {\n\t\tt.Fatalf(\"outcome admitted; the machine/checker divergence is fixed on one side only\")\n\t}\n", a.Outcome)
 	case KindFlagViolation:
 		fmt.Fprintf(&b, "\tres := mc.Explore(p, %d)\n", a.Delta)
 		fmt.Fprintf(&b, "\tif res.Has(%q) {\n\t\tt.Fatalf(\"flag-principle violation admitted: wait inadequate for Δ=%d\")\n\t}\n", a.Outcome, a.Delta)
-	case KindMachineError:
+	case KindMachineError, KindSampledOutcome:
 		run, err := a.machineRun()
 		if err != nil {
 			fmt.Fprintf(&b, "\tt.Fatal(%q)\n", err.Error())
@@ -135,7 +146,16 @@ func (a Artifact) GoSource(name string) string {
 		pol := run.Policy.String()
 		fmt.Fprintf(&b, "\trun := fuzz.MachineRun{Delta: %d, Policy: tso.Drain%s, Seed: %d}\n",
 			run.Delta, strings.ToUpper(pol[:1])+pol[1:], run.Seed)
-		b.WriteString("\tif _, err := fuzz.RunOnMachine(p, run); err != nil {\n\t\tt.Fatalf(\"machine faults on the recorded schedule: %v\", err)\n\t}\n")
+		switch {
+		case a.Kind == KindMachineError:
+			b.WriteString("\tif _, err := fuzz.RunOnMachine(p, run); err != nil {\n\t\tt.Fatalf(\"machine faults on the recorded schedule: %v\", err)\n\t}\n")
+		case a.Cover == 0:
+			b.WriteString("\tout, err := fuzz.RunOnMachine(p, run)\n\tif err != nil {\n\t\tt.Fatal(err)\n\t}\n")
+			b.WriteString("\tif !mc.Explore(p, 0).Has(out) {\n\t\tt.Fatalf(\"the recorded run's outcome %q is not admitted at Δ=0\", out)\n\t}\n")
+		default:
+			fmt.Fprintf(&b, "\tif _, _, ok, err := fuzz.NewSampler().SampleWitness(p, run, %d); err != nil || !ok {\n", a.Cover)
+			fmt.Fprintf(&b, "\t\tt.Fatalf(\"the recorded run is no checker path at Δ=%d (err %%v)\", err)\n\t}\n", a.Cover)
+		}
 	default:
 		fmt.Fprintf(&b, "\tseq, err := mc.ExploreSequentialBounded(p, %d, mc.DefaultMaxStates)\n", a.Delta)
 		b.WriteString("\tif err != nil {\n\t\tt.Fatal(err)\n\t}\n")

@@ -78,10 +78,10 @@ func (c Config) orDefault() Config {
 
 // Mismatch kinds.
 const (
-	// KindSampledOutcome: the machine sampled an outcome the checker
-	// does not admit at the covering Δ — its run did not replay as a
-	// checker path there, and the covering exploration's outcome set
-	// lacks it. The core containment violation.
+	// KindSampledOutcome: the checker does not admit a machine run at
+	// the covering Δ — at Δ 0 its outcome is outside the exploration's
+	// set, above Δ 0 the run does not replay as a checker path at the
+	// cover. The core containment violation.
 	KindSampledOutcome = "sampled-outcome"
 	// KindEngineDivergence: the parallel engine and the sequential
 	// reference disagree on the outcome set at the same (program, Δ).
@@ -168,8 +168,8 @@ func (r *Report) Add(r2 Report) {
 
 // Publish adds r's counts to reg's fuzz.* counters: programs, runs,
 // explorations (completed or truncated), truncated, mismatches, and
-// replayed / replay_failed (Δ > 0 samples whose run did / did not check
-// as a witness path). A campaign publishes each report it folds, so the
+// replayed (Δ > 0 runs that checked as a witness path; one that does
+// not is a mismatch). A campaign publishes each report it folds, so the
 // counters cover exactly the folded programs.
 func (r *Report) Publish(reg *obs.Registry) {
 	st := r.Coverage.MC
@@ -179,7 +179,6 @@ func (r *Report) Publish(reg *obs.Registry) {
 	reg.Counter("fuzz.truncated").Add(st.Truncated)
 	reg.Counter("fuzz.mismatches").Add(uint64(len(r.Mismatches)))
 	reg.Counter("fuzz.replayed").Add(st.WitnessedChecks)
-	reg.Counter("fuzz.replay_failed").Add(st.ReplayFailed)
 }
 
 // explore runs the parallel engine, tolerating truncation: a truncated
@@ -234,10 +233,9 @@ func diffOutcomes(a, b map[string]bool) string {
 // exact Δ, and (2) every (policy × machine seed) sample of the clocked
 // machine at Δ ticks is asserted to be admitted by the checker at the
 // covering Δ. At Δ 0 the sample's outcome must be in the exact
-// exploration's set; above Δ 0 the run is first replayed as a checker
-// path at the cover, and only a sample that does not replay is looked
-// up in the covering exploration's outcome set. seed tags mismatches
-// for replay; pass the generator seed (or 0 for hand-built programs).
+// exploration's set; above Δ 0 the run must replay as a checker path
+// at the cover (checkRun). seed tags mismatches for replay; pass the
+// generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
 	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, p, seed)
 	return rep
@@ -333,29 +331,16 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 			}
 		}
 
-		// Containment: machine samples at Δ ticks vs the checker at the
-		// covering Δ (see CoverDelta for why this is sound). Above Δ 0
-		// each sample is first checked as a witness path at the cover;
-		// the covering exploration runs only for a sample whose path
-		// does not check, at most once per Δ, and then decides.
+		// Containment: every machine run at Δ ticks against the checker
+		// at the covering Δ (see CoverDelta for why this is sound).
 		machDelta := MachineDelta(delta)
 		cover := CoverDelta(p, machDelta)
-		admitted, decided, explored := raw, cover == delta, cover == delta
 		for pi, pol := range cfg.Policies {
 			for i := 0; i < cfg.MachSeeds; i++ {
 				machSeed := seed*1000003 + int64(pi)*101 + int64(i)
 				rep.Coverage.ObserveRun(delta, pol.String(), i)
 				run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
-				var (
-					outcome   string
-					mres      tso.Result
-					witnessed bool
-				)
-				if decided {
-					outcome, mres, err = s.Sample(p, run, sinks...)
-				} else {
-					outcome, mres, witnessed, err = s.SampleWitness(p, run, cover, sinks...)
-				}
+				outcome, mres, admitted, err := checkRun(s, p, cover, raw, run, sinks...)
 				if rec != nil {
 					rec.TagRun(coverage.CellKey(delta, pol.String(), i))
 				}
@@ -368,42 +353,30 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 					cause := tso.DrainCause(c)
 					rep.Coverage.ObserveDrain(cause.String(), mres.Stats.Drains.ByCause(cause))
 				}
-				if witnessed {
-					rep.Coverage.ObserveCheck(true)
-					continue
-				}
-				if !decided {
-					rep.Coverage.MC.ReplayFailed++
-				}
-				if !explored {
-					explored = true
-					admitted, decided, err = cfg.explore(ctx, p, cover)
-					switch {
-					case errors.Is(err, mc.ErrInterrupted):
-						return rep, false
-					case err != nil:
-						flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Cover: cover,
-							Detail: "cover exploration error: " + err.Error()})
-					case !decided:
-						rep.Coverage.ObserveTruncated()
-					default:
-						rep.Coverage.ObserveExploration(admitted.States, admitted.Transitions, admitted.DedupHits, admitted.PorPrunes, admitted.TerminalCollapses)
-					}
-				}
-				if !decided {
-					continue // no verdict: the covering exploration did not complete
-				}
-				if cover != delta {
-					rep.Coverage.ObserveCheck(false) // a failed replay, decided by the covering set
-				}
-				if !admitted.Has(outcome) {
+				switch {
+				case !admitted:
 					flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
 						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
+				case cover > 0:
+					rep.Coverage.MC.WitnessedChecks++
 				}
 			}
 		}
 	}
 	return rep, true
+}
+
+// checkRun samples run on p and returns the containment verdict on it.
+// At cover 0 (sweep Δ 0) the outcome must be in exact, the exploration
+// at Δ 0. Above it the run itself must replay as a checker path at
+// cover: every run at the machine's Δ is one (CoverDelta), so a run
+// that does not replay is not admitted, whatever its outcome.
+func checkRun(s sampler, p mc.Program, cover int, exact mc.Result, run MachineRun, sinks ...tso.Sink) (outcome string, res tso.Result, admitted bool, err error) {
+	if cover > 0 {
+		return s.SampleWitness(p, run, cover, sinks...)
+	}
+	outcome, res, err = s.Sample(p, run, sinks...)
+	return outcome, res, err == nil && exact.Has(outcome), err
 }
 
 // Run generates and checks n programs starting at startSeed, sharding

@@ -76,8 +76,14 @@ func TestPlantedControls(t *testing.T) {
 // TestGoSourceCanFail: the regression test GoSource renders for an
 // engine divergence compares the two outcome sets, not their sizes, and
 // the one for a machine error replays the recorded schedule and fails
-// on its error — an engine comparison cannot see a machine fault.
+// on its error — an engine comparison cannot see a machine fault. The
+// one for a sampled outcome replays the recorded run too, and fails
+// while the campaign's verdict rejects it: above Δ 0 the run is no
+// checker path at the cover (whose exploration may admit its outcome),
+// at Δ 0 its outcome is outside the exploration's set.
 func TestGoSourceCanFail(t *testing.T) {
+	atZero := sampleMismatches()[0]
+	atZero.Delta, atZero.Cover = 0, 0
 	for _, c := range []struct {
 		a       Artifact
 		want    []string
@@ -96,6 +102,24 @@ func TestGoSourceCanFail(t *testing.T) {
 				"if _, err := fuzz.RunOnMachine(p, run); err != nil {",
 			},
 			notWant: "mc.Explore",
+		},
+		{
+			a: Artifact{Mismatch: sampleMismatches()[0]},
+			want: []string{
+				`outcome "r0=1 r1=0"`,
+				"run := fuzz.MachineRun{Delta: 1, Policy: tso.DrainAdversarial, Seed: 3}",
+				"if _, _, ok, err := fuzz.NewSampler().SampleWitness(p, run, 9); err != nil || !ok {",
+			},
+			notWant: "mc.Explore",
+		},
+		{
+			a: Artifact{Mismatch: atZero},
+			want: []string{
+				"run := fuzz.MachineRun{Delta: 0, Policy: tso.DrainAdversarial, Seed: 3}",
+				"out, err := fuzz.RunOnMachine(p, run)",
+				"if !mc.Explore(p, 0).Has(out) {",
+			},
+			notWant: "SampleWitness",
 		},
 	} {
 		src := c.a.GoSource("Case")

@@ -1,6 +1,7 @@
 package fuzz
 
 import (
+	"errors"
 	"testing"
 
 	"tbtso/internal/mc"
@@ -53,8 +54,7 @@ func TestWitnessSound(t *testing.T) {
 }
 
 // TestRunWitnessesEveryRun pins the default corpus: at sweep Δ 1 and 3
-// every sampled run replays as a path, so no covering exploration runs
-// and none truncates.
+// every sampled run replays as a path, and only the sweep explores.
 func TestRunWitnessesEveryRun(t *testing.T) {
 	programs := 400
 	if testing.Short() || raceEnabled {
@@ -65,11 +65,8 @@ func TestRunWitnessesEveryRun(t *testing.T) {
 	if len(rep.Mismatches) != 0 || st.Truncated != 0 {
 		t.Fatalf("%d mismatches, %d truncated; first mismatch %v", len(rep.Mismatches), st.Truncated, rep.Mismatches)
 	}
-	if st.ReplayFailed != 0 {
-		t.Errorf("%d failed replays, want 0", st.ReplayFailed)
-	}
-	if st.WitnessedChecks != runs || st.ExploredChecks != 0 {
-		t.Errorf("coverage containment checks: %d witnessed, %d explored; want every run (%d), 0", st.WitnessedChecks, st.ExploredChecks, runs)
+	if st.WitnessedChecks != runs {
+		t.Errorf("%d runs witnessed, want every run (%d)", st.WitnessedChecks, runs)
 	}
 	if got := st.Explorations + st.Truncated; got != uint64(2*programs) {
 		t.Errorf("%d explorations, want the %d sweep explorations only", got, 2*programs)
@@ -111,9 +108,8 @@ func (l lyingSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sin
 
 // TestCheckProgramFlagsImpossibleOutcomeAboveZero is the Δ > 0 side of
 // TestCheckProgramFlagsImpossibleOutcome: the machine stores 2 where the
-// checked program stores 1, so its first run is no path of that
-// program. The check falls back to the covering exploration, runs it
-// once, and flags every sampled outcome it lacks.
+// checked program stores 1, so no run is a path of that program. Every
+// run is flagged, and only the sweep explores.
 func TestCheckProgramFlagsImpossibleOutcomeAboveZero(t *testing.T) {
 	machine := mc.Program{Threads: [][]mc.Op{{mc.St(0, 2), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
 	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
@@ -131,16 +127,101 @@ func TestCheckProgramFlagsImpossibleOutcomeAboveZero(t *testing.T) {
 				t.Fatalf("Δ=%d: got %v, want a sampled-outcome mismatch on T0:r0=2", delta, m)
 			}
 		}
-		wantExplorations, wantFailed := uint64(1), uint64(0)
-		if delta > 0 {
-			wantExplorations, wantFailed = 2, 1 // the sweep, then the cover once
-		}
 		st := rep.Coverage.MC
-		if got := st.Explorations + st.Truncated; got != wantExplorations {
-			t.Errorf("Δ=%d: %d explorations, want %d", delta, got, wantExplorations)
+		if got := st.Explorations + st.Truncated; got != 1 {
+			t.Errorf("Δ=%d: %d explorations, want the sweep's only", delta, got)
 		}
-		if st.ReplayFailed != wantFailed {
-			t.Errorf("Δ=%d: %d failed replays, want %d", delta, st.ReplayFailed, wantFailed)
+	}
+}
+
+// TestCheckProgramFlagsUnreplayableRun: above Δ 0 the replay is the
+// verdict. The machine fences where the checked program does not, so
+// no run is a path of that program, yet every run's outcome T0:r0=1 is
+// in the program's outcome set at every Δ. Δ 0 judges by that set and
+// flags nothing; Δ 2 flags every run.
+func TestCheckProgramFlagsUnreplayableRun(t *testing.T) {
+	machine := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Fence(), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
+	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
+	for _, delta := range []int{0, 2} {
+		cfg := Config{Deltas: []int{delta}, MachSeeds: 2}.orDefault()
+		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, nil, checker, 7)
+		if !complete || rep.Coverage.Runs != 6 {
+			t.Fatalf("Δ=%d: complete %v after %d runs, want 6", delta, complete, rep.Coverage.Runs)
+		}
+		want := 0
+		if delta > 0 {
+			want = 6
+		}
+		if len(rep.Mismatches) != want {
+			t.Fatalf("Δ=%d: %d mismatches, want %d: %v", delta, len(rep.Mismatches), want, rep.Mismatches)
+		}
+		for _, m := range rep.Mismatches {
+			if m.Kind != KindSampledOutcome || m.Outcome != "T0:r0=1" || m.Cover != CoverDelta(checker, 2) || m.Schedule == nil {
+				t.Fatalf("got %v, want a sampled-outcome mismatch on T0:r0=1 at the cover with its schedule", m)
+			}
+		}
+		if st := rep.Coverage.MC; st.WitnessedChecks != 0 || st.Explorations != 1 {
+			t.Errorf("Δ=%d: %d witnessed, %d explorations; want 0, 1", delta, st.WitnessedChecks, st.Explorations)
+		}
+	}
+}
+
+// badRunSampler misbehaves on the one machine run bad: it faults there
+// when fault is set, and otherwise runs lie's machine program.
+type badRunSampler struct {
+	*Sampler
+	bad   MachineRun
+	lie   lyingSampler
+	fault error
+}
+
+func (b badRunSampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error) {
+	switch {
+	case run != b.bad:
+		return b.Sampler.Sample(p, run, sinks...)
+	case b.fault != nil:
+		return "", tso.Result{}, b.fault
+	}
+	return b.lie.Sample(p, run, sinks...)
+}
+
+func (b badRunSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
+	switch {
+	case run != b.bad:
+		return b.Sampler.SampleWitness(p, run, cover, sinks...)
+	case b.fault != nil:
+		return "", tso.Result{}, false, b.fault
+	}
+	return b.lie.SampleWitness(p, run, cover, sinks...)
+}
+
+// TestReplayRepeatsTheRecordedRun: a sampled-outcome artifact replays
+// exactly its recorded run, here under policy index 2 at machine-seed
+// index 4, past the default MachSeeds, and reproduces only as a
+// mismatch of its own kind: the same run faulting is not a repeat.
+func TestReplayRepeatsTheRecordedRun(t *testing.T) {
+	machine := mc.Program{Threads: [][]mc.Op{{mc.St(0, 2), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
+	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
+	const seed = 7
+	bad := Schedule{Policy: tso.DrainAdversarial, MachSeed: seed*1000003 + 2*101 + 4}
+	good := Schedule{Policy: tso.DrainAdversarial, MachSeed: bad.MachSeed - 1}
+	for _, delta := range []int{0, 1} {
+		s := badRunSampler{Sampler: NewSampler(), bad: bad.Run(delta), lie: lyingSampler{NewSampler(), machine}}
+		a := Artifact{Mismatch: Mismatch{Kind: KindSampledOutcome, Seed: seed, Delta: delta,
+			Cover: CoverDelta(checker, MachineDelta(delta)), Program: checker}}
+		for _, c := range []struct {
+			sched *Schedule
+			fault error
+			want  bool
+		}{
+			{&bad, nil, true},
+			{&good, nil, false},
+			{&bad, errors.New("injected fault"), false},
+		} {
+			a.Schedule, s.fault = c.sched, c.fault
+			if got, err := a.replay(s); got != c.want || err != nil {
+				t.Errorf("Δ=%d %v (fault %v): reproduced %v, err %v; want %v", delta, c.sched, c.fault, got, err, c.want)
+			}
 		}
 	}
 }

@@ -139,14 +139,9 @@ type MCStats struct {
 	DedupHits         uint64 `json:"dedup_hits"`
 	PorPrunes         uint64 `json:"por_prunes"`
 	TerminalCollapses uint64 `json:"terminal_collapses"`
-	// Δ > 0 containment checks by how they were decided: by the sampled
-	// run, replayed as a witness path at the covering Δ, or, after a
-	// failed replay, by the covering exploration's outcome set.
+	// WitnessedChecks counts the Δ > 0 sampled runs that replayed as a
+	// checker path at the covering Δ, the containment verdict there.
 	WitnessedChecks uint64 `json:"witnessed_checks,omitempty"`
-	ExploredChecks  uint64 `json:"explored_checks,omitempty"`
-	// ReplayFailed counts sampled runs whose witness replay failed, each
-	// sending the check to the covering exploration.
-	ReplayFailed uint64 `json:"replay_failed,omitempty"`
 }
 
 func (m *MCStats) merge(o MCStats) {
@@ -158,8 +153,6 @@ func (m *MCStats) merge(o MCStats) {
 	m.PorPrunes += o.PorPrunes
 	m.TerminalCollapses += o.TerminalCollapses
 	m.WitnessedChecks += o.WitnessedChecks
-	m.ExploredChecks += o.ExploredChecks
-	m.ReplayFailed += o.ReplayFailed
 }
 
 // Snapshot is the mergeable coverage document. The zero value is ready
@@ -266,16 +259,6 @@ func (s *Snapshot) ObserveExploration(states, transitions, dedupHits, porPrunes,
 
 // ObserveTruncated records one exploration that hit the state budget.
 func (s *Snapshot) ObserveTruncated() { s.MC.Truncated++ }
-
-// ObserveCheck records one decided Δ > 0 containment check: witnessed
-// by a replayed path, or looked up in the covering outcome set.
-func (s *Snapshot) ObserveCheck(witnessed bool) {
-	if witnessed {
-		s.MC.WitnessedChecks++
-	} else {
-		s.MC.ExploredChecks++
-	}
-}
 
 // Merge folds o into s. Merging is commutative and associative on the
 // stored integers, so any fold order over the same per-program

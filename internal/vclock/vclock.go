@@ -5,10 +5,7 @@
 // on the abstract machine the global tick counter plays the same role.
 package vclock
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // base anchors the monotonic clock so Now() values are small and
 // strictly relative, like a TSC read.
@@ -28,44 +25,3 @@ const (
 	// AdaptedDelta is the paper's OS-timer-adapted bound (4 ms).
 	AdaptedDelta = 4 * time.Millisecond
 )
-
-// Coarse is a shared coarse clock updated by a background goroutine,
-// for callers that want loads cheaper than a time.Since call. Reads are
-// a single atomic load; resolution is the update period.
-type Coarse struct {
-	now    atomic.Int64
-	period time.Duration
-	stop   chan struct{}
-	done   chan struct{}
-}
-
-// NewCoarse starts a coarse clock with the given update period.
-func NewCoarse(period time.Duration) *Coarse {
-	c := &Coarse{period: period, stop: make(chan struct{}), done: make(chan struct{})}
-	c.now.Store(Now())
-	go c.run()
-	return c
-}
-
-func (c *Coarse) run() {
-	defer close(c.done)
-	t := time.NewTicker(c.period)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			c.now.Store(Now())
-		case <-c.stop:
-			return
-		}
-	}
-}
-
-// Now returns the last published time.
-func (c *Coarse) Now() int64 { return c.now.Load() }
-
-// Stop shuts the updater down.
-func (c *Coarse) Stop() {
-	close(c.stop)
-	<-c.done
-}

@@ -24,16 +24,3 @@ func TestNowAdvances(t *testing.T) {
 		t.Fatalf("clock barely advanced: %d ns", b-a)
 	}
 }
-
-func TestCoarse(t *testing.T) {
-	c := NewCoarse(time.Millisecond)
-	defer c.Stop()
-	a := c.Now()
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Now() == a {
-		if time.Now().After(deadline) {
-			t.Fatal("coarse clock never advanced")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
