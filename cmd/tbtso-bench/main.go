@@ -20,9 +20,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,17 +37,92 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// figure is one table tbtso-bench regenerates. The table below is the
+// only list of figures: the -figure help, -list, dispatch and "all"
+// are all read from it.
+type figure struct {
+	name  string
+	doc   string
+	inAll bool // part of -figure all
+	table func(bench.Options) *report.Table
+	// csvTail, when set, prints extra CSV series after the table under
+	// -csv.
+	csvTail func(w io.Writer)
+}
+
+var figures = []figure{
+	{name: "4", doc: "quiescence latency vs quiescing threads (§6.1.2, timing model)", inAll: true, table: bench.Figure4},
+	{name: "5", doc: "store-buffering time CDF by placement (§6.1.2, timing model)", inAll: true, table: bench.Figure5, csvTail: figure5CDF},
+	{name: "bailout", doc: "§6.1 hardware design validation (τ timeout + quiescence)", inAll: true, table: bench.Bailout},
+	{name: "6", doc: "hash-table throughput per SMR scheme (§7.1)", inAll: true, table: bench.Figure6},
+	{name: "scaling", doc: "figure 6's thread-count axis (read-only, L=4)", table: bench.Figure6Scaling},
+	{name: "7", doc: "peak retired-node memory vs reader stall (§7.1.2)", inAll: true, table: bench.Figure7},
+	{name: "8", doc: "biased-lock throughput per access pattern (§7.2)", inAll: true, table: bench.Figure8},
+	{name: "rwlock", doc: "extension: passive RW lock vs sync.RWMutex", table: bench.RWLock},
+	{name: "machine6", doc: "abstract-machine lookup cost model (no-protection / FFHP / HP)", table: bench.MachineCost},
+	{name: "mc", doc: "model-checker explorer engines: states, time, speedup (BENCH_mc.json)", table: bench.MCExplorer},
+	{name: "sizing", doc: "§4.2.1 retirement-rate and R sizing numbers", inAll: true,
+		table: func(o bench.Options) *report.Table { t, _ := bench.Sizing(o); return t }},
+}
+
+// figure5CDF prints Figure 5's raw idle-load CDF series as CSV.
+func figure5CDF(w io.Writer) {
+	for _, pl := range []quiesce.Placement{quiesce.PlacementSMT, quiesce.PlacementSameSocket, quiesce.PlacementCrossSocket} {
+		fmt.Fprintf(w, "# CDF %v/idle\n", pl)
+		for _, p := range bench.Figure5CDF(pl, quiesce.LoadIdle, 500_000) {
+			fmt.Fprintf(w, "%d,%.6f\n", p.Value, p.Fraction)
+		}
+	}
+}
+
+// allFigures returns the names -figure all runs, in table order.
+func allFigures() []string {
+	var names []string
+	for _, f := range figures {
+		if f.inAll {
+			names = append(names, f.name)
+		}
+	}
+	return names
+}
+
+// selectFigures resolves a -figure value (a comma list, or "all") to
+// table entries. The numbered figures also answer to "fig6" and
+// "figure6".
+func selectFigures(spec string) ([]figure, error) {
+	names := strings.Split(spec, ",")
+	if spec == "all" {
+		names = allFigures()
+	}
+	var out []figure
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		short := strings.TrimPrefix(strings.TrimPrefix(name, "figure"), "fig")
+		i := slices.IndexFunc(figures, func(f figure) bool { return f.name == short })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown figure %q", name)
+		}
+		out = append(out, figures[i])
+	}
+	return out, nil
 }
 
 // run is the whole program; main's os.Exit is the single exit point, so
 // the deferred teardowns — CPU/heap profile flush, obs session finish —
 // run on every path. The old structure os.Exit'ed from inside the
 // profiled region, losing profiles and skipping the obs teardown.
-func run(args []string) (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("tbtso-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var names []string
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
 	var (
-		figure  = fs.String("figure", "all", "which figure to regenerate: 4, 5, 6, 7, 8, bailout, scaling, rwlock, sizing, or all")
+		which   = fs.String("figure", "all", "which figures to regenerate, as a comma list: "+strings.Join(names, ", ")+", or all")
 		list    = fs.Bool("list", false, "list the available figures and exit")
 		quick   = fs.Bool("quick", false, "CI-scale run sizes")
 		dur     = fs.Duration("dur", 0, "measurement duration per cell (default 400ms, quick 80ms)")
@@ -69,38 +146,35 @@ func run(args []string) (code int) {
 	}
 
 	if *compare != "" {
-		return runCompare(*compare, fs.Arg(0), bench.CompareOptions{TimeRatio: *cmpTime, StatesRatio: *cmpStat})
+		return runCompare(stdout, stderr, *compare, fs.Arg(0), bench.CompareOptions{TimeRatio: *cmpTime, StatesRatio: *cmpStat})
 	}
 
 	if *list {
-		fmt.Println("figures:")
-		fmt.Println("  4        quiescence latency vs quiescing threads (§6.1.2, timing model)")
-		fmt.Println("  5        store-buffering time CDF by placement (§6.1.2, timing model)")
-		fmt.Println("  bailout  §6.1 hardware design validation (τ timeout + quiescence)")
-		fmt.Println("  6        hash-table throughput per SMR scheme (§7.1)")
-		fmt.Println("  scaling  figure 6's thread-count axis (read-only, L=4)")
-		fmt.Println("  7        peak retired-node memory vs reader stall (§7.1.2)")
-		fmt.Println("  8        biased-lock throughput per access pattern (§7.2)")
-		fmt.Println("  rwlock   extension: passive RW lock vs sync.RWMutex")
-		fmt.Println("  machine6 abstract-machine lookup cost model (no-protection / FFHP / HP)")
-		fmt.Println("  mc       model-checker explorer engines: states, time, speedup (BENCH_mc.json)")
-		fmt.Println("  sizing   §4.2.1 retirement-rate and R sizing numbers")
-		fmt.Println("  all      4, 5, bailout, 6, 7, 8, sizing")
+		fmt.Fprintln(stdout, "figures:")
+		for _, f := range figures {
+			fmt.Fprintf(stdout, "  %-8s %s\n", f.name, f.doc)
+		}
+		fmt.Fprintf(stdout, "  %-8s %s\n", "all", strings.Join(allFigures(), ", "))
 		return 0
 	}
+	selected, err := selectFigures(*which)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
-	ctx, stop := cli.SignalContext(context.Background(), os.Stderr)
+	ctx, stop := cli.SignalContext(context.Background(), stderr)
 	defer stop()
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -109,7 +183,7 @@ func run(args []string) (code int) {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				if code == 0 {
 					code = 1
 				}
@@ -118,7 +192,7 @@ func run(args []string) (code int) {
 			defer f.Close()
 			runtime.GC() // materialize the live set before snapshotting
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "memprofile: %v\n", err)
 				if code == 0 {
 					code = 1
 				}
@@ -137,11 +211,11 @@ func run(args []string) (code int) {
 	}
 	sess, err := obsOpts.Start(nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
+		fmt.Fprintf(stderr, "obs: %v\n", err)
 		return 2
 	}
 	defer func() {
-		sess.FinishContext(ctx, os.Stderr, "tbtso-bench") // no flight: never a violation
+		sess.FinishContext(ctx, stderr, "tbtso-bench") // no flight: never a violation
 		code = cli.ExitCode(ctx, code)
 	}()
 	// The harness metrics feed the live ops endpoint; -metrics
@@ -156,87 +230,42 @@ func run(args []string) (code int) {
 		case *jsonOut:
 			figures = append(figures, t)
 		case *csv:
-			t.CSV(os.Stdout)
+			t.CSV(stdout)
 		default:
-			t.Render(os.Stdout)
+			t.Render(stdout)
 		}
 	}
 
-	runFigure := func(name string) bool {
-		start := time.Now()
-		// Accept "fig6"/"figure6" spellings for the numbered figures.
-		name = strings.TrimPrefix(strings.TrimPrefix(name, "figure"), "fig")
-		switch name {
-		case "4":
-			emit(bench.Figure4(o))
-		case "5":
-			emit(bench.Figure5(o))
-			if *csv {
-				for _, pl := range []quiesce.Placement{quiesce.PlacementSMT, quiesce.PlacementSameSocket, quiesce.PlacementCrossSocket} {
-					fmt.Printf("# CDF %v/idle\n", pl)
-					for _, p := range bench.Figure5CDF(pl, quiesce.LoadIdle, 500_000) {
-						fmt.Printf("%d,%.6f\n", p.Value, p.Fraction)
-					}
-				}
-			}
-		case "6":
-			emit(bench.Figure6(o))
-		case "7":
-			emit(bench.Figure7(o))
-		case "8":
-			emit(bench.Figure8(o))
-		case "sizing":
-			t, _ := bench.Sizing(o)
-			emit(t)
-		case "bailout":
-			emit(bench.Bailout(o))
-		case "scaling":
-			emit(bench.Figure6Scaling(o))
-		case "rwlock":
-			emit(bench.RWLock(o))
-		case "machine6":
-			emit(bench.MachineCost(o))
-		case "mc":
-			emit(bench.MCExplorer(o))
-		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", name)
-			return false
-		}
-		fmt.Fprintf(os.Stderr, "[figure %s took %v]\n", name, time.Since(start).Round(time.Millisecond))
-		return true
-	}
-
-	names := strings.Split(*figure, ",")
-	if *figure == "all" {
-		names = []string{"4", "5", "bailout", "6", "7", "8", "sizing"}
-	}
-	for _, f := range names {
+	for _, f := range selected {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "tbtso-bench: interrupted; remaining figures skipped")
+			fmt.Fprintln(stderr, "tbtso-bench: interrupted; remaining figures skipped")
 			break
 		}
-		if !runFigure(strings.TrimSpace(f)) {
-			return 2
+		start := time.Now()
+		emit(f.table(o))
+		if *csv && f.csvTail != nil {
+			f.csvTail(stdout)
 		}
+		fmt.Fprintf(stderr, "[figure %s took %v]\n", f.name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *jsonOut {
-		if err := obs.EncodeDoc(os.Stdout, map[string]any{"figures": figures}); err != nil {
-			fmt.Fprintf(os.Stderr, "encoding figures: %v\n", err)
+		if err := obs.EncodeDoc(stdout, map[string]any{"figures": figures}); err != nil {
+			fmt.Fprintf(stderr, "encoding figures: %v\n", err)
 			return 1
 		}
 	}
 	if *metrics {
-		sess.Registry.WriteText(os.Stderr)
+		sess.Registry.WriteText(stderr)
 	}
 	return 0
 }
 
 // runCompare diffs the candidate figure-JSON document against the
 // baseline and reports regressions; it returns the process exit code.
-func runCompare(baselinePath, candidatePath string, opts bench.CompareOptions) int {
+func runCompare(stdout, stderr io.Writer, baselinePath, candidatePath string, opts bench.CompareOptions) int {
 	if candidatePath == "" {
-		fmt.Fprintln(os.Stderr, "usage: tbtso-bench -compare baseline.json candidate.json")
+		fmt.Fprintln(stderr, "usage: tbtso-bench -compare baseline.json candidate.json")
 		return 2
 	}
 	read := func(path string) (*bench.FigureDoc, error) {
@@ -249,26 +278,26 @@ func runCompare(baselinePath, candidatePath string, opts bench.CompareOptions) i
 	}
 	baseline, err := read(baselinePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
+		fmt.Fprintf(stderr, "compare: %v\n", err)
 		return 2
 	}
 	candidate, err := read(candidatePath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
+		fmt.Fprintf(stderr, "compare: %v\n", err)
 		return 2
 	}
 	regs, err := bench.Compare(baseline, candidate, opts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "compare: %v\n", err)
+		fmt.Fprintf(stderr, "compare: %v\n", err)
 		return 2
 	}
 	if len(regs) == 0 {
-		fmt.Printf("compare: %s vs %s: no regressions\n", baselinePath, candidatePath)
+		fmt.Fprintf(stdout, "compare: %s vs %s: no regressions\n", baselinePath, candidatePath)
 		return 0
 	}
 	for _, r := range regs {
-		fmt.Printf("REGRESSION %s\n", r)
+		fmt.Fprintf(stdout, "REGRESSION %s\n", r)
 	}
-	fmt.Printf("compare: %d regressions\n", len(regs))
+	fmt.Fprintf(stdout, "compare: %d regressions\n", len(regs))
 	return 1
 }

@@ -127,7 +127,7 @@ func run(args []string) (code int) {
 			sess: sess,
 		}
 		// Each seed records into its own group of the session's flight,
-		// with a fresh monitor set: exact violation attribution, and no
+		// with a fresh monitor: exact violation attribution, and no
 		// lock on the event hot path.
 		camp.cfg.Flight = sess.Flight
 		if srv := sess.Server(); srv != nil {

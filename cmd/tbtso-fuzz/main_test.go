@@ -186,11 +186,11 @@ func TestSigintCheckpointResume(t *testing.T) {
 		t.Fatalf("uninterrupted summary carries interruption fields: %+v", baseline)
 	}
 
-	// Interrupted: 4 workers, periodic checkpoints, monitors on so the
+	// Interrupted: 4 workers, periodic checkpoints, the monitor on so the
 	// interrupt flight dump is written.
 	cmd := exec.Command(binPath, campaignFlags(
 		"-workers", "4", "-ckpt", ckpt, "-ckpt.every", "50",
-		"-obs.monitor", "drain", "-obs.flightdir", tmp,
+		"-obs.monitor", "residency", "-obs.flightdir", tmp,
 	)...)
 	outF, err := os.Create(filepath.Join(tmp, "stdout"))
 	if err != nil {

@@ -42,7 +42,7 @@ type Config struct {
 	CrossCheckStates int
 	// Flight, if non-nil, is the campaign flight recorder: every
 	// program's sampled runs record into the program's own seed group,
-	// under a fresh monitor set from the flight's factory (so a
+	// under a fresh monitor from the flight's factory (so a
 	// campaign's machine side can run under continuous Δ-residency
 	// verification without a lock), and Stream appends each folded
 	// program's group to Flight in seed order. A check that is cut short
@@ -349,9 +349,8 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error()})
 					continue
 				}
-				for c := 0; c < int(tso.NumDrainCauses); c++ {
-					cause := tso.DrainCause(c)
-					rep.Coverage.ObserveDrain(cause.String(), mres.Stats.Drains.ByCause(cause))
+				for c, n := range mres.Stats.Drains {
+					rep.Coverage.ObserveDrain(tso.DrainCause(c).String(), n)
 				}
 				switch {
 				case !admitted:

@@ -19,7 +19,7 @@ func TestStreamWindowBound(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var programs atomic.Uint64
 		cfg := obsTestConfig(workers)
-		cfg.Flight = monitor.NewShardedFlight(func() *monitor.Set {
+		cfg.Flight = monitor.NewShardedFlight(func() *monitor.Residency {
 			programs.Add(1)
 			return nil
 		}, 0)

@@ -84,7 +84,7 @@ func TestWitnessFinalFlushAfterWait(t *testing.T) {
 	if err != nil || !witnessed {
 		t.Fatalf("witnessed %v, err %v", witnessed, err)
 	}
-	if got := res.Stats.Drains.ByCause(tso.CauseFinal); got != 1 {
+	if got := res.Stats.Drains[tso.CauseFinal]; got != 1 {
 		t.Fatalf("test premise broken: %d final-flush commits, want 1", got)
 	}
 }

@@ -57,8 +57,8 @@ type RunConfig struct {
 	Delta uint64
 	// StallProb is passed to the machine scheduler.
 	StallProb float64
-	// Sinks are attached to every machine run — e.g. the obs/monitor
-	// online checkers, so a whole litmus sweep runs under continuous
+	// Sinks are attached to every machine run — e.g. a
+	// monitor.Residency, so a whole litmus sweep runs under continuous
 	// Δ-residency verification.
 	Sinks []tso.Sink
 }

@@ -26,7 +26,10 @@ type ReclaimRaceOutcome struct {
 // themselves be subject to the store buffering they orchestrate.
 //
 // Any sinks are attached to the machine, so the run can be traced
-// (tbtso-sim -demo reclaim -o).
+// (tbtso-sim -demo reclaim -o) or monitored: a late hazard publication
+// is a commit that outstays Δ, so a monitor.Residency at the bound the
+// reclaimer trusts reports it (tbtso-sim -demo reclaim -obs.monitor
+// residency=8).
 //
 //tbtso:ignore escape harness handshake flags and the captured outcome struct intentionally bypass the model to direct the schedule; they are not algorithm memory
 func ReclaimRaceDemo(delta uint64, mode HPMode, sinks ...tso.Sink) ReclaimRaceOutcome {
@@ -34,7 +37,6 @@ func ReclaimRaceDemo(delta uint64, mode HPMode, sinks ...tso.Sink) ReclaimRaceOu
 	m := tso.New(cfg)
 	alloc := NewAllocator(m, 4, nodeWords)
 	hp := NewHPDomain(m, alloc, mode, 2, 3, 7, delta)
-	offerHazardRange(hp, sinks)
 	l := NewList(m, hp, alloc)
 
 	node := alloc.Alloc()

@@ -131,33 +131,6 @@ func (d *HPDomain) slot(t, i int) tso.Addr {
 	return d.hpBase + tso.Addr(t*d.k+i)
 }
 
-// SlotRange reports the machine address range holding the domain's
-// hazard-pointer slots: base and slot count. External observers (the
-// obs/monitor SMR visibility monitor) watch commits into this range to
-// check hazard publications against the Δ bound.
-func (d *HPDomain) SlotRange() (base tso.Addr, n int) {
-	return d.hpBase, d.threads * d.k
-}
-
-// hazardRangeSetter is what a sink may implement (without this package
-// importing it) to learn the domain's hazard slot range — the
-// obs/monitor SMR visibility monitor does.
-type hazardRangeSetter interface {
-	SetHazardRange(base tso.Addr, n int)
-}
-
-// offerHazardRange forwards the domain's slot range to every sink
-// that wants one (composite sinks like monitor.Set and the flight
-// recorder forward it to their members).
-func offerHazardRange(d *HPDomain, sinks []tso.Sink) {
-	base, n := d.SlotRange()
-	for _, s := range sinks {
-		if rs, ok := s.(hazardRangeSetter); ok {
-			rs.SetHazardRange(base, n)
-		}
-	}
-}
-
 // Protect points hazard pointer i of the calling thread at obj and, in
 // HPFenced mode, issues the fence that orders the write before the
 // caller's validation read. It reports whether the caller must validate

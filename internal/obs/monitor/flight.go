@@ -35,9 +35,9 @@ type RunRecord struct {
 }
 
 // SeedGroup is everything recorded while checking one generator seed's
-// program: its machine runs and any monitor violations they tripped.
-// Violations are attributed exactly: each group gets a fresh monitor
-// set, so a violating seed cannot contaminate its neighbours' reports.
+// program: its machine runs and any residency violations they tripped.
+// Violations are attributed exactly: each group gets a fresh monitor,
+// so a violating seed cannot contaminate its neighbours' reports.
 type SeedGroup struct {
 	Seed       int64       `json:"seed"`
 	Runs       []RunRecord `json:"runs,omitempty"`
@@ -51,17 +51,17 @@ type SeedGroup struct {
 // program, so no lock is ever taken on the event hot path. A check that
 // is cut short simply never hands its group to the flight.
 type SeedRecorder struct {
-	set    *Set // fresh per group (nil when no monitor factory)
+	mon    *Residency // fresh per group (nil when no monitor factory)
 	group  *SeedGroup
 	curRun *RunRecord
 }
 
 // Record starts recording the check of seed's program, with a fresh
-// monitor set from the flight's factory. Safe to call from any worker.
+// monitor from the flight's factory. Safe to call from any worker.
 func (f *ShardedFlight) Record(seed int64) *SeedRecorder {
 	r := &SeedRecorder{group: &SeedGroup{Seed: seed}}
 	if f.factory != nil {
-		r.set = f.factory()
+		r.mon = f.factory()
 	}
 	return r
 }
@@ -69,8 +69,8 @@ func (f *ShardedFlight) Record(seed int64) *SeedRecorder {
 // BeginRun implements tso.RunObserver: a new machine run starts within
 // the group.
 func (r *SeedRecorder) BeginRun(names []string, delta uint64) {
-	if r.set != nil {
-		r.set.BeginRun(names, delta)
+	if r.mon != nil {
+		r.mon.BeginRun(names, delta)
 	}
 	r.group.Runs = append(r.group.Runs, RunRecord{Threads: append([]string(nil), names...), Delta: delta})
 	r.curRun = &r.group.Runs[len(r.group.Runs)-1]
@@ -85,12 +85,12 @@ func (r *SeedRecorder) TagRun(tag string) {
 }
 
 // Emit implements tso.Sink: render into the current run, bounded per
-// group, and fan out to the group's monitors.
+// group, and feed the group's monitor.
 //
 //tbtso:fencefree
 func (r *SeedRecorder) Emit(e tso.Event) {
-	if r.set != nil {
-		r.set.Emit(e)
+	if r.mon != nil {
+		r.mon.Emit(e)
 	}
 	r.group.Events++
 	if r.curRun == nil {
@@ -103,19 +103,11 @@ func (r *SeedRecorder) Emit(e tso.Event) {
 	r.curRun.Events = append(r.curRun.Events, e.String())
 }
 
-// SetHazardRange forwards a hazard slot range to the group's monitors,
-// so machalg's hazard-slot handshake reaches the smr monitor.
-func (r *SeedRecorder) SetHazardRange(base tso.Addr, n int) {
-	if r.set != nil {
-		r.set.SetHazardRange(base, n)
-	}
-}
-
-// Finish returns the recorded group with its monitors' violations
+// Finish returns the recorded group with its monitor's violations
 // attached. The recorder must not be used afterwards.
 func (r *SeedRecorder) Finish() *SeedGroup {
-	if r.set != nil {
-		r.group.Violations = r.set.Violations()
+	if r.mon != nil {
+		r.group.Violations = r.mon.Violations()
 	}
 	return r.group
 }
@@ -136,7 +128,7 @@ func (r *SeedRecorder) Finish() *SeedGroup {
 // Every method is safe for concurrent use; the live /flightrecorder
 // endpoint dumps while the campaign appends.
 type ShardedFlight struct {
-	factory  func() *Set // per-group monitor sets (nil = capture only)
+	factory  func() *Residency // per-group monitors (nil = capture only)
 	maxSeeds int
 
 	mu        sync.Mutex
@@ -158,9 +150,9 @@ type ShardedFlight struct {
 const DefaultFlightSeeds = 32
 
 // NewShardedFlight returns a flight recorder. factory builds one
-// fresh monitor set per seed group (nil records events only);
+// fresh monitor per seed group (nil records events only);
 // maxSeeds is the retention window (<= 0 selects DefaultFlightSeeds).
-func NewShardedFlight(factory func() *Set, maxSeeds int) *ShardedFlight {
+func NewShardedFlight(factory func() *Residency, maxSeeds int) *ShardedFlight {
 	if maxSeeds <= 0 {
 		maxSeeds = DefaultFlightSeeds
 	}

@@ -100,11 +100,11 @@ func TestDiscardedGroupLeavesNoTrace(t *testing.T) {
 	}
 }
 
-// TestPerGroupMonitors pins that each group gets a fresh monitor set
-// and violations are attributed to their seed.
+// TestPerGroupMonitors pins that each group gets a fresh monitor and
+// violations are attributed to their seed.
 func TestPerGroupMonitors(t *testing.T) {
-	f := NewShardedFlight(func() *Set {
-		return NewSet(NewResidency(nil, 1)) // Δ=1: any latency > 1 trips
+	f := NewShardedFlight(func() *Residency {
+		return NewResidency(nil, 1) // Δ=1: any latency > 1 trips
 	}, 32)
 	f.Begin(0)
 

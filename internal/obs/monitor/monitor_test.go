@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // algorithms that ASSUME a Δ bound) on a plain-TSO machine (Δ=0: the
 // machine promises nothing) under the adversarial drain policy, with
 // sink attached. This is the paper's negative control: the algorithm's
-// assumption is betrayed and the monitors must say so.
+// assumption is betrayed and the monitor must say so.
 func plantedControl(t *testing.T, name string, bound uint64, sink tso.Sink) {
 	t.Helper()
 	var p = machalg.MCFFHP(2, 2, int(bound)/2)
@@ -33,13 +34,6 @@ func plantedControl(t *testing.T, name string, bound uint64, sink tso.Sink) {
 	}
 }
 
-// plantedMonitors is the monitor set the planted controls run under: a
-// residency monitor expecting bound, plus drain accounting.
-func plantedMonitors(bound uint64) *monitor.Set {
-	reg := obs.NewRegistry()
-	return monitor.NewSet(monitor.NewResidency(reg, bound), monitor.NewDrainAccounting())
-}
-
 // TestPlantedControlsTripResidency is the headline negative control of
 // the observability layer: the plain-TSO plantings of FFHP and FFBL
 // must trip the Δ-residency monitor, with violations carrying a
@@ -47,18 +41,16 @@ func plantedMonitors(bound uint64) *monitor.Set {
 func TestPlantedControlsTripResidency(t *testing.T) {
 	for _, name := range []string{"ffhp", "ffbl"} {
 		t.Run(name, func(t *testing.T) {
-			set := plantedMonitors(8)
-			plantedControl(t, name, 8, set)
-			if set.Ok() {
+			res := monitor.NewResidency(nil, 8)
+			plantedControl(t, name, 8, res)
+			vs := res.Violations()
+			if len(vs) == 0 {
 				t.Fatalf("planted %s on plain TSO produced no violations — the residency monitor is blind", name)
 			}
-			vs := set.Violations()
-			sawResidency := false
 			for _, v := range vs {
 				if v.Monitor != "residency" {
-					continue
+					t.Errorf("violation from monitor %q", v.Monitor)
 				}
-				sawResidency = true
 				if v.Tick <= v.Enq {
 					t.Errorf("violation window inverted: enq=%d tick=%d", v.Enq, v.Tick)
 				}
@@ -69,9 +61,6 @@ func TestPlantedControlsTripResidency(t *testing.T) {
 					t.Errorf("violation missing detail/event: %+v", v)
 				}
 			}
-			if !sawResidency {
-				t.Fatalf("no residency violation among %d violations", len(vs))
-			}
 		})
 	}
 }
@@ -81,7 +70,7 @@ func TestPlantedControlsTripResidency(t *testing.T) {
 // identifies itself, and carries the violation report and the group's
 // rendered events.
 func TestFlightDumpReplayable(t *testing.T) {
-	flight := monitor.NewShardedFlight(func() *monitor.Set { return plantedMonitors(8) }, 0)
+	flight := monitor.NewShardedFlight(func() *monitor.Residency { return monitor.NewResidency(nil, 8) }, 0)
 	rec := flight.Record(0)
 	plantedControl(t, "ffhp", 8, rec)
 	flight.Append(rec.Finish())
@@ -119,23 +108,21 @@ func TestFlightDumpReplayable(t *testing.T) {
 // planted programs on a machine that actually enforces Δ=10 (the
 // monitor inheriting that Δ via BeginRun) must produce zero violations.
 func TestBoundedMachineRunsClean(t *testing.T) {
-	reg := obs.NewRegistry()
-	res := monitor.NewResidency(reg, 0) // inherit the run's Δ
-	set := monitor.NewSet(res, monitor.NewDrainAccounting())
+	res := monitor.NewResidency(obs.NewRegistry(), 0) // inherit the run's Δ
 	for _, run := range []fuzz.MachineRun{
 		{Delta: 10, Policy: tso.DrainAdversarial, Seed: 1},
 		{Delta: 10, Policy: tso.DrainRandom, Seed: 2},
 		{Delta: 10, Policy: tso.DrainEager, Seed: 3},
 	} {
-		if _, err := fuzz.RunOnMachine(machalg.MCFFHP(2, 2, 5), run, set); err != nil {
+		if _, err := fuzz.RunOnMachine(machalg.MCFFHP(2, 2, 5), run, res); err != nil {
 			t.Fatalf("bounded run: %v", err)
 		}
-		if _, err := fuzz.RunOnMachine(machalg.MCFFBL(2, 5), run, set); err != nil {
+		if _, err := fuzz.RunOnMachine(machalg.MCFFBL(2, 5), run, res); err != nil {
 			t.Fatalf("bounded run: %v", err)
 		}
 	}
-	if !set.Ok() {
-		t.Fatalf("Δ-enforcing machine tripped monitors: %v", set.Violations())
+	if vs := res.Violations(); len(vs) > 0 {
+		t.Fatalf("Δ-enforcing machine tripped the monitor: %v", vs)
 	}
 	if res.Bound() != 10 {
 		t.Fatalf("monitor did not inherit run Δ: bound = %d", res.Bound())
@@ -143,153 +130,87 @@ func TestBoundedMachineRunsClean(t *testing.T) {
 }
 
 // TestLitmusSuiteMonitoredClean runs a full litmus sweep with the
-// monitor set attached through RunConfig.Sinks: correct algorithms on a
+// monitor attached through RunConfig.Sinks: correct algorithms on a
 // correct machine must be violation-free.
 func TestLitmusSuiteMonitoredClean(t *testing.T) {
-	set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
+	res := monitor.NewResidency(nil, 0)
 	for _, test := range litmus.All(6) {
 		rep := litmus.Run(test, litmus.RunConfig{
-			Seeds: 5, Delta: 6, Sinks: []tso.Sink{set},
+			Seeds: 5, Delta: 6, Sinks: []tso.Sink{res},
 		})
 		if len(rep.Errs) > 0 || rep.Total == 0 {
 			t.Fatalf("%s: %d executions, errors %v", rep.Test, rep.Total, rep.Errs)
 		}
 	}
-	if !set.Ok() {
-		t.Fatalf("monitored litmus sweep tripped: %v", set.Violations())
+	if vs := res.Violations(); len(vs) > 0 {
+		t.Fatalf("monitored litmus sweep tripped: %v", vs)
 	}
 }
 
-// TestFuzzSmokeMonitoredClean threads monitor sets through the
+// TestFuzzSmokeMonitoredClean threads monitors through the
 // differential fuzzer's Config.Flight: a short campaign's machine side
 // runs entirely under residency verification and must stay clean.
 func TestFuzzSmokeMonitoredClean(t *testing.T) {
 	var mu sync.Mutex
-	var sets []*monitor.Set
-	flight := monitor.NewShardedFlight(func() *monitor.Set {
-		set := monitor.NewSet(monitor.NewResidency(nil, 0), monitor.NewDrainAccounting())
+	var mons []*monitor.Residency
+	flight := monitor.NewShardedFlight(func() *monitor.Residency {
+		res := monitor.NewResidency(nil, 0)
 		mu.Lock()
-		sets = append(sets, set)
+		mons = append(mons, res)
 		mu.Unlock()
-		return set
+		return res
 	}, 0)
 	rep := fuzz.Run(fuzz.Config{Flight: flight, Deltas: []int{0, 2}}, 4, 1)
 	if len(rep.Mismatches) > 0 {
 		t.Fatalf("fuzz mismatches: %v", rep.Mismatches)
 	}
-	if len(sets) != 4 {
-		t.Fatalf("monitored %d programs, want 4", len(sets))
+	if len(mons) != 4 {
+		t.Fatalf("monitored %d programs, want 4", len(mons))
 	}
-	for _, set := range sets {
-		if !set.Ok() {
-			t.Fatalf("monitored fuzz campaign tripped: %v", set.Violations())
+	for _, res := range mons {
+		if vs := res.Violations(); len(vs) > 0 {
+			t.Fatalf("monitored fuzz campaign tripped: %v", vs)
 		}
 	}
 }
 
-// TestDrainAccountingVerifyStats cross-checks the event-derived drain
-// tallies against the machine's own Stats on a real run.
-func TestDrainAccountingVerifyStats(t *testing.T) {
-	da := monitor.NewDrainAccounting()
-	cfg := tso.Config{Delta: 12, Policy: tso.DrainRandom, Seed: 9, Sinks: []tso.Sink{da}}
-	m := tso.New(cfg)
-	a := m.AllocWords(4)
-	m.Spawn("w", func(th *tso.Thread) {
-		for i := 0; i < 40; i++ {
-			th.Store(a+tso.Addr(i%4), tso.Word(i))
-			if i%13 == 12 {
-				th.Fence()
-			}
-		}
-	})
-	m.Spawn("r", func(th *tso.Thread) {
-		for i := 0; i < 25; i++ {
-			_ = th.Load(a + tso.Addr(i%4))
-			if i%9 == 8 {
-				th.CAS(a, 0, tso.Word(i))
-			}
-		}
-	})
-	res := m.Run()
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if vs := da.VerifyStats(res.Stats); len(vs) > 0 {
-		t.Fatalf("drain accounting mismatch: %v", vs)
-	}
-	if len(da.Violations()) > 0 {
-		t.Fatalf("online violations on a clean run: %v", da.Violations())
-	}
-	// A doctored Stats must be caught.
-	bad := res.Stats
-	bad.Commits++
-	if vs := da.VerifyStats(bad); len(vs) == 0 {
-		t.Fatal("doctored stats (Commits+1) not flagged")
-	}
-}
-
-// TestSMRVisibilitySynthetic drives the hazard-slot watcher with a
-// hand-built commit stream: timely publications pass, a late one
-// violates, and the occupancy bookkeeping tracks publish/clear.
-func TestSMRVisibilitySynthetic(t *testing.T) {
-	reg := obs.NewRegistry()
-	sv := monitor.NewSMRVisibility(reg, 5)
-	sv.SetHazardRange(100, 4)
-	sv.BeginRun([]string{"r0", "r1"}, 0)
-
-	commit := func(addr tso.Addr, val tso.Word, enq, tick uint64) {
-		sv.Emit(tso.Event{Kind: tso.EvCommit, Thread: 0, Addr: addr, Val: val, Enq: enq, Tick: tick})
-	}
-	commit(100, 7, 10, 13) // publish, lat 3: fine
-	commit(100, 0, 20, 22) // clear
-	commit(99, 9, 0, 50)   // out of range: ignored
-	commit(104, 9, 0, 50)  // out of range: ignored
-	if n := len(sv.Violations()); n != 0 {
-		t.Fatalf("clean stream produced %d violations", n)
-	}
-	commit(101, 3, 30, 44) // publish, lat 14 > 5: the §4 missed-scan window
-	vs := sv.Violations()
-	if len(vs) != 1 {
-		t.Fatalf("late publication not caught: %v", vs)
-	}
-	if vs[0].Monitor != "smr-visibility" || vs[0].Enq != 30 || vs[0].Tick != 44 {
-		t.Fatalf("violation wrong: %+v", vs[0])
-	}
-	if got := reg.Counter(monitor.MetricSMRPublishes).Load(); got != 2 {
-		t.Fatalf("publishes = %d, want 2", got)
-	}
-	if got := reg.Counter(monitor.MetricSMRClears).Load(); got != 1 {
-		t.Fatalf("clears = %d, want 1", got)
-	}
-	if got := reg.Gauge(monitor.MetricSMRPublished).Load(); got != 1 {
-		t.Fatalf("published gauge = %d, want 1", got)
-	}
-}
-
-// TestSMRVisibilityOnReclaimDemo wires the monitor into the real §4
-// demo through a flight recorder's SeedRecorder: the demo's sink-side
-// SetHazardRange handshake must reach the group's smr monitor, and the
-// fence-free scheme on a Δ-bounded machine must be clean.
-func TestSMRVisibilityOnReclaimDemo(t *testing.T) {
-	reg := obs.NewRegistry()
-	flight := monitor.NewShardedFlight(func() *monitor.Set {
-		return monitor.NewSet(monitor.NewSMRVisibility(reg, 0), monitor.NewResidency(reg, 0))
-	}, 0)
-	rec := flight.Record(0)
-	out := machalg.ReclaimRaceDemo(8, machalg.HPFenceFree, rec)
-	flight.Append(rec.Finish())
+// TestResidencyOnReclaimDemo runs the residency monitor on the §4
+// reclamation race (machalg.ReclaimRaceDemo). FFHP on TBTSO[8] is
+// clean at the run's own Δ. The unsafe row on plain TSO, checked at
+// bound 8, trips, and its violations include the late hazard
+// publication: the reader's (T0) commit of node 1 into its hazard slot
+// 1, at address 10, more than 8 ticks after its issue — a reclaim scan
+// waiting 8 ticks could have missed it. The exact ticks depend on how
+// the demo's handshake goroutines are scheduled.
+func TestResidencyOnReclaimDemo(t *testing.T) {
+	res := monitor.NewResidency(nil, 0)
+	out := machalg.ReclaimRaceDemo(8, machalg.HPFenceFree, res)
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
 	if out.UseAfterFree || out.FreedEarly {
 		t.Fatalf("FFHP on TBTSO[8] unsound: %+v", out)
 	}
-	if vs := flight.Violations(); len(vs) > 0 {
-		t.Fatalf("monitored demo tripped: %v", vs)
+	if vs := res.Violations(); len(vs) > 0 {
+		t.Fatalf("FFHP on TBTSO[8] tripped: %v", vs)
 	}
-	if got := reg.Counter(monitor.MetricSMRPublishes).Load(); got == 0 {
-		t.Fatal("SetHazardRange handshake failed: no hazard publications observed")
+
+	res = monitor.NewResidency(nil, 8)
+	out = machalg.ReclaimRaceDemo(0, machalg.HPUnsafe, res)
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
+	if !out.UseAfterFree {
+		t.Fatalf("unsafe row on plain TSO reported no use-after-free: %+v", out)
+	}
+	vs := res.Violations()
+	for _, v := range vs {
+		if v.Thread == 0 && v.Tick-v.Enq > 8 && strings.HasPrefix(v.Detail, "store [10]=1 ") &&
+			strings.Contains(v.Event, " T0 commit [10]=1 ") {
+			return
+		}
+	}
+	t.Fatalf("late hazard publication not among the violations:\n%v", vs)
 }
 
 // TestViolationOverflowMarker checks the retention cap: a monitor

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"fmt"
+	"sync"
 
 	"tbtso/internal/obs"
 	"tbtso/internal/tso"
@@ -20,6 +21,11 @@ const (
 	MetricResidencyMaxPrefix = "monitor.residency.max_ticks."
 )
 
+// maxKept bounds how many Violations the monitor retains verbatim;
+// beyond it only the count grows, so a hopelessly broken run cannot
+// make its own monitoring OOM.
+const maxKept = 32
+
 // Residency is the Δ-residency monitor: it checks, on every commit
 // event, that the store's residency (commit tick − enqueue tick) is
 // within the expected bound — the paper's central temporal invariant,
@@ -34,7 +40,6 @@ const (
 // makes no Δ promise, the algorithm under test assumes one, and the
 // monitor reports every commit that betrays the assumption.
 type Residency struct {
-	rec       recorder
 	bound     uint64 // configured; 0 = inherit the run's Δ
 	effective uint64
 	hist      *obs.Histogram
@@ -42,6 +47,12 @@ type Residency struct {
 	reg       *obs.Registry
 	maxRes    []*obs.Gauge
 	maxVal    []uint64
+
+	// mu guards the violation store; recording is off the hot path by
+	// definition.
+	mu    sync.Mutex
+	kept  []Violation
+	total uint64
 }
 
 // NewResidency returns a residency monitor publishing into reg (nil
@@ -52,16 +63,12 @@ func NewResidency(reg *obs.Registry, bound uint64) *Residency {
 		reg = obs.NewRegistry()
 	}
 	return &Residency{
-		rec:   recorder{name: "residency"},
 		bound: bound,
 		reg:   reg,
 		hist:  reg.Histogram(MetricResidency, obs.CommitLatencyBuckets()),
 		viol:  reg.Counter(MetricResidencyViolations),
 	}
 }
-
-// Name implements Monitor.
-func (m *Residency) Name() string { return m.rec.name }
 
 // Bound reports the bound in force for the current run (0 until the
 // first BeginRun when configured to inherit).
@@ -103,7 +110,7 @@ func (m *Residency) Emit(e tso.Event) {
 	}
 	if m.effective != 0 && lat > m.effective {
 		m.viol.Inc()
-		m.rec.record(Violation{
+		m.record(Violation{
 			Thread: e.Thread, Enq: e.Enq, Tick: e.Tick,
 			Detail: fmt.Sprintf("store [%d]=%d stayed buffered %d ticks, bound %d",
 				e.Addr, e.Val, lat, m.effective),
@@ -112,5 +119,25 @@ func (m *Residency) Emit(e tso.Event) {
 	}
 }
 
-// Violations implements Monitor.
-func (m *Residency) Violations() []Violation { return m.rec.violations() }
+func (m *Residency) record(v Violation) {
+	v.Monitor = "residency"
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.total++
+	if len(m.kept) < maxKept {
+		m.kept = append(m.kept, v)
+	}
+}
+
+// Violations returns everything recorded so far: at most maxKept
+// entries, plus an overflow marker counting the rest.
+func (m *Residency) Violations() []Violation {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := append([]Violation(nil), m.kept...)
+	if extra := m.total - uint64(len(out)); extra > 0 {
+		out = append(out, Violation{Monitor: "residency", Thread: -1,
+			Detail: fmt.Sprintf("... and %d further violations not retained", extra)})
+	}
+	return out
+}

@@ -101,8 +101,8 @@ func TestConcurrentScrapesDuringCampaign(t *testing.T) {
 	srv := New(reg)
 	var published atomic.Pointer[coverage.Snapshot]
 	srv.SetCoverage(published.Load)
-	flight := monitor.NewShardedFlight(func() *monitor.Set {
-		return monitor.NewSet(monitor.NewDrainAccounting())
+	flight := monitor.NewShardedFlight(func() *monitor.Residency {
+		return monitor.NewResidency(reg, 0)
 	}, monitor.DefaultFlightSeeds)
 	srv.SetFlight(flight)
 

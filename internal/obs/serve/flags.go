@@ -18,10 +18,9 @@ import (
 type Options struct {
 	// Listen is the ops endpoint address ("" = no endpoint).
 	Listen string
-	// Monitors selects online monitors attached to machine runs:
-	// comma list of residency[=Δ], drain, smr[=Δ], or "all"
-	// ("" = none). A monitor's =Δ overrides the bound it checks;
-	// without it the run's own Δ is used.
+	// Monitors attaches the residency monitor to machine runs:
+	// "residency" checks each run's own Δ, "residency=Δ" checks the
+	// given bound ("" = none).
 	Monitors string
 	// Linger keeps the ops endpoint serving this long after the
 	// command's work finishes, so external scrapers can collect the
@@ -37,7 +36,7 @@ type Options struct {
 // commands that run monitored machines.
 func (o *Options) Register(fs *flag.FlagSet) {
 	o.RegisterEndpoint(fs)
-	fs.StringVar(&o.Monitors, "obs.monitor", "", "attach online monitors to machine runs: comma list of residency[=Δ], drain, smr[=Δ], or all")
+	fs.StringVar(&o.Monitors, "obs.monitor", "", "attach the residency monitor to machine runs: residency (each run's own Δ) or residency=Δ")
 	fs.StringVar(&o.FlightDir, "obs.flightdir", "", "write a flight-recorder artifact here when a monitor reports a violation")
 }
 
@@ -55,7 +54,7 @@ func (o *Options) RegisterEndpoint(fs *flag.FlagSet) {
 type Session struct {
 	Registry *obs.Registry
 	// Flight records the command's machine runs in seed-ordered groups,
-	// each checked by a fresh set of the requested monitors.
+	// each checked by a fresh residency monitor when one was requested.
 	Flight *monitor.ShardedFlight
 	// Addr is the ops endpoint's bound address ("" when not serving).
 	Addr string
@@ -78,18 +77,13 @@ func (o Options) Start(reg *obs.Registry) (*Session, error) {
 	s := &Session{Registry: reg, linger: o.Linger, flightDir: o.FlightDir, monitored: o.Monitors != ""}
 
 	if o.Monitors != "" || o.FlightDir != "" {
-		var factory func() *monitor.Set
-		if spec := o.Monitors; spec != "" {
-			if _, err := ParseMonitors(spec, reg); err != nil {
+		var factory func() *monitor.Residency
+		if o.Monitors != "" {
+			bound, err := ParseMonitors(o.Monitors)
+			if err != nil {
 				return nil, err
 			}
-			factory = func() *monitor.Set {
-				set, err := ParseMonitors(spec, reg)
-				if err != nil {
-					panic("serve: monitor spec: " + err.Error()) // validated above
-				}
-				return set
-			}
+			factory = func() *monitor.Residency { return monitor.NewResidency(reg, bound) }
 		}
 		s.Flight = monitor.NewShardedFlight(factory, monitor.DefaultFlightSeeds)
 	}
@@ -108,53 +102,21 @@ func (o Options) Start(reg *obs.Registry) (*Session, error) {
 	return s, nil
 }
 
-// ParseMonitors builds a monitor set from a -obs.monitor spec:
-// "residency", "residency=40,drain", "all", ... publishing into reg.
-func ParseMonitors(spec string, reg *obs.Registry) (*monitor.Set, error) {
-	var mons []monitor.Monitor
-	add := func(name string, bound uint64) error {
-		switch name {
-		case "residency":
-			mons = append(mons, monitor.NewResidency(reg, bound))
-		case "drain":
-			mons = append(mons, monitor.NewDrainAccounting())
-		case "smr":
-			mons = append(mons, monitor.NewSMRVisibility(reg, bound))
-		default:
-			return fmt.Errorf("serve: unknown monitor %q (valid: residency[=Δ], drain, smr[=Δ], all)", name)
-		}
-		return nil
+// ParseMonitors parses a -obs.monitor spec, "residency" or
+// "residency=Δ", into the bound the residency monitor checks (0 =
+// each run's own Δ).
+func ParseMonitors(spec string) (bound uint64, err error) {
+	name, boundStr, hasBound := strings.Cut(strings.TrimSpace(spec), "=")
+	if name != "residency" {
+		return 0, fmt.Errorf("serve: unknown monitor %q (valid: residency or residency=Δ)", spec)
 	}
-	for _, field := range strings.Split(spec, ",") {
-		field = strings.TrimSpace(field)
-		if field == "" {
-			continue
-		}
-		name, boundStr, hasBound := strings.Cut(field, "=")
-		var bound uint64
-		if hasBound {
-			v, err := strconv.ParseUint(boundStr, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("serve: monitor %q: bad bound %q", name, boundStr)
-			}
-			bound = v
-		}
-		if name == "all" {
-			if hasBound {
-				return nil, fmt.Errorf("serve: monitor \"all\" takes no =Δ bound")
-			}
-			for _, n := range []string{"residency", "drain", "smr"} {
-				if err := add(n, 0); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		if err := add(name, bound); err != nil {
-			return nil, err
-		}
+	if !hasBound {
+		return 0, nil
 	}
-	return monitor.NewSet(mons...), nil
+	if bound, err = strconv.ParseUint(boundStr, 10, 64); err != nil {
+		return 0, fmt.Errorf("serve: monitor %q: bad bound %q (valid: residency or residency=Δ)", spec, boundStr)
+	}
+	return bound, nil
 }
 
 // Server returns the running ops server (nil unless -obs.listen), so

@@ -5,8 +5,9 @@
 // and debuggable while it executes. Every command wires it through the
 // shared flag helper in flags.go: all of them take -obs.listen and
 // -obs.linger, and the two that run monitored machines, tbtso-sim and
-// tbtso-fuzz, also take -obs.monitor and -obs.flightdir. See
-// docs/OBSERVABILITY.md for curl examples.
+// tbtso-fuzz, also take -obs.monitor (the residency monitor, with an
+// optional =Δ bound) and -obs.flightdir. See docs/OBSERVABILITY.md for
+// curl examples.
 package serve
 
 import (

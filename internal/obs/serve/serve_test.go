@@ -57,8 +57,8 @@ func TestWritePrometheusExposition(t *testing.T) {
 
 func TestHandlers(t *testing.T) {
 	reg := testRegistry()
-	flight := monitor.NewShardedFlight(func() *monitor.Set {
-		return monitor.NewSet(monitor.NewResidency(reg, 5))
+	flight := monitor.NewShardedFlight(func() *monitor.Residency {
+		return monitor.NewResidency(reg, 5)
 	}, 0)
 	srv := New(reg)
 	srv.SetFlight(flight)
@@ -133,21 +133,32 @@ func TestFlightRecorderHandlerWithoutRecorder(t *testing.T) {
 	}
 }
 
+// TestParseMonitors pins the -obs.monitor grammar: residency, with
+// an optional =Δ bound, is the only monitor, and every rejection names
+// the valid form.
 func TestParseMonitors(t *testing.T) {
-	reg := obs.NewRegistry()
-	set, err := ParseMonitors("residency=40, drain,smr", reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(set.Monitors()); got != 3 {
-		t.Fatalf("parsed %d monitors, want 3", got)
-	}
-	if set2, err := ParseMonitors("all", reg); err != nil || len(set2.Monitors()) != 3 {
-		t.Fatalf("all: %v, %d monitors", err, len(set2.Monitors()))
-	}
-	for _, bad := range []string{"bogus", "residency=x", "all=3"} {
-		if _, err := ParseMonitors(bad, obs.NewRegistry()); err == nil {
-			t.Errorf("spec %q accepted", bad)
+	for _, tc := range []struct {
+		spec  string
+		bound uint64
+		ok    bool
+	}{
+		{"residency", 0, true},
+		{"residency=8", 8, true},
+		{"drain", 0, false},
+		{"smr", 0, false},
+		{"all", 0, false},
+		{"residency=x", 0, false},
+		{"residency,drain", 0, false},
+		{"bogus", 0, false},
+	} {
+		bound, err := ParseMonitors(tc.spec)
+		switch {
+		case tc.ok && (err != nil || bound != tc.bound):
+			t.Errorf("%q: bound %d, err %v; want bound %d", tc.spec, bound, err, tc.bound)
+		case !tc.ok && err == nil:
+			t.Errorf("%q accepted", tc.spec)
+		case !tc.ok && !strings.Contains(err.Error(), "residency=Δ"):
+			t.Errorf("%q: error %q does not name the valid form", tc.spec, err)
 		}
 	}
 }
@@ -157,7 +168,7 @@ func TestParseMonitors(t *testing.T) {
 // FinishContext with a flight artifact.
 func TestOptionsStartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Listen: "127.0.0.1:0", Monitors: "residency=5,drain", FlightDir: dir}
+	opts := Options{Listen: "127.0.0.1:0", Monitors: "residency=5", FlightDir: dir}
 	sess, err := opts.Start(nil)
 	if err != nil {
 		t.Fatal(err)

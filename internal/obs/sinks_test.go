@@ -52,9 +52,8 @@ func TestMachineMetricsMatchStats(t *testing.T) {
 	check(MetricRMWs, res.Stats.RMWs)
 	check(MetricFences, res.Stats.Fences)
 	check(MetricCommits, res.Stats.Commits)
-	for c := 0; c < tso.NumDrainCauses; c++ {
-		cause := tso.DrainCause(c)
-		check("machine.drain."+cause.String(), res.Stats.Drains.ByCause(cause))
+	for c, n := range res.Stats.Drains {
+		check("machine.drain."+tso.DrainCause(c).String(), n)
 	}
 	lat := reg.Histogram(MetricCommitLatency, CommitLatencyBuckets())
 	if lat.Count() != res.Stats.Commits {

@@ -279,7 +279,7 @@ func (m *Machine) commitOldest(i int, cause DrainCause) {
 	e := m.sb[i].pop()
 	m.memStore(e.addr, e.val)
 	m.stats.Commits++
-	m.stats.Drains.add(cause)
+	m.stats.Drains[cause]++
 	lat := m.clock - e.enq
 	if lat > m.stats.MaxCommitLatency {
 		m.stats.MaxCommitLatency = lat

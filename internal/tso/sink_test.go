@@ -63,7 +63,11 @@ func TestDrainCausesSumToCommits(t *testing.T) {
 		if res.Stats.Commits != res.Stats.Stores {
 			t.Errorf("cfg %+v: %d commits for %d stores", cfg, res.Stats.Commits, res.Stats.Stores)
 		}
-		if got := res.Stats.Drains.Total(); got != res.Stats.Commits {
+		var got uint64
+		for _, n := range res.Stats.Drains {
+			got += n
+		}
+		if got != res.Stats.Commits {
 			t.Errorf("cfg %+v: drain causes sum to %d, want Commits=%d (%+v)",
 				cfg, got, res.Stats.Commits, res.Stats.Drains)
 		}
@@ -78,10 +82,10 @@ func TestDrainCauseAttribution(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Stats.Drains.Policy != 0 {
-		t.Errorf("adversarial policy recorded %d policy drains", res.Stats.Drains.Policy)
+	if res.Stats.Drains[CausePolicy] != 0 {
+		t.Errorf("adversarial policy recorded %d policy drains", res.Stats.Drains[CausePolicy])
 	}
-	if res.Stats.Drains.Delta == 0 {
+	if res.Stats.Drains[CauseDelta] == 0 {
 		t.Error("adversarial + Δ recorded no Δ-forced drains")
 	}
 
@@ -92,10 +96,10 @@ func TestDrainCauseAttribution(t *testing.T) {
 		t.Fatal(res.Err)
 	}
 	d := res.Stats.Drains
-	if d.Capacity == 0 {
+	if d[CauseCapacity] == 0 {
 		t.Error("TSO[S=2] recorded no capacity drains")
 	}
-	if d.Delta != 0 || d.Policy != 0 || d.Interrupt != 0 {
+	if d[CauseDelta] != 0 || d[CausePolicy] != 0 || d[CauseInterrupt] != 0 {
 		t.Errorf("unexpected causes under TSO[S] adversarial: %+v", d)
 	}
 
@@ -104,7 +108,7 @@ func TestDrainCauseAttribution(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Stats.Drains.Interrupt == 0 {
+	if res.Stats.Drains[CauseInterrupt] == 0 {
 		t.Error("TickPeriod=20 recorded no interrupt drains")
 	}
 }

@@ -163,64 +163,10 @@ const DefaultMaxTicks = 2_000_000
 // DefaultDrainMargin is used when Config.DrainMargin is zero.
 const DefaultDrainMargin = 16
 
-// DrainStats breaks the run's commits down by drain cause. Every
-// commit has exactly one cause, so the fields sum to Stats.Commits
-// (asserted by TestDrainCausesSumToCommits).
-type DrainStats struct {
-	Delta     uint64 // dequeues forced by the Δ bound
-	Policy    uint64 // voluntary dequeues per the drain policy
-	Fence     uint64 // dequeues draining the buffer for a fence
-	RMW       uint64 // dequeues under the memory lock before an RMW
-	Capacity  uint64 // dequeues making room in a full TSO[S] buffer
-	Interrupt uint64 // dequeues by §6.2 timer interrupts
-	Final     uint64 // end-of-run flush after all threads finished
-}
-
-// ByCause returns the count for one cause.
-func (d DrainStats) ByCause(c DrainCause) uint64 {
-	switch c {
-	case CauseDelta:
-		return d.Delta
-	case CausePolicy:
-		return d.Policy
-	case CauseFence:
-		return d.Fence
-	case CauseRMW:
-		return d.RMW
-	case CauseCapacity:
-		return d.Capacity
-	case CauseInterrupt:
-		return d.Interrupt
-	case CauseFinal:
-		return d.Final
-	default:
-		return 0
-	}
-}
-
-// Total sums all causes; it equals Stats.Commits for a completed run.
-func (d DrainStats) Total() uint64 {
-	return d.Delta + d.Policy + d.Fence + d.RMW + d.Capacity + d.Interrupt + d.Final
-}
-
-func (d *DrainStats) add(c DrainCause) {
-	switch c {
-	case CauseDelta:
-		d.Delta++
-	case CausePolicy:
-		d.Policy++
-	case CauseFence:
-		d.Fence++
-	case CauseRMW:
-		d.RMW++
-	case CauseCapacity:
-		d.Capacity++
-	case CauseInterrupt:
-		d.Interrupt++
-	case CauseFinal:
-		d.Final++
-	}
-}
+// DrainStats breaks the run's commits down by drain cause, indexed by
+// DrainCause. Every commit has exactly one cause, so the entries sum
+// to Stats.Commits (asserted by TestDrainCausesSumToCommits).
+type DrainStats [NumDrainCauses]uint64
 
 // Stats aggregates counters for a completed run.
 type Stats struct {

@@ -118,7 +118,7 @@ func TestDeltaBoundForcesVisibility(t *testing.T) {
 	if res.Stats.MaxCommitLatency > delta {
 		t.Fatalf("MaxCommitLatency %d > Δ %d", res.Stats.MaxCommitLatency, delta)
 	}
-	if res.Stats.Drains.Delta == 0 {
+	if res.Stats.Drains[CauseDelta] == 0 {
 		t.Fatal("expected at least one Δ-forced drain")
 	}
 }

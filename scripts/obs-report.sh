@@ -22,7 +22,7 @@ for run in 1 2; do
     mkdir -p "$dir"
     if [ "$run" = 1 ]; then n=$n1; seed=1; else n=$n2; seed=100001; fi
     "$workdir/tbtso-fuzz" -n "$n" -seed "$seed" -workers 2 \
-        -obs.monitor drain -obs.flightdir "$dir" -ckpt "$dir/c.ckpt" \
+        -obs.monitor residency -obs.flightdir "$dir" -ckpt "$dir/c.ckpt" \
         >/dev/null 2>"$dir/log" || {
         echo "obs-report: campaign $run failed:" >&2
         cat "$dir/log" >&2

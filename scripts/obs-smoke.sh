@@ -20,7 +20,7 @@ trap cleanup EXIT INT TERM
 go build -o "$workdir/tbtso-sim" ./cmd/tbtso-sim
 
 "$workdir/tbtso-sim" -test SB -delta 50 -seeds 40 \
-    -obs.listen 127.0.0.1:0 -obs.monitor residency,drain -obs.linger 30s \
+    -obs.listen 127.0.0.1:0 -obs.monitor residency -obs.linger 30s \
     >/dev/null 2>"$workdir/log" &
 pid=$!
 
@@ -73,7 +73,7 @@ go build -o "$workdir/tbtso-obs" ./cmd/tbtso-obs
 rundir="$workdir/run1"
 mkdir -p "$rundir"
 "$workdir/tbtso-fuzz" -n 600 -workers 4 \
-    -obs.listen 127.0.0.1:0 -obs.monitor drain \
+    -obs.listen 127.0.0.1:0 -obs.monitor residency \
     -obs.flightdir "$rundir" -ckpt "$rundir/c.ckpt" \
     >/dev/null 2>"$workdir/fuzzlog" &
 pid=$!

@@ -133,7 +133,7 @@ func TestCLIsRun(t *testing.T) {
 	t.Run("bench-monitor-usage", func(t *testing.T) {
 		// tbtso-bench runs no monitored machine, so a monitor request is
 		// a usage error rather than a silent "0 violations".
-		out, code := runExit(t, "./cmd/tbtso-bench", "-obs.monitor", "drain")
+		out, code := runExit(t, "./cmd/tbtso-bench", "-obs.monitor", "residency")
 		if code != 2 || !strings.Contains(out, "-obs.monitor") {
 			t.Fatalf("tbtso-bench -obs.monitor exited %d, want 2:\n%s", code, out)
 		}
