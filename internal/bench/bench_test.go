@@ -160,16 +160,21 @@ func TestRWLockTable(t *testing.T) {
 }
 
 func TestSizingResultSane(t *testing.T) {
-	// The tiny duration can elapse before the workers retire anything
-	// when the scheduler is slow (race detector, loaded CI box); grow
-	// the window instead of flaking.
+	// The suggested R is 2·rate·Δ rounded, so it is positive only once
+	// rate·Δ ≥ 1/4. At the 0.5 ms hardware Δ that needs 0.5 retires per
+	// ms per thread, about what a race build on a loaded box manages,
+	// so the test sizes for the paper's own example Δ of 10 ms (§4.2.1).
+	// Each worker inserts its whole key range before it deletes, so a
+	// tiny window can end before any retire: grow it until R is positive.
 	o := tinyOptions()
+	o.DeltaHW = 10 * time.Millisecond
 	var res SizingResult
 	for try := 0; ; try++ {
 		var tbl *report.Table
 		tbl, res = Sizing(o)
 		render(t, tbl)
-		if res.RetireRatePerMsPerThread > 0 || try == 3 {
+		t.Logf("%v window: %.3f retires/ms/thread, suggested R %d", o.Duration, res.RetireRatePerMsPerThread, res.SuggestedR)
+		if res.SuggestedR > 0 || try == 3 {
 			break
 		}
 		o.Duration *= 4

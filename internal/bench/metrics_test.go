@@ -25,15 +25,32 @@ func counterValue(t *testing.T, reg *obs.Registry, name string) uint64 {
 }
 
 func TestRunTablePublishesSchemeMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	res := RunTableCell(TableCell{
+	cell := TableCell{
 		Kind: smr.KindFFHP, Mix: workload.ReadWrite, ChainLen: 4,
 		Threads: 4, Buckets: 64,
 		Duration: 40 * time.Millisecond, DeltaHW: 200 * time.Microsecond,
-		Metrics: reg,
-	})
-	if res.UpdaterRate == 0 {
-		t.Skip("no updates ran; machine too loaded to assert on counters")
+	}
+	// An updater first inserts every key of its range and then removes
+	// them, so a retire (and the exit flush's scan) is forced only once
+	// the updaters together ran more updates than the universe has keys.
+	// A slow scheduler (race detector, loaded box) can miss that in 40
+	// ms, so the cell grows until it is met.
+	universe := float64(workload.UniverseForChain(cell.ChainLen, cell.Buckets))
+	var reg *obs.Registry
+	var res TableRun
+	var updates float64
+	for try := 0; ; try++ {
+		reg = obs.NewRegistry()
+		cell.Metrics = reg
+		res = RunTableCell(cell)
+		updates = res.UpdaterRate * cell.Duration.Seconds()
+		if updates > universe+0.5 || try == 4 {
+			break
+		}
+		cell.Duration *= 2
+	}
+	if updates <= universe+0.5 {
+		t.Skipf("%.0f updates in %v, too few to force a retire; machine too loaded to assert on counters", updates, cell.Duration)
 	}
 	prefix := "smr." + res.Scheme + "."
 	if counterValue(t, reg, prefix+"retires") == 0 {

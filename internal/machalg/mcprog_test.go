@@ -122,10 +122,12 @@ func TestFFBLRevocationExhaustiveDeltaSweep(t *testing.T) {
 }
 
 // TestFFBLRevocationExhaustiveScale: four identical revokers against
-// the fence-free owner — ~248k canonical states (symmetry folds the
+// the fence-free owner — 248,291 canonical states (symmetry folds the
 // revokers), fully enumerated in well under a second; the reference
 // explorer truncates a 300k budget on the unreduced space. The second
-// previously-out-of-reach fragment.
+// previously-out-of-reach fragment. The exact count pins symmetry
+// canonicalization, which swaps identical threads' contents in the
+// checker's state slabs.
 func TestFFBLRevocationExhaustiveScale(t *testing.T) {
 	const delta = 2
 	p := MCFFBL(4, delta+1)
@@ -141,8 +143,8 @@ func TestFFBLRevocationExhaustiveScale(t *testing.T) {
 	if got := len(res.Outcomes); got != 816 {
 		t.Fatalf("outcome set changed: %d outcomes, want 816", got)
 	}
-	if res.States < 200_000 {
-		t.Fatalf("states = %d, want the full ≥2e5-state space", res.States)
+	if res.States != 248_291 {
+		t.Fatalf("states = %d, want 248291", res.States)
 	}
 	// Re-bias visibility: some outcome has the owner observing the
 	// transferred bias word.

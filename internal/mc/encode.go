@@ -75,30 +75,14 @@ func varintAt(s []byte, i int) (int64, int) {
 	return x, n
 }
 
-// decodeState rehydrates src (produced by appendState for a state of
-// program p) into dst, reusing dst's slice capacity.
-func decodeState(dst *state, p Program, src []byte) {
-	nt := len(p.Threads)
-	dst.pc = grow(dst.pc, nt)
-	dst.wait = grow(dst.wait, nt)
-	if cap(dst.armed) < nt {
-		dst.armed = make([]bool, nt)
-	}
-	dst.armed = dst.armed[:nt]
-	if cap(dst.bufs) < nt {
-		dst.bufs = make([][]bufEntry, nt)
-	}
-	dst.bufs = dst.bufs[:nt]
-	if cap(dst.regs) < nt {
-		dst.regs = make([][]int, nt)
-	}
-	dst.regs = dst.regs[:nt]
-	dst.mem = grow(dst.mem, p.Vars)
-
+// decodeState rehydrates src, produced by appendState, into dst, which
+// has the layout of src's program (newState). A buffer longer than its
+// thread's region is not a state of that program and panics.
+func decodeState(dst *state, src []byte) {
 	pos := 0
 	var u uint64
 	var v int64
-	for i := 0; i < nt; i++ {
+	for i := range dst.pc {
 		u, pos = uvarintAt(src, pos)
 		dst.pc[i] = int(u)
 		u, pos = uvarintAt(src, pos)
@@ -106,39 +90,28 @@ func decodeState(dst *state, p Program, src []byte) {
 		dst.armed[i] = src[pos] != 0
 		pos++
 		u, pos = uvarintAt(src, pos)
-		n := int(u)
-		if cap(dst.bufs[i]) < n {
-			dst.bufs[i] = make([]bufEntry, n)
-		}
-		dst.bufs[i] = dst.bufs[i][:n]
-		for j := 0; j < n; j++ {
+		b := dst.bufs[i][:u]
+		for j := range b {
 			u, pos = uvarintAt(src, pos)
-			dst.bufs[i][j].addr = int(u)
+			b[j].addr = int(u)
 			v, pos = varintAt(src, pos)
-			dst.bufs[i][j].val = int(v)
+			b[j].val = int(v)
 			u, pos = uvarintAt(src, pos)
-			dst.bufs[i][j].age = int(u)
+			b[j].age = int(u)
 		}
-		dst.regs[i] = grow(dst.regs[i], p.Regs)
-		for r := 0; r < p.Regs; r++ {
+		dst.bufs[i] = b
+		for r := range dst.regs[i] {
 			v, pos = varintAt(src, pos)
 			dst.regs[i][r] = int(v)
 		}
 	}
-	for a := 0; a < p.Vars; a++ {
+	for a := range dst.mem {
 		v, pos = varintAt(src, pos)
 		dst.mem[a] = int(v)
 	}
 	if pos != len(src) {
 		panic("mc: trailing bytes in state encoding")
 	}
-}
-
-func grow(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // appendRegs encodes the per-thread register files alone — the compact

@@ -20,30 +20,11 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 	f.Add(int64(-1), int64(1<<40))
 	f.Fuzz(func(t *testing.T, progSeed, stateSeed int64) {
 		p := genProgram(progSeed)
-		rng := rand.New(rand.NewSource(stateSeed))
-		s := newState(p)
-		for i := range p.Threads {
-			s.pc[i] = rng.Intn(len(p.Threads[i]) + 1)
-			s.wait[i] = rng.Intn(5)
-			s.armed[i] = rng.Intn(2) == 1
-			for j, n := 0, rng.Intn(3); j < n; j++ {
-				s.bufs[i] = append(s.bufs[i], bufEntry{
-					addr: rng.Intn(p.Vars),
-					val:  rng.Intn(7) - 3, // negatives exercise zigzag
-					age:  rng.Intn(6),
-				})
-			}
-			for r := range s.regs[i] {
-				s.regs[i][r] = rng.Intn(9) - 4
-			}
-		}
-		for a := range s.mem {
-			s.mem[a] = rng.Intn(9) - 4
-		}
+		s := drawState(p, rand.New(rand.NewSource(stateSeed)))
 
 		enc := s.appendState(nil)
-		var back state
-		decodeState(&back, p, enc)
+		back := newState(p)
+		decodeState(back, enc)
 		if got, want := back.outcome(), s.outcome(); got != want {
 			t.Fatalf("outcome changed across round trip: %q vs %q", got, want)
 		}
@@ -61,4 +42,30 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 			t.Fatalf("regs round trip: %q vs %q", got, want)
 		}
 	})
+}
+
+// drawState draws a pseudo-random state of p with the shape of a
+// reachable one: a thread's buffer holds at most as many entries as the
+// thread has stores, since it holds only the thread's uncommitted ones.
+func drawState(p Program, rng *rand.Rand) *state {
+	s := newState(p)
+	for i := range p.Threads {
+		s.pc[i] = rng.Intn(len(p.Threads[i]) + 1)
+		s.wait[i] = rng.Intn(5)
+		s.armed[i] = rng.Intn(2) == 1
+		for j, n := 0, rng.Intn(min(2, storeCount(p.Threads[i]))+1); j < n; j++ {
+			s.bufs[i] = append(s.bufs[i], bufEntry{
+				addr: rng.Intn(p.Vars),
+				val:  rng.Intn(7) - 3, // negatives exercise zigzag
+				age:  rng.Intn(6),
+			})
+		}
+		for r := range s.regs[i] {
+			s.regs[i][r] = rng.Intn(9) - 4
+		}
+	}
+	for a := range s.mem {
+		s.mem[a] = rng.Intn(9) - 4
+	}
+	return s
 }

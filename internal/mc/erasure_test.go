@@ -26,13 +26,13 @@ func TestRemainingDecreases(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			delta := k*len(p.Threads) + 2
 			e := &engine{p: p, delta: delta, ageCap: delta + 1, maxStates: math.MaxInt64}
-			w := &worker{e: e, outcomes: make(map[string]struct{})}
+			w := e.newWorker(0)
 			e.workers = []*worker{w}
 
 			start := string(newState(p).appendState(nil))
 			seen := map[string]bool{start: true}
 			todo := []string{start}
-			var s, succ state
+			s, succ := newState(p), newState(p)
 			for len(todo) > 0 {
 				key := todo[len(todo)-1]
 				todo = todo[:len(todo)-1]
@@ -40,12 +40,12 @@ func TestRemainingDecreases(t *testing.T) {
 				w.stack = w.stack[:0]
 				kb := []byte(key)
 				w.expand(kb)
-				decodeState(&s, p, kb)
-				r := probe.remaining(&s)
+				decodeState(s, kb)
+				r := probe.remaining(s)
 				for _, nb := range w.stack {
 					next := string(nb)
-					decodeState(&succ, p, nb)
-					if rn := probe.remaining(&succ); rn > r-1 {
+					decodeState(succ, nb)
+					if rn := probe.remaining(succ); rn > r-1 {
 						t.Fatalf("seed=%d Δ=%d: remaining %d -> %d across a transition\nfrom %+v\n  to %+v",
 							seed, delta, r, rn, s, succ)
 					}

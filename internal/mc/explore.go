@@ -193,12 +193,7 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	}
 	e.workers = make([]*worker, nw)
 	for i := range e.workers {
-		w := &worker{e: e, id: i, outcomes: make(map[string]struct{})}
-		w.symKeys = make([][][]byte, len(e.groups))
-		for gi, g := range e.groups {
-			w.symKeys[gi] = make([][]byte, len(g))
-		}
-		e.workers[i] = w
+		e.workers[i] = e.newWorker(i)
 	}
 
 	// Seed the frontier with the canonical initial state.
@@ -289,6 +284,18 @@ func (e *engine) mergeOutcomes() map[string]bool {
 		}
 	}
 	return out
+}
+
+// newWorker returns worker id, its scratch states in the program's layout.
+func (e *engine) newWorker(id int) *worker {
+	w := &worker{e: e, id: id, outcomes: make(map[string]struct{})}
+	w.cur.reset(e.p)
+	w.next.reset(e.p)
+	w.symKeys = make([][][]byte, len(e.groups))
+	for gi, g := range e.groups {
+		w.symKeys[gi] = make([][]byte, len(g))
+	}
+	return w
 }
 
 func (w *worker) pop() ([]byte, bool) {
@@ -416,7 +423,7 @@ func (w *worker) expand(key []byte) {
 	if e.truncated.Load() || e.interrupted.Load() {
 		return
 	}
-	decodeState(&w.cur, e.p, key)
+	decodeState(&w.cur, key)
 	s := &w.cur
 
 	allDone := true

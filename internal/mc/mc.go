@@ -17,16 +17,17 @@
 // the admissibility condition of §2. Δ = 0 means unbounded (plain TSO).
 //
 // Two engines share the model. ExploreSequentialBounded (reference.go)
-// is the original recursive DFS, memoized on a plain-text state key
-// built with strconv, kept as the independent oracle. ExploreParallel
-// (explore.go), and Explore on top of it, run a work-stealing frontier
-// over a compact binary state encoding with a sharded visited set and
-// sound reductions (terminal collapse, partial order, symmetry and
-// age-horizon erasure) — the same outcome sets. With two workers on a 2-vCPU VM it explores about 1.1 M
-// states/s at Ring4 scale, 1.0–2.2× the reference, and the reductions
-// can halve the states; on litmus-sized programs fixed setup dominates
-// and it is no faster than the reference (BENCH_mc.json). See
-// docs/MC.md.
+// is the original recursive DFS, memoized on a plain-text state key,
+// kept as the independent oracle. ExploreParallel (explore.go), and
+// Explore on top of it, run a work-stealing frontier over a compact
+// binary state encoding with a sharded visited set and sound
+// reductions (terminal collapse, partial order, symmetry and
+// age-horizon erasure) — the same outcome sets. With two workers on a
+// 2-vCPU VM it explores 0.85–1.25 M states/s at Ring4 scale. On the
+// BENCH_mc.json cells of a thousand states or more it runs 0.9–2.5×
+// the reference, ahead only where the reductions cut the most states
+// (Ring4 at Δ=0); on litmus-sized programs fixed setup dominates and
+// it is slower than the reference. See docs/MC.md.
 package mc
 
 import (
@@ -34,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // OpKind enumerates the operation alphabet.
@@ -134,6 +136,10 @@ type bufEntry struct {
 	age       int
 }
 
+// A state lives in two slabs, ints and entries, plus the armed flags,
+// all allocated by newState or reset from the program's layout. The
+// other fields are views into the slabs, so copying a state is a copy
+// per slab and a length per buffer (docs/MC.md, "State layout").
 type state struct {
 	pc    []int
 	wait  []int  // remaining Wait transitions per thread
@@ -141,6 +147,9 @@ type state struct {
 	bufs  [][]bufEntry
 	mem   []int
 	regs  [][]int
+
+	ints    []int      // pc | wait | mem | regs
+	entries []bufEntry // thread i's buffer region, capacity = its store count
 }
 
 func newState(p Program) *state {
@@ -149,57 +158,60 @@ func newState(p Program) *state {
 	return s
 }
 
-// reset makes s p's initial state, reusing s's slice capacity.
+// reset makes s p's initial state, reusing s's slabs when they are
+// large enough. A buffer holds only its own thread's issued, uncommitted
+// stores, so its region never outgrows the thread's store count.
 func (s *state) reset(p Program) {
-	n := len(p.Threads)
-	s.pc = zeroed(s.pc, n)
-	s.wait = zeroed(s.wait, n)
-	s.armed = zeroed(s.armed, n)
-	s.mem = zeroed(s.mem, p.Vars)
-	if cap(s.bufs) < n {
-		s.bufs = make([][]bufEntry, n)
+	n, vars, regs := len(p.Threads), p.Vars, p.Regs
+	stores := 0
+	for _, ops := range p.Threads {
+		stores += storeCount(ops)
 	}
-	if cap(s.regs) < n {
-		s.regs = make([][]int, n)
-	}
-	s.bufs, s.regs = s.bufs[:n], s.regs[:n]
-	for i := range s.bufs {
-		s.bufs[i] = s.bufs[i][:0]
-		s.regs[i] = zeroed(s.regs[i], p.Regs)
+	s.ints = slab(s.ints, 2*n+vars+n*regs)
+	s.armed = slab(s.armed, n)
+	s.entries = slab(s.entries, stores)
+	s.bufs = slab(s.bufs, n)
+	s.regs = slab(s.regs, n)
+	s.pc, s.wait, s.mem = s.ints[:n:n], s.ints[n:2*n:2*n], s.ints[2*n:2*n+vars:2*n+vars]
+	b, r := 0, 2*n+vars
+	for i, ops := range p.Threads {
+		c := storeCount(ops)
+		s.bufs[i] = s.entries[b : b : b+c]
+		s.regs[i] = s.ints[r : r+regs : r+regs]
+		b, r = b+c, r+regs
 	}
 }
 
-// zeroed returns xs resized to n zero elements, reusing its capacity.
-func zeroed[T any](xs []T, n int) []T {
-	if xs == nil || cap(xs) < n {
-		return make([]T, n)
+func storeCount(ops []Op) int {
+	n := 0
+	for _, op := range ops {
+		if op.Kind == OpStore {
+			n++
+		}
+	}
+	return n
+}
+
+// slab returns xs resized to n zero elements, reusing its capacity. A
+// fresh slab is padded past a cache line, so slabs allocated back to
+// back (the workers' scratch states) do not false-share.
+func slab[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		var zero T
+		return make([]T, n, n+64/int(unsafe.Sizeof(zero))+1)
 	}
 	xs = xs[:n]
 	clear(xs)
 	return xs
 }
 
-// copyInto overwrites dst with src, reusing dst's slice capacity so the
-// parallel engine's per-worker scratch states allocate only while
-// buffers grow past their high-water mark.
+// copyInto overwrites dst, which has s's layout, with s.
 func (s *state) copyInto(dst *state) {
-	dst.pc = append(dst.pc[:0], s.pc...)
-	dst.wait = append(dst.wait[:0], s.wait...)
-	dst.armed = append(dst.armed[:0], s.armed...)
-	dst.mem = append(dst.mem[:0], s.mem...)
-	if cap(dst.bufs) < len(s.bufs) {
-		dst.bufs = make([][]bufEntry, len(s.bufs))
-	}
-	dst.bufs = dst.bufs[:len(s.bufs)]
-	for i := range s.bufs {
-		dst.bufs[i] = append(dst.bufs[i][:0], s.bufs[i]...)
-	}
-	if cap(dst.regs) < len(s.regs) {
-		dst.regs = make([][]int, len(s.regs))
-	}
-	dst.regs = dst.regs[:len(s.regs)]
-	for i := range s.regs {
-		dst.regs[i] = append(dst.regs[i][:0], s.regs[i]...)
+	copy(dst.ints, s.ints)
+	copy(dst.armed, s.armed)
+	copy(dst.entries, s.entries)
+	for i, b := range s.bufs {
+		dst.bufs[i] = dst.bufs[i][:len(b)]
 	}
 }
 

@@ -212,14 +212,26 @@ func (w *worker) canonicalize(s *state) {
 		for a := 1; a < len(g); a++ {
 			for b := a; b > 0 && bytes.Compare(keys[b], keys[b-1]) < 0; b-- {
 				keys[b], keys[b-1] = keys[b-1], keys[b]
-				i, j := g[b], g[b-1]
-				s.pc[i], s.pc[j] = s.pc[j], s.pc[i]
-				s.wait[i], s.wait[j] = s.wait[j], s.wait[i]
-				s.armed[i], s.armed[j] = s.armed[j], s.armed[i]
-				s.bufs[i], s.bufs[j] = s.bufs[j], s.bufs[i]
-				s.regs[i], s.regs[j] = s.regs[j], s.regs[i]
+				s.swapThreads(g[b], g[b-1])
 			}
 		}
+	}
+}
+
+// swapThreads exchanges the local states of identical threads i and j.
+// Their buffer regions have equal capacity, so the contents swap and
+// every view stays in its own region of the slabs (mc.go).
+func (s *state) swapThreads(i, j int) {
+	s.pc[i], s.pc[j] = s.pc[j], s.pc[i]
+	s.wait[i], s.wait[j] = s.wait[j], s.wait[i]
+	s.armed[i], s.armed[j] = s.armed[j], s.armed[i]
+	bi, bj := s.bufs[i][:cap(s.bufs[i])], s.bufs[j][:cap(s.bufs[j])]
+	for k := range max(len(s.bufs[i]), len(s.bufs[j])) {
+		bi[k], bj[k] = bj[k], bi[k]
+	}
+	s.bufs[i], s.bufs[j] = bi[:len(s.bufs[j])], bj[:len(s.bufs[i])]
+	for k := range s.regs[i] {
+		s.regs[i][k], s.regs[j][k] = s.regs[j][k], s.regs[i][k]
 	}
 }
 

@@ -8,10 +8,12 @@ import "strconv"
 // by a plain-text rendering of the whole state, sharing no code with
 // explore.go, encode.go or reduce.go, so differential tests
 // (differential_test.go) pin the engine's search, encoding and
-// reductions to an unrelated implementation. The transition rules are
-// shared (mc.go); docs/MC.md lists the tests that pin them. Per-state
-// cost may be cut as long as the search, the key text and the visit
-// order stay the same.
+// reductions to an unrelated implementation. The transition rules and
+// the state layout are shared (mc.go); docs/MC.md lists the tests that
+// pin them. Per-state cost may be cut as long as the search, the key
+// text and the visit order stay the same. The slab state layout
+// changed only two things here: the copy (cloneInto, one copy per
+// slab) and the digit rendering (appendNum, one byte for 0..9).
 
 // appendKey appends the state's canonical text key to dst:
 // "p<pc>.<wait>.<armed>;" then "<addr>=<val>@<age>," per buffered
@@ -20,48 +22,52 @@ import "strconv"
 func (s *state) appendKey(dst []byte) []byte {
 	for i := range s.pc {
 		dst = append(dst, 'p')
-		dst = strconv.AppendInt(dst, int64(s.pc[i]), 10)
+		dst = appendNum(dst, s.pc[i])
 		dst = append(dst, '.')
-		dst = strconv.AppendInt(dst, int64(s.wait[i]), 10)
-		dst = append(dst, '.')
-		dst = strconv.AppendBool(dst, s.armed[i])
-		dst = append(dst, ';')
+		dst = appendNum(dst, s.wait[i])
+		if s.armed[i] {
+			dst = append(dst, ".true;"...)
+		} else {
+			dst = append(dst, ".false;"...)
+		}
 		for _, e := range s.bufs[i] {
-			dst = strconv.AppendInt(dst, int64(e.addr), 10)
+			dst = appendNum(dst, e.addr)
 			dst = append(dst, '=')
-			dst = strconv.AppendInt(dst, int64(e.val), 10)
+			dst = appendNum(dst, e.val)
 			dst = append(dst, '@')
-			dst = strconv.AppendInt(dst, int64(e.age), 10)
+			dst = appendNum(dst, e.age)
 			dst = append(dst, ',')
 		}
 		dst = append(dst, '|')
 		for _, r := range s.regs[i] {
-			dst = strconv.AppendInt(dst, int64(r), 10)
+			dst = appendNum(dst, r)
 			dst = append(dst, ',')
 		}
 		dst = append(dst, ';')
 	}
 	for _, v := range s.mem {
-		dst = strconv.AppendInt(dst, int64(v), 10)
+		dst = appendNum(dst, v)
 		dst = append(dst, '.')
 	}
 	return dst
 }
 
-// cloneInto overwrites dst with s, reusing dst's slice capacity. It is
-// the reference's own copy; the engine has its copyInto.
-func (s *state) cloneInto(dst *state) {
-	dst.pc = append(dst.pc[:0], s.pc...)
-	dst.wait = append(dst.wait[:0], s.wait...)
-	dst.armed = append(dst.armed[:0], s.armed...)
-	dst.mem = append(dst.mem[:0], s.mem...)
-	if len(dst.bufs) != len(s.bufs) {
-		dst.bufs = make([][]bufEntry, len(s.bufs))
-		dst.regs = make([][]int, len(s.regs))
+// appendNum appends v in decimal: one byte for the common 0..9.
+func appendNum(dst []byte, v int) []byte {
+	if uint(v) < 10 {
+		return append(dst, byte('0'+v))
 	}
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// cloneInto overwrites dst, which has s's layout, with s. It is the
+// reference's own copy; the engine has its copyInto.
+func (s *state) cloneInto(dst *state) {
+	copy(dst.ints, s.ints)
+	copy(dst.armed, s.armed)
+	copy(dst.entries, s.entries)
 	for i := range s.bufs {
-		dst.bufs[i] = append(dst.bufs[i][:0], s.bufs[i]...)
-		dst.regs[i] = append(dst.regs[i][:0], s.regs[i]...)
+		dst.bufs[i] = dst.bufs[i][:len(s.bufs[i])]
 	}
 }
 
@@ -99,7 +105,7 @@ func ExploreSequentialBounded(p Program, delta, maxStates int) (res Result, err 
 		seen[string(kb)] = struct{}{}
 		res.States++
 		if d == len(scratch) {
-			scratch = append(scratch, &state{})
+			scratch = append(scratch, newState(p))
 		}
 		n := scratch[d]
 

@@ -31,16 +31,23 @@ func fmtKey(s *state) string {
 }
 
 // randState draws a state with negative and multi-digit values, empty
-// and long buffers, and armed and disarmed waits.
+// and long buffers, and armed and disarmed waits. Each thread is as many
+// stores as its buffer has entries: a buffer holds only its thread's
+// uncommitted stores.
 func randState(rng *rand.Rand) *state {
 	val := func() int { return rng.Intn(2001) - 1000 }
 	p := Program{Threads: make([][]Op, rng.Intn(4)+1), Vars: rng.Intn(4), Regs: rng.Intn(4)}
+	for i := range p.Threads {
+		for k := rng.Intn(6); k > 0; k-- {
+			p.Threads[i] = append(p.Threads[i], St(0, 0))
+		}
+	}
 	s := newState(p)
 	for i := range s.pc {
 		s.pc[i] = rng.Intn(12)
 		s.wait[i] = rng.Intn(5)
 		s.armed[i] = rng.Intn(2) == 0
-		for j := rng.Intn(6); j > 0; j-- {
+		for range p.Threads[i] {
 			s.bufs[i] = append(s.bufs[i], bufEntry{addr: rng.Intn(4), val: val(), age: rng.Intn(6)})
 		}
 		for r := range s.regs[i] {
