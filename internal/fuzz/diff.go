@@ -181,13 +181,22 @@ func (r *Report) Publish(reg *obs.Registry) {
 	reg.Counter("fuzz.replayed").Add(st.WitnessedChecks)
 }
 
-// explore runs the parallel engine, tolerating truncation: a truncated
-// exploration returns ok=false and the check that needed it is skipped.
-// A cancelled exploration (ctx) propagates its *mc.InterruptedError —
-// the caller must treat the whole program check as incomplete, never
-// as a finding.
-func (c Config) explore(ctx context.Context, p mc.Program, delta int) (mc.Result, bool, error) {
-	res, err := mc.ExploreParallel(p, delta, mc.Options{MaxStates: c.MaxStates, Context: ctx})
+// explorers are a campaign worker's reusable checker contexts, kept
+// next to its Sampler: the engine and the reference oracle reset them
+// for each exploration instead of allocating their tables afresh.
+type explorers struct {
+	engine mc.Explorer
+	ref    mc.Reference
+}
+
+// explore runs the engine on one worker, tolerating truncation: a
+// truncated exploration returns ok=false and the check that needed it
+// is skipped. One worker, because a campaign already runs one program
+// per core. A cancelled exploration (ctx) propagates its
+// *mc.InterruptedError — the caller must treat the whole program check
+// as incomplete, never as a finding.
+func (c Config) explore(ctx context.Context, x *mc.Explorer, p mc.Program, delta int) (mc.Result, bool, error) {
+	res, err := x.Explore(p, delta, mc.Options{MaxStates: c.MaxStates, Workers: 1, Context: ctx})
 	if err != nil {
 		var te *mc.TruncatedError
 		if errors.As(err, &te) {
@@ -237,7 +246,7 @@ func diffOutcomes(a, b map[string]bool) string {
 // at the cover (checkRun). seed tags mismatches for replay; pass the
 // generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
-	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), nil, p, seed)
+	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), new(explorers), nil, p, seed)
 	return rep
 }
 
@@ -282,7 +291,8 @@ type sampler interface {
 }
 
 // checkProgram is CheckProgram with an explicit execution context: the
-// sampler is the worker-local machine the program's runs reuse, and rec
+// sampler is the worker-local machine the program's runs reuse, x the
+// worker's checker contexts, and rec
 // (nil when cfg.Flight is off) is the program's own flight recorder —
 // every sampled run streams into it lock-free. cfg must already be
 // defaulted. ctx (nil = uncancellable) cancels mid-check; complete is
@@ -291,7 +301,7 @@ type sampler interface {
 // be re-checked from scratch (it is deterministic per seed, so a re-run
 // reproduces the full report exactly), and rec's group is discarded
 // with it.
-func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
+func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
 	threads, totalOps := observeProgram(&rep, p)
 
 	var sinks []tso.Sink
@@ -307,7 +317,7 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 		if cancelled(ctx) {
 			return rep, false
 		}
-		raw, ok, err := cfg.explore(ctx, p, delta)
+		raw, ok, err := cfg.explore(ctx, &x.engine, p, delta)
 		if err != nil {
 			if errors.Is(err, mc.ErrInterrupted) {
 				return rep, false
@@ -325,7 +335,7 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, rec *monitor.SeedR
 		// Engine cross-check at the RAW sweep Δ, so small Δs are pinned
 		// engine-to-engine even though containment runs at the cover.
 		if cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
-			seqRes, seqErr := mc.ExploreSequentialBounded(p, delta, cfg.MaxStates)
+			seqRes, seqErr := x.ref.Explore(p, delta, cfg.MaxStates)
 			if seqErr == nil && !maps.Equal(raw.Outcomes, seqRes.Outcomes) {
 				flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes)})
 			}
@@ -461,7 +471,7 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := NewSampler()
+			s, x := NewSampler(), new(explorers)
 			for {
 				select {
 				case credit <- struct{}{}:
@@ -486,7 +496,7 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 					rec = cfg.Flight.Record(seed)
 				}
 				c := &checked{i: i}
-				c.rep, c.complete = checkProgram(ctx, cfg, s, rec, Gen(cfg.Gen, seed), seed)
+				c.rep, c.complete = checkProgram(ctx, cfg, s, x, rec, Gen(cfg.Gen, seed), seed)
 				if rec != nil && c.complete {
 					c.group = rec.Finish()
 				}

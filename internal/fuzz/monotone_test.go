@@ -18,6 +18,7 @@ import (
 // one fails the test instead of weakening it.
 func TestDeltaMonotoneOnGenerated(t *testing.T) {
 	cfg := Config{}.orDefault()
+	var x mc.Explorer
 	for seed := int64(1); seed <= 200; seed++ {
 		p := Gen(GenConfig{}, seed)
 		var twins [][2]int
@@ -31,7 +32,7 @@ func TestDeltaMonotoneOnGenerated(t *testing.T) {
 		var prev map[string]bool
 		prevDelta := 0
 		for _, delta := range []int{1, 3, 0} {
-			res, ok, err := cfg.explore(nil, p, delta)
+			res, ok, err := cfg.explore(nil, &x, p, delta)
 			if err != nil {
 				t.Fatalf("seed %d Δ=%d: %v", seed, delta, err)
 			}

@@ -115,7 +115,7 @@ func TestCheckProgramFlagsImpossibleOutcomeAboveZero(t *testing.T) {
 	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
 	for _, delta := range []int{0, 2} {
 		cfg := Config{Deltas: []int{delta}, MachSeeds: 2}.orDefault()
-		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, nil, checker, 7)
+		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, new(explorers), nil, checker, 7)
 		if !complete {
 			t.Fatalf("Δ=%d: check cut short", delta)
 		}
@@ -144,7 +144,7 @@ func TestCheckProgramFlagsUnreplayableRun(t *testing.T) {
 	checker := mc.Program{Threads: [][]mc.Op{{mc.St(0, 1), mc.Ld(0, 0)}}, Vars: 1, Regs: 1}
 	for _, delta := range []int{0, 2} {
 		cfg := Config{Deltas: []int{delta}, MachSeeds: 2}.orDefault()
-		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, nil, checker, 7)
+		rep, complete := checkProgram(nil, cfg, lyingSampler{NewSampler(), machine}, new(explorers), nil, checker, 7)
 		if !complete || rep.Coverage.Runs != 6 {
 			t.Fatalf("Δ=%d: complete %v after %d runs, want 6", delta, complete, rep.Coverage.Runs)
 		}

@@ -6,13 +6,17 @@ import (
 	"testing"
 )
 
-// FuzzEncodeRoundTrip fuzzes the compact state encoding (encode.go)
+// FuzzEncodeRoundTrip fuzzes the fixed-width state encoding (encode.go)
 // that doubles as the parallel engine's visited-set key: for a
 // pseudo-random program and a pseudo-random (but shape-valid) state,
 // encode → decode → re-encode must reproduce the exact bytes, and the
-// decoded state must render the same outcome. A canonicalization bug
-// here silently merges distinct states — the worst failure mode the
-// checker has — so this target guards the property directly.
+// decoded state must render the same outcome. Odd state seeds draw
+// states whose fields overflow a byte, for the eight-byte width; the
+// rest are encoded in both widths, which must order thread-local
+// encodings alike, so symmetry picks the same representative in
+// either. A canonicalization bug here silently merges distinct states —
+// the worst failure mode the checker has — so this target guards the
+// property directly.
 func FuzzEncodeRoundTrip(f *testing.F) {
 	for seed := int64(0); seed < 10; seed++ {
 		f.Add(seed, seed*31+7)
@@ -20,28 +24,59 @@ func FuzzEncodeRoundTrip(f *testing.F) {
 	f.Add(int64(-1), int64(1<<40))
 	f.Fuzz(func(t *testing.T, progSeed, stateSeed int64) {
 		p := genProgram(progSeed)
-		s := drawState(p, rand.New(rand.NewSource(stateSeed)))
-
-		enc := s.appendState(nil)
-		back := newState(p)
-		decodeState(back, enc)
-		if got, want := back.outcome(), s.outcome(); got != want {
-			t.Fatalf("outcome changed across round trip: %q vs %q", got, want)
+		rng := rand.New(rand.NewSource(stateSeed))
+		s, other := drawState(p, rng), drawState(p, rng)
+		codecs := []codec{{}, {wide: true}}
+		if stateSeed%2 != 0 {
+			widen(s, rng)
+			codecs = codecs[1:]
 		}
-		re := back.appendState(nil)
-		if !bytes.Equal(enc, re) {
-			t.Fatalf("re-encoding differs:\n enc %x\n re  %x", enc, re)
-		}
+		for _, c := range codecs {
+			enc := c.appendState(nil, s)
+			back := newState(p)
+			c.decodeState(back, enc)
+			if got, want := FormatOutcome(back.regs), FormatOutcome(s.regs); got != want {
+				t.Fatalf("wide=%v: outcome changed across round trip: %q vs %q", c.wide, got, want)
+			}
+			if re := c.appendState(nil, back); !bytes.Equal(enc, re) {
+				t.Fatalf("wide=%v: re-encoding differs:\n enc %x\n re  %x", c.wide, enc, re)
+			}
 
-		// The register-file encoding used for compact outcome
-		// accumulation must round-trip too.
-		regsEnc := appendRegs(nil, s.regs)
-		regsBack := newState(p).regs
-		decodeRegs(regsBack, regsEnc)
-		if got, want := outcomeString(regsBack), outcomeString(s.regs); got != want {
-			t.Fatalf("regs round trip: %q vs %q", got, want)
+			// The register-file encoding used for compact outcome
+			// accumulation must round-trip too.
+			regsBack := newState(p).regs
+			c.decodeRegs(regsBack, c.appendRegs(nil, s.regs))
+			if got, want := FormatOutcome(regsBack), FormatOutcome(s.regs); got != want {
+				t.Fatalf("wide=%v: regs round trip: %q vs %q", c.wide, got, want)
+			}
+		}
+		if len(codecs) == 2 {
+			order := func(c codec) int {
+				return bytes.Compare(c.appendThread(nil, s, 0), c.appendThread(nil, other, 0))
+			}
+			if n, w := order(codecs[0]), order(codecs[1]); n != w {
+				t.Fatalf("thread 0 orders %d in one byte, %d in eight", n, w)
+			}
 		}
 	})
+}
+
+// widen moves s's fields past what one byte holds, keeping its shape.
+func widen(s *state, rng *rand.Rand) {
+	big := func() int { return rng.Intn(1<<20) - 1<<19 }
+	for i := range s.pc {
+		s.wait[i] += 256 + rng.Intn(1000)
+		for j := range s.bufs[i] {
+			s.bufs[i][j].val = big()
+			s.bufs[i][j].age += 256
+		}
+		for r := range s.regs[i] {
+			s.regs[i][r] = big()
+		}
+	}
+	for a := range s.mem {
+		s.mem[a] = big()
+	}
 }
 
 // drawState draws a pseudo-random state of p with the shape of a

@@ -22,29 +22,29 @@ func TestRemainingDecreases(t *testing.T) {
 		if !hasWaits(p) {
 			continue
 		}
-		probe := &engine{horizon: horizons(p)}
+		probe := &engine{horizon: horizons(p, nil)}
 		for _, k := range []int{2, 4} {
 			delta := k*len(p.Threads) + 2
-			e := &engine{p: p, delta: delta, ageCap: delta + 1, maxStates: math.MaxInt64}
-			w := e.newWorker(0)
-			e.workers = []*worker{w}
+			e := &engine{}
+			e.reset(p, delta, codecFor(p, delta), math.MaxInt64, 1, Options{NoReduction: true, NoSymmetry: true})
+			w, c := e.workers[0], e.codec
 
-			start := string(newState(p).appendState(nil))
+			start := string(c.appendState(nil, newState(p)))
 			seen := map[string]bool{start: true}
 			todo := []string{start}
 			s, succ := newState(p), newState(p)
 			for len(todo) > 0 {
 				key := todo[len(todo)-1]
 				todo = todo[:len(todo)-1]
-				e.vis = newVisited()
+				e.vis.reset()
 				w.stack = w.stack[:0]
 				kb := []byte(key)
 				w.expand(kb)
-				decodeState(s, kb)
+				c.decodeState(s, kb)
 				r := probe.remaining(s)
 				for _, nb := range w.stack {
 					next := string(nb)
-					decodeState(succ, nb)
+					c.decodeState(succ, nb)
 					if rn := probe.remaining(succ); rn > r-1 {
 						t.Fatalf("seed=%d Δ=%d: remaining %d -> %d across a transition\nfrom %+v\n  to %+v",
 							seed, delta, r, rn, s, succ)

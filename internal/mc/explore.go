@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,7 +17,10 @@ type Options struct {
 	// MaxStates bounds the number of distinct (canonical) states
 	// visited; 0 means DefaultMaxStates.
 	MaxStates int
-	// Workers is the worker-goroutine count; 0 means GOMAXPROCS.
+	// Workers is the worker count; 0 means GOMAXPROCS. One worker
+	// explores on the caller's goroutine over a one-shard visited set,
+	// the cheapest form for a caller that already runs one exploration
+	// per core.
 	Workers int
 	// NoReduction disables the reductions other than symmetry
 	// (terminal collapse, invisible-dequeue priority and age-horizon
@@ -29,7 +33,7 @@ type Options struct {
 	// cancellable: on cancellation the workers drain their frontiers
 	// without expanding further and ExploreParallel returns the partial
 	// Result wrapped in a *InterruptedError. nil means uncancellable
-	// (context.Background semantics, with no watcher goroutine).
+	// (context.Background semantics, with no callback registered).
 	Context context.Context
 }
 
@@ -98,6 +102,16 @@ func (e *InterruptedError) Is(target error) bool { return target == ErrInterrupt
 // also holds.
 func (e *InterruptedError) Unwrap() error { return e.Cause }
 
+// Explorer is a reusable context for the parallel engine: an
+// exploration resets the engine, its visited set and its workers'
+// scratch in place instead of allocating them, and drops only what grew
+// past a small cap, so a caller that explores many small programs (a
+// campaign worker) pays for their states and not for setup. The zero
+// value is ready. Not safe for concurrent use.
+type Explorer struct {
+	e engine
+}
+
 // engine is one parallel exploration: program, reduction gates, the
 // sharded visited set, and the shared counters workers coordinate on.
 type engine struct {
@@ -107,10 +121,12 @@ type engine struct {
 	maxStates  int64
 	collapseOK bool
 	porOK      bool
-	groups     [][]int // identical-thread identity groups (or nil)
+	codec      codec
+	groups     [][]int // identical-thread identity groups (empty without symmetry)
 
+	erase                   bool       // age-horizon erasure on
 	readsAfter, writesAfter [][]uint64 // suffix access masks (porOK)
-	horizon                 [][]int    // suffix transition bounds (erasure on), or nil
+	horizon                 [][]int    // suffix transition bounds (erase)
 
 	vis     *visited
 	workers []*worker
@@ -118,7 +134,11 @@ type engine struct {
 	pending     atomic.Int64 // states queued but not yet expanded
 	states      atomic.Int64 // distinct canonical states admitted
 	truncated   atomic.Bool
-	interrupted atomic.Bool // Options.Context cancelled; workers drain without expanding
+	interrupted *atomic.Bool // Options.Context cancelled; workers drain without expanding
+	never       atomic.Bool  // interrupted when there is no context
+
+	regs [][]int // mergeOutcomes scratch
+	out  []byte
 }
 
 // worker owns a LIFO stack of encoded frontier states (views of the
@@ -134,10 +154,13 @@ type worker struct {
 	cur, next state
 	enc       []byte
 	stealBuf  [][]byte
-	symKeys   [][][]byte          // per identity group, per member: encoding scratch
-	outcomes  map[string]struct{} // reg-encoding outcome set
+	symKeys   [][][]byte // per identity group, per member: encoding scratch
+	outcomes  *visited   // reg-encoding outcome set, one shard
 	counts
 }
+
+// keepStack caps the frontier an Explorer keeps between explorations.
+const keepStack = 1 << 12
 
 // counts are a worker's own tallies, summed once the workers stop. The
 // padding keeps the owner's increments off the cache lines that thieves
@@ -159,8 +182,18 @@ type counts struct {
 // completed exploration. On budget exhaustion it returns the partial
 // Result and a *TruncatedError; on Options.Context cancellation it
 // returns the partial Result and a *InterruptedError (budget
-// exhaustion wins when both apply).
+// exhaustion wins when both apply). It runs on a fresh Explorer.
 func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
+	return new(Explorer).Explore(p, delta, opts)
+}
+
+// Explore is ExploreParallel on x's reused context.
+func (x *Explorer) Explore(p Program, delta int, opts Options) (Result, error) {
+	return x.explore(p, delta, opts, codecFor(p, delta))
+}
+
+// explore is Explore with the state encoding's width given.
+func (x *Explorer) explore(p Program, delta int, opts Options, c codec) (Result, error) {
 	if len(p.Threads) == 0 {
 		return Result{Outcomes: map[string]bool{"": true}, States: 1}, nil
 	}
@@ -172,76 +205,51 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-
-	e := &engine{
-		p:          p,
-		delta:      delta,
-		ageCap:     ageCapFor(delta),
-		maxStates:  int64(maxStates),
-		collapseOK: !opts.NoReduction,
-		vis:        newVisited(),
-	}
-	if !opts.NoReduction && delta == 0 && p.Vars <= 64 && !hasWaits(p) {
-		e.porOK = true
-		e.readsAfter, e.writesAfter = accessMasks(p)
-	}
-	if !opts.NoReduction && delta > 0 {
-		e.horizon = horizons(p)
-	}
-	if !opts.NoSymmetry {
-		e.groups = symGroups(p)
-	}
-	e.workers = make([]*worker, nw)
-	for i := range e.workers {
-		e.workers[i] = e.newWorker(i)
-	}
+	e := &x.e
+	e.reset(p, delta, c, int64(maxStates), nw, opts)
 
 	// Seed the frontier with the canonical initial state.
 	w0 := e.workers[0]
-	init := newState(p)
-	if e.groups != nil {
+	init := &w0.next
+	if len(e.groups) > 0 {
 		w0.canonicalize(init)
 	}
-	w0.enc = init.appendState(w0.enc[:0])
+	w0.enc = e.codec.appendState(w0.enc[:0], init)
 	key, _ := e.vis.insert(w0.enc)
 	e.states.Store(1)
 	e.pending.Store(1)
 	w0.stack = append(w0.stack, key)
 
-	// The cancellation watcher: flip the interrupted flag when the
-	// context dies, so workers stop expanding at their next state and
-	// drain the remaining frontier as no-ops. watcherDone keeps the
-	// goroutine from outliving the exploration.
+	// Cancellation flips a flag of this exploration's own, so workers
+	// stop expanding at their next state and drain the remaining
+	// frontier as no-ops; a callback that fires late sets a flag no
+	// later exploration reads.
 	ctx := opts.Context
-	var watcherDone chan struct{}
 	if ctx != nil {
+		flag := new(atomic.Bool)
+		e.interrupted = flag
 		if ctx.Err() != nil {
 			// Already cancelled: set the flag synchronously so even an
 			// exploration the workers could finish instantly reports
 			// the interruption deterministically.
-			e.interrupted.Store(true)
+			flag.Store(true)
 		}
-		watcherDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				e.interrupted.Store(true)
-			case <-watcherDone:
-			}
-		}()
+		stop := context.AfterFunc(ctx, func() { flag.Store(true) })
+		defer stop()
 	}
 
-	var wg sync.WaitGroup
-	for _, w := range e.workers {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			w.run()
-		}(w)
-	}
-	wg.Wait()
-	if watcherDone != nil {
-		close(watcherDone)
+	if nw == 1 {
+		w0.run()
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range e.workers {
+			wg.Add(1)
+			go func(w *worker) {
+				defer wg.Done()
+				w.run()
+			}(w)
+		}
+		wg.Wait()
 	}
 
 	res := Result{Outcomes: e.mergeOutcomes(), States: int(e.states.Load())}
@@ -260,42 +268,87 @@ func ExploreParallel(p Program, delta int, opts Options) (Result, error) {
 	return res, nil
 }
 
+// reset prepares e to explore p with nw workers, reusing its visited
+// set when the shard count still fits and every worker's scratch.
+// workers[0].next is left holding p's initial state.
+func (e *engine) reset(p Program, delta int, c codec, maxStates int64, nw int, opts Options) {
+	e.p, e.delta, e.ageCap, e.codec, e.maxStates = p, delta, ageCapFor(delta), c, maxStates
+	e.collapseOK = !opts.NoReduction
+	e.porOK = !opts.NoReduction && delta == 0 && p.Vars <= 64 && !hasWaits(p)
+	if e.porOK {
+		e.readsAfter, e.writesAfter = accessMasks(p, e.readsAfter, e.writesAfter)
+	}
+	e.erase = !opts.NoReduction && delta > 0
+	if e.erase {
+		e.horizon = horizons(p, e.horizon)
+	}
+	e.groups = e.groups[:0]
+	if !opts.NoSymmetry {
+		e.groups = symGroups(p, e.groups)
+	}
+	e.truncated.Store(false)
+	e.interrupted = &e.never
+
+	shards := 1
+	if nw > 1 {
+		shards = parallelShards
+	}
+	if e.vis == nil || len(e.vis.shards) != shards {
+		e.vis = newVisited(shards)
+	} else {
+		e.vis.reset()
+	}
+	for len(e.workers) < nw {
+		e.workers = append(e.workers, &worker{e: e, id: len(e.workers), outcomes: newVisited(1)})
+	}
+	e.workers = e.workers[:nw]
+	for _, w := range e.workers {
+		w.reset()
+	}
+}
+
+// reset empties w's frontier, tallies and outcome set and gives its
+// scratch states the program's layout.
+func (w *worker) reset() {
+	e := w.e
+	if cap(w.stack) > keepStack {
+		w.stack = nil
+	}
+	clear(w.stack[:cap(w.stack)]) // views into chunks the visited set may drop
+	w.stack = w.stack[:0]
+	w.outcomes.reset()
+	w.counts = counts{}
+	w.cur.reset(e.p)
+	w.next.reset(e.p)
+	w.symKeys = slices.Grow(w.symKeys[:0], len(e.groups))[:len(e.groups)]
+	for gi, g := range e.groups {
+		w.symKeys[gi] = slices.Grow(w.symKeys[gi][:0], len(g))[:len(g)]
+	}
+}
+
 // mergeOutcomes unions the workers' reg-encoded outcome sets, expands
 // each through the symmetry group's orbit, and renders the canonical
 // outcome strings. Decoding and rendering reuse one register file and
 // one buffer, so only an outcome new to the result allocates.
 func (e *engine) mergeOutcomes() map[string]bool {
-	regs := make([][]int, len(e.p.Threads))
-	for i := range regs {
-		regs[i] = make([]int, e.p.Regs)
-	}
+	e.regs = rows(e.regs, len(e.p.Threads), func(int) int { return e.p.Regs })
 	out := make(map[string]bool)
-	var kb, buf []byte
 	for _, w := range e.workers {
-		for k := range w.outcomes {
-			kb = append(kb[:0], k...)
-			decodeRegs(regs, kb)
-			orbit(e.groups, regs, func(r [][]int) {
-				buf = AppendOutcome(buf[:0], r)
-				if !out[string(buf)] {
-					out[string(buf)] = true
+		sh := &w.outcomes.shards[0]
+		for _, slot := range sh.slots {
+			if slot == 0 {
+				continue
+			}
+			e.codec.decodeRegs(e.regs, sh.key(slot))
+			orbit(e.groups, e.regs, func(r [][]int) {
+				e.out = AppendOutcome(e.out[:0], r)
+				if !out[string(e.out)] {
+					out[string(e.out)] = true
 				}
 			})
 		}
 	}
 	return out
-}
-
-// newWorker returns worker id, its scratch states in the program's layout.
-func (e *engine) newWorker(id int) *worker {
-	w := &worker{e: e, id: id, outcomes: make(map[string]struct{})}
-	w.cur.reset(e.p)
-	w.next.reset(e.p)
-	w.symKeys = make([][][]byte, len(e.groups))
-	for gi, g := range e.groups {
-		w.symKeys[gi] = make([][]byte, len(g))
-	}
-	return w
 }
 
 func (w *worker) pop() ([]byte, bool) {
@@ -380,13 +433,13 @@ func (w *worker) emit() {
 	e := w.e
 	w.transitions++
 	n := &w.next
-	if e.horizon != nil {
+	if e.erase {
 		e.eraseAges(n)
 	}
-	if e.groups != nil {
+	if len(e.groups) > 0 {
 		w.canonicalize(n)
 	}
-	w.enc = n.appendState(w.enc[:0])
+	w.enc = e.codec.appendState(w.enc[:0], n)
 	key, novel := e.vis.insert(w.enc)
 	if !novel {
 		w.dedup++
@@ -409,10 +462,8 @@ func (w *worker) dequeue(s *state, i int) {
 }
 
 func (w *worker) recordOutcome(s *state) {
-	w.enc = appendRegs(w.enc[:0], s.regs)
-	if _, ok := w.outcomes[string(w.enc)]; !ok {
-		w.outcomes[string(w.enc)] = struct{}{}
-	}
+	w.enc = w.e.codec.appendRegs(w.enc[:0], s.regs)
+	w.outcomes.insert(w.enc)
 }
 
 // expand generates every admissible successor of the encoded state
@@ -423,7 +474,7 @@ func (w *worker) expand(key []byte) {
 	if e.truncated.Load() || e.interrupted.Load() {
 		return
 	}
-	decodeState(&w.cur, key)
+	e.codec.decodeState(&w.cur, key)
 	s := &w.cur
 
 	allDone := true

@@ -308,15 +308,11 @@ func (s *state) step(i int, op Op, ageCap int) {
 	s.ageAll(ageCap)
 }
 
-func (s *state) outcome() string {
-	return outcomeString(s.regs)
-}
-
 // FormatOutcome renders per-thread register files in the package's
 // canonical "T0:r0=1 T1:r0=0" form — the key space of Result.Outcomes.
 // External harnesses (internal/fuzz's machine runner) use it to put
 // sampled executions in the checker's outcome vocabulary.
-func FormatOutcome(regs [][]int) string { return outcomeString(regs) }
+func FormatOutcome(regs [][]int) string { return string(AppendOutcome(nil, regs)) }
 
 // AppendOutcome appends the canonical rendering of regs to dst and
 // returns the extended slice — the allocation-free form of
@@ -363,12 +359,6 @@ func ParseOutcome(outcome string, threads, regs int) ([][]int, bool) {
 		out[t][r] = v
 	}
 	return out, true
-}
-
-// outcomeString renders per-thread register files in the package's
-// canonical "T0:r0=1 T1:r0=0" form.
-func outcomeString(regs [][]int) string {
-	return string(AppendOutcome(nil, regs))
 }
 
 // DefaultMaxStates bounds an exploration. The parallel engine explores

@@ -230,10 +230,12 @@ func TestExplorePanicNamesShapeAndStates(t *testing.T) {
 
 // TestExploreAllocs pins the engine's allocations (AllocsPerRun runs at
 // GOMAXPROCS 1, so one worker): nothing per state beyond the visited
-// set's geometric growth, and a small fixed cost per call.
+// set's geometric growth, and on a reused Explorer nothing per call but
+// the result: its outcome map and the outcome strings.
 func TestExploreAllocs(t *testing.T) {
+	var x Explorer
 	explore := func(p Program, delta int) Result {
-		res, err := ExploreParallel(p, delta, Options{})
+		res, err := x.Explore(p, delta, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,13 +243,15 @@ func TestExploreAllocs(t *testing.T) {
 	}
 	ring := ringProg(4)
 	states := explore(ring, 2).States
-	perState := testing.AllocsPerRun(1, func() { explore(ring, 2) }) / float64(states)
+	perState := testing.AllocsPerRun(1, func() { x = Explorer{}; explore(ring, 2) }) / float64(states)
 	if perState > 0.1 {
 		t.Errorf("Ring4 Δ=2: %.3f allocs/state, want ≤ 0.1", perState)
 	}
-	sbAllocs := testing.AllocsPerRun(20, func() { explore(sb(false), 0) })
-	if sbAllocs > 160 {
-		t.Errorf("SB Δ=0: %.0f allocs, want ≤ 160", sbAllocs)
+	p := sb(false)
+	outcomes := len(explore(p, 0).Outcomes)
+	sbAllocs := testing.AllocsPerRun(20, func() { explore(p, 0) })
+	if want := float64(2 + outcomes); sbAllocs > want {
+		t.Errorf("reused SB Δ=0: %.0f allocs, want ≤ %.0f: the map, its table and %d outcomes", sbAllocs, want, outcomes)
 	}
-	t.Logf("Ring4 Δ=2 %.3f allocs/state; SB Δ=0 %.0f allocs", perState, sbAllocs)
+	t.Logf("Ring4 Δ=2 %.3f allocs/state; reused SB Δ=0 %.0f allocs", perState, sbAllocs)
 }

@@ -81,7 +81,7 @@ func TestQuickSCOutcomeAlwaysPresent(t *testing.T) {
 				}
 			}
 		}
-		key := (&state{regs: regs}).outcome()
+		key := FormatOutcome(regs)
 		return res.Has(key)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

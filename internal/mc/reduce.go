@@ -50,10 +50,10 @@ import (
 // transitions the suffix Threads[i][pc:] can still take: a Store counts
 // 2 (the op and its dequeue), a Wait(n) n+1 (the arm, at most n−1
 // burns, the advance), every other op 1. Row pc == len(ops) is zero.
-func horizons(p Program) [][]int {
-	h := make([][]int, len(p.Threads))
+// The table reuses h's memory.
+func horizons(p Program, h [][]int) [][]int {
+	h = suffixRows(h, p)
 	for i, ops := range p.Threads {
-		h[i] = make([]int, len(ops)+1)
 		for pc := len(ops) - 1; pc >= 0; pc-- {
 			c := 1
 			switch ops[pc].Kind {
@@ -100,39 +100,54 @@ func (e *engine) eraseAges(s *state) {
 	}
 }
 
-// symGroups returns the groups (size ≥ 2) of thread indices with
-// identical op slices, or nil if every thread is unique.
-func symGroups(p Program) [][]int {
-	var groups [][]int
-	used := make([]bool, len(p.Threads))
-	for i := range p.Threads {
-		if used[i] {
-			continue
+// symGroups appends to groups[:0] the groups (size ≥ 2) of thread
+// indices with identical op slices, reusing its memory; the result is
+// empty if every thread is unique.
+func symGroups(p Program, groups [][]int) [][]int {
+	groups = groups[:0]
+	for i, ops := range p.Threads {
+		if slices.ContainsFunc(p.Threads[:i], func(o []Op) bool { return slices.Equal(o, ops) }) {
+			continue // in the group of the first thread like it
 		}
-		g := []int{i}
+		n := len(groups)
+		groups = slices.Grow(groups, 1)[:n+1]
+		g := append(groups[n][:0], i)
 		for j := i + 1; j < len(p.Threads); j++ {
-			if !used[j] && slices.Equal(p.Threads[i], p.Threads[j]) {
+			if slices.Equal(ops, p.Threads[j]) {
 				g = append(g, j)
-				used[j] = true
 			}
 		}
-		if len(g) > 1 {
-			groups = append(groups, g)
+		groups[n] = g
+		if len(g) == 1 {
+			groups = groups[:n]
 		}
 	}
 	return groups
 }
 
+// suffixRows reshapes t into one zeroed row of len(ops)+1 per thread of
+// p, a row per pc plus the end, reusing its memory.
+func suffixRows[T any](t [][]T, p Program) [][]T {
+	return rows(t, len(p.Threads), func(i int) int { return len(p.Threads[i]) + 1 })
+}
+
+// rows reshapes t into n zeroed rows, row i of length size(i), reusing
+// the memory of t and of every row it ever held.
+func rows[T any](t [][]T, n int, size func(int) int) [][]T {
+	t = slices.Grow(t[:0], n)[:n]
+	for i := range t {
+		t[i] = slab(t[i], size(i))
+	}
+	return t
+}
+
 // accessMasks precomputes, per thread and per pc, the bitmask of
 // addresses the suffix Threads[i][pc:] reads (Load/RMW) and writes
 // (Store/RMW). Row pc == len(ops) is zero. Only valid for Vars ≤ 64;
-// callers gate on that.
-func accessMasks(p Program) (reads, writes [][]uint64) {
-	reads = make([][]uint64, len(p.Threads))
-	writes = make([][]uint64, len(p.Threads))
+// callers gate on that. The tables reuse reads' and writes' memory.
+func accessMasks(p Program, reads, writes [][]uint64) ([][]uint64, [][]uint64) {
+	reads, writes = suffixRows(reads, p), suffixRows(writes, p)
 	for i, ops := range p.Threads {
-		reads[i] = make([]uint64, len(ops)+1)
-		writes[i] = make([]uint64, len(ops)+1)
 		for pc := len(ops) - 1; pc >= 0; pc-- {
 			r, w := reads[i][pc+1], writes[i][pc+1]
 			op := ops[pc]
@@ -205,7 +220,7 @@ func (w *worker) canonicalize(s *state) {
 	for gi, g := range w.e.groups {
 		keys := w.symKeys[gi]
 		for k, ti := range g {
-			keys[k] = s.appendThread(keys[k][:0], ti)
+			keys[k] = w.e.codec.appendThread(keys[k][:0], s, ti)
 		}
 		// Insertion sort of the group's thread-local states by encoded
 		// key; groups are tiny (2–8 threads).

@@ -42,16 +42,19 @@ func TestStateCopies(t *testing.T) {
 }
 
 // TestStateSteadyStateAllocs: once a state has its program's layout,
-// copying into it and decoding into it allocate nothing.
+// copying into it and decoding into it, in either field width, allocate
+// nothing.
 func TestStateSteadyStateAllocs(t *testing.T) {
 	p := ringProg(3)
 	src := drawState(p, rand.New(rand.NewSource(1)))
-	enc := src.appendState(nil)
+	narrow, wide := codec{}, codec{wide: true}
+	encN, encW := narrow.appendState(nil, src), wide.appendState(nil, src)
 	dst := newState(p)
 	allocs := testing.AllocsPerRun(100, func() {
 		src.copyInto(dst)
 		src.cloneInto(dst)
-		decodeState(dst, enc)
+		narrow.decodeState(dst, encN)
+		wide.decodeState(dst, encW)
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocs per copyInto+cloneInto+decodeState, want 0", allocs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/maphash"
+	"math/bits"
 	"sync"
 )
 
@@ -11,7 +12,8 @@ import (
 // parallel engine: a power-of-two array of shards, each behind its own
 // mutex, indexed by the top bits of a maphash of the encoded state.
 // Workers touch one shard per lookup, so with 64 shards contention is
-// negligible even at full-core fan-out.
+// negligible even at full-core fan-out; a one-worker exploration uses
+// one shard. An Explorer resets its set in place between explorations.
 //
 // A shard stores each key once, length-prefixed, in append-only byte
 // chunks that never move, and indexes them with an open-addressing
@@ -23,11 +25,12 @@ import (
 // which the frontier holds instead of a copy.
 type visited struct {
 	seed   maphash.Seed
-	shards [visitedShards]visitedShard
+	shift  uint // 64 − log2(len(shards)): the top hash bits pick the shard
+	shards []visitedShard
 }
 
 const (
-	visitedShards = 64 // power of two; the top 6 hash bits pick the shard
+	parallelShards = 64 // a multi-worker set's shard count
 
 	offBits  = 20                  // a record's byte offset in its chunk
 	refBits  = 2 * offBits         // offset plus a 20-bit chunk index
@@ -35,6 +38,11 @@ const (
 	minChunk = 256                 // the first chunk's capacity
 	maxChunk = 1 << offBits        // geometric chunk growth stops here
 	minSlots = 8                   // a shard's first table
+
+	// reset keeps at most this much of a shard, so clearing it stays
+	// cheap and a large exploration's memory is released.
+	keepSlots = 1 << 12
+	keepChunk = 32 << 10
 )
 
 type visitedShard struct {
@@ -47,7 +55,33 @@ type visitedShard struct {
 	_ [64]byte
 }
 
-func newVisited() *visited { return &visited{seed: maphash.MakeSeed()} }
+// newVisited returns an empty set of n shards, a power of two.
+func newVisited(n int) *visited {
+	return &visited{seed: maphash.MakeSeed(), shift: uint(64 - bits.TrailingZeros(uint(n))), shards: make([]visitedShard, n)}
+}
+
+// reset empties the set, keeping each shard's table and its last chunk
+// while they are small. Views handed out before are invalid.
+func (v *visited) reset() {
+	for i := range v.shards {
+		sh := &v.shards[i]
+		sh.n = 0
+		if len(sh.slots) > keepSlots {
+			sh.slots = nil
+		} else {
+			clear(sh.slots)
+		}
+		var last []byte
+		if len(sh.chunks) > 0 {
+			last = sh.chunks[len(sh.chunks)-1]
+		}
+		clear(sh.chunks)
+		sh.chunks = sh.chunks[:0]
+		if last != nil && cap(last) <= keepChunk {
+			sh.chunks = append(sh.chunks, last[:0])
+		}
+	}
+}
 
 // insert adds the encoded state if absent. It returns whether the state
 // was novel and, if so, a view of the stored copy, which stays valid and
@@ -55,7 +89,7 @@ func newVisited() *visited { return &visited{seed: maphash.MakeSeed()} }
 func (v *visited) insert(b []byte) (key []byte, novel bool) {
 	h := maphash.Bytes(v.seed, b)
 	tag := h & tagMask
-	sh := &v.shards[h>>(64-6)]
+	sh := &v.shards[h>>v.shift]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	i := sh.probe(tag, b)

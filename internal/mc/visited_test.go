@@ -22,10 +22,30 @@ func visitedKeys(n int) [][]byte {
 
 // TestVisitedNovelOnce: every distinct key is novel exactly once and a
 // repeat never is, across table growths and chunk rollovers; every view
-// handed out keeps its bytes through all later inserts.
+// handed out keeps its bytes through all later inserts. It holds for one
+// shard and for many, and again after the set is reset in place.
 func TestVisitedNovelOnce(t *testing.T) {
 	keys := visitedKeys(20000)
-	v := newVisited()
+	for _, shards := range []int{1, parallelShards} {
+		v := newVisited(shards)
+		for pass := range 2 {
+			if pass > 0 {
+				v.reset()
+				for i := range v.shards {
+					if sh := &v.shards[i]; sh.n != 0 || len(sh.slots) > keepSlots || len(sh.chunks) > 1 {
+						t.Fatalf("shard %d after reset: %d keys, %d slots, %d chunks", i, sh.n, len(sh.slots), len(sh.chunks))
+					}
+				}
+			}
+			t.Run(fmt.Sprintf("shards=%d/pass=%d", shards, pass), func(t *testing.T) { novelOnce(t, v, keys, pass == 0) })
+		}
+	}
+}
+
+// novelOnce inserts keys into v, which starts empty. On a fresh set
+// (grown) the shards must have grown and rolled over, or the test means
+// nothing.
+func novelOnce(t *testing.T, v *visited, keys [][]byte, grown bool) {
 	views := make([][]byte, len(keys))
 	for i, k := range keys {
 		view, novel := v.insert(k)
@@ -45,7 +65,6 @@ func TestVisitedNovelOnce(t *testing.T) {
 			t.Fatalf("key %d: view changed to %q", i, views[i])
 		}
 	}
-	// The test only means something if the shards grew and rolled over.
 	var n, maxSlots, maxChunks int
 	for i := range v.shards {
 		sh := &v.shards[i]
@@ -53,7 +72,7 @@ func TestVisitedNovelOnce(t *testing.T) {
 		maxSlots = max(maxSlots, len(sh.slots))
 		maxChunks = max(maxChunks, len(sh.chunks))
 	}
-	if n != len(keys) || maxSlots < 32*minSlots || maxChunks < 4 {
+	if n != len(keys) || grown && (maxSlots < 32*minSlots || maxChunks < 4) {
 		t.Fatalf("%d keys stored of %d; largest table %d slots, most chunks %d", n, len(keys), maxSlots, maxChunks)
 	}
 }
@@ -63,7 +82,7 @@ func TestVisitedNovelOnce(t *testing.T) {
 func TestVisitedConcurrentInsert(t *testing.T) {
 	keys := visitedKeys(8000)
 	wins := make([]atomic.Int32, len(keys))
-	v := newVisited()
+	v := newVisited(parallelShards)
 	var wg sync.WaitGroup
 	for g := range 4 {
 		wg.Add(1)

@@ -29,6 +29,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 )
 
 // Kind is the artifact "kind" field of a standalone coverage document,
@@ -183,7 +184,30 @@ type Snapshot struct {
 // the machine-seed index within the sweep (0..MachSeeds-1), not the
 // derived absolute seed, so cells are comparable across programs.
 func CellKey(delta int, policy string, seedIdx int) string {
-	return "delta=" + strconv.Itoa(delta) + " policy=" + policy + " seed=" + strconv.Itoa(seedIdx)
+	c := cell{delta, seedIdx, policy}
+	cellKeys.Lock()
+	defer cellKeys.Unlock()
+	k, ok := cellKeys.m[c]
+	if !ok {
+		k = "delta=" + strconv.Itoa(delta) + " policy=" + policy + " seed=" + strconv.Itoa(seedIdx)
+		if len(cellKeys.m) < 1<<10 {
+			cellKeys.m[c] = k
+		}
+	}
+	return k
+}
+
+// cellKeys caches up to 1,024 CellKey renderings: a campaign sweeps the
+// same few dozen cells for every program, so ObserveRun renders each
+// once rather than once per machine run.
+var cellKeys = struct {
+	sync.Mutex
+	m map[cell]string
+}{m: map[cell]string{}}
+
+type cell struct {
+	delta, seed int
+	policy      string
 }
 
 // ShapeKey renders the canonical Shapes key.

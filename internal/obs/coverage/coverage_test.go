@@ -167,13 +167,31 @@ func TestKeysMatchSprintf(t *testing.T) {
 	for _, d := range []int{-1, 0, 3, 1 << 20} {
 		for _, pol := range []string{"", "fifo", "random walk"} {
 			for _, i := range []int{0, 7, 29, 1000} {
-				if got, want := CellKey(d, pol, i), fmt.Sprintf("delta=%d policy=%s seed=%d", d, pol, i); got != want {
-					t.Errorf("CellKey = %q, want %q", got, want)
+				want := fmt.Sprintf("delta=%d policy=%s seed=%d", d, pol, i)
+				for range 2 { // rendered, then cached
+					if got := CellKey(d, pol, i); got != want {
+						t.Errorf("CellKey = %q, want %q", got, want)
+					}
 				}
 				if got, want := ShapeKey(d, i), fmt.Sprintf("%dx%d", d, i); got != want {
 					t.Errorf("ShapeKey = %q, want %q", got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestObserveRunAllocs: once a cell's key has been rendered, observing
+// a run in it allocates nothing, in a fresh snapshot too once the cell
+// is in its map.
+func TestObserveRunAllocs(t *testing.T) {
+	CellKey(3, "adversarial", 2)
+	var s Snapshot
+	s.ObserveRun(3, "adversarial", 2)
+	if allocs := testing.AllocsPerRun(100, func() { s.ObserveRun(3, "adversarial", 2) }); allocs != 0 {
+		t.Fatalf("%.1f allocs per ObserveRun, want 0", allocs)
+	}
+	if s.Runs != 102 || s.Cells["delta=3 policy=adversarial seed=2"] != 102 {
+		t.Fatalf("runs %d, cells %v", s.Runs, s.Cells)
 	}
 }
