@@ -74,7 +74,7 @@ func (a Artifact) replay(s sampler) (bool, error) {
 			return false, err
 		}
 		if a.Kind == KindMachineError {
-			_, _, err := s.Sample(a.Program, run)
+			_, _, err := s.sample(a.Program, run)
 			return err != nil, nil
 		}
 		var exact mc.Result

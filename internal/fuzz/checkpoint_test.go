@@ -83,6 +83,51 @@ func TestRunContextPrefixResume(t *testing.T) {
 			}
 		}
 	}
+
+	// Cancelled while the two cells of one program sit on two workers:
+	// both are cut short, so done stops before that program, and the
+	// resumed report is byte-identical to the baseline.
+	const held = 5 // the program index held at the gate
+	g := &gate{seed: startSeed + held, arrived: make(chan struct{}, 2), release: make(chan struct{})}
+	withSampler(t, func() sampler { return gateSampler{NewSampler(), g} })
+	wcfg := cfg
+	wcfg.Workers = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		rep  Report
+		done int
+		err  error
+	}
+	out := make(chan result, 1)
+	go func() {
+		rep, done, err := RunContext(ctx, wcfg, n, startSeed)
+		out <- result{rep, done, err}
+	}()
+	<-g.arrived
+	<-g.arrived
+	cancel()
+	close(g.release)
+	cut := <-out
+	if cut.err == nil || cut.done != held || cut.rep.Coverage.Programs != held {
+		t.Fatalf("cut mid-program: done=%d programs=%d err=%v, want %d folded and the context's error",
+			cut.done, cut.rep.Coverage.Programs, cut.err, held)
+	}
+	rest, rdone, rerr := RunContext(nil, wcfg, n-held, startSeed+held)
+	if rerr != nil || rdone != n-held {
+		t.Fatalf("resume after the held program incomplete: done=%d err=%v", rdone, rerr)
+	}
+	cut.rep.Add(rest)
+	got, err := json.Marshal(cut.rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || !reflect.DeepEqual(cut.rep, baseline) {
+		t.Errorf("report cut mid-program and resumed differs from the uninterrupted baseline")
+	}
 }
 
 // TestRunContextComplete: with a live context the context-aware entry

@@ -41,17 +41,18 @@ type Config struct {
 	// (default 20_000; negative disables).
 	CrossCheckStates int
 	// Flight, if non-nil, is the campaign flight recorder: every
-	// program's sampled runs record into the program's own seed group,
-	// under a fresh monitor from the flight's factory (so a
+	// (seed, Δ) cell's sampled runs record into the cell's own seed
+	// group, under a fresh monitor from the flight's factory (so a
 	// campaign's machine side can run under continuous Δ-residency
 	// verification without a lock), and Stream appends each folded
-	// program's group to Flight in seed order. A check that is cut short
-	// leaves no trace.
+	// program's cell groups, joined in Δ order, to Flight in seed
+	// order. A check that is cut short leaves no trace.
 	Flight *monitor.ShardedFlight
-	// Workers is the parallelism of Run: the (program, seed) space is
-	// sharded across this many workers, each with its own machine.
-	// 0 means GOMAXPROCS. The merged Report is identical for every worker
-	// count (programs are independent and reports are merged in seed
+	// Workers is the parallelism of Run: the campaign's (seed, Δ)
+	// cells are sharded across this many workers, each with its own
+	// machine. 0 means GOMAXPROCS. The merged Report is identical for
+	// every worker count (cells are independent, and each program's
+	// report is assembled from its cells in Δ order and merged in seed
 	// order).
 	Workers int
 }
@@ -191,8 +192,8 @@ type explorers struct {
 
 // explore runs the engine on one worker, tolerating truncation: a
 // truncated exploration returns ok=false and the check that needed it
-// is skipped. One worker, because a campaign already runs one program
-// per core. A cancelled exploration (ctx) propagates its
+// is skipped. One worker, because a campaign already runs one (seed, Δ)
+// cell per core. A cancelled exploration (ctx) propagates its
 // *mc.InterruptedError — the caller must treat the whole program check
 // as incomplete, never as a finding.
 func (c Config) explore(ctx context.Context, x *mc.Explorer, p mc.Program, delta int) (mc.Result, bool, error) {
@@ -269,41 +270,73 @@ func opKindName(k mc.OpKind) string {
 }
 
 // observeProgram records p's shape and op mix into the report's
-// coverage and returns (threads, totalOps) for the later shape-keyed
-// observations.
-func observeProgram(rep *Report, p mc.Program) (threads, totalOps int) {
+// coverage.
+func observeProgram(rep *Report, p mc.Program) {
 	ops := make(map[string]uint64, 5)
 	for _, th := range p.Threads {
-		totalOps += len(th)
 		for _, op := range th {
 			ops[opKindName(op.Kind)]++
 		}
 	}
-	threads = len(p.Threads)
+	threads, totalOps := shape(p)
 	rep.Coverage.ObserveProgram(threads, totalOps, ops)
-	return threads, totalOps
+}
+
+// shape is p's coverage shape: its thread and total op counts.
+func shape(p mc.Program) (threads, totalOps int) {
+	for _, th := range p.Threads {
+		totalOps += len(th)
+	}
+	return len(p.Threads), totalOps
 }
 
 // sampler is the machine side of a program check (a *Sampler outside tests).
 type sampler interface {
-	Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error)
+	sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error)
 	SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error)
 }
 
-// checkProgram is CheckProgram with an explicit execution context: the
-// sampler is the worker-local machine the program's runs reuse, x the
-// worker's checker contexts, and rec
-// (nil when cfg.Flight is off) is the program's own flight recorder —
-// every sampled run streams into it lock-free. cfg must already be
-// defaulted. ctx (nil = uncancellable) cancels mid-check; complete is
-// false when the check was cut short, in which case the report is a
-// partial that MUST NOT be merged into a campaign — the program has to
-// be re-checked from scratch (it is deterministic per seed, so a re-run
-// reproduces the full report exactly), and rec's group is discarded
-// with it.
-func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
-	threads, totalOps := observeProgram(&rep, p)
+// newSampler builds each campaign worker's machine side.
+var newSampler = func() sampler { return NewSampler() }
 
+// checkProgram is CheckProgram with an explicit execution context:
+// observeProgram, then checkCell at every Δ of the sweep in order, all
+// on one sampler, one set of checker contexts and one flight recorder
+// (rec, nil when cfg.Flight is off). cfg must already be defaulted. ctx
+// (nil = uncancellable) cancels mid-check; complete is false when the
+// check was cut short, in which case the report is a partial that MUST
+// NOT be merged into a campaign.
+func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
+	observeProgram(&rep, p)
+	for _, delta := range cfg.Deltas {
+		if !checkCell(ctx, cfg, s, x, rec, &rep, p, seed, delta) {
+			return rep, false
+		}
+	}
+	return rep, true
+}
+
+// checkCell checks one (seed, Δ) cell of the sweep and adds what it
+// found to rep: the engine's exploration of p at Δ, the reference
+// oracle's cross-check of it, and every (policy × machine seed) run of
+// the clocked machine at Δ ticks with its containment verdict at the
+// covering Δ (checkRun). s is the worker-local machine the runs reuse,
+// x the worker's checker contexts, and rec (nil when cfg.Flight is off)
+// the flight recorder every run streams into lock-free. seed tags
+// mismatches for replay. cfg must already be defaulted. ctx (nil =
+// uncancellable) is checked before the exploration, inside it and
+// before each machine run; complete is false when the cell was cut
+// short, and then its program's check is incomplete: it has to be
+// re-checked from scratch (it is deterministic per seed, so a re-run
+// reproduces the full report exactly), and rec's group is discarded.
+func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, rep *Report, p mc.Program, seed int64, delta int) (complete bool) {
+	if cancelled(ctx) {
+		return false
+	}
+	var stop <-chan struct{} // nil, never ready, when ctx is nil
+	if ctx != nil {
+		stop = ctx.Done()
+	}
 	var sinks []tso.Sink
 	if rec != nil {
 		sinks = []tso.Sink{rec}
@@ -313,87 +346,97 @@ func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec 
 		rep.Mismatches = append(rep.Mismatches, m)
 	}
 
-	for _, delta := range cfg.Deltas {
-		if cancelled(ctx) {
-			return rep, false
+	raw, ok, err := cfg.explore(ctx, &x.engine, p, delta)
+	if err != nil {
+		if errors.Is(err, mc.ErrInterrupted) {
+			return false
 		}
-		raw, ok, err := cfg.explore(ctx, &x.engine, p, delta)
-		if err != nil {
-			if errors.Is(err, mc.ErrInterrupted) {
-				return rep, false
-			}
-			flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: "parallel engine error: " + err.Error()})
-			continue
-		}
-		if !ok {
-			rep.Coverage.ObserveTruncated()
-			continue
-		}
-		rep.Coverage.ObserveExploration(raw.States, raw.Transitions, raw.DedupHits, raw.PorPrunes, raw.TerminalCollapses)
-		rep.Coverage.ObserveOutcomeSet(threads, totalOps, len(raw.Outcomes))
+		flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: "parallel engine error: " + err.Error()})
+		return true
+	}
+	if !ok {
+		rep.Coverage.ObserveTruncated()
+		return true
+	}
+	threads, totalOps := shape(p)
+	rep.Coverage.ObserveExploration(raw.States, raw.Transitions, raw.DedupHits, raw.PorPrunes, raw.TerminalCollapses)
+	rep.Coverage.ObserveOutcomeSet(threads, totalOps, len(raw.Outcomes))
 
-		// Engine cross-check at the RAW sweep Δ, so small Δs are pinned
-		// engine-to-engine even though containment runs at the cover.
-		if cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
-			seqRes, seqErr := x.ref.Explore(p, delta, cfg.MaxStates)
-			if seqErr == nil && !maps.Equal(raw.Outcomes, seqRes.Outcomes) {
-				flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes)})
-			}
+	// Engine cross-check at the RAW sweep Δ, so small Δs are pinned
+	// engine-to-engine even though containment runs at the cover. The
+	// engine's count is a lower bound on the reference's, which has no
+	// reductions.
+	if cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
+		seqRes, seqErr := x.ref.Explore(p, delta, cfg.MaxStates, raw.States)
+		if seqErr == nil && !maps.Equal(raw.Outcomes, seqRes.Outcomes) {
+			flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes)})
 		}
+	}
 
-		// Containment: every machine run at Δ ticks against the checker
-		// at the covering Δ (see CoverDelta for why this is sound).
-		machDelta := MachineDelta(delta)
-		cover := CoverDelta(p, machDelta)
-		for pi, pol := range cfg.Policies {
-			for i := 0; i < cfg.MachSeeds; i++ {
-				machSeed := seed*1000003 + int64(pi)*101 + int64(i)
-				rep.Coverage.ObserveRun(delta, pol.String(), i)
-				run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
-				outcome, mres, admitted, err := checkRun(s, p, cover, raw, run, sinks...)
-				if rec != nil {
-					rec.TagRun(coverage.CellKey(delta, pol.String(), i))
-				}
-				if err != nil {
-					flag(Mismatch{Kind: KindMachineError, Delta: delta, Cover: cover,
-						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error()})
-					continue
-				}
-				for c, n := range mres.Stats.Drains {
-					rep.Coverage.ObserveDrain(tso.DrainCause(c).String(), n)
-				}
-				switch {
-				case !admitted:
-					flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
-						Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
-				case cover > 0:
-					rep.Coverage.MC.WitnessedChecks++
-				}
+	// Containment: every machine run at Δ ticks against the checker
+	// at the covering Δ (see CoverDelta for why this is sound).
+	machDelta := MachineDelta(delta)
+	cover := CoverDelta(p, machDelta)
+	for pi, pol := range cfg.Policies {
+		for i := 0; i < cfg.MachSeeds; i++ {
+			select {
+			case <-stop:
+				return false
+			default:
+			}
+			machSeed := seed*1000003 + int64(pi)*101 + int64(i)
+			rep.Coverage.ObserveRun(delta, pol.String(), i)
+			run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
+			outcome, mres, admitted, err := checkRun(s, p, cover, raw, run, sinks...)
+			if rec != nil {
+				rec.TagRun(coverage.CellKey(delta, pol.String(), i))
+			}
+			if err != nil {
+				flag(Mismatch{Kind: KindMachineError, Delta: delta, Cover: cover,
+					Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error()})
+				continue
+			}
+			for c, n := range mres.Stats.Drains {
+				rep.Coverage.ObserveDrain(tso.DrainCause(c).String(), n)
+			}
+			switch {
+			case !admitted:
+				flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
+					Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
+			case cover > 0:
+				rep.Coverage.MC.WitnessedChecks++
 			}
 		}
 	}
-	return rep, true
+	return true
 }
 
 // checkRun samples run on p and returns the containment verdict on it.
 // At cover 0 (sweep Δ 0) the outcome must be in exact, the exploration
-// at Δ 0. Above it the run itself must replay as a checker path at
-// cover: every run at the machine's Δ is one (CoverDelta), so a run
-// that does not replay is not admitted, whatever its outcome.
+// at Δ 0; the membership test allocates nothing, and the outcome is
+// rendered as a string only for a run that is not admitted. Above it
+// the run itself must replay as a checker path at cover: every run at
+// the machine's Δ is one (CoverDelta), so a run that does not replay is
+// not admitted, whatever its outcome.
 func checkRun(s sampler, p mc.Program, cover int, exact mc.Result, run MachineRun, sinks ...tso.Sink) (outcome string, res tso.Result, admitted bool, err error) {
 	if cover > 0 {
 		return s.SampleWitness(p, run, cover, sinks...)
 	}
-	outcome, res, err = s.Sample(p, run, sinks...)
-	return outcome, res, err == nil && exact.Has(outcome), err
+	out, res, err := s.sample(p, run, sinks...)
+	if err == nil && exact.Outcomes[string(out)] {
+		return "", res, true, nil
+	}
+	return string(out), res, false, err
 }
 
 // Run generates and checks n programs starting at startSeed, sharding
-// the seed space across cfg.Workers workers (GOMAXPROCS when 0), and
-// returns the aggregate report. Deterministic per (cfg, n, startSeed)
-// and independent of the worker count: program i's report depends only
-// on (cfg, startSeed+i) — each worker runs its programs on a private
-// machine — and the per-program reports are merged in seed order.
+// their (seed, Δ) cells across cfg.Workers workers (GOMAXPROCS when 0),
+// and returns the aggregate report. Deterministic per (cfg, n,
+// startSeed) and independent of the worker count: program i's report
+// depends only on (cfg, startSeed+i) — each worker runs its cells on a
+// private machine, and Stream assembles a program's report from its
+// cells in Δ order — and the per-program reports are merged in seed
+// order.
 func Run(cfg Config, n int, startSeed int64) Report {
 	rep, _, _ := RunContext(nil, cfg, n, startSeed)
 	return rep
@@ -422,7 +465,7 @@ func RunContext(ctx context.Context, cfg Config, n int, startSeed int64) (Report
 
 // Parallelism resolves Workers (GOMAXPROCS when 0) and the reorder
 // window Stream derives from it: the workers may run at most window
-// seeds past the last folded program.
+// programs past the last folded program.
 func (c Config) Parallelism() (workers, window int) {
 	workers = c.Workers
 	if workers <= 0 {
@@ -431,47 +474,100 @@ func (c Config) Parallelism() (workers, window int) {
 	return workers, 4 * workers
 }
 
-// checked is one program check travelling through Stream's window.
+// checked is one (seed, Δ) cell check travelling through Stream's
+// window.
 type checked struct {
-	i        int
+	i        int // the cell's index in the campaign
 	rep      Report
 	complete bool
 	group    *monitor.SeedGroup // nil without cfg.Flight or when cut short
 }
 
+// worker is one campaign worker's reusable context: the machine its
+// runs sample on, its checker contexts, its generator, and the last
+// program it generated, which its next cells of the same seed reuse.
+type worker struct {
+	s    sampler
+	x    explorers
+	gen  generator
+	seed int64
+	p    mc.Program // seed's program, once has is set
+	has  bool
+}
+
+// program returns seed's program, generating it unless it was the last.
+func (w *worker) program(cfg GenConfig, seed int64) mc.Program {
+	if !w.has || w.seed != seed {
+		w.p, w.seed, w.has = w.gen.gen(cfg, seed), seed, true
+	}
+	return w.p
+}
+
+// cell checks cell i of a campaign of k cells per program starting at
+// startSeed: program i/k at Δ cfg.Deltas[i%k], its first cell also
+// observing the program itself. With cfg.Flight set the cell records
+// into its own seed recorder.
+func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int) *checked {
+	seed, j := startSeed+int64(i/k), i%k
+	p := w.program(cfg.Gen, seed)
+	var rec *monitor.SeedRecorder
+	if cfg.Flight != nil {
+		rec = cfg.Flight.Record(seed)
+	}
+	c := &checked{i: i, complete: true}
+	if j == 0 {
+		observeProgram(&c.rep, p)
+	}
+	if j < len(cfg.Deltas) {
+		c.complete = checkCell(ctx, cfg, w.s, &w.x, rec, &c.rep, p, seed, cfg.Deltas[j])
+	}
+	if rec != nil && c.complete {
+		c.group = rec.Finish()
+	}
+	return c
+}
+
 // Stream generates and checks n programs starting at startSeed and
 // hands each program's report to fold, once per program, in seed order,
-// on the calling goroutine. The workers (see Parallelism) take seeds
-// from a shared cursor but never run more than a window of seeds past
-// the last folded program, so memory stays bounded in n and no worker
-// idles at a barrier behind a slow program. With cfg.Flight set, each
-// program's seed group travels with its report and is appended to the
-// flight just before fold sees the report.
+// on the calling goroutine. The unit of work is one (seed, Δ) cell —
+// one checkCell — so the cells of a slow program spread over the
+// workers (see Parallelism) instead of idling the others behind it.
+// The workers take cells from a shared cursor, in (seed, Δ) order, but
+// never run more than a window of programs' cells past the last folded
+// program, so memory stays bounded in n. The calling goroutine
+// assembles each program's report from its cells in Δ order, the
+// first carrying observeProgram's counts, so the report is the one
+// checkProgram returns, whatever the worker count. With cfg.Flight
+// set, each cell records into its own seed recorder, and the program's
+// cell groups, joined in Δ order (monitor.JoinGroups), are appended to
+// the flight just before fold sees the report.
 //
-// Stream stops at the first program cut short by ctx (nil =
-// uncancellable), or after a fold that returns false, and returns only
-// once every worker has exited. done counts the folded programs — the
-// seeds [startSeed, startSeed+done) — and err is the context's error
-// when a program was cut short, nil otherwise. Checks that finished past
-// the stopping point are discarded, their flight groups with them.
+// Stream stops at the first program with a cell cut short by ctx (nil
+// = uncancellable), or after a fold that returns false, and returns
+// only once every worker has exited. done counts the folded programs —
+// the seeds [startSeed, startSeed+done) — and err is the context's
+// error when a cell was cut short, nil otherwise. Cells that finished
+// past the stopping point are discarded, their flight groups with them.
 func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(Report) bool) (done int, err error) {
 	cfg = cfg.orDefault()
 	workers, window := cfg.Parallelism()
-	workers = min(workers, n)
+	k := max(len(cfg.Deltas), 1) // cells per program
+	cells, slots := n*k, window*k
+	workers = min(workers, cells)
 
-	// credit holds a token per seed taken and not yet folded, so a full
+	// credit holds a token per cell taken and not yet folded, so a full
 	// credit channel stalls the workers; each results send holds a
 	// token, so results never fills up either.
-	credit := make(chan struct{}, window)
-	results := make(chan *checked, window)
+	credit := make(chan struct{}, slots)
+	results := make(chan *checked, slots)
 	quit := make(chan struct{})
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s, x := NewSampler(), new(explorers)
+			w := &worker{s: newSampler()}
 			for {
 				select {
 				case credit <- struct{}{}:
@@ -487,20 +583,10 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 					return
 				}
 				i := int(next.Add(1)) - 1
-				if i >= n {
+				if i >= cells {
 					return
 				}
-				seed := startSeed + int64(i)
-				var rec *monitor.SeedRecorder
-				if cfg.Flight != nil {
-					rec = cfg.Flight.Record(seed)
-				}
-				c := &checked{i: i}
-				c.rep, c.complete = checkProgram(ctx, cfg, s, x, rec, Gen(cfg.Gen, seed), seed)
-				if rec != nil && c.complete {
-					c.group = rec.Finish()
-				}
-				results <- c
+				results <- w.cell(ctx, cfg, startSeed, i, k)
 			}
 		}()
 	}
@@ -514,29 +600,45 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 		}
 	}()
 
-	slots := make([]*checked, window) // seed startSeed+i waits in slots[i%window]
+	ring := make([]*checked, slots) // cell i waits in ring[i%slots]
+	var groups []*monitor.SeedGroup
 	for done < n {
-		for slots[done%window] == nil {
-			c, ok := <-results
-			if !ok {
-				// Every worker stopped on ctx before taking this seed.
+		var rep Report
+		groups = groups[:0]
+		for j := range k {
+			i := done*k + j
+			for ring[i%slots] == nil {
+				c, ok := <-results
+				if !ok {
+					// Every worker stopped on ctx before taking this cell.
+					return done, ctx.Err()
+				}
+				ring[c.i%slots] = c
+			}
+			c := ring[i%slots]
+			ring[i%slots] = nil
+			if !c.complete {
 				return done, ctx.Err()
 			}
-			slots[c.i%window] = c
+			if j == 0 {
+				rep = c.rep
+			} else {
+				rep.Add(c.rep)
+			}
+			if c.group != nil {
+				groups = append(groups, c.group)
+			}
 		}
-		c := slots[done%window]
-		slots[done%window] = nil
-		if !c.complete {
-			return done, ctx.Err()
-		}
-		if c.group != nil {
-			cfg.Flight.Append(c.group)
+		if len(groups) > 0 {
+			cfg.Flight.Append(monitor.JoinGroups(groups))
 		}
 		done++
-		if !fold(c.rep) {
+		if !fold(rep) {
 			return done, nil
 		}
-		<-credit
+		for range k {
+			<-credit
+		}
 	}
 	return done, nil
 }

@@ -127,22 +127,44 @@ func TestEngineEquivalenceStall(t *testing.T) {
 
 // TestRunWorkerCountInvariance pins the parallel campaign driver's
 // determinism claim: the merged Report is identical whatever the
-// worker count, because program i's report depends only on
-// (cfg, startSeed+i) and reports merge in seed order.
+// worker count, because cell (seed, Δ)'s report depends only on
+// (cfg, seed, Δ) and Stream assembles each program's report from its
+// cells in Δ order — exactly the report checkProgram returns, mismatches
+// in (seed, Δ) order. Planted mismatches at every Δ make that order
+// visible.
 func TestRunWorkerCountInvariance(t *testing.T) {
-	base := Config{MachSeeds: 2, MaxStates: 50_000, CrossCheckStates: -1}
+	withSampler(t, func() sampler { return plantingSampler{NewSampler()} })
+	base := Config{MachSeeds: 2, MaxStates: 50_000, CrossCheckStates: -1}.orDefault()
 	const n, startSeed = 24, 100
 
-	serial := base
-	serial.Workers = 1
-	want := Run(serial, n, startSeed)
+	var want Report
+	s, x := newSampler(), new(explorers)
+	for seed := int64(startSeed); seed < startSeed+n; seed++ {
+		rep, complete := checkProgram(nil, base, s, x, nil, Gen(base.Gen, seed), seed)
+		if !complete {
+			t.Fatalf("seed %d: check cut short", seed)
+		}
+		want.Add(rep)
+	}
+	deltas := map[int]bool{}
+	for _, m := range want.Mismatches {
+		deltas[m.Delta] = true
+	}
+	if len(deltas) != len(base.Deltas) {
+		t.Fatalf("planted mismatches at Δs %v, want at each of %v", deltas, base.Deltas)
+	}
 
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		cfg := base
 		cfg.Workers = workers
 		got := Run(cfg, n, startSeed)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("Workers=%d report differs from serial:\n serial:   %+v\n parallel: %+v", workers, want, got)
+			i := 0
+			for i < min(len(want.Mismatches), len(got.Mismatches)) && reflect.DeepEqual(want.Mismatches[i], got.Mismatches[i]) {
+				i++
+			}
+			t.Fatalf("Workers=%d report differs from checkProgram's in seed order: %d and %d mismatches, first difference at %d; coverage equal: %v",
+				workers, len(want.Mismatches), len(got.Mismatches), i, reflect.DeepEqual(want.Coverage, got.Coverage))
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"tbtso/internal/mc"
+	"tbtso/internal/tso"
 	"tbtso/internal/workload"
 )
 
@@ -102,11 +103,30 @@ func (c GenConfig) orDefault() GenConfig {
 // address selection reuses workload.KeyGen so the variable distribution
 // matches the evaluation harness's key draws.
 func Gen(cfg GenConfig, seed int64) mc.Program {
+	var g generator
+	return g.gen(cfg, seed)
+}
+
+// generator is Gen's reusable context: the program's two random
+// streams, on sources that are reseeded for each program in O(1)
+// (tso.NewRand) and draw exactly math/rand.NewSource's streams. A
+// math/rand source costs about 5 KB to allocate and an 1,841-step chain
+// to seed. Not safe for concurrent use; a campaign worker owns one.
+type generator struct {
+	rng, addrRng *rand.Rand
+}
+
+// gen is Gen on g's sources.
+func (g *generator) gen(cfg GenConfig, seed int64) mc.Program {
 	cfg = cfg.orDefault()
-	rng := rand.New(rand.NewSource(seed))
+	if g.rng == nil {
+		g.rng, g.addrRng = tso.NewRand(0), tso.NewRand(0)
+	}
+	g.rng.Seed(seed)
+	g.addrRng.Seed(seed ^ 0x5bf03635)
+	rng, addrs := g.rng, workload.NewKeyGenFrom(g.addrRng, uint64(cfg.Vars))
 	kinds := workload.NewWeighted(rng,
 		cfg.Weights.Store, cfg.Weights.Load, cfg.Weights.Fence, cfg.Weights.RMW, cfg.Weights.Wait)
-	addrs := workload.NewKeyGen(uint64(cfg.Vars), seed^0x5bf03635)
 
 	// 1..MaxThreads, weighted toward two threads.
 	tw := make([]int, cfg.MaxThreads)

@@ -17,6 +17,21 @@ func TestGenDeterministic(t *testing.T) {
 	}
 }
 
+// TestGeneratorReuse: one generator, reseeded across seeds and
+// alternating configurations as a campaign worker's is, builds exactly
+// the programs fresh Gen calls build.
+func TestGeneratorReuse(t *testing.T) {
+	cfgs := []GenConfig{{}, {MaxThreads: 3, Vars: 5, MaxTotalOps: 14, MaxOps: 7}}
+	var g generator
+	for seed := int64(0); seed < 60; seed++ {
+		for _, cfg := range cfgs {
+			if got, want := g.gen(cfg, seed), Gen(cfg, seed); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %+v: reused generator built %v, Gen %v", seed, cfg, got, want)
+			}
+		}
+	}
+}
+
 func TestGenShape(t *testing.T) {
 	cfg := GenConfig{}.orDefault()
 	for seed := int64(0); seed < 400; seed++ {

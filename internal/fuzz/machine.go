@@ -116,21 +116,35 @@ func (s *Sampler) results(p mc.Program) [][]int {
 // ticks). Optional sinks stream the machine's events exactly as on the
 // goroutine engine.
 func (s *Sampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error) {
-	return s.Exec(p, machineConfig(run, sinks))
+	out, res, err := s.sample(p, run, sinks...)
+	return string(out), res, err
+}
+
+// sample is Sample with the outcome left in the sampler's scratch,
+// valid until its next run.
+func (s *Sampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error) {
+	return s.exec(p, machineConfig(run, sinks))
 }
 
 // Exec is Sample under an arbitrary machine configuration, such as the
 // litmus runner's: default drain margin, stall probability, tick cap.
 func (s *Sampler) Exec(p mc.Program, cfg tso.Config) (string, tso.Result, error) {
+	out, res, err := s.exec(p, cfg)
+	return string(out), res, err
+}
+
+// exec is Exec with the outcome left in the sampler's scratch (nil on
+// a fault).
+func (s *Sampler) exec(p mc.Program, cfg tso.Config) ([]byte, tso.Result, error) {
 	s.m.Reset(cfg)
 	s.base = s.m.AllocWords(p.Vars)
 	regs := s.results(p)
 	res := s.m.ExecProgram(p, s.base, regs)
 	if res.Err != nil {
-		return "", res, res.Err
+		return nil, res, res.Err
 	}
 	s.buf = mc.AppendOutcome(s.buf[:0], regs)
-	return string(s.buf), res, nil
+	return s.buf, res, nil
 }
 
 // SampleWitness is Sample plus a containment verdict that needs no

@@ -112,14 +112,25 @@ func TestCoverageWorkerCountInvariant(t *testing.T) {
 // TestFlightDumpWorkerCountInvariant: the merged campaign flight dump
 // depends only on which seeds completed — not on worker count, not on
 // where a checkpoint/resume split fell (once the resumed segment spans
-// the retention window).
+// the retention window) — and is the dump one recorder per seed writes,
+// though Stream records every (seed, Δ) cell on its own recorder. A
+// residency bound of 1 tick trips at Δ 0 and Δ 3, so the joined groups
+// carry violations from several cells.
 func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 	const n = 30
 	const start = int64(3)
 	const retain = 8
+	config := func(workers int) Config {
+		cfg := obsTestConfig(workers)
+		cfg.Deltas = []int{0, 1, 3}
+		return cfg
+	}
+	newFlight := func() *monitor.ShardedFlight {
+		return monitor.NewShardedFlight(func() *monitor.Residency { return monitor.NewResidency(nil, 1) }, retain)
+	}
 
 	runSegment := func(f *monitor.ShardedFlight, workers, count int, first int64) {
-		cfg := obsTestConfig(workers)
+		cfg := config(workers)
 		cfg.Flight = f
 		rep, done, err := RunContext(nil, cfg, count, first)
 		if err != nil || done != count {
@@ -137,36 +148,48 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 		return buf.String()
 	}
 
-	flights := map[string]string{}
-	for _, workers := range []int{1, 4} {
-		f := monitor.NewShardedFlight(nil, retain)
+	// One recorder per seed, checked in seed order.
+	one := newFlight()
+	one.Begin(start)
+	cfg := config(1).orDefault()
+	for seed := start; seed < start+n; seed++ {
+		rec := one.Record(seed)
+		if _, complete := checkProgram(nil, cfg, NewSampler(), new(explorers), rec, Gen(cfg.Gen, seed), seed); !complete {
+			t.Fatalf("seed %d: check cut short", seed)
+		}
+		one.Append(rec.Finish())
+	}
+	want := dump(one)
+
+	for _, workers := range []int{1, 2, 4} {
+		f := newFlight()
 		f.Begin(start)
 		runSegment(f, workers, n, start)
-		flights[string(rune('0'+workers))] = dump(f)
-	}
-	if flights["1"] != flights["4"] {
-		t.Errorf("flight dump depends on worker count:\n%s\nvs\n%s", flights["1"], flights["4"])
+		if got := dump(f); got != want {
+			t.Errorf("workers=%d flight dump differs from one recorder per seed:\n%s\nvs\n%s", workers, got, want)
+		}
 	}
 
-	doc, err := monitor.ReadCampaignFlightDump(bytes.NewBufferString(flights["1"]))
+	doc, err := monitor.ReadCampaignFlightDump(bytes.NewBufferString(want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if doc.FirstSeed != start || doc.NextSeed != start+n {
 		t.Errorf("dump prefix [%d,%d), want [%d,%d)", doc.FirstSeed, doc.NextSeed, start, start+n)
 	}
-	if doc.RetainedSeeds != retain || doc.DroppedSeeds != n-retain {
+	if doc.RetainedSeeds < retain || doc.DroppedSeeds != n-int64(doc.RetainedSeeds) {
 		t.Errorf("retention: retained=%d dropped=%d", doc.RetainedSeeds, doc.DroppedSeeds)
 	}
 	if doc.TotalEvents == 0 {
 		t.Error("campaign recorded no events")
 	}
-	for i, g := range doc.Groups {
+	tail := doc.Groups[len(doc.Groups)-retain:]
+	for i, g := range tail {
 		if g.Seed != start+n-int64(retain)+int64(i) {
 			t.Fatalf("group %d has seed %d; dump is not the seed-ordered tail", i, g.Seed)
 		}
-		if len(g.Runs) == 0 || g.Events == 0 {
-			t.Errorf("seed %d group is empty", g.Seed)
+		if len(g.Runs) != 3*3 || g.Events == 0 {
+			t.Errorf("seed %d group has %d runs and %d events, want every cell's 3", g.Seed, len(g.Runs), g.Events)
 		}
 		for _, r := range g.Runs {
 			if r.Tag == "" {
@@ -174,21 +197,38 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 			}
 		}
 	}
+	// The cells that tripped, each checked on its own recorder.
+	violated := map[int]bool{}
+	probe := newFlight()
+	for seed := start; seed < start+n; seed++ {
+		for _, delta := range cfg.Deltas {
+			rec := probe.Record(seed)
+			var rep Report
+			checkCell(nil, cfg, NewSampler(), new(explorers), rec, &rep, Gen(cfg.Gen, seed), seed, delta)
+			if len(rec.Finish().Violations) > 0 {
+				violated[delta] = true
+			}
+		}
+	}
+	if !violated[0] || !violated[3] {
+		t.Errorf("violations at Δs %v, want at 0 and 3", violated)
+	}
 
-	// Checkpoint/resume split: restore totals, rerun the remainder. The
-	// resumed segment (n-split >= retain) re-records the whole retained
-	// window, so the final dump is byte-identical.
+	// Checkpoint/resume split: restore totals and violating groups,
+	// rerun the remainder. The resumed segment (n-split >= retain)
+	// re-records the whole retained window, so the final dump is
+	// byte-identical.
 	const split = 12
-	f1 := monitor.NewShardedFlight(nil, retain)
+	f1 := newFlight()
 	f1.Begin(start)
 	runSegment(f1, 2, split, start)
 	ev, viol := f1.Totals()
 
-	f2 := monitor.NewShardedFlight(nil, retain)
+	f2 := newFlight()
 	f2.Restore(start, start+split, ev, viol, f1.Violating())
 	runSegment(f2, 3, n-split, start+split)
-	if got := dump(f2); got != flights["1"] {
-		t.Errorf("resumed flight dump differs from uninterrupted dump:\n%s\nvs\n%s", got, flights["1"])
+	if got := dump(f2); got != want {
+		t.Errorf("resumed flight dump differs from uninterrupted dump:\n%s\nvs\n%s", got, want)
 	}
 }
 

@@ -97,8 +97,8 @@ type lyingSampler struct {
 	machine mc.Program
 }
 
-func (l lyingSampler) Sample(_ mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error) {
-	return l.Sampler.Sample(l.machine, run, sinks...)
+func (l lyingSampler) sample(_ mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error) {
+	return l.Sampler.sample(l.machine, run, sinks...)
 }
 
 func (l lyingSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
@@ -175,14 +175,14 @@ type badRunSampler struct {
 	fault error
 }
 
-func (b badRunSampler) Sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (string, tso.Result, error) {
+func (b badRunSampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error) {
 	switch {
 	case run != b.bad:
-		return b.Sampler.Sample(p, run, sinks...)
+		return b.Sampler.sample(p, run, sinks...)
 	case b.fault != nil:
-		return "", tso.Result{}, b.fault
+		return nil, tso.Result{}, b.fault
 	}
-	return b.lie.Sample(p, run, sinks...)
+	return b.lie.sample(p, run, sinks...)
 }
 
 func (b badRunSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {

@@ -83,13 +83,13 @@ func (s *state) cloneInto(dst *state) {
 // holds the partial outcome set (absence proves nothing). It runs on a
 // fresh Reference.
 func ExploreSequentialBounded(p Program, delta, maxStates int) (Result, error) {
-	return new(Reference).Explore(p, delta, maxStates)
+	return new(Reference).Explore(p, delta, maxStates, 0)
 }
 
 // Reference is a reusable context for the reference explorer: it keeps
-// its seen map (up to refKeepSeen keys), key arena and per-depth scratch
-// states between explorations. The zero value is ready. Not safe for
-// concurrent use.
+// its seen map (up to refKeepSeen keys), key arena chunks (up to
+// refKeepArena bytes) and per-depth scratch states between
+// explorations. The zero value is ready. Not safe for concurrent use.
 type Reference struct {
 	p                        Program
 	delta, ageCap, maxStates int
@@ -98,6 +98,9 @@ type Reference struct {
 
 	seen    map[string]struct{} // keys are views of arena chunks
 	arena   []byte              // the open key chunk
+	chunks  [][]byte            // retained chunks, reused in order
+	next    int                 // the next retained chunk to open
+	kept    int                 // bytes retained in chunks
 	kb, ob  []byte              // key and outcome scratch
 	init    state
 	scratch []*state // per-depth successor slots
@@ -105,23 +108,27 @@ type Reference struct {
 }
 
 const (
-	refKeepSeen = 1 << 10
-	refArena    = 16 << 10 // the largest key chunk
+	refKeepSeen  = 1 << 10
+	refArena     = 16 << 10 // the largest key chunk
+	refKeepArena = 16 * refArena
 )
 
-// Explore is ExploreSequentialBounded on r's reused context.
-func (r *Reference) Explore(p Program, delta, maxStates int) (Result, error) {
+// Explore is ExploreSequentialBounded on r's reused context. expect is
+// a lower bound on the states it will visit, such as the engine's count
+// for the same (p, Δ) — the engine's reductions only remove states — or
+// 0 when unknown; a fresh seen map is sized for it.
+func (r *Reference) Explore(p Program, delta, maxStates, expect int) (Result, error) {
 	if len(p.Threads) == 0 {
 		return Result{Outcomes: map[string]bool{"": true}, States: 1}, nil
 	}
 	r.p, r.delta, r.ageCap, r.maxStates = p, delta, ageCapFor(delta), maxStates
 	r.res, r.complete = Result{Outcomes: map[string]bool{}}, true
-	if r.seen == nil || len(r.seen) > refKeepSeen {
-		r.seen = make(map[string]struct{})
+	if r.seen == nil || len(r.seen) > refKeepSeen || expect > refKeepSeen {
+		r.seen = make(map[string]struct{}, min(expect, maxStates))
 	} else {
 		clear(r.seen)
 	}
-	r.arena = r.arena[:0]
+	r.arena, r.next = nil, 0
 	r.ready = 0
 	r.init.reset(p)
 	r.dfs(&r.init, 0)
@@ -134,16 +141,34 @@ func (r *Reference) Explore(p Program, delta, maxStates int) (Result, error) {
 }
 
 // intern returns r.kb's bytes as a string stored in the arena. A full
-// chunk is left to the keys that view it, and the next is twice its
-// size, up to refArena.
+// chunk is left to the keys that view it until the next exploration;
+// the next chunk is the next retained one, or a fresh one twice the
+// full one's size, up to refArena.
 func (r *Reference) intern() string {
 	n := len(r.kb)
 	if cap(r.arena)-len(r.arena) < n {
-		r.arena = make([]byte, 0, max(min(2*cap(r.arena), refArena), 256, n))
+		r.arena = r.openChunk(n)
 	}
 	off := len(r.arena)
 	r.arena = append(r.arena, r.kb...)
 	return unsafe.String(&r.arena[off], n)
+}
+
+// openChunk returns an empty key chunk with room for n bytes: the next
+// retained chunk when it has the room, else a fresh one, retained while
+// the retained chunks stay within refKeepArena bytes.
+func (r *Reference) openChunk(n int) []byte {
+	if r.next < len(r.chunks) && cap(r.chunks[r.next]) >= n {
+		r.next++
+		return r.chunks[r.next-1][:0]
+	}
+	c := make([]byte, 0, max(min(2*cap(r.arena), refArena), 256, n))
+	if r.next == len(r.chunks) && r.kept+cap(c) <= refKeepArena {
+		r.chunks = append(r.chunks, c)
+		r.kept += cap(c)
+		r.next++
+	}
+	return c
 }
 
 // dfs visits s at depth d, building s's successors in scratch[d] one at

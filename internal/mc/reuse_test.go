@@ -61,7 +61,7 @@ func TestExplorerReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: reused engine %+v, %v; fresh %+v, %v", name, got, gotErr, want, wantErr)
 		}
-		got, gotErr = r.Explore(c.p, c.delta, c.maxStates)
+		got, gotErr = r.Explore(c.p, c.delta, c.maxStates, got.States) // the engine's count sizes the seen map
 		want, wantErr = ExploreSequentialBounded(c.p, c.delta, c.maxStates)
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: reused reference %+v, %v; fresh %+v, %v", name, got, gotErr, want, wantErr)

@@ -44,6 +44,8 @@ type SeedGroup struct {
 	Events     uint64      `json:"events"`
 	Dropped    uint64      `json:"dropped_events,omitempty"`
 	Violations []Violation `json:"violations,omitempty"`
+	// tripped counts the group's violations, retained or not.
+	tripped uint64
 }
 
 // SeedRecorder records one seed's program check into its own group: a
@@ -107,23 +109,63 @@ func (r *SeedRecorder) Emit(e tso.Event) {
 // attached. The recorder must not be used afterwards.
 func (r *SeedRecorder) Finish() *SeedGroup {
 	if r.mon != nil {
-		r.group.Violations = r.mon.Violations()
+		r.group.Violations, r.group.tripped = r.mon.violations()
 	}
 	return r.group
+}
+
+// JoinGroups concatenates, in order, the groups one seed's check was
+// recorded into part by part (a campaign records each (seed, Δ) cell on
+// its own SeedRecorder) into the group one recorder would have
+// recorded: the parts' runs in order, the first groupEventCap events
+// of the whole group retained and the rest counted as dropped, its
+// first maxKept violations kept and the rest counted by one overflow
+// marker. Every event of a part must fall within one of its runs, as
+// on the machine, which begins each run with BeginRun. The parts must
+// not be used afterwards; a single part is returned as it is.
+func JoinGroups(parts []*SeedGroup) *SeedGroup {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	g := &SeedGroup{Seed: parts[0].Seed}
+	var kept []Violation
+	for _, p := range parts {
+		// p retained its own first events; the group keeps those that
+		// fall within its first groupEventCap.
+		room := uint64(groupEventCap) - min(g.Events, groupEventCap)
+		for _, run := range p.Runs {
+			if n := uint64(len(run.Events)); n > room {
+				g.Dropped += n - room
+				run.Events = run.Events[:room:room]
+				if room == 0 {
+					run.Events = nil
+				}
+			}
+			room -= uint64(len(run.Events))
+			g.Runs = append(g.Runs, run)
+		}
+		g.Events += p.Events
+		g.Dropped += p.Dropped
+		own := p.Violations[:min(p.tripped, maxKept)] // without p's overflow marker
+		kept = append(kept, own[:min(len(own), maxKept-len(kept))]...)
+		g.tripped += p.tripped
+	}
+	g.Violations = withOverflow(kept, g.tripped)
+	return g
 }
 
 // ShardedFlight is the flight recorder, the crash-dump side of
 // monitoring: a fuzz campaign records one group per generator seed,
 // tbtso-sim one per litmus test or demo. Recording is sharded per seed
-// — each program check records into its own SeedRecorder on whichever
-// worker runs it, with no shared state — and the driver Appends the
-// finished groups in seed order, so the store is an ordered log of the
-// completed prefix. The dump depends only on which seeds completed,
-// never on how they were spread across workers, so it is byte-identical
-// across worker counts and across a checkpoint/resume split (provided
-// the resumed segment spans at least the retention window: clean groups
-// are not persisted in checkpoints, only the running totals and the
-// violating groups are).
+// — each program check, or each part of one (JoinGroups), records into
+// its own SeedRecorder on whichever worker runs it, with no shared
+// state — and the driver Appends the finished groups in seed order, so
+// the store is an ordered log of the completed prefix. The dump depends
+// only on which seeds completed, never on how they were spread across
+// workers, so it is byte-identical across worker counts and across a
+// checkpoint/resume split (provided the resumed segment spans at least
+// the retention window: clean groups are not persisted in checkpoints,
+// only the running totals and the violating groups are).
 //
 // Every method is safe for concurrent use; the live /flightrecorder
 // endpoint dumps while the campaign appends.

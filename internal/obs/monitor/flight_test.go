@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -196,5 +197,64 @@ func TestGroupEventCap(t *testing.T) {
 	}
 	if a, b := len(g.Runs[0].Events), len(g.Runs[1].Events); a != groupEventCap/2+3 || b != groupEventCap/2-3 {
 		t.Fatalf("runs retained %d and %d events, want %d and %d", a, b, groupEventCap/2+3, groupEventCap/2-3)
+	}
+}
+
+// TestJoinGroupsMatchesOneRecorder: a seed recorded cell by cell, each
+// cell on its own recorder and monitor, joins into exactly the group one
+// recorder records — here with the group's events passing groupEventCap
+// inside its second cell and more than maxKept violations spread over
+// its three cells — so Append and Dump write the same bytes.
+func TestJoinGroupsMatchesOneRecorder(t *testing.T) {
+	const seed = 7
+	type cell struct{ runs, events int }
+	cells := []cell{{2, 300}, {3, 300}, {2, 200}} // 600, 1,500 and 1,900 events in
+	if cells[0].runs*cells[0].events >= groupEventCap {
+		t.Fatal("test premise broken: the cap falls in the first cell")
+	}
+	record := func(r *SeedRecorder, c int) {
+		for run := 0; run < cells[c].runs; run++ {
+			r.BeginRun([]string{"T0", "T1"}, 1)
+			r.TagRun(fmt.Sprintf("cell=%d run=%d", c, run))
+			for i := 0; i < cells[c].events; i++ {
+				e := tso.Event{Tick: uint64(i + 10), Thread: i % 2, Kind: tso.EvLoad, Addr: tso.Addr(c)}
+				if i%40 == 0 { // a commit 10 ticks late: a violation at bound 1
+					e.Kind, e.Enq = tso.EvCommit, uint64(i)
+				}
+				r.Emit(e)
+			}
+		}
+	}
+	factory := func() *Residency { return NewResidency(nil, 1) }
+
+	one := NewShardedFlight(factory, 0)
+	one.Begin(seed)
+	r := one.Record(seed)
+	for c := range cells {
+		record(r, c)
+	}
+	want := r.Finish()
+	one.Append(want)
+
+	split := NewShardedFlight(factory, 0)
+	split.Begin(seed)
+	var parts []*SeedGroup
+	for c := range cells {
+		r := split.Record(seed)
+		record(r, c)
+		parts = append(parts, r.Finish())
+	}
+	got := JoinGroups(parts)
+	split.Append(got)
+
+	if want.Dropped == 0 || want.tripped <= maxKept {
+		t.Fatalf("test premise broken: %d dropped events, %d violations", want.Dropped, want.tripped)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("joined group differs from one recorder's:\n got events=%d dropped=%d violations=%d\nwant events=%d dropped=%d violations=%d",
+			got.Events, got.Dropped, len(got.Violations), want.Events, want.Dropped, len(want.Violations))
+	}
+	if a, b := dumpString(t, split), dumpString(t, one); a != b {
+		t.Errorf("joined dump differs from one recorder's:\n%s\nvs\n%s", a, b)
 	}
 }

@@ -164,8 +164,8 @@ func TestFuzzSmokeMonitoredClean(t *testing.T) {
 	if len(rep.Mismatches) > 0 {
 		t.Fatalf("fuzz mismatches: %v", rep.Mismatches)
 	}
-	if len(mons) != 4 {
-		t.Fatalf("monitored %d programs, want 4", len(mons))
+	if len(mons) != 4*2 { // one monitor per (seed, Δ) cell
+		t.Fatalf("monitored %d cells, want 8", len(mons))
 	}
 	for _, res := range mons {
 		if vs := res.Violations(); len(vs) > 0 {

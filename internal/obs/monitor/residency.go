@@ -132,12 +132,23 @@ func (m *Residency) record(v Violation) {
 // Violations returns everything recorded so far: at most maxKept
 // entries, plus an overflow marker counting the rest.
 func (m *Residency) Violations() []Violation {
+	vs, _ := m.violations()
+	return vs
+}
+
+// violations is Violations plus the total count, retained or not.
+func (m *Residency) violations() ([]Violation, uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := append([]Violation(nil), m.kept...)
-	if extra := m.total - uint64(len(out)); extra > 0 {
-		out = append(out, Violation{Monitor: "residency", Thread: -1,
+	return withOverflow(append([]Violation(nil), m.kept...), m.total), m.total
+}
+
+// withOverflow appends to kept, the first of total violations, the
+// marker counting those not retained.
+func withOverflow(kept []Violation, total uint64) []Violation {
+	if extra := total - uint64(len(kept)); extra > 0 {
+		kept = append(kept, Violation{Monitor: "residency", Thread: -1,
 			Detail: fmt.Sprintf("... and %d further violations not retained", extra)})
 	}
-	return out
+	return kept
 }

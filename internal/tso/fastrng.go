@@ -1,5 +1,7 @@
 package tso
 
+import "math/rand"
+
 // fastSource is a drop-in replacement for math/rand.NewSource's
 // generator (the additive lagged-Fibonacci rngSource) producing the
 // BIT-IDENTICAL stream for every seed — pinned by
@@ -55,6 +57,17 @@ func mulmod(a, b uint64) uint64 {
 		p -= int32max
 	}
 	return p
+}
+
+// NewRand returns a *rand.Rand on a fastSource: it draws exactly what
+// rand.New(rand.NewSource(seed)) draws, and its Seed is O(1), for
+// callers that reseed for every item they make, as the machine reseeds
+// its own source for every run and the fuzz generator for every
+// program.
+func NewRand(seed int64) *rand.Rand {
+	r := rand.New(new(fastSource))
+	r.Seed(seed)
+	return r
 }
 
 type fastSource struct {

@@ -73,7 +73,13 @@ type KeyGen struct {
 
 // NewKeyGen returns a generator over [0, universe).
 func NewKeyGen(universe uint64, seed int64) *KeyGen {
-	return &KeyGen{rng: rand.New(rand.NewSource(seed)), u: universe}
+	return NewKeyGenFrom(rand.New(rand.NewSource(seed)), universe)
+}
+
+// NewKeyGenFrom returns a generator over [0, universe) drawing from
+// rng, for a caller that owns and reseeds the source.
+func NewKeyGenFrom(rng *rand.Rand, universe uint64) *KeyGen {
+	return &KeyGen{rng: rng, u: universe}
 }
 
 // Next returns the next key.
