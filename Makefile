@@ -30,7 +30,9 @@ verify:
 # scratch directory inside the module and byte-compare the
 # counterexamples and their Perfetto traces with certs/ (verify compares
 # only certificates, with state counts normalized away), then replay
-# each committed counterexample against the current source.
+# each committed counterexample against the current source, and require
+# that replaying a certificate, which is not a counterexample, exits 2
+# (the replays run a built binary: `go run` reports every failure as 1).
 CEX_DIR := .verify-cex
 verify-cex:
 	rm -rf $(CEX_DIR)
@@ -40,7 +42,10 @@ verify-cex:
 		n=$$(basename $$f); cmp certs/$$n $(CEX_DIR)/$$n || status=1; \
 	done; \
 	rm -rf $(CEX_DIR); exit $$status
-	for f in certs/*.cex.json; do $(GO) run ./cmd/tbtso-verify -replay $$f || exit 1; done
+	mkdir -p $(CEX_DIR) && $(GO) build -o $(CEX_DIR)/tbtso-verify ./cmd/tbtso-verify
+	for f in certs/*.cex.json; do $(CEX_DIR)/tbtso-verify -replay $$f || exit 1; done
+	status=0; $(CEX_DIR)/tbtso-verify -replay certs/ffhp.json || status=$$?; rm -rf $(CEX_DIR); \
+	test $$status -eq 2 || { echo "verify-cex: -replay of a certificate exited $$status, want 2"; exit 1; }
 
 test:
 	$(GO) test ./...

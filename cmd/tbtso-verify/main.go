@@ -328,16 +328,16 @@ func compareCert(dir string, got extract.Certificate) error {
 // replayCex re-validates a counterexample artifact against the current
 // source: the pair is re-extracted, the stored outcome must still be
 // forbidden and admitted, and the stored machine run must still
-// reproduce.
+// reproduce. A document that is not a counterexample exits 2.
 func replayCex(ex *extract.Extraction, path string, opt extract.Options) int {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
 		return 2
 	}
-	var cex extract.Counterexample
-	if err := json.Unmarshal(data, &cex); err != nil {
-		fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
+	cex, err := extract.ParseCounterexample(data)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tbtso-verify: -replay %s: %v\n", path, err)
 		return 2
 	}
 	for _, p := range ex.Pairs {

@@ -2,6 +2,8 @@ package extract
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -96,11 +98,19 @@ type Certificate struct {
 	Program mc.Program `json:"program"`
 }
 
+// Counterexample kinds.
+const (
+	// kindPlantedTSO: an expect=fail pair violated at Δ=0, as planted.
+	kindPlantedTSO = "planted-tso"
+	// kindDecertified: a pair violated at some swept Δ ≥ 1.
+	kindDecertified = "decertified"
+)
+
 // Counterexample is a concrete violation: the checker witness plus (when
 // the sampler finds one) an exactly replayable machine run.
 type Counterexample struct {
 	Pair     string   `json:"pair"`
-	Kind     string   `json:"kind"` // "planted-tso" or "decertified"
+	Kind     string   `json:"kind"` // kindPlantedTSO or kindDecertified
 	Delta    int      `json:"delta"`
 	Wait     int      `json:"wait"`
 	Property []string `json:"property"`
@@ -116,6 +126,26 @@ type Counterexample struct {
 	WriterRegs []string   `json:"writer_regs"`
 	ReaderRegs []string   `json:"reader_regs"`
 	Program    mc.Program `json:"program"`
+}
+
+// ParseCounterexample decodes a counterexample artifact. A JSON
+// document that is not one — a certificate, a fuzz checkpoint — is
+// refused: it has no pair, a kind other than the two above, or no
+// outcome.
+func ParseCounterexample(data []byte) (*Counterexample, error) {
+	var c Counterexample
+	if err := json.Unmarshal(data, &c); err != nil {
+		return nil, err
+	}
+	switch {
+	case c.Pair == "":
+		return nil, errors.New("not a counterexample: no pair")
+	case c.Kind != kindPlantedTSO && c.Kind != kindDecertified:
+		return nil, fmt.Errorf("not a counterexample: kind %q, want %q or %q", c.Kind, kindPlantedTSO, kindDecertified)
+	case c.Outcome == "":
+		return nil, errors.New("not a counterexample: no outcome")
+	}
+	return &c, nil
 }
 
 // Options configures certification.
@@ -269,13 +299,13 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 			cert.Status = StatusUnrefuted
 		} else {
 			cert.Status = StatusRefuted
-			rep.Cex = buildCex(p, "planted-tso", cert.TSO, opt)
+			rep.Cex = buildCex(p, kindPlantedTSO, cert.TSO, opt)
 		}
 		cert.Program = p.Instantiate(cert.TSO.Wait)
 	case firstFail != 0:
 		cert.Status = StatusDecertified
 		pt := cert.Sweep[firstFail-1]
-		rep.Cex = buildCex(p, "decertified", pt, opt)
+		rep.Cex = buildCex(p, kindDecertified, pt, opt)
 		cert.Program = p.Instantiate(pt.Wait)
 	case cert.TSO.Holds:
 		cert.Status = StatusVacuous

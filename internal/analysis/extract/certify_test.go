@@ -3,8 +3,11 @@ package extract
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
+
+	"tbtso/internal/fuzz"
 )
 
 // TestCertifyRealPairs runs the full certification of the real
@@ -178,6 +181,62 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	}
 	if len(buf.Bytes()) == 0 {
 		t.Error("empty trace")
+	}
+}
+
+// TestParseCounterexample: the committed counterexample parses, and
+// JSON documents that are not counterexamples — the committed
+// certificate, a fuzz checkpoint, a counterexample with its pair,
+// kind or outcome emptied or its kind changed — are refused, each
+// with the reason named.
+func TestParseCounterexample(t *testing.T) {
+	read := func(name string) []byte {
+		data, err := os.ReadFile("../../../certs/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cexDoc := read("ffbl-tso.cex.json")
+	cex, err := ParseCounterexample(cexDoc)
+	if err != nil || cex.Pair != "ffbl-tso" || cex.Kind != kindPlantedTSO || cex.Outcome == "" {
+		t.Fatalf("committed counterexample: %+v, %v", cex, err)
+	}
+	edit := func(field, value string) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(cexDoc, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc[field] = value
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ckpt, err := json.Marshal(fuzz.Checkpoint{Kind: fuzz.CheckpointKind, N: 125, FirstSeed: 1, NextSeed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := map[string]struct {
+		doc    []byte
+		reason string
+	}{
+		"certificate":   {read("ffhp.json"), `kind ""`},
+		"checkpoint":    {ckpt, "no pair"},
+		"empty pair":    {edit("pair", ""), "no pair"},
+		"empty kind":    {edit("kind", ""), `kind ""`},
+		"other kind":    {edit("kind", "certified"), `kind "certified"`},
+		"empty outcome": {edit("outcome", ""), "no outcome"},
+	}
+	for name, c := range refused {
+		_, err := ParseCounterexample(c.doc)
+		if err == nil || !strings.Contains(err.Error(), "not a counterexample: "+c.reason) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, c.reason)
+		}
+	}
+	if _, err := ParseCounterexample(edit("kind", kindDecertified)); err != nil {
+		t.Errorf("a %s counterexample is refused: %v", kindDecertified, err)
 	}
 }
 

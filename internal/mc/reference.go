@@ -11,12 +11,13 @@ import (
 // by a plain-text rendering of the whole state, sharing no code with
 // explore.go, encode.go, reduce.go or visited.go, so differential tests
 // (differential_test.go) pin the engine's search, encoding and
-// reductions to an unrelated implementation. The transition rules and
-// the state layout are shared (mc.go); docs/MC.md lists the tests that
-// pin them. Per-state cost may be cut as long as the search, the key
-// text and the visit order stay the same: a copy is one copy per slab
-// (cloneInto), a digit 0..9 one byte (appendNum), a key an append to
-// an arena, and only an outcome new to the set allocates.
+// reductions to an unrelated implementation. The transition rules,
+// the state layout and its copy (copyInto) are shared (mc.go);
+// docs/MC.md lists the tests that pin them. Per-state cost may be cut
+// as long as the search, the key text and the visit order stay the
+// same: a copy is one copy per slab, a digit 0..9 one byte
+// (appendNum), a key an append to an arena, and only an outcome new to
+// the set allocates.
 
 // appendKey appends the state's canonical text key to dst:
 // "p<pc>.<wait>.<armed>;" then "<addr>=<val>@<age>," per buffered
@@ -61,17 +62,6 @@ func appendNum(dst []byte, v int) []byte {
 		return append(dst, byte('0'+v))
 	}
 	return strconv.AppendInt(dst, int64(v), 10)
-}
-
-// cloneInto overwrites dst, which has s's layout, with s. It is the
-// reference's own copy; the engine has its copyInto.
-func (s *state) cloneInto(dst *state) {
-	copy(dst.ints, s.ints)
-	copy(dst.armed, s.armed)
-	copy(dst.entries, s.entries)
-	for i := range s.bufs {
-		dst.bufs[i] = dst.bufs[i][:len(s.bufs[i])]
-	}
 }
 
 // ExploreSequentialBounded is the reference explorer: single-threaded
@@ -202,7 +192,7 @@ func (r *Reference) dfs(s *state, d int) {
 		for i := range s.bufs {
 			if s.mustDequeue(i, delta) {
 				forced = true
-				s.cloneInto(n)
+				s.copyInto(n)
 				n.dequeue(i, ageCap)
 				r.dfs(n, d+1)
 			}
@@ -217,13 +207,13 @@ func (r *Reference) dfs(s *state, d int) {
 		// Voluntary dequeue.
 		if len(s.bufs[i]) > 0 {
 			progress = true
-			s.cloneInto(n)
+			s.copyInto(n)
 			n.dequeue(i, ageCap)
 			r.dfs(n, d+1)
 		}
 		if s.pc[i] < len(ops) && s.enabled(i, ops[s.pc[i]]) {
 			progress = true
-			s.cloneInto(n)
+			s.copyInto(n)
 			n.step(i, ops[s.pc[i]], ageCap)
 			r.dfs(n, d+1)
 		}

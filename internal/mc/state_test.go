@@ -12,30 +12,24 @@ func fields(s *state) string {
 	return fmt.Sprint(s.pc, s.wait, s.armed, s.bufs, s.mem, s.regs)
 }
 
-// TestStateCopies: copyInto and cloneInto make a fresh newState, and
-// one that already holds another state, equal field by field to the
-// source, and the copy shares no memory with it.
+// TestStateCopies: copyInto makes a fresh newState, and one that
+// already holds another state, equal field by field to the source, and
+// the copy shares no memory with it.
 func TestStateCopies(t *testing.T) {
-	copies := map[string]func(src, dst *state){
-		"copyInto":  (*state).copyInto,
-		"cloneInto": (*state).cloneInto,
-	}
-	for name, copyTo := range copies {
-		for seed := int64(0); seed < 200; seed++ {
-			p := genProgram(seed)
-			rng := rand.New(rand.NewSource(seed))
-			dst := newState(p)
-			for range 2 {
-				src := drawState(p, rng)
-				want := fields(src)
-				copyTo(src, dst)
-				if got := fields(dst); got != want {
-					t.Fatalf("%s seed=%d: copy %s, want %s", name, seed, got, want)
-				}
-				src.reset(p)
-				if got := fields(dst); got != want {
-					t.Fatalf("%s seed=%d: resetting the source changed the copy to %s", name, seed, got)
-				}
+	for seed := int64(0); seed < 200; seed++ {
+		p := genProgram(seed)
+		rng := rand.New(rand.NewSource(seed))
+		dst := newState(p)
+		for range 2 {
+			src := drawState(p, rng)
+			want := fields(src)
+			src.copyInto(dst)
+			if got := fields(dst); got != want {
+				t.Fatalf("seed=%d: copy %s, want %s", seed, got, want)
+			}
+			src.reset(p)
+			if got := fields(dst); got != want {
+				t.Fatalf("seed=%d: resetting the source changed the copy to %s", seed, got)
 			}
 		}
 	}
@@ -52,11 +46,10 @@ func TestStateSteadyStateAllocs(t *testing.T) {
 	dst := newState(p)
 	allocs := testing.AllocsPerRun(100, func() {
 		src.copyInto(dst)
-		src.cloneInto(dst)
 		narrow.decodeState(dst, encN)
 		wide.decodeState(dst, encW)
 	})
 	if allocs != 0 {
-		t.Fatalf("%.1f allocs per copyInto+cloneInto+decodeState, want 0", allocs)
+		t.Fatalf("%.1f allocs per copyInto+decodeState, want 0", allocs)
 	}
 }

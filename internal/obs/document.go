@@ -9,11 +9,16 @@ import (
 	"os"
 )
 
-// WriteDoc, ReadDoc and HashDoc are the one writer, reader and hash of
-// every run-state document: fuzz checkpoints and artifacts, verify
-// sweep progress, flight dumps, certificates and counterexamples.
-// EncodeDoc renders the same bytes for documents served or printed, and
-// WriteAtomic is WriteDoc's file write, shared with the Perfetto traces.
+// WriteDoc is the one writer of every run-state document: fuzz
+// checkpoints and artifacts, verify sweep progress, flight dumps,
+// certificates and counterexamples. EncodeDoc renders the same bytes
+// for documents served or printed, and WriteAtomic is WriteDoc's file
+// write, shared with the Perfetto traces. ReadDoc reads the documents
+// whose "kind" field names them — fuzz checkpoints, verify sweep
+// progress and tbtso-obs reports — and HashDoc fingerprints the keys
+// of the first two. The other documents are decoded by their own
+// readers: fuzz.ReadArtifact, monitor.ReadCampaignFlightDump,
+// tbtso-verify's compareCert and extract.ParseCounterexample.
 
 // EncodeDoc writes v to w as indented JSON plus a newline.
 func EncodeDoc(w io.Writer, v any) error {

@@ -14,15 +14,17 @@ import (
 // programs on this machine, and the goroutine engine pays two channel
 // operations and a context switch per memory action.
 //
-// The engine shares the entire scheduler core with Run — tick, the
-// drain phases, exec, commitOldest — and produces its per-thread
-// requests through the same request struct the goroutine engine's
-// Thread handles fill in. The seeded RNG is therefore consumed
-// identically: a given (program, Config) yields byte-identical
-// outcomes, Stats, DrainStats and sink event streams on both engines
-// (pinned by the engine-equivalence suite in internal/fuzz). The
-// goroutine engine remains the oracle — and the only engine able to
-// run arbitrary Go-closure workloads (the machalg kernels and demos).
+// The engine runs the same scheduler loop as Run (loop, and under it
+// tick, the drain phases, exec, commitOldest); the only differences are
+// how a thread's next request is gathered (next, inline) and how its
+// response is delivered (progDeliver). Requests go through the same
+// request struct the goroutine engine's Thread handles fill in. The
+// seeded RNG is therefore consumed identically: a given (program,
+// Config) yields byte-identical outcomes, Stats, DrainStats and sink
+// event streams on both engines (pinned by the engine-equivalence
+// suite in internal/fuzz). The goroutine engine remains the oracle —
+// and the only engine able to run arbitrary Go-closure workloads (the
+// machalg kernels and demos).
 
 // progThread is the interpreter's per-thread state: a program counter
 // plus the wait-loop sub-state, and the reusable request the scheduler
@@ -35,7 +37,6 @@ type progThread struct {
 	inWait   bool   // current op is an OpWait whose clock loop is running
 	armed    bool   // the wait's first (deadline-arming) clock read completed
 	deadline uint64 // absolute tick the wait spins until
-	done     bool
 	req      request
 }
 
@@ -55,22 +56,12 @@ type progThread struct {
 // machine with zero steady-state heap allocation
 // (TestInterpSteadyStateZeroAlloc).
 func (m *Machine) ExecProgram(p mc.Program, base Addr, regs [][]int) Result {
-	if m.started {
-		panic("tso: Run called twice")
-	}
 	if len(m.threads) > 0 {
 		panic("tso: ExecProgram on a machine with spawned threads; use Run")
 	}
-	m.started = true
-	m.interp = true
-	defer func() { m.interp = false }()
 	n := len(p.Threads)
-	m.sizeRun(n)
-	if cap(m.itr) >= n {
-		m.itr = m.itr[:n]
-	} else {
-		m.itr = append(m.itr[:cap(m.itr)], make([]progThread, n-cap(m.itr))...)
-	}
+	m.start(n)
+	m.itr = resize(m.itr, n)
 	for i := range m.itr {
 		t := &m.itr[i]
 		t.ops = p.Threads[i]
@@ -82,50 +73,8 @@ func (m *Machine) ExecProgram(p mc.Program, base Addr, regs [][]int) Result {
 		t.pc = 0
 		t.inWait = false
 		t.armed = false
-		t.done = false
 	}
-
-	if len(m.sinks) > 0 {
-		names := m.progNames(n)
-		for _, s := range m.sinks {
-			if ro, ok := s.(RunObserver); ok {
-				ro.BeginRun(names, m.cfg.Delta)
-			}
-		}
-	}
-
-	alive := n
-	for alive > 0 {
-		// Gather: the lockstep round structure of Run, minus the
-		// channels — each live thread with no pending request produces
-		// its next one inline.
-		for i := range m.itr {
-			t := &m.itr[i]
-			if t.done || m.pending[i] != nil {
-				continue
-			}
-			if !t.next() {
-				t.done = true
-				alive--
-				continue
-			}
-			m.pending[i] = &t.req
-		}
-		if alive == 0 {
-			break
-		}
-		if m.clock >= m.cfg.MaxTicks {
-			m.fail(ErrMaxTicks)
-			return m.finish()
-		}
-		m.clock++
-		m.tick()
-		if err := m.failure(); err != nil {
-			return m.finish()
-		}
-	}
-	m.finalFlush()
-	return m.finish()
+	return m.loop(m.progNames(n))
 }
 
 // next fills t.req with the thread's next request; it reports false

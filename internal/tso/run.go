@@ -9,34 +9,20 @@ import "fmt"
 //
 // Run is the goroutine engine: each thread is a Go function issuing
 // actions through a *Thread handle and blocking between grants. The
-// direct-execution engine (ExecProgram) drives the same scheduler core
-// over straight-line mc.Program threads without goroutines; the two engines
-// consume the seeded RNG identically, so a given (workload, Config)
-// produces byte-identical outcomes, Stats and event streams on both.
+// direct-execution engine (ExecProgram) runs straight-line mc.Program
+// threads without goroutines. Both hand their threads to the one
+// scheduler loop (loop); the two engines consume the seeded RNG
+// identically, so a given (workload, Config) produces byte-identical
+// outcomes, Stats and event streams on both.
 func (m *Machine) Run() Result {
-	if m.started {
-		panic("tso: Run called twice")
-	}
-	m.started = true
 	n := len(m.threads)
-	m.sizeRun(n)
+	m.start(n)
 	if m.halted == nil {
 		m.halted = make(chan struct{})
 	}
-
-	if len(m.sinks) > 0 {
-		names := make([]string, n)
-		for i, ts := range m.threads {
-			names[i] = ts.name
-		}
-		for _, s := range m.sinks {
-			if ro, ok := s.(RunObserver); ok {
-				ro.BeginRun(names, m.cfg.Delta)
-			}
-		}
-	}
-
+	names := make([]string, n)
 	for i, ts := range m.threads {
+		names[i] = ts.name
 		t := &Thread{m: m, id: i, ts: ts}
 		go func(ts *threadState, t *Thread) {
 			defer func() {
@@ -48,27 +34,57 @@ func (m *Machine) Run() Result {
 			ts.fn(t)
 		}(ts, t)
 	}
+	return m.loop(names)
+}
 
-	alive := n
+// start moves a fresh machine into a run of n threads.
+func (m *Machine) start(n int) {
+	if m.started {
+		panic("tso: Run called twice")
+	}
+	m.started = true
+	m.sizeRun(n)
+}
+
+// loop is the scheduler loop of both engines: it announces the run to
+// RunObserver sinks, then gathers, ticks and checks for failure until
+// every thread is done, and flushes the buffers the threads left. The
+// gather is its only engine-specific step: a run has spawned threads
+// exactly when it is the goroutine engine's.
+func (m *Machine) loop(names []string) Result {
+	for _, s := range m.sinks {
+		if ro, ok := s.(RunObserver); ok {
+			ro.BeginRun(names, m.cfg.Delta)
+		}
+	}
+	spawned := len(m.threads) > 0
+	alive := m.n
 	for alive > 0 {
 		// Gather one request from every live thread that has none
-		// pending. Threads are in lockstep: local computation happens
-		// while the machine waits here.
-		for i, ts := range m.threads {
-			if ts.done || m.pending[i] != nil {
+		// pending: a receive from its goroutine, or the interpreter's
+		// next request inline. Threads are in lockstep: local
+		// computation happens while the machine waits here. A closed
+		// channel or a finished program leaves r nil.
+		for i := range m.n {
+			if m.done[i] || m.pending[i] != nil {
 				continue
 			}
-			select {
-			case r, ok := <-ts.req:
-				if !ok {
-					ts.done = true
-					alive--
-					continue
+			var r *request
+			if spawned {
+				select {
+				case r = <-m.threads[i].req:
+				case <-m.halted:
+					return m.finish()
 				}
-				m.pending[i] = r
-			case <-m.halted:
-				return m.finish()
+			} else if t := &m.itr[i]; t.next() {
+				r = &t.req
 			}
+			if r == nil {
+				m.done[i] = true
+				alive--
+				continue
+			}
+			m.pending[i] = r
 		}
 		if alive == 0 {
 			break
@@ -183,10 +199,10 @@ func (m *Machine) grant(i int) {
 	}
 	if resp, done := m.exec(i, r); done {
 		m.pending[i] = nil
-		if m.interp {
-			m.progDeliver(i, resp)
-		} else {
+		if len(m.threads) > 0 {
 			m.threads[i].reply <- resp
+		} else {
+			m.progDeliver(i, resp)
 		}
 	}
 }

@@ -271,7 +271,6 @@ type threadState struct {
 	fn    func(*Thread)
 	req   chan *request
 	reply chan response // cap 1; the scheduler never has two outstanding replies for one thread
-	done  bool
 }
 
 // Machine is a TBTSO[Δ] abstract machine. Configure it, then Spawn
@@ -291,8 +290,8 @@ type Machine struct {
 	n        int        // thread count of the current run (either engine)
 	threads  []*threadState
 	itr      []progThread // direct-execution engine thread states
-	interp   bool         // current run uses the direct-execution engine
 	pending  []*request
+	done     []bool   // whether thread's program has finished
 	drained  []bool   // whether thread's action this tick was a dequeue
 	perm     []int    // reusable scheduler permutation (same draws as rand.Perm)
 	names    []string // cached "T0","T1",... for ExecProgram's RunObservers
@@ -385,31 +384,26 @@ func (m *Machine) memStore(a Addr, v Word) {
 // n threads, reusing prior capacity.
 func (m *Machine) sizeRun(n int) {
 	m.n = n
-	if cap(m.sb) >= n {
-		m.sb = m.sb[:n]
-	} else {
-		m.sb = append(m.sb[:cap(m.sb)], make([]storeBuf, n-cap(m.sb))...)
-	}
-	if cap(m.pending) >= n {
-		m.pending = m.pending[:n]
-	} else {
-		m.pending = make([]*request, n)
-	}
-	if cap(m.drained) >= n {
-		m.drained = m.drained[:n]
-	} else {
-		m.drained = make([]bool, n)
-	}
-	if cap(m.perm) >= n {
-		m.perm = m.perm[:n]
-	} else {
-		m.perm = make([]int, n)
-	}
+	m.sb = resize(m.sb, n)
+	m.pending = resize(m.pending, n)
+	m.drained = resize(m.drained, n)
+	m.done = resize(m.done, n)
+	m.perm = resize(m.perm, n)
 	for i := 0; i < n; i++ {
 		m.sb[i].reset()
 		m.pending[i] = nil
 		m.drained[i] = false
+		m.done[i] = false
 	}
+}
+
+// resize returns xs with length n, keeping its elements and, when its
+// capacity suffices, its backing array.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) >= n {
+		return xs[:n]
+	}
+	return append(xs[:cap(xs)], make([]T, n-cap(xs))...)
 }
 
 // SetTickBoard installs the §6.2 time array's base address (normally

@@ -2,9 +2,13 @@ package tso
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"tbtso/internal/mc"
 )
 
 func TestReadOwnWriteForwarding(t *testing.T) {
@@ -247,6 +251,61 @@ func TestMaxTicksAborts(t *testing.T) {
 	res := m.Run()
 	if !errors.Is(res.Err, ErrMaxTicks) {
 		t.Fatalf("err = %v, want ErrMaxTicks", res.Err)
+	}
+}
+
+// TestMaxTicksAbortsBothEngines: when a Wait outlasts MaxTicks, both
+// engines abort with ErrMaxTicks at the same tick, with identical Stats
+// and sink event streams. One thread finishes before the abort and one
+// is still waiting, so the loop's done and abort paths both run.
+func TestMaxTicksAbortsBothEngines(t *testing.T) {
+	const maxTicks = 60
+	prog := mc.Program{Vars: 2, Regs: 2, Threads: [][]mc.Op{
+		{mc.St(0, 1), mc.Wait(500), mc.St(1, 1)},
+		{mc.Ld(0, 0), mc.St(1, 2), mc.RMW(0, 3, 1)},
+	}}
+	for _, pol := range []DrainPolicy{DrainEager, DrainRandom, DrainAdversarial} {
+		cfg := Config{Delta: 4, DrainMargin: 1, Policy: pol, Seed: 7, MaxTicks: maxTicks}
+
+		var direct collectSink
+		cfg.Sinks = []Sink{&direct}
+		d := New(cfg)
+		resD := d.ExecProgram(prog, d.AllocWords(prog.Vars), nil)
+
+		var spawned collectSink
+		cfg.Sinks = []Sink{&spawned}
+		g := New(cfg)
+		base := g.AllocWords(prog.Vars)
+		for i, ops := range prog.Threads {
+			g.Spawn(fmt.Sprintf("T%d", i), func(th *Thread) {
+				for _, op := range ops {
+					switch op.Kind {
+					case mc.OpStore:
+						th.Store(base+Addr(op.Addr), Word(op.Val))
+					case mc.OpLoad:
+						th.Load(base + Addr(op.Addr))
+					case mc.OpRMW:
+						th.FetchAdd(base+Addr(op.Addr), Word(op.Val))
+					case mc.OpWait:
+						th.WaitUntil(th.Clock() + uint64(op.Val))
+					}
+				}
+			})
+		}
+		resG := g.Run()
+
+		for name, res := range map[string]Result{"ExecProgram": resD, "Run": resG} {
+			if !errors.Is(res.Err, ErrMaxTicks) || res.Ticks != maxTicks {
+				t.Fatalf("%v %s: err=%v ticks=%d, want ErrMaxTicks at %d", pol, name, res.Err, res.Ticks, maxTicks)
+			}
+		}
+		if resD.Stats != resG.Stats {
+			t.Fatalf("%v: stats differ:\n ExecProgram %+v\n Run         %+v", pol, resD.Stats, resG.Stats)
+		}
+		if len(direct.events) == 0 || !reflect.DeepEqual(direct, spawned) {
+			t.Fatalf("%v: sink streams differ or are empty: ExecProgram %d events %v, Run %d events %v",
+				pol, len(direct.events), direct.names, len(spawned.events), spawned.names)
+		}
 	}
 }
 
