@@ -27,18 +27,19 @@ verify:
 	$(GO) run ./cmd/tbtso-verify ./...
 
 # Counterexample gate: regenerate every certificate artifact into a
-# scratch directory inside the module and byte-compare the
-# counterexamples and their Perfetto traces with certs/ (verify compares
-# only certificates, with state counts normalized away), then replay
-# each committed counterexample against the current source, and require
-# that replaying a certificate, which is not a counterexample, exits 2
-# (the replays run a built binary: `go run` reports every failure as 1).
+# scratch directory inside the module and byte-compare every file it
+# writes (certificates, counterexamples and their Perfetto traces) with
+# certs/ (verify compares only certificates, with state counts
+# normalized away), then replay each committed counterexample against
+# the current source, and require that replaying a certificate, which
+# is not a counterexample, exits 2 (the replays run a built binary:
+# `go run` reports every failure as 1).
 CEX_DIR := .verify-cex
 verify-cex:
 	rm -rf $(CEX_DIR)
 	$(GO) run ./cmd/tbtso-verify -update -certdir $(CEX_DIR) ./... > /dev/null
 	status=0; \
-	for f in certs/*.cex.json certs/*.trace.json $(CEX_DIR)/*.cex.json $(CEX_DIR)/*.trace.json; do \
+	for f in certs/*.json $(CEX_DIR)/*.json; do \
 		n=$$(basename $$f); cmp certs/$$n $(CEX_DIR)/$$n || status=1; \
 	done; \
 	rm -rf $(CEX_DIR); exit $$status

@@ -95,6 +95,20 @@ func run(args []string) (code int) {
 		code = cli.ExitCode(ctx, code)
 	}()
 
+	// A -replay document that is not a counterexample is refused before
+	// the packages load: the load, not the check, is what takes seconds.
+	var cex *extract.Counterexample
+	if *replay != "" {
+		data, err := os.ReadFile(*replay)
+		if err == nil {
+			cex, err = extract.ParseCounterexample(data)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tbtso-verify: -replay %s: %v\n", *replay, err)
+			return 2
+		}
+	}
+
 	pkgs, root, err := analysis.LoadModule(*dirFlag, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
@@ -113,8 +127,8 @@ func run(args []string) (code int) {
 	}
 	opt := extract.Options{MaxDelta: *sweep, MaxStates: *maxStates}
 
-	if *replay != "" {
-		return replayCex(ex, *replay, opt)
+	if cex != nil {
+		return replayCex(ex, cex, *replay, opt)
 	}
 
 	// Sweep progress: an interrupted run leaves its completed (pair, Δ)
@@ -325,21 +339,11 @@ func compareCert(dir string, got extract.Certificate) error {
 	return nil
 }
 
-// replayCex re-validates a counterexample artifact against the current
-// source: the pair is re-extracted, the stored outcome must still be
-// forbidden and admitted, and the stored machine run must still
-// reproduce. A document that is not a counterexample exits 2.
-func replayCex(ex *extract.Extraction, path string, opt extract.Options) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
-		return 2
-	}
-	cex, err := extract.ParseCounterexample(data)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tbtso-verify: -replay %s: %v\n", path, err)
-		return 2
-	}
+// replayCex re-validates the counterexample cex, read from path, against
+// the current source: the pair is re-extracted, the stored outcome must
+// still be forbidden and admitted, and the stored machine run must
+// still reproduce.
+func replayCex(ex *extract.Extraction, cex *extract.Counterexample, path string, opt extract.Options) int {
 	for _, p := range ex.Pairs {
 		if p.Name != cex.Pair {
 			continue

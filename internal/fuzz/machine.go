@@ -38,8 +38,8 @@ func MachineDelta(delta int) uint64 { return uint64(delta) }
 // commit; the checker's ageing starts the entry at age 1, so a bound of
 // (machDelta+1)·threads + 2 slack can never force a dequeue the
 // machine performed later. Larger checker Δ only ADDS admissible
-// behaviours, so the machine's sample set is contained in the cover
-// exploration's outcome set whenever both models are correct.
+// behaviours, so every machine sample's witness path replays at the
+// cover whenever both models are correct.
 // machDelta = 0 (unbounded TSO) covers exactly at checker Δ = 0.
 func CoverDelta(p mc.Program, machDelta uint64) int {
 	if machDelta == 0 {

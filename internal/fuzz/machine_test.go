@@ -128,11 +128,11 @@ func TestRunOnMachineRMWSemantics(t *testing.T) {
 }
 
 // TestCoverFormerlyTruncated freezes the covering-Δ outcome sets of two
-// campaign programs whose cover explorations once overran the
-// campaign's 200k-state budget (227,394 and 259,094 states). The
-// golden lists were computed at a 3M budget before age-horizon erasure
-// existed; the programs must now complete inside the campaign budget
-// and reach exactly those outcomes.
+// campaign programs whose cover explorations take 227,394 and 259,094
+// states, more than the campaign's 200k-state budget. The campaign no
+// longer explores at the cover (Δ > 0 samples replay as checker paths),
+// so the explorations run at mc.DefaultMaxStates and must reach
+// exactly the golden outcomes, computed at a 3M budget.
 func TestCoverFormerlyTruncated(t *testing.T) {
 	const zero = "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 "
 	cases := []struct {
@@ -157,7 +157,7 @@ func TestCoverFormerlyTruncated(t *testing.T) {
 		if cover != c.cover {
 			t.Fatalf("seed %d: cover Δ %d, want %d", c.seed, cover, c.cover)
 		}
-		res, err := mc.ExploreParallel(p, cover, mc.Options{MaxStates: Config{}.orDefault().MaxStates})
+		res, err := mc.ExploreParallel(p, cover, mc.Options{MaxStates: mc.DefaultMaxStates})
 		if err != nil {
 			t.Fatalf("seed %d Δ=%d: %v", c.seed, cover, err)
 		}

@@ -93,12 +93,12 @@ func TestDifferentialParallelMatchesSequential(t *testing.T) {
 }
 
 // TestDifferentialCoverDelta runs the oracle comparison at cover-scale
-// Δ (2T+2 and 4T+2 for T threads), where age-horizon erasure fires: at
-// Δ ∈ {0,1,3} it almost never does. Like the fuzz campaign's engine
+// Δ (2T+2 and 4T+2 for T threads): large Δ, where forced drains are
+// rare, unlike Δ ∈ {0,1,3}. Like the fuzz campaign's engine
 // cross-check it covers every (seed, Δ) whose reference graph fits
 // 20k states, which is all but a handful of the corpus; -short and the
-// race detector keep every fourth seed. All 220 seeds × 2 Δ, unbounded,
-// take about 16 s on two cores.
+// race detector keep every fourth seed. All 220 seeds × 2 Δ take about
+// 2 s on two cores.
 func TestDifferentialCoverDelta(t *testing.T) {
 	stride := int64(1)
 	if testing.Short() || raceEnabled {
@@ -141,7 +141,7 @@ func TestDifferentialCoverDelta(t *testing.T) {
 // only ever REMOVE states relative to the unreduced parallel engine,
 // and that with everything off the canonical state count equals the
 // reference explorer's — at small Δ and at the cover-scale Δ 2T+2,
-// where age-horizon erasure fires.
+// large enough that forced drains are rare.
 func TestDifferentialStateCountsShrink(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		p := genProgram(seed)

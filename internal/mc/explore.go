@@ -23,9 +23,9 @@ type Options struct {
 	// per core.
 	Workers int
 	// NoReduction disables the reductions other than symmetry
-	// (terminal collapse, invisible-dequeue priority and age-horizon
-	// erasure), for differential testing against the reference
-	// explorer's full state graph.
+	// (terminal collapse and invisible-dequeue priority), for
+	// differential testing against the reference explorer's full state
+	// graph.
 	NoReduction bool
 	// NoSymmetry disables identical-thread canonicalization.
 	NoSymmetry bool
@@ -124,9 +124,7 @@ type engine struct {
 	codec      codec
 	groups     [][]int // identical-thread identity groups (empty without symmetry)
 
-	erase                   bool       // age-horizon erasure on
 	readsAfter, writesAfter [][]uint64 // suffix access masks (porOK)
-	horizon                 [][]int    // suffix transition bounds (erase)
 
 	vis     *visited
 	workers []*worker
@@ -278,10 +276,6 @@ func (e *engine) reset(p Program, delta int, c codec, maxStates int64, nw int, o
 	if e.porOK {
 		e.readsAfter, e.writesAfter = accessMasks(p, e.readsAfter, e.writesAfter)
 	}
-	e.erase = !opts.NoReduction && delta > 0
-	if e.erase {
-		e.horizon = horizons(p, e.horizon)
-	}
 	e.groups = e.groups[:0]
 	if !opts.NoSymmetry {
 		e.groups = symGroups(p, e.groups)
@@ -427,15 +421,12 @@ func (e *engine) admit() bool {
 	}
 }
 
-// emit erases dead ages, canonicalizes, encodes and deduplicates
-// w.next, pushing it onto the local stack when novel.
+// emit canonicalizes, encodes and deduplicates w.next, pushing it onto
+// the local stack when novel.
 func (w *worker) emit() {
 	e := w.e
 	w.transitions++
 	n := &w.next
-	if e.erase {
-		e.eraseAges(n)
-	}
 	if len(e.groups) > 0 {
 		w.canonicalize(n)
 	}

@@ -21,8 +21,8 @@
 // kept as the independent oracle. ExploreParallel (explore.go), and
 // Explore on top of it, run a work-stealing frontier over a compact
 // binary state encoding with a sharded visited set and sound
-// reductions (terminal collapse, partial order, symmetry and
-// age-horizon erasure) — the same outcome sets. With two workers on a
+// reductions (terminal collapse, partial order and symmetry) — the
+// same outcome sets. With two workers on a
 // 2-vCPU VM it explores 0.85–1.25 M states/s at Ring4 scale. On the
 // BENCH_mc.json cells of a thousand states or more it runs 0.9–2.5×
 // the reference, ahead only where the reductions cut the most states
