@@ -120,7 +120,9 @@ sim-bench:
 # replay as a checker path at the covering Δ among them (docs/FUZZ.md).
 # Last, the sharded CLI must agree with the serial one: the same
 # 64-program campaign at -workers 1 and 4 writes byte-identical
-# checkpoints and summaries that differ only in elapsed_ms. A real
+# checkpoints and summaries that differ only in elapsed_ms; and with the
+# reference oracle off (-crosscheck -1) its summary must not change
+# either, so which check settled a cell never reaches the report. A real
 # campaign: go test -fuzz=FuzzMachineVsChecker ./internal/fuzz, or
 # go run ./cmd/tbtso-fuzz -n 10000 -deltas 0,1,3,inf.
 SMOKE_DIR := .fuzz-smoke
@@ -134,8 +136,11 @@ fuzz-smoke:
 		$(GO) run ./cmd/tbtso-fuzz -n 64 -workers $$w -json -ckpt $(SMOKE_DIR)/w$$w.ckpt > $(SMOKE_DIR)/w$$w.json || exit 1; \
 		grep -v '"elapsed_ms"' $(SMOKE_DIR)/w$$w.json > $(SMOKE_DIR)/w$$w.sum || exit 1; \
 	done
+	$(GO) run ./cmd/tbtso-fuzz -n 64 -crosscheck -1 -json > $(SMOKE_DIR)/nocc.json
+	grep -v '"elapsed_ms"' $(SMOKE_DIR)/nocc.json > $(SMOKE_DIR)/nocc.sum
 	cmp $(SMOKE_DIR)/w1.ckpt $(SMOKE_DIR)/w4.ckpt
 	diff $(SMOKE_DIR)/w1.sum $(SMOKE_DIR)/w4.sum
+	diff $(SMOKE_DIR)/w1.sum $(SMOKE_DIR)/nocc.sum
 	rm -rf $(SMOKE_DIR)
 
 # Regenerate every figure of the paper's evaluation (plus the §6.1

@@ -61,7 +61,7 @@ func run(args []string) (code int) {
 		policyStr  = fs.String("policies", "eager,random,adversarial", "machine drain policies sampled per cell")
 		machSeeds  = fs.Int("machseeds", 3, "machine schedules per (Δ, policy) cell")
 		maxStates  = fs.Int("maxstates", 200_000, "state budget per checker exploration; exceeding it truncates (skips) the check")
-		crossCheck = fs.Int("crosscheck", 20_000, "run the sequential reference engine when the parallel exploration is at most this many states (-1 disables)")
+		crossCheck = fs.Int("crosscheck", 20_000, "run the sequential reference engine when the parallel exploration is at most this many states (-1 disables); with Δ 0 in the sweep, a cell above the lowest positive Δ may be settled instead by the exact check against Δ 0's outcome set")
 		timeBudget = fs.Duration("time", 0, "wall-clock budget; stops early even if -n remains (0 = none; breaks resume byte-identity — see docs/ROBUSTNESS.md)")
 		workers    = fs.Int("workers", 0, "campaign workers sharding the seed space (0 = GOMAXPROCS, 1 = serial); the report is worker-count independent")
 		shrinkMax  = fs.Int("shrink", 4000, "max shrink attempts (failure-predicate runs) per mismatch")

@@ -9,7 +9,7 @@
 //	tbtso-verify [flags] [package patterns]
 //
 //	-C dir          module directory to run from (default ".")
-//	-certdir dir    certificate directory, module-relative (default "certs")
+//	-certdir dir    certificate directory, module-relative unless absolute (default "certs")
 //	-update         rewrite certificates and counterexample artifacts
 //	-sweep N        top of the Δ sweep (default 4): Δ runs 1..N
 //	-maxstates N    per-exploration state budget (default mc's)
@@ -57,7 +57,7 @@ func main() {
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("tbtso-verify", flag.ContinueOnError)
 	dirFlag := fs.String("C", ".", "directory inside the module to analyze from")
-	certDir := fs.String("certdir", "certs", "certificate directory, relative to the module root")
+	certDir := fs.String("certdir", "certs", "certificate directory, relative to the module root unless absolute")
 	update := fs.Bool("update", false, "rewrite certificates and counterexample artifacts")
 	sweep := fs.Int("sweep", 4, "top of the Δ sweep (Δ runs 1..N)")
 	maxStates := fs.Int("maxstates", 0, "per-exploration state budget (0 = mc default)")
@@ -151,7 +151,10 @@ func run(args []string) (code int) {
 		}
 	}
 
-	dir := filepath.Join(root, *certDir)
+	dir := *certDir
+	if !filepath.IsAbs(dir) {
+		dir = filepath.Join(root, dir)
+	}
 	interrupted := false
 	var certs []extract.Certificate
 	for _, p := range ex.Pairs {

@@ -31,6 +31,33 @@ func TestReplayRefusesBeforeLoad(t *testing.T) {
 	}
 }
 
+// TestUpdateHonoursAbsoluteCertdir checks that -update -certdir with an
+// absolute path writes the certificates into that directory, and
+// neither under the module root joined with it nor into certs/.
+func TestUpdateHonoursAbsoluteCertdir(t *testing.T) {
+	root := filepath.Join("..", "..")
+	committed := filepath.Join(root, "certs", "ffbl.json")
+	before, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "certs")
+	if stderr, code := runCaptured(t, "-C", root, "-update", "-sweep", "1", "-certdir", dir, "./internal/lock"); code != 0 {
+		t.Fatalf("-update -certdir %s: exit %d; stderr:\n%s", dir, code, stderr)
+	}
+	for _, name := range []string{"ffbl.json", "ffbl-tso.json", "ffbl-tso.cex.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("certificate not in -certdir: %v", err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(root, dir)); !os.IsNotExist(err) {
+		t.Errorf("-certdir %s was joined onto the module root (stat: %v)", dir, err)
+	}
+	if after, err := os.ReadFile(committed); err != nil || string(after) != string(before) {
+		t.Errorf("%s changed (err %v)", committed, err)
+	}
+}
+
 // runCaptured calls run with args and returns what it wrote to stderr
 // and its exit code.
 func runCaptured(t *testing.T, args ...string) (string, int) {

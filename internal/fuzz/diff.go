@@ -1,11 +1,13 @@
 package fuzz
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,7 +40,9 @@ type Config struct {
 	// CrossCheckStates: when the parallel engine's exploration visited
 	// at most this many states, the sequential reference explorer is
 	// run on the same (program, Δ) and the outcome sets compared
-	// (default 20_000; negative disables).
+	// (default 20_000; negative disables). With Δ 0 in the sweep, a cell
+	// above the lowest positive Δ may be settled by the exact check
+	// against out(0) instead, which ignores this bound (settle).
 	CrossCheckStates int
 	// Flight, if non-nil, is the campaign flight recorder: every
 	// (seed, Δ) cell's sampled runs record into the cell's own seed
@@ -190,6 +194,12 @@ type explorers struct {
 	ref    mc.Reference
 }
 
+// The two explorers, as variables so tests can plant one or count runs.
+var (
+	exploreEngine    = (*mc.Explorer).Explore
+	exploreReference = (*mc.Reference).Explore
+)
+
 // explore runs the engine on one worker, tolerating truncation: a
 // truncated exploration returns ok=false and the check that needed it
 // is skipped. One worker, because a campaign already runs one (seed, Δ)
@@ -197,7 +207,7 @@ type explorers struct {
 // *mc.InterruptedError — the caller must treat the whole program check
 // as incomplete, never as a finding.
 func (c Config) explore(ctx context.Context, x *mc.Explorer, p mc.Program, delta int) (mc.Result, bool, error) {
-	res, err := x.Explore(p, delta, mc.Options{MaxStates: c.MaxStates, Workers: 1, Context: ctx})
+	res, err := exploreEngine(x, p, delta, mc.Options{MaxStates: c.MaxStates, Workers: 1, Context: ctx})
 	if err != nil {
 		var te *mc.TruncatedError
 		if errors.As(err, &te) {
@@ -213,38 +223,46 @@ func cancelled(ctx context.Context) bool {
 	return ctx != nil && ctx.Err() != nil
 }
 
-// diffOutcomes renders the symmetric difference of two outcome sets,
-// capped for readability.
+// crossCheck runs the reference oracle on (p, Δ) against the engine's
+// exploration of states states with outcome set out: detail renders a
+// difference, and ran is false when the reference truncated.
+func (c Config) crossCheck(ref *mc.Reference, p mc.Program, delta int, out map[string]bool, states int) (detail string, ran bool) {
+	seq, err := exploreReference(ref, p, delta, c.MaxStates, states)
+	if err != nil || maps.Equal(out, seq.Outcomes) {
+		return "", err == nil
+	}
+	return diffOutcomes(out, seq.Outcomes), true
+}
+
+// diffOutcomes renders the symmetric difference of two outcome sets.
 func diffOutcomes(a, b map[string]bool) string {
-	var missing, extra []string
+	return fmt.Sprintf("parallel-only=%v sequential-only=%v", outside(a, b), outside(b, a))
+}
+
+// outside lists a's outcomes that are not in b, sorted and capped for
+// readability; nil when a ⊆ b.
+func outside(a, b map[string]bool) []string {
+	var xs []string
 	for o := range a {
 		if !b[o] {
-			missing = append(missing, o)
+			xs = append(xs, o)
 		}
 	}
-	for o := range b {
-		if !a[o] {
-			extra = append(extra, o)
-		}
+	sort.Strings(xs)
+	if len(xs) > 3 {
+		return append(xs[:3:3], "...")
 	}
-	sort.Strings(missing)
-	sort.Strings(extra)
-	cap3 := func(xs []string) []string {
-		if len(xs) > 3 {
-			return append(xs[:3:3], "...")
-		}
-		return xs
-	}
-	return fmt.Sprintf("parallel-only=%v sequential-only=%v", cap3(missing), cap3(extra))
+	return xs
 }
 
 // CheckProgram runs the full differential sweep on one program: for
-// every Δ in the sweep, (1) the two checker engines are compared on the
-// exact Δ, and (2) every (policy × machine seed) sample of the clocked
+// every Δ in the sweep, (1) the engine's outcome set at the exact Δ is
+// checked against the reference oracle's or out(0), and across Δ
+// (settle), and (2) every (policy × machine seed) sample of the clocked
 // machine at Δ ticks is asserted to be admitted by the checker at the
 // covering Δ. At Δ 0 the sample's outcome must be in the exact
-// exploration's set; above Δ 0 the run must replay as a checker path
-// at the cover (checkRun). seed tags mismatches for replay; pass the
+// exploration's set; above Δ 0 the run must replay as a checker path at
+// the cover (checkRun). seed tags mismatches for replay; pass the
 // generator seed (or 0 for hand-built programs).
 func CheckProgram(cfg Config, p mc.Program, seed int64) Report {
 	rep, _ := checkProgram(nil, cfg.orDefault(), NewSampler(), new(explorers), nil, p, seed)
@@ -302,37 +320,50 @@ var newSampler = func() sampler { return NewSampler() }
 // checkProgram is CheckProgram with an explicit execution context:
 // observeProgram, then checkCell at every Δ of the sweep in order, all
 // on one sampler, one set of checker contexts and one flight recorder
-// (rec, nil when cfg.Flight is off). cfg must already be defaulted. ctx
-// (nil = uncancellable) cancels mid-check; complete is false when the
-// check was cut short, in which case the report is a partial that MUST
-// NOT be merged into a campaign.
+// (rec, nil when cfg.Flight is off), and settle's fold of the cells.
+// cfg must already be defaulted. ctx (nil = uncancellable) cancels
+// mid-check; complete is false when the check was cut short, in which
+// case the report is a partial that MUST NOT be merged into a campaign.
 func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
-	observeProgram(&rep, p)
-	for _, delta := range cfg.Deltas {
-		if !checkCell(ctx, cfg, s, x, rec, &rep, p, seed, delta) {
-			return rep, false
+	cells := make([]cell, max(len(cfg.Deltas), 1))
+	observeProgram(&cells[0].rep, p)
+	for j, delta := range cfg.Deltas {
+		if !checkCell(ctx, cfg, s, x, rec, &cells[j], p, seed, delta) {
+			return cells[0].rep, false
 		}
 	}
-	return rep, true
+	return settle(cfg, &x.ref, p, seed, cells), true
 }
 
-// checkCell checks one (seed, Δ) cell of the sweep and adds what it
-// found to rep: the engine's exploration of p at Δ, the reference
-// oracle's cross-check of it, and every (policy × machine seed) run of
-// the clocked machine at Δ ticks with its containment verdict at the
-// covering Δ (checkRun). s is the worker-local machine the runs reuse,
-// x the worker's checker contexts, and rec (nil when cfg.Flight is off)
-// the flight recorder every run streams into lock-free. seed tags
-// mismatches for replay. cfg must already be defaulted. ctx (nil =
-// uncancellable) is checked before the exploration, inside it and
-// before each machine run; complete is false when the cell was cut
-// short, and then its program's check is incomplete: it has to be
-// re-checked from scratch (it is deterministic per seed, so a re-run
-// reproduces the full report exactly), and rec's group is discarded.
-func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, rep *Report, p mc.Program, seed int64, delta int) (complete bool) {
+// cell is one (seed, Δ) cell's check as settle sees it.
+type cell struct {
+	delta    int
+	rep      Report
+	out      map[string]bool // nil unless the exploration completed
+	states   int
+	vouched  bool // the reference ran on this cell and agreed
+	diverged bool // the cell holds an engine-divergence record on out
+}
+
+// checkCell checks one (seed, Δ) cell of the sweep into c: the engine's
+// exploration of p at Δ, the reference oracle's cross-check of it
+// (settle's, above the lowest positive Δ of a sweep with Δ 0), and every
+// (policy × machine seed) run of the clocked machine at Δ ticks with its
+// containment verdict at the covering Δ (checkRun). s is the
+// worker-local machine the runs reuse, x the worker's checker contexts,
+// and rec (nil when cfg.Flight is off) the flight recorder every run
+// streams into lock-free. seed tags mismatches for replay. cfg must
+// already be defaulted. ctx (nil = uncancellable) is checked before the
+// exploration, inside it and before each machine run; complete is false
+// when the cell was cut short, and then its program's check is
+// incomplete: it has to be re-checked from scratch (it is deterministic
+// per seed, so a re-run reproduces the full report exactly), and rec's
+// group is discarded.
+func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, c *cell, p mc.Program, seed int64, delta int) (complete bool) {
 	if cancelled(ctx) {
 		return false
 	}
+	c.delta = delta
 	var stop <-chan struct{} // nil, never ready, when ctx is nil
 	if ctx != nil {
 		stop = ctx.Done()
@@ -343,7 +374,7 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 	}
 	flag := func(m Mismatch) { // every finding carries the replay key
 		m.Seed, m.Program = seed, p
-		rep.Mismatches = append(rep.Mismatches, m)
+		c.rep.Mismatches = append(c.rep.Mismatches, m)
 	}
 
 	raw, ok, err := cfg.explore(ctx, &x.engine, p, delta)
@@ -355,21 +386,23 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 		return true
 	}
 	if !ok {
-		rep.Coverage.ObserveTruncated()
+		c.rep.Coverage.ObserveTruncated()
 		return true
 	}
 	threads, totalOps := shape(p)
-	rep.Coverage.ObserveExploration(raw.States, raw.Transitions, raw.DedupHits, raw.PorPrunes, raw.TerminalCollapses)
-	rep.Coverage.ObserveOutcomeSet(threads, totalOps, len(raw.Outcomes))
+	c.rep.Coverage.ObserveExploration(raw.States, raw.Transitions, raw.DedupHits, raw.PorPrunes, raw.TerminalCollapses)
+	c.rep.Coverage.ObserveOutcomeSet(threads, totalOps, len(raw.Outcomes))
+	c.out, c.states = raw.Outcomes, raw.States
 
 	// Engine cross-check at the RAW sweep Δ, so small Δs are pinned
 	// engine-to-engine even though containment runs at the cover. The
 	// engine's count is a lower bound on the reference's, which has no
 	// reductions.
-	if cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
-		seqRes, seqErr := x.ref.Explore(p, delta, cfg.MaxStates, raw.States)
-		if seqErr == nil && !maps.Equal(raw.Outcomes, seqRes.Outcomes) {
-			flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: diffOutcomes(raw.Outcomes, seqRes.Outcomes)})
+	if lo, ok := sandwich(cfg.Deltas); (!ok || delta <= lo) && cfg.CrossCheckStates >= 0 && raw.States <= cfg.CrossCheckStates {
+		detail, ran := cfg.crossCheck(&x.ref, p, delta, raw.Outcomes, raw.States)
+		c.vouched, c.diverged = ran && detail == "", detail != ""
+		if c.diverged {
+			flag(Mismatch{Kind: KindEngineDivergence, Delta: delta, Detail: detail})
 		}
 	}
 
@@ -385,7 +418,7 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 			default:
 			}
 			machSeed := seed*1000003 + int64(pi)*101 + int64(i)
-			rep.Coverage.ObserveRun(delta, pol.String(), i)
+			c.rep.Coverage.ObserveRun(delta, pol.String(), i)
 			run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
 			outcome, mres, admitted, err := checkRun(s, p, cover, raw, run, sinks...)
 			if rec != nil {
@@ -396,19 +429,85 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 					Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Detail: err.Error()})
 				continue
 			}
-			for c, n := range mres.Stats.Drains {
-				rep.Coverage.ObserveDrain(tso.DrainCause(c).String(), n)
+			for cause, n := range mres.Stats.Drains {
+				c.rep.Coverage.ObserveDrain(tso.DrainCause(cause).String(), n)
 			}
 			switch {
 			case !admitted:
 				flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
 					Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
 			case cover > 0:
-				rep.Coverage.MC.WitnessedChecks++
+				c.rep.Coverage.MC.WitnessedChecks++
 			}
 		}
 	}
 	return true
+}
+
+// sandwich returns the sweep's lowest positive Δ and whether the sweep
+// also holds Δ 0, so that settle settles the cells above it.
+func sandwich(deltas []int) (lo int, ok bool) {
+	for _, d := range deltas {
+		if d > 0 && (lo == 0 || d < lo) {
+			lo = d
+		}
+	}
+	return lo, lo > 0 && slices.Contains(deltas, 0)
+}
+
+// settle folds one program's cells, in sweep order, into its report,
+// for checkProgram and Stream alike. With Δ 0 and lowest positive Δ lo
+// in the sweep, out(lo) ⊆ out(Δ) ⊆ out(0) (docs/FUZZ.md): if the
+// reference vouched for Δ 0 and lo and out(lo) = out(0), each cell above
+// lo must equal out(0) (the exact check), else ref checks each such cell
+// small enough for it. Then the explored sets must nest in ascending Δ,
+// Δ 0 last (the chain); a break is recorded at the tighter Δ unless
+// either cell holds a divergence. Records go first in their cell's.
+func settle(cfg Config, ref *mc.Reference, p mc.Program, seed int64, cells []cell) Report {
+	flag := func(c *cell, detail string) {
+		c.diverged = true
+		c.rep.Mismatches = slices.Insert(c.rep.Mismatches, 0, Mismatch{Kind: KindEngineDivergence, Seed: seed, Delta: c.delta, Detail: detail, Program: p})
+	}
+	if lo, ok := sandwich(cfg.Deltas); ok {
+		out0 := cells[slices.IndexFunc(cells, func(c cell) bool { return c.delta == 0 })].out
+		premise := !slices.ContainsFunc(cells, func(c cell) bool {
+			return (c.delta == 0 || c.delta == lo) && !(c.vouched && maps.Equal(c.out, out0))
+		})
+		for i := range cells {
+			c := &cells[i]
+			switch {
+			case c.delta <= lo || c.out == nil:
+			case premise:
+				if !maps.Equal(c.out, out0) {
+					flag(c, diffOutcomes(c.out, out0))
+				}
+			case cfg.CrossCheckStates >= 0 && c.states <= cfg.CrossCheckStates:
+				if detail, _ := cfg.crossCheck(ref, p, c.delta, c.out, c.states); detail != "" {
+					flag(c, detail)
+				}
+			}
+		}
+	}
+
+	chain := make([]*cell, len(cells))
+	for i := range cells {
+		chain[i] = &cells[i]
+	}
+	chain = slices.DeleteFunc(chain, func(c *cell) bool { return c.out == nil })
+	// Ascending Δ: Δ 0, unbounded, wraps round to last.
+	slices.SortStableFunc(chain, func(a, b *cell) int { return cmp.Compare(uint(a.delta-1), uint(b.delta-1)) })
+	for i := 1; i < len(chain); i++ {
+		a, b := chain[i-1], chain[i]
+		if extra := outside(a.out, b.out); extra != nil && !a.diverged && !b.diverged {
+			flag(a, fmt.Sprintf("outcomes at Δ %d but not at Δ %d: %v", a.delta, b.delta, extra))
+		}
+	}
+
+	rep := cells[0].rep
+	for _, c := range cells[1:] {
+		rep.Add(c.rep)
+	}
+	return rep
 }
 
 // checkRun samples run on p and returns the containment verdict on it.
@@ -477,8 +576,9 @@ func (c Config) Parallelism() (workers, window int) {
 // checked is one (seed, Δ) cell check travelling through Stream's
 // window.
 type checked struct {
-	i        int // the cell's index in the campaign
-	rep      Report
+	i int // the cell's index in the campaign
+	cell
+	p        mc.Program // the cell's program
 	complete bool
 	group    *monitor.SeedGroup // nil without cfg.Flight or when cut short
 }
@@ -514,12 +614,12 @@ func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int
 	if cfg.Flight != nil {
 		rec = cfg.Flight.Record(seed)
 	}
-	c := &checked{i: i, complete: true}
+	c := &checked{i: i, p: p, complete: true}
 	if j == 0 {
 		observeProgram(&c.rep, p)
 	}
 	if j < len(cfg.Deltas) {
-		c.complete = checkCell(ctx, cfg, w.s, &w.x, rec, &c.rep, p, seed, cfg.Deltas[j])
+		c.complete = checkCell(ctx, cfg, w.s, &w.x, rec, &c.cell, p, seed, cfg.Deltas[j])
 	}
 	if rec != nil && c.complete {
 		c.group = rec.Finish()
@@ -534,11 +634,10 @@ func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int
 // workers (see Parallelism) instead of idling the others behind it.
 // The workers take cells from a shared cursor, in (seed, Δ) order, but
 // never run more than a window of programs' cells past the last folded
-// program, so memory stays bounded in n. The calling goroutine
-// assembles each program's report from its cells in Δ order, the
-// first carrying observeProgram's counts, so the report is the one
-// checkProgram returns, whatever the worker count. With cfg.Flight
-// set, each cell records into its own seed recorder, and the program's
+// program, so memory stays bounded in n. The calling goroutine folds
+// each program's cells in Δ order with settle, the first cell carrying
+// observeProgram's counts, so the report is the one checkProgram
+// returns, whatever the worker count. With cfg.Flight set, each cell records into its own seed recorder, and the program's
 // cell groups, joined in Δ order (monitor.JoinGroups), are appended to
 // the flight just before fold sees the report.
 //
@@ -602,8 +701,9 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 
 	ring := make([]*checked, slots) // cell i waits in ring[i%slots]
 	var groups []*monitor.SeedGroup
+	sweep, ref := make([]cell, k), new(mc.Reference) // the program's cells, in Δ order; settle's oracle
 	for done < n {
-		var rep Report
+		var p mc.Program
 		groups = groups[:0]
 		for j := range k {
 			i := done*k + j
@@ -620,11 +720,7 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 			if !c.complete {
 				return done, ctx.Err()
 			}
-			if j == 0 {
-				rep = c.rep
-			} else {
-				rep.Add(c.rep)
-			}
+			sweep[j], p = c.cell, c.p
 			if c.group != nil {
 				groups = append(groups, c.group)
 			}
@@ -632,6 +728,7 @@ func Stream(ctx context.Context, cfg Config, n int, startSeed int64, fold func(R
 		if len(groups) > 0 {
 			cfg.Flight.Append(monitor.JoinGroups(groups))
 		}
+		rep := settle(cfg, ref, p, startSeed+int64(done), sweep)
 		done++
 		if !fold(rep) {
 			return done, nil

@@ -203,8 +203,7 @@ func TestFlightDumpWorkerCountInvariant(t *testing.T) {
 	for seed := start; seed < start+n; seed++ {
 		for _, delta := range cfg.Deltas {
 			rec := probe.Record(seed)
-			var rep Report
-			checkCell(nil, cfg, NewSampler(), new(explorers), rec, &rep, Gen(cfg.Gen, seed), seed, delta)
+			checkCell(nil, cfg, NewSampler(), new(explorers), rec, new(cell), Gen(cfg.Gen, seed), seed, delta)
 			if len(rec.Finish().Violations) > 0 {
 				violated[delta] = true
 			}

@@ -121,6 +121,8 @@ type engine struct {
 	maxStates  int64
 	collapseOK bool
 	porOK      bool
+	solo       bool  // one worker (reset): no locks, no pending count, no admission CAS
+	soloStates int64 // states admitted while solo, stored into states at the end
 	codec      codec
 	groups     [][]int // identical-thread identity groups (empty without symmetry)
 
@@ -129,7 +131,7 @@ type engine struct {
 	vis     *visited
 	workers []*worker
 
-	pending     atomic.Int64 // states queued but not yet expanded
+	pending     atomic.Int64 // states queued but not yet expanded (not kept when solo)
 	states      atomic.Int64 // distinct canonical states admitted
 	truncated   atomic.Bool
 	interrupted *atomic.Bool // Options.Context cancelled; workers drain without expanding
@@ -216,6 +218,7 @@ func (x *Explorer) explore(p Program, delta int, opts Options, c codec) (Result,
 	key, _ := e.vis.insert(w0.enc)
 	e.states.Store(1)
 	e.pending.Store(1)
+	e.soloStates = 1
 	w0.stack = append(w0.stack, key)
 
 	// Cancellation flips a flag of this exploration's own, so workers
@@ -238,6 +241,7 @@ func (x *Explorer) explore(p Program, delta int, opts Options, c codec) (Result,
 
 	if nw == 1 {
 		w0.run()
+		e.states.Store(e.soloStates)
 	} else {
 		var wg sync.WaitGroup
 		for _, w := range e.workers {
@@ -282,6 +286,7 @@ func (e *engine) reset(p Program, delta int, c codec, maxStates int64, nw int, o
 	}
 	e.truncated.Store(false)
 	e.interrupted = &e.never
+	e.solo = nw == 1
 
 	shards := 1
 	if nw > 1 {
@@ -346,16 +351,19 @@ func (e *engine) mergeOutcomes() map[string]bool {
 }
 
 func (w *worker) pop() ([]byte, bool) {
-	w.mu.Lock()
-	n := len(w.stack)
-	if n == 0 {
-		w.mu.Unlock()
-		return nil, false
+	solo := w.e.solo
+	if !solo {
+		w.mu.Lock()
 	}
-	k := w.stack[n-1]
-	w.stack = w.stack[:n-1]
-	w.mu.Unlock()
-	return k, true
+	n := len(w.stack)
+	var k []byte
+	if n > 0 {
+		k, w.stack = w.stack[n-1], w.stack[:n-1]
+	}
+	if !solo {
+		w.mu.Unlock()
+	}
+	return k, n > 0
 }
 
 // steal moves up to half of some victim's stack (oldest entries first,
@@ -393,22 +401,32 @@ func (w *worker) run() {
 			k, ok = w.steal()
 		}
 		if !ok {
-			if e.pending.Load() == 0 {
+			if e.solo || e.pending.Load() == 0 {
 				return
 			}
 			runtime.Gosched()
 			continue
 		}
 		w.expand(k)
-		e.pending.Add(-1)
+		if !e.solo {
+			e.pending.Add(-1)
+		}
 	}
 }
 
 // admit charges one state against the budget; false means the budget
 // is gone and the exploration is truncated. The CAS loop keeps the
 // counter exact (never above the budget), so truncated Results report
-// States == MaxStates.
+// States == MaxStates. A solo exploration counts without atomics.
 func (e *engine) admit() bool {
+	if e.solo {
+		if e.soloStates >= e.maxStates {
+			e.truncated.Store(true)
+			return false
+		}
+		e.soloStates++
+		return true
+	}
 	for {
 		n := e.states.Load()
 		if n >= e.maxStates {
@@ -437,6 +455,10 @@ func (w *worker) emit() {
 		return
 	}
 	if !e.admit() {
+		return
+	}
+	if e.solo {
+		w.stack = append(w.stack, key)
 		return
 	}
 	e.pending.Add(1)

@@ -55,7 +55,8 @@ type visitedShard struct {
 	_ [64]byte
 }
 
-// newVisited returns an empty set of n shards, a power of two.
+// newVisited returns an empty set of n shards, a power of two. A
+// one-shard set is only ever used by one goroutine: insert takes no lock.
 func newVisited(n int) *visited {
 	return &visited{seed: maphash.MakeSeed(), shift: uint(64 - bits.TrailingZeros(uint(n))), shards: make([]visitedShard, n)}
 }
@@ -90,8 +91,10 @@ func (v *visited) insert(b []byte) (key []byte, novel bool) {
 	h := maphash.Bytes(v.seed, b)
 	tag := h & tagMask
 	sh := &v.shards[h>>v.shift]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	if len(v.shards) > 1 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
 	i := sh.probe(tag, b)
 	if i < 0 {
 		return nil, false

@@ -487,6 +487,10 @@ func (m *Machine) fail(err error) {
 }
 
 func (m *Machine) failure() error {
+	if m.halted == nil {
+		// The direct engine: only this, the scheduler goroutine, calls fail.
+		return m.haltErr
+	}
 	m.haltMu.Lock()
 	defer m.haltMu.Unlock()
 	return m.haltErr
