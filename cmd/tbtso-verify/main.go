@@ -17,15 +17,14 @@
 //	-suggest-fences for violated pairs, search minimal fence insertions
 //	                restoring plain-TSO soundness
 //	-replay file    re-validate one counterexample artifact and exit
-//	-progress file  persist per-(pair, Δ) sweep progress here on
-//	                interruption; rerunning with the same flags resumes,
-//	                re-certifying only the unfinished cells
 //
 // Patterns default to ./.... Exit status: 0 when every pair's verdict
 // matches its expectation AND matches the committed certificate; 1 on
 // any diagnostic, unexpected verdict, or certificate drift; 2 on usage
 // or load errors; 130 when interrupted (first SIGINT/SIGTERM stops at
-// the next Δ cell and saves -progress, a second hard-exits).
+// the next Δ cell and writes nothing, a second hard-exits; a rerun
+// repeats the whole sweep, which costs milliseconds beside the
+// seconds-long package load).
 package main
 
 import (
@@ -64,11 +63,10 @@ func run(args []string) (code int) {
 	formatFlag := fs.String("format", "text", "output format: text or json")
 	suggest := fs.Bool("suggest-fences", false, "for violated pairs, search minimal fence insertions restoring plain-TSO soundness")
 	replay := fs.String("replay", "", "counterexample artifact to re-validate")
-	progressPath := fs.String("progress", "", "sweep-progress file: written on interruption, consumed (and removed) on the resuming run")
 	var obsOpts serve.Options
 	obsOpts.RegisterEndpoint(fs)
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: tbtso-verify [-C dir] [-certdir dir] [-update] [-sweep N] [-maxstates N] [-format text|json] [-suggest-fences] [-replay file] [-progress file] [package patterns]\n")
+		fmt.Fprintf(os.Stderr, "usage: tbtso-verify [-C dir] [-certdir dir] [-update] [-sweep N] [-maxstates N] [-format text|json] [-suggest-fences] [-replay file] [package patterns]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -131,53 +129,22 @@ func run(args []string) (code int) {
 		return replayCex(ex, cex, *replay, opt)
 	}
 
-	// Sweep progress: an interrupted run leaves its completed (pair, Δ)
-	// cells in -progress; the resuming run replays them from the record
-	// instead of re-exploring. The document is keyed by the sweep
-	// options and each pair's content fingerprint, so changed flags or
-	// changed source refuse or miss rather than resume against stale
-	// cells.
-	var prog *extract.SweepProgress
-	if *progressPath != "" {
-		switch p, err := extract.ReadSweepProgress(*progressPath, opt); {
-		case err == nil:
-			prog = p
-			fmt.Fprintf(os.Stderr, "tbtso-verify: resuming sweep progress from %s\n", *progressPath)
-		case os.IsNotExist(err):
-			prog = extract.NewSweepProgress(opt)
-		default:
-			fmt.Fprintf(os.Stderr, "tbtso-verify: -progress %s: %v (delete it to start over)\n", *progressPath, err)
-			return 2
-		}
-	}
-
 	dir := *certDir
 	if !filepath.IsAbs(dir) {
 		dir = filepath.Join(root, dir)
 	}
-	interrupted := false
 	var certs []extract.Certificate
 	for _, p := range ex.Pairs {
 		if ctx.Err() != nil {
-			interrupted = true
 			break
 		}
 		if p.Failed {
 			failed = true
 			continue
 		}
-		var prior []extract.SweepPoint
-		if prog != nil {
-			prior = prog.Lookup(p)
-			sess.Registry.Counter("verify.resume.skipped_cells").Add(uint64(len(prior)))
-		}
-		rep, done, err := extract.Certify(ctx, p, opt, prior)
-		if prog != nil && len(done) > 0 {
-			prog.Record(p, done)
-		}
+		rep, err := extract.Certify(ctx, p, opt)
 		if err != nil {
 			if errors.Is(err, mc.ErrInterrupted) {
-				interrupted = true
 				break
 			}
 			fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
@@ -201,23 +168,6 @@ func run(args []string) (code int) {
 			fmt.Fprintln(os.Stderr, "tbtso-verify:", err)
 			failed = true
 		}
-	}
-
-	if interrupted {
-		switch {
-		case prog == nil:
-			fmt.Fprintln(os.Stderr, "tbtso-verify: interrupted; no -progress file, sweep progress lost")
-		default:
-			if _, err := obs.WriteDoc(*progressPath, prog); err != nil {
-				fmt.Fprintf(os.Stderr, "tbtso-verify: writing %s: %v\n", *progressPath, err)
-			} else {
-				fmt.Fprintf(os.Stderr, "tbtso-verify: interrupted; sweep progress saved to %s — rerun with the same flags to resume\n", *progressPath)
-			}
-		}
-	} else if prog != nil {
-		// A completed sweep owes nothing to the next run; leaving the
-		// file would resume a campaign that already finished.
-		os.Remove(*progressPath)
 	}
 
 	if *formatFlag == "json" {

@@ -191,22 +191,14 @@ func (r *Report) Ok() bool {
 // Certify explores the pair across the Δ sweep and issues its verdict.
 // It fails (no certificate) only on exploration errors — a state-budget
 // truncation or an unassembled pair — or on cancellation of ctx, which
-// may be nil. The sweep runs in a fixed order — Δ=0, then 1..MaxDelta
-// — and each completed cell is appended to the returned progress slice
-// (index i holds Δ=i). prior is progress from an earlier, interrupted
-// run of the SAME pair under the SAME options (see SweepProgress, which
-// guards both): those cells are reused instead of re-explored, so a
-// resumed sweep re-certifies only the unfinished (pair, Δ) cells. On
-// cancellation the partial progress comes back with a nil Report and
-// an error satisfying errors.Is(err, mc.ErrInterrupted).
-func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Report, []SweepPoint, error) {
+// may be nil. The sweep runs in a fixed order — Δ=0, then 1..MaxDelta.
+// On cancellation it returns a nil Report and an error satisfying
+// errors.Is(err, mc.ErrInterrupted).
+func Certify(ctx context.Context, p *Pair, opt Options) (*Report, error) {
 	if p.Failed {
-		return nil, nil, fmt.Errorf("pair %s failed extraction; see diagnostics", p.Name)
+		return nil, fmt.Errorf("pair %s failed extraction; see diagnostics", p.Name)
 	}
 	opt = opt.withDefaults()
-	if len(prior) > opt.MaxDelta+1 {
-		prior = prior[:opt.MaxDelta+1]
-	}
 
 	cert := Certificate{
 		Pair:       p.Name,
@@ -226,17 +218,7 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 		cert.Expect = ExpectFail
 	}
 
-	// explore computes the cell at delta, reusing a prior run's point
-	// when one was recorded. Reused cells are validated against the
-	// sweep order — a prior slice from a different options shape never
-	// silently shifts a Δ.
 	explore := func(delta int) (SweepPoint, error) {
-		if delta < len(prior) {
-			if prior[delta].Delta != delta {
-				return SweepPoint{}, fmt.Errorf("pair %s: sweep progress[%d] holds Δ=%d; progress document corrupt", p.Name, delta, prior[delta].Delta)
-			}
-			return prior[delta], nil
-		}
 		if ctx != nil && ctx.Err() != nil {
 			return SweepPoint{}, fmt.Errorf("pair %s at Δ=%d: %w", p.Name, delta, &mc.InterruptedError{Shape: "sweep", Cause: ctx.Err()})
 		}
@@ -265,19 +247,16 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 		return pt, nil
 	}
 
-	var done []SweepPoint
 	var err error
 	if cert.TSO, err = explore(0); err != nil {
-		return nil, done, err
+		return nil, err
 	}
-	done = append(done, cert.TSO)
 	firstFail := 0
 	for d := 1; d <= opt.MaxDelta; d++ {
 		pt, err := explore(d)
 		if err != nil {
-			return nil, done, err
+			return nil, err
 		}
-		done = append(done, pt)
 		cert.Sweep = append(cert.Sweep, pt)
 		if pt.Holds && cert.CertifiedDelta == 0 {
 			cert.CertifiedDelta = d
@@ -315,7 +294,7 @@ func Certify(ctx context.Context, p *Pair, opt Options, prior []SweepPoint) (*Re
 		cert.Program = p.Instantiate(cert.CertifiedDelta + 1)
 	}
 	rep.Cert = cert
-	return rep, done, nil
+	return rep, nil
 }
 
 func renderOps(ops []AbsOp) []string {

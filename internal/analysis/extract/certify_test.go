@@ -2,12 +2,15 @@ package extract
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"tbtso/internal/fuzz"
+	"tbtso/internal/mc"
 )
 
 // TestCertifyRealPairs runs the full certification of the real
@@ -23,7 +26,7 @@ func TestCertifyRealPairs(t *testing.T) {
 	}
 	for name, status := range want {
 		p := pairByName(t, ex, name)
-		rep, _, err := Certify(nil, p, Options{MachSeeds: 8}, nil)
+		rep, err := Certify(nil, p, Options{MachSeeds: 8})
 		if err != nil {
 			t.Errorf("certify %s: %v", name, err)
 			continue
@@ -65,6 +68,22 @@ func TestCertifyRealPairs(t *testing.T) {
 	}
 }
 
+// TestCertifyInterrupted: a sweep whose context is already cancelled
+// explores nothing and returns no report, with a typed error.
+func TestCertifyInterrupted(t *testing.T) {
+	ex := Extract(load(t, "internal/smr"))
+	p := pairByName(t, ex, "ffhp")
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := Certify(gone, p, Options{MachSeeds: 4})
+	if rep != nil {
+		t.Fatalf("pre-cancelled Certify returned a report: %+v", rep)
+	}
+	if !errors.Is(err, mc.ErrInterrupted) {
+		t.Fatalf("pre-cancelled Certify: err=%v, want ErrInterrupted", err)
+	}
+}
+
 // TestCertifySymmetry asserts that the replicated-reader pair really
 // explores more than one reader thread and reports the symmetry
 // reduction.
@@ -74,7 +93,7 @@ func TestCertifySymmetry(t *testing.T) {
 	if p.Copies != 2 || p.Threads() != 3 {
 		t.Fatalf("ffbl-mach: copies=%d threads=%d, want 2/3", p.Copies, p.Threads())
 	}
-	rep, _, err := Certify(nil, p, Options{MachSeeds: 1}, nil)
+	rep, err := Certify(nil, p, Options{MachSeeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +117,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	ex := Extract(load(t, "internal/analysis/extract/testdata/src/pairs"))
 
 	for _, name := range []string{"sb", "sb-shared"} {
-		rep, _, err := Certify(nil, pairByName(t, ex, name), Options{MachSeeds: 1}, nil)
+		rep, err := Certify(nil, pairByName(t, ex, name), Options{MachSeeds: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +127,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	}
 
 	short := pairByName(t, ex, "sb-shortwait")
-	rep, _, err := Certify(nil, short, Options{MaxDelta: 10, MachSeeds: 8}, nil)
+	rep, err := Certify(nil, short, Options{MaxDelta: 10, MachSeeds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +149,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 	}
 
 	tso := pairByName(t, ex, "sb-tso")
-	rep, _, err = Certify(nil, tso, Options{MachSeeds: 8}, nil)
+	rep, err = Certify(nil, tso, Options{MachSeeds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +163,7 @@ func TestCertifyTestdataPairs(t *testing.T) {
 func TestCounterexampleRoundTrip(t *testing.T) {
 	ex := Extract(load(t, "internal/analysis/extract/testdata/src/pairs"))
 	p := pairByName(t, ex, "sb-tso")
-	rep, _, err := Certify(nil, p, Options{MachSeeds: 32}, nil)
+	rep, err := Certify(nil, p, Options{MachSeeds: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"strings"
 
 	"tbtso/internal/mc"
@@ -55,7 +54,8 @@ func ReadArtifact(path string) (Artifact, error) {
 // machine-error artifact repeats its recorded machine run, which must
 // fault again; a sampled-outcome artifact repeats its recorded run
 // under the campaign's verdict (checkRun), which must reject it again;
-// an engine divergence re-runs the full sweep at the artifact's Δ. The
+// an engine divergence re-runs the full check under the default sweep
+// plus the artifact's Δ (artifacts record no sweep; see recheck). The
 // two machine kinds fail without a schedule.
 func (a Artifact) Replay() (bool, error) { return a.replay(NewSampler()) }
 
@@ -66,8 +66,8 @@ func (a Artifact) replay(s sampler) (bool, error) {
 		o, err := FindViolation(a.Program, a.Delta, 0)
 		return o != "", err
 	case KindEngineDivergence:
-		rep := CheckProgram(Config{Deltas: []int{a.Delta}}, a.Program, a.Seed)
-		return slices.ContainsFunc(rep.Mismatches, func(m Mismatch) bool { return m.Kind == a.Kind }), nil
+		_, ok := recheck(Config{}.orDefault(), a.Kind, a.Program, a.Seed, a.Delta)
+		return ok, nil
 	case KindMachineError, KindSampledOutcome:
 		run, err := a.machineRun()
 		if err != nil {

@@ -311,38 +311,63 @@ func shape(p mc.Program) (threads, totalOps int) {
 // sampler is the machine side of a program check (a *Sampler outside tests).
 type sampler interface {
 	sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error)
-	SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error)
+	sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error)
 }
 
 // newSampler builds each campaign worker's machine side.
 var newSampler = func() sampler { return NewSampler() }
 
 // checkProgram is CheckProgram with an explicit execution context:
-// observeProgram, then checkCell at every Δ of the sweep in order, all
-// on one sampler, one set of checker contexts and one flight recorder
-// (rec, nil when cfg.Flight is off), and settle's fold of the cells.
+// checkCell at every Δ of the sweep in order, all on one sampler, one
+// set of checker contexts and one flight recorder (rec, nil when
+// cfg.Flight is off), and settle's fold of the cells into the report.
 // cfg must already be defaulted. ctx (nil = uncancellable) cancels
-// mid-check; complete is false when the check was cut short, in which
-// case the report is a partial that MUST NOT be merged into a campaign.
+// mid-check; complete is false when the check was cut short, and then
+// the report is empty.
 func checkProgram(ctx context.Context, cfg Config, s sampler, x *explorers, rec *monitor.SeedRecorder, p mc.Program, seed int64) (rep Report, complete bool) {
 	cells := make([]cell, max(len(cfg.Deltas), 1))
-	observeProgram(&cells[0].rep, p)
 	for j, delta := range cfg.Deltas {
 		if !checkCell(ctx, cfg, s, x, rec, &cells[j], p, seed, delta) {
-			return cells[0].rep, false
+			return Report{}, false
 		}
 	}
 	return settle(cfg, &x.ref, p, seed, cells), true
 }
 
-// cell is one (seed, Δ) cell's check as settle sees it.
+// cell is one (seed, Δ) cell's check as settle sees it: its records and
+// plain counts, which settle observes into the program's one report.
 type cell struct {
-	delta    int
-	rep      Report
-	out      map[string]bool // nil unless the exploration completed
-	states   int
-	vouched  bool // the reference ran on this cell and agreed
-	diverged bool // the cell holds an engine-divergence record on out
+	delta      int
+	mismatches []Mismatch
+	res        mc.Result // the engine's exploration; Outcomes is nil unless it completed
+	truncated  bool
+	drains     tso.DrainStats // machine commits by cause, over the cell's runs
+	witnessed  uint64         // Δ > 0 runs that replayed as a checker path
+	vouched    bool           // the reference ran on this cell and agreed
+	diverged   bool           // the cell holds an engine-divergence record on res
+}
+
+// observe records c into cov, the report of a program of the given
+// shape. A completed exploration ran every policy × machine seed.
+func (c *cell) observe(cov *coverage.Snapshot, cfg Config, threads, totalOps int) {
+	if c.truncated {
+		cov.ObserveTruncated()
+	}
+	r := &c.res
+	if r.Outcomes == nil {
+		return
+	}
+	cov.ObserveExploration(r.States, r.Transitions, r.DedupHits, r.PorPrunes, r.TerminalCollapses)
+	cov.ObserveOutcomeSet(threads, totalOps, len(r.Outcomes))
+	for _, pol := range cfg.Policies {
+		for i := range cfg.MachSeeds {
+			cov.ObserveRun(c.delta, pol.String(), i)
+		}
+	}
+	for cause, n := range c.drains {
+		cov.ObserveDrain(tso.DrainCause(cause).String(), n)
+	}
+	cov.MC.WitnessedChecks += c.witnessed
 }
 
 // checkCell checks one (seed, Δ) cell of the sweep into c: the engine's
@@ -374,7 +399,7 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 	}
 	flag := func(m Mismatch) { // every finding carries the replay key
 		m.Seed, m.Program = seed, p
-		c.rep.Mismatches = append(c.rep.Mismatches, m)
+		c.mismatches = append(c.mismatches, m)
 	}
 
 	raw, ok, err := cfg.explore(ctx, &x.engine, p, delta)
@@ -386,13 +411,10 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 		return true
 	}
 	if !ok {
-		c.rep.Coverage.ObserveTruncated()
+		c.truncated = true
 		return true
 	}
-	threads, totalOps := shape(p)
-	c.rep.Coverage.ObserveExploration(raw.States, raw.Transitions, raw.DedupHits, raw.PorPrunes, raw.TerminalCollapses)
-	c.rep.Coverage.ObserveOutcomeSet(threads, totalOps, len(raw.Outcomes))
-	c.out, c.states = raw.Outcomes, raw.States
+	c.res = raw
 
 	// Engine cross-check at the RAW sweep Δ, so small Δs are pinned
 	// engine-to-engine even though containment runs at the cover. The
@@ -418,7 +440,6 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 			default:
 			}
 			machSeed := seed*1000003 + int64(pi)*101 + int64(i)
-			c.rep.Coverage.ObserveRun(delta, pol.String(), i)
 			run := MachineRun{Delta: machDelta, Policy: pol, Seed: machSeed}
 			outcome, mres, admitted, err := checkRun(s, p, cover, raw, run, sinks...)
 			if rec != nil {
@@ -430,14 +451,14 @@ func checkCell(ctx context.Context, cfg Config, s sampler, x *explorers, rec *mo
 				continue
 			}
 			for cause, n := range mres.Stats.Drains {
-				c.rep.Coverage.ObserveDrain(tso.DrainCause(cause).String(), n)
+				c.drains[cause] += n
 			}
 			switch {
 			case !admitted:
 				flag(Mismatch{Kind: KindSampledOutcome, Delta: delta, Cover: cover,
 					Schedule: &Schedule{Policy: pol, MachSeed: machSeed}, Outcome: outcome})
 			case cover > 0:
-				c.rep.Coverage.MC.WitnessedChecks++
+				c.witnessed++
 			}
 		}
 	}
@@ -462,27 +483,29 @@ func sandwich(deltas []int) (lo int, ok bool) {
 // lo must equal out(0) (the exact check), else ref checks each such cell
 // small enough for it. Then the explored sets must nest in ascending Δ,
 // Δ 0 last (the chain); a break is recorded at the tighter Δ unless
-// either cell holds a divergence. Records go first in their cell's.
+// either cell holds a divergence. Records go first in their cell's. The
+// report is observeProgram's counts and each cell's, in sweep order.
 func settle(cfg Config, ref *mc.Reference, p mc.Program, seed int64, cells []cell) Report {
 	flag := func(c *cell, detail string) {
 		c.diverged = true
-		c.rep.Mismatches = slices.Insert(c.rep.Mismatches, 0, Mismatch{Kind: KindEngineDivergence, Seed: seed, Delta: c.delta, Detail: detail, Program: p})
+		c.mismatches = slices.Insert(c.mismatches, 0, Mismatch{Kind: KindEngineDivergence, Seed: seed, Delta: c.delta, Detail: detail, Program: p})
 	}
 	if lo, ok := sandwich(cfg.Deltas); ok {
-		out0 := cells[slices.IndexFunc(cells, func(c cell) bool { return c.delta == 0 })].out
+		out0 := cells[slices.IndexFunc(cells, func(c cell) bool { return c.delta == 0 })].res.Outcomes
 		premise := !slices.ContainsFunc(cells, func(c cell) bool {
-			return (c.delta == 0 || c.delta == lo) && !(c.vouched && maps.Equal(c.out, out0))
+			return (c.delta == 0 || c.delta == lo) && !(c.vouched && maps.Equal(c.res.Outcomes, out0))
 		})
 		for i := range cells {
 			c := &cells[i]
+			out := c.res.Outcomes
 			switch {
-			case c.delta <= lo || c.out == nil:
+			case c.delta <= lo || out == nil:
 			case premise:
-				if !maps.Equal(c.out, out0) {
-					flag(c, diffOutcomes(c.out, out0))
+				if !maps.Equal(out, out0) {
+					flag(c, diffOutcomes(out, out0))
 				}
-			case cfg.CrossCheckStates >= 0 && c.states <= cfg.CrossCheckStates:
-				if detail, _ := cfg.crossCheck(ref, p, c.delta, c.out, c.states); detail != "" {
+			case cfg.CrossCheckStates >= 0 && c.res.States <= cfg.CrossCheckStates:
+				if detail, _ := cfg.crossCheck(ref, p, c.delta, out, c.res.States); detail != "" {
 					flag(c, detail)
 				}
 			}
@@ -493,36 +516,42 @@ func settle(cfg Config, ref *mc.Reference, p mc.Program, seed int64, cells []cel
 	for i := range cells {
 		chain[i] = &cells[i]
 	}
-	chain = slices.DeleteFunc(chain, func(c *cell) bool { return c.out == nil })
+	chain = slices.DeleteFunc(chain, func(c *cell) bool { return c.res.Outcomes == nil })
 	// Ascending Δ: Δ 0, unbounded, wraps round to last.
 	slices.SortStableFunc(chain, func(a, b *cell) int { return cmp.Compare(uint(a.delta-1), uint(b.delta-1)) })
 	for i := 1; i < len(chain); i++ {
 		a, b := chain[i-1], chain[i]
-		if extra := outside(a.out, b.out); extra != nil && !a.diverged && !b.diverged {
+		if extra := outside(a.res.Outcomes, b.res.Outcomes); extra != nil && !a.diverged && !b.diverged {
 			flag(a, fmt.Sprintf("outcomes at Δ %d but not at Δ %d: %v", a.delta, b.delta, extra))
 		}
 	}
 
-	rep := cells[0].rep
-	for _, c := range cells[1:] {
-		rep.Add(c.rep)
+	var rep Report
+	observeProgram(&rep, p)
+	threads, totalOps := shape(p)
+	for i := range cells {
+		rep.Mismatches = append(rep.Mismatches, cells[i].mismatches...)
+		cells[i].observe(&rep.Coverage, cfg, threads, totalOps)
 	}
 	return rep
 }
 
 // checkRun samples run on p and returns the containment verdict on it.
 // At cover 0 (sweep Δ 0) the outcome must be in exact, the exploration
-// at Δ 0; the membership test allocates nothing, and the outcome is
-// rendered as a string only for a run that is not admitted. Above it
-// the run itself must replay as a checker path at cover: every run at
-// the machine's Δ is one (CoverDelta), so a run that does not replay is
-// not admitted, whatever its outcome.
+// at Δ 0. Above it the run itself must replay as a checker path at
+// cover: every run at the machine's Δ is one (CoverDelta), so a run that
+// does not replay is not admitted, whatever its outcome. Either test
+// reads the outcome's bytes and allocates nothing; the outcome is
+// rendered as a string only for a run that is not admitted.
 func checkRun(s sampler, p mc.Program, cover int, exact mc.Result, run MachineRun, sinks ...tso.Sink) (outcome string, res tso.Result, admitted bool, err error) {
+	var out []byte
 	if cover > 0 {
-		return s.SampleWitness(p, run, cover, sinks...)
+		out, res, admitted, err = s.sampleWitness(p, run, cover, sinks...)
+	} else {
+		out, res, err = s.sample(p, run, sinks...)
+		admitted = err == nil && exact.Outcomes[string(out)]
 	}
-	out, res, err := s.sample(p, run, sinks...)
-	if err == nil && exact.Outcomes[string(out)] {
+	if admitted {
 		return "", res, true, nil
 	}
 	return string(out), res, false, err
@@ -604,9 +633,8 @@ func (w *worker) program(cfg GenConfig, seed int64) mc.Program {
 }
 
 // cell checks cell i of a campaign of k cells per program starting at
-// startSeed: program i/k at Δ cfg.Deltas[i%k], its first cell also
-// observing the program itself. With cfg.Flight set the cell records
-// into its own seed recorder.
+// startSeed: program i/k at Δ cfg.Deltas[i%k]. With cfg.Flight set the
+// cell records into its own seed recorder.
 func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int) *checked {
 	seed, j := startSeed+int64(i/k), i%k
 	p := w.program(cfg.Gen, seed)
@@ -615,9 +643,6 @@ func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int
 		rec = cfg.Flight.Record(seed)
 	}
 	c := &checked{i: i, p: p, complete: true}
-	if j == 0 {
-		observeProgram(&c.rep, p)
-	}
 	if j < len(cfg.Deltas) {
 		c.complete = checkCell(ctx, cfg, w.s, &w.x, rec, &c.cell, p, seed, cfg.Deltas[j])
 	}
@@ -635,9 +660,8 @@ func (w *worker) cell(ctx context.Context, cfg Config, startSeed int64, i, k int
 // The workers take cells from a shared cursor, in (seed, Δ) order, but
 // never run more than a window of programs' cells past the last folded
 // program, so memory stays bounded in n. The calling goroutine folds
-// each program's cells in Δ order with settle, the first cell carrying
-// observeProgram's counts, so the report is the one checkProgram
-// returns, whatever the worker count. With cfg.Flight set, each cell records into its own seed recorder, and the program's
+// each program's cells in Δ order with settle, so the report is the one
+// checkProgram returns, whatever the worker count. With cfg.Flight set, each cell records into its own seed recorder, and the program's
 // cell groups, joined in Δ order (monitor.JoinGroups), are appended to
 // the flight just before fold sees the report.
 //

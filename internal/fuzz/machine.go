@@ -152,13 +152,20 @@ func (s *Sampler) exec(p mc.Program, cfg tso.Config) ([]byte, tso.Result, error)
 // checker at cover (docs/FUZZ.md, "The covering Δ"), reaches outcome.
 // false proves nothing.
 func (s *Sampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (outcome string, res tso.Result, witnessed bool, err error) {
+	out, res, witnessed, err := s.sampleWitness(p, run, cover, sinks...)
+	return string(out), res, witnessed, err
+}
+
+// sampleWitness is SampleWitness with the outcome left in the sampler's
+// scratch, valid until its next run.
+func (s *Sampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
 	s.rec.Events = s.rec.Events[:0]
 	s.sinks = append(append(s.sinks[:0], sinks...), &s.rec)
-	outcome, res, err = s.Sample(p, run, s.sinks...)
+	out, res, err := s.sample(p, run, s.sinks...)
 	if err != nil {
-		return outcome, res, false, err
+		return out, res, false, err
 	}
-	return outcome, res, s.witness(p, cover, outcome, res.Ticks), nil
+	return out, res, s.witness(p, cover, out, res.Ticks), nil
 }
 
 // stepKinds maps the op events to checker op kinds.
@@ -171,7 +178,7 @@ var stepKinds = [...]mc.OpKind{tso.EvStore: mc.OpStore, tso.EvLoad: mc.OpLoad, t
 // has none, since a tick in which it drained grants it nothing else. So
 // each eventless tick of a thread with a Wait is an idle step. The final
 // flush follows the last tick.
-func (s *Sampler) witness(p mc.Program, cover int, outcome string, ticks uint64) bool {
+func (s *Sampler) witness(p mc.Program, cover int, outcome []byte, ticks uint64) bool {
 	s.waits = s.waits[:0]
 	for i, th := range p.Threads {
 		if slices.ContainsFunc(th, func(op mc.Op) bool { return op.Kind == mc.OpWait }) {

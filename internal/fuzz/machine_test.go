@@ -66,27 +66,31 @@ func TestSampleAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckRunAllocs pins the Δ 0 containment verdict: a reused
-// Sampler's run is tested against the exploration's set without
-// rendering its outcome as a string, so an admitted run allocates
-// nothing; only a run outside the set returns (and pays for) its
-// outcome.
+// TestCheckRunAllocs pins the containment verdict: a reused Sampler's
+// run is tested against the exploration's set at Δ 0, or replayed as a
+// path at the cover above it, without rendering its outcome as a
+// string, so an admitted run allocates nothing; only a run that is not
+// admitted returns (and pays for) its outcome.
 func TestCheckRunAllocs(t *testing.T) {
 	exact, err := mc.ExploreParallel(sb, 0, mc.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := NewSampler()
-	run := MachineRun{Policy: tso.DrainRandom, Seed: 7}
-	check := func() {
-		if outcome, _, admitted, err := checkRun(s, sb, 0, exact, run); err != nil || !admitted || outcome != "" {
-			t.Fatalf("admitted %v, outcome %q, err %v; want an admitted run and no outcome", admitted, outcome, err)
+	for _, delta := range []uint64{0, 3} {
+		run := MachineRun{Delta: delta, Policy: tso.DrainRandom, Seed: 7}
+		cover := CoverDelta(sb, delta)
+		check := func() {
+			if outcome, _, admitted, err := checkRun(s, sb, cover, exact, run); err != nil || !admitted || outcome != "" {
+				t.Fatalf("Δ=%d: admitted %v, outcome %q, err %v; want an admitted run and no outcome", delta, admitted, outcome, err)
+			}
+		}
+		check() // warm-up: size the machine and scratch
+		if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
+			t.Fatalf("Δ=%d: %v allocs per admitted check, want 0", delta, allocs)
 		}
 	}
-	check() // warm-up: size the machine and scratch
-	if allocs := testing.AllocsPerRun(100, check); allocs != 0 {
-		t.Fatalf("%v allocs per admitted Δ 0 check, want 0", allocs)
-	}
+	run := MachineRun{Policy: tso.DrainRandom, Seed: 7}
 	want, _, _ := s.Sample(sb, run)
 	outcome, _, admitted, err := checkRun(s, sb, 0, mc.Result{Outcomes: map[string]bool{}}, run)
 	if err != nil || admitted || outcome != want {

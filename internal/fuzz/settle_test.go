@@ -35,6 +35,20 @@ func withEngine(t *testing.T, delta int, plant func(map[string]bool)) {
 	t.Cleanup(func() { exploreEngine = old })
 }
 
+// withReference makes every reference exploration at Δ delta return
+// plant's rewrite of the real outcome set.
+func withReference(t *testing.T, delta int, plant func(map[string]bool)) {
+	old := exploreReference
+	exploreReference = func(r *mc.Reference, p mc.Program, d, maxStates, expect int) (mc.Result, error) {
+		res, err := old(r, p, d, maxStates, expect)
+		if err == nil && d == delta {
+			plant(res.Outcomes)
+		}
+		return res, err
+	}
+	t.Cleanup(func() { exploreReference = old })
+}
+
 // countReferences counts the reference oracle's explorations from here
 // on.
 func countReferences(t *testing.T) *atomic.Int64 {
@@ -200,6 +214,32 @@ func TestSettleFallback(t *testing.T) {
 	oneDivergence(t, rep, diffOutcomes(planted, seq.Outcomes))
 	if n := refs.Load(); n != 4*3 {
 		t.Errorf("%d reference runs, want 12: three per check", n)
+	}
+}
+
+// TestSettleRecordReplaysAndShrinks: a fault in the transition code
+// both explorers share — here the same outcome planted at Δ 3 in each —
+// is invisible to the reference at any single Δ and shows only in
+// settle's chain, Δ 3 ⊆ Δ 0. Its record must still replay and shrink:
+// both re-check it under a sweep that holds its Δ and the others.
+func TestSettleRecordReplaysAndShrinks(t *testing.T) {
+	withEngine(t, 3, addPlanted)
+	withReference(t, 3, addPlanted)
+	rep := settled(t, Config{}, seedSensitive)
+	oneDivergence(t, rep, "outcomes at Δ 3 but not at Δ 0: [planted]")
+	m := divergences(rep)[0]
+
+	start := Candidate{Program: m.Program, Delta: m.Delta}
+	if ok, err := NewArtifact(m, start, ShrinkResult{Candidate: start}).Replay(); err != nil || !ok {
+		t.Fatalf("the campaign's record does not replay: reproduced=%v err=%v", ok, err)
+	}
+	a := ShrinkMismatch(Config{}, m, 0)
+	if a.ShrinkSteps == 0 || a.Delta != 3 || a.Kind != KindEngineDivergence {
+		t.Fatalf("shrink took %d steps in %d attempts to %s at Δ %d, want a shrunk engine divergence at Δ 3",
+			a.ShrinkSteps, a.ShrinkAttempts, a.Kind, a.Delta)
+	}
+	if ok, err := a.Replay(); err != nil || !ok {
+		t.Fatalf("the shrunk artifact does not replay: reproduced=%v err=%v", ok, err)
 	}
 }
 

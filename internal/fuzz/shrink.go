@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"slices"
+
 	"tbtso/internal/mc"
 )
 
@@ -82,20 +84,15 @@ func Shrink(c Candidate, fails func(Candidate) bool, maxAttempts int) ShrinkResu
 // ShrinkMismatch minimizes a differential mismatch and packages the
 // replayable artifact. The failure predicate re-runs the differential
 // check on the candidate (same policies and machine-seed derivation, so
-// it is deterministic) and demands a mismatch of the same kind. If the
+// it is deterministic) and demands a mismatch of the same kind at the
+// candidate's Δ (recheck). If the
 // mismatch unexpectedly fails to reproduce under the narrowed config,
 // the artifact wraps the original unshrunk program instead of lying.
 func ShrinkMismatch(cfg Config, m Mismatch, maxAttempts int) Artifact {
-	narrow := cfg.orDefault()
+	cfg = cfg.orDefault()
 	fails := func(c Candidate) bool {
-		n := narrow
-		n.Deltas = []int{c.Delta}
-		for _, mm := range CheckProgram(n, c.Program, m.Seed).Mismatches {
-			if mm.Kind == m.Kind {
-				return true
-			}
-		}
-		return false
+		_, ok := recheck(cfg, m.Kind, c.Program, m.Seed, c.Delta)
+		return ok
 	}
 	start := Candidate{Program: m.Program, Delta: m.Delta}
 	if !fails(start) {
@@ -105,18 +102,33 @@ func ShrinkMismatch(cfg Config, m Mismatch, maxAttempts int) Artifact {
 
 	// Re-derive the concrete failing run on the shrunk program so the
 	// artifact's policy/seed/outcome replay against it, not the original.
-	final := m
-	n := narrow
-	n.Deltas = []int{sr.Candidate.Delta}
-	for _, mm := range CheckProgram(n, sr.Candidate.Program, m.Seed).Mismatches {
-		if mm.Kind == m.Kind {
-			final = mm
-			break
-		}
+	final, ok := recheck(cfg, m.Kind, sr.Candidate.Program, m.Seed, sr.Candidate.Delta)
+	if !ok {
+		final = m
 	}
 	a := NewArtifact(final, sr.Candidate, sr)
 	a.Original = m.Program
 	return a
+}
+
+// recheck re-runs the differential check on p and returns its first
+// mismatch of kind at Δ delta. A machine mismatch is re-checked with
+// the sweep cut to delta. An engine divergence is re-checked under
+// cfg's sweep plus delta: a record from settle's exact check or chain
+// shows only beside the sweep's other cells.
+func recheck(cfg Config, kind string, p mc.Program, seed int64, delta int) (Mismatch, bool) {
+	switch {
+	case kind != KindEngineDivergence:
+		cfg.Deltas = []int{delta}
+	case !slices.Contains(cfg.Deltas, delta):
+		cfg.Deltas = append(slices.Clip(cfg.Deltas), delta)
+	}
+	for _, m := range CheckProgram(cfg, p, seed).Mismatches {
+		if m.Kind == kind && m.Delta == delta {
+			return m, true
+		}
+	}
+	return Mismatch{}, false
 }
 
 func cloneProgram(p mc.Program) mc.Program {

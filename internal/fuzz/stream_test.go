@@ -38,9 +38,9 @@ func (s plantingSampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink)
 	return out, res, err
 }
 
-func (s plantingSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
-	outcome, res, witnessed, err := s.Sampler.SampleWitness(p, run, cover, sinks...)
-	return outcome, res, witnessed && !planted(run), err
+func (s plantingSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
+	out, res, witnessed, err := s.Sampler.sampleWitness(p, run, cover, sinks...)
+	return out, res, witnessed && !planted(run), err
 }
 
 // gate holds the first machine run of seed's program at Δ 0 and at
@@ -78,9 +78,9 @@ func (s gateSampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]
 	return s.Sampler.sample(p, run, sinks...)
 }
 
-func (s gateSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
+func (s gateSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
 	s.g.hold(run)
-	return s.Sampler.SampleWitness(p, run, cover, sinks...)
+	return s.Sampler.sampleWitness(p, run, cover, sinks...)
 }
 
 // TestStreamWindowBound: while fold blocks on the first program, the

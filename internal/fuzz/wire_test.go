@@ -71,6 +71,28 @@ func TestCheckpointWireGolden(t *testing.T) {
 	}
 }
 
+// TestCoverageGolden pins a real campaign's coverage bytes: the
+// MarshalJSON form of the default 100-program campaign on two workers.
+// The fuzz goldens above are hand-built and worker-count invariance
+// compares the code only with itself, so this is the test that catches
+// a change to what a campaign observes. The golden is a recorded run,
+// regenerated only when a change means to move coverage.
+func TestCoverageGolden(t *testing.T) {
+	rep := Run(Config{Workers: 2}, 100, 1)
+	got, err := rep.Coverage.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/coverage.golden.json"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), want) {
+		t.Errorf("campaign coverage drifted from %s:\n got %s\nwant %s", golden, got, want)
+	}
+}
+
 // TestMalformedProgramRejectedOnLoad: an artifact or checkpoint whose
 // program addresses a variable it does not declare fails to load, with
 // the op named, rather than loading and panicking in the checker when

@@ -101,9 +101,9 @@ func (l lyingSampler) sample(_ mc.Program, run MachineRun, sinks ...tso.Sink) ([
 	return l.Sampler.sample(l.machine, run, sinks...)
 }
 
-func (l lyingSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
-	outcome, res, _, err := l.Sampler.SampleWitness(l.machine, run, cover, sinks...)
-	return outcome, res, err == nil && l.witness(p, cover, outcome, res.Ticks), err
+func (l lyingSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
+	out, res, _, err := l.Sampler.sampleWitness(l.machine, run, cover, sinks...)
+	return out, res, err == nil && l.witness(p, cover, out, res.Ticks), err
 }
 
 // TestCheckProgramFlagsImpossibleOutcomeAboveZero is the Δ > 0 side of
@@ -185,14 +185,14 @@ func (b badRunSampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink) (
 	return b.lie.sample(p, run, sinks...)
 }
 
-func (b badRunSampler) SampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) (string, tso.Result, bool, error) {
+func (b badRunSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
 	switch {
 	case run != b.bad:
-		return b.Sampler.SampleWitness(p, run, cover, sinks...)
+		return b.Sampler.sampleWitness(p, run, cover, sinks...)
 	case b.fault != nil:
-		return "", tso.Result{}, false, b.fault
+		return nil, tso.Result{}, false, b.fault
 	}
-	return b.lie.SampleWitness(p, run, cover, sinks...)
+	return b.lie.sampleWitness(p, run, cover, sinks...)
 }
 
 // TestReplayRepeatsTheRecordedRun: a sampled-outcome artifact replays

@@ -1,5 +1,7 @@
 package mc
 
+import "bytes"
+
 // Step is one transition of a witness path: Thread's next op, of kind
 // Kind, or (Dequeue) the commit of Thread's oldest buffered entry. Addr
 // and Val are what it touched: the entry a store buffers or a dequeue
@@ -33,7 +35,7 @@ type PathChecker struct {
 // A non-dequeue OpWait step is a unit of time the thread spent without
 // a visible action: one wait transition (arm, burn or advance) when the
 // thread's next op is a Wait, no transition otherwise.
-func (c *PathChecker) Check(p Program, delta int, steps []Step, outcome string) bool {
+func (c *PathChecker) Check(p Program, delta int, steps []Step, outcome []byte) bool {
 	s := &c.s
 	s.reset(p)
 	ageCap := ageCapFor(delta)
@@ -89,5 +91,5 @@ func (c *PathChecker) Check(p Program, delta int, steps []Step, outcome string) 
 		}
 	}
 	c.out = AppendOutcome(c.out[:0], s.regs)
-	return string(c.out) == outcome
+	return bytes.Equal(c.out, outcome)
 }

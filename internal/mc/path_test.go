@@ -64,7 +64,7 @@ func TestPathCheck(t *testing.T) {
 	}
 	var c PathChecker
 	for _, tc := range cases {
-		if got := c.Check(tc.p, tc.delta, tc.steps, tc.outcome); got != tc.want {
+		if got := c.Check(tc.p, tc.delta, tc.steps, []byte(tc.outcome)); got != tc.want {
 			t.Errorf("%s: Check = %v, want %v", tc.name, got, tc.want)
 		}
 	}

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is Program's JSON form, the one every artifact that carries
-// a program uses: fuzz artifacts and checkpoints, certificates,
-// counterexamples and verify-progress fingerprints. Its bytes are
+// a program uses: fuzz artifacts and checkpoints, certificates and
+// counterexamples. Its bytes are
 // pinned by TestProgramWireGolden.
 //
 //	{"vars":2,"regs":1,"threads":[[{"kind":"st","val":1},{"kind":"ld","addr":1}]]}

@@ -10,13 +10,12 @@ import (
 )
 
 // WriteDoc is the one writer of every run-state document: fuzz
-// checkpoints and artifacts, verify sweep progress, flight dumps,
-// certificates and counterexamples. EncodeDoc renders the same bytes
-// for documents served or printed, and WriteAtomic is WriteDoc's file
-// write, shared with the Perfetto traces. ReadDoc reads the documents
-// whose "kind" field names them — fuzz checkpoints, verify sweep
-// progress and tbtso-obs reports — and HashDoc fingerprints the keys
-// of the first two. The other documents are decoded by their own
+// checkpoints and artifacts, flight dumps, certificates and
+// counterexamples. EncodeDoc renders the same bytes for documents
+// served or printed, and WriteAtomic is WriteDoc's file write, shared
+// with the Perfetto traces. ReadDoc reads the documents whose "kind"
+// field names them — fuzz checkpoints and tbtso-obs reports — and
+// HashDoc fingerprints the checkpoint's campaign key. The other documents are decoded by their own
 // readers: fuzz.ReadArtifact, monitor.ReadCampaignFlightDump,
 // tbtso-verify's compareCert and extract.ParseCounterexample.
 
