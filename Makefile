@@ -12,11 +12,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static checks: gofmt, go vet, and the repository's own
-# fence-discipline and shared-memory-escape analyzer (see
-# docs/ANALYSIS.md).
+# Static checks: gofmt, go vet, one random source (non-test code
+# outside the benchmark module draws from math/rand/v2, never
+# math/rand), and the repository's own fence-discipline and
+# shared-memory-escape analyzer (see docs/ANALYSIS.md).
 lint: vet
 	test -z "$$(gofmt -l .)"
+	@! grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '"math/rand"' . || \
+		{ echo 'lint: the files above import math/rand; use math/rand/v2'; exit 1; }
 	$(GO) run ./cmd/tbtso-lint ./...
 
 # Δ-bound certification: extract the //tbtso:verify-annotated protocol

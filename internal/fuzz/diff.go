@@ -624,10 +624,14 @@ type worker struct {
 	has  bool
 }
 
+// genProgram builds seed's program on a worker's generator; tests
+// swap in fixed programs.
+var genProgram = (*generator).gen
+
 // program returns seed's program, generating it unless it was the last.
 func (w *worker) program(cfg GenConfig, seed int64) mc.Program {
 	if !w.has || w.seed != seed {
-		w.p, w.seed, w.has = w.gen.gen(cfg, seed), seed, true
+		w.p, w.seed, w.has = genProgram(&w.gen, cfg, seed), seed, true
 	}
 	return w.p
 }

@@ -17,10 +17,9 @@
 package fuzz
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"tbtso/internal/mc"
-	"tbtso/internal/tso"
 	"tbtso/internal/workload"
 )
 
@@ -108,11 +107,11 @@ func Gen(cfg GenConfig, seed int64) mc.Program {
 }
 
 // generator is Gen's reusable context: the program's two random
-// streams, on sources that are reseeded for each program in O(1)
-// (tso.NewRand) and draw exactly math/rand.NewSource's streams. A
-// math/rand source costs about 5 KB to allocate and an 1,841-step chain
-// to seed. Not safe for concurrent use; a campaign worker owns one.
+// streams, on PCG sources held by value and reseeded in place (O(1))
+// for each program. Not safe for concurrent use; a campaign worker owns
+// one.
 type generator struct {
+	src, addrSrc rand.PCG
 	rng, addrRng *rand.Rand
 }
 
@@ -120,10 +119,10 @@ type generator struct {
 func (g *generator) gen(cfg GenConfig, seed int64) mc.Program {
 	cfg = cfg.orDefault()
 	if g.rng == nil {
-		g.rng, g.addrRng = tso.NewRand(0), tso.NewRand(0)
+		g.rng, g.addrRng = rand.New(&g.src), rand.New(&g.addrSrc)
 	}
-	g.rng.Seed(seed)
-	g.addrRng.Seed(seed ^ 0x5bf03635)
+	g.src.Seed(uint64(seed), 0)
+	g.addrSrc.Seed(uint64(seed), 0x5bf03635)
 	rng, addrs := g.rng, workload.NewKeyGenFrom(g.addrRng, uint64(cfg.Vars))
 	kinds := workload.NewWeighted(rng,
 		cfg.Weights.Store, cfg.Weights.Load, cfg.Weights.Fence, cfg.Weights.RMW, cfg.Weights.Wait)
@@ -151,14 +150,14 @@ func (g *generator) gen(cfg GenConfig, seed int64) mc.Program {
 		if budget < 1 {
 			budget = 1
 		}
-		n := rng.Intn(budget) + 1
+		n := rng.IntN(budget) + 1
 		ops := make([]mc.Op, 0, n)
 		used := 0
 		for k := 0; k < n; k++ {
 			addr := int(addrs.Next())
 			switch kinds.Next() {
 			case 0:
-				ops = append(ops, mc.St(addr, rng.Intn(cfg.MaxVal)+1))
+				ops = append(ops, mc.St(addr, rng.IntN(cfg.MaxVal)+1))
 			case 1:
 				if used < cfg.Regs {
 					ops = append(ops, mc.Ld(addr, used))
@@ -168,11 +167,11 @@ func (g *generator) gen(cfg GenConfig, seed int64) mc.Program {
 				ops = append(ops, mc.Fence())
 			case 3:
 				if used < cfg.Regs {
-					ops = append(ops, mc.RMW(addr, rng.Intn(cfg.MaxVal)+1, used))
+					ops = append(ops, mc.RMW(addr, rng.IntN(cfg.MaxVal)+1, used))
 					used++
 				}
 			case 4:
-				ops = append(ops, mc.Wait(rng.Intn(cfg.MaxWait+1)))
+				ops = append(ops, mc.Wait(rng.IntN(cfg.MaxWait+1)))
 			}
 		}
 		return ops
@@ -181,11 +180,11 @@ func (g *generator) gen(cfg GenConfig, seed int64) mc.Program {
 		if t > 0 && total >= cfg.MaxTotalOps {
 			break
 		}
-		if t > 0 && rng.Intn(4) == 0 {
+		if t > 0 && rng.IntN(4) == 0 {
 			// Clone an existing thread so identical-thread identity
 			// groups (symmetry reduction) are routinely generated —
 			// only when the clone fits the op budget.
-			src := p.Threads[rng.Intn(len(p.Threads))]
+			src := p.Threads[rng.IntN(len(p.Threads))]
 			if total+len(src) <= cfg.MaxTotalOps {
 				p.Threads = append(p.Threads, append([]mc.Op(nil), src...))
 				total += len(src)

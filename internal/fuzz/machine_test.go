@@ -132,20 +132,31 @@ func TestRunOnMachineRMWSemantics(t *testing.T) {
 }
 
 // TestCoverFormerlyTruncated freezes the covering-Δ outcome sets of two
-// campaign programs whose cover explorations take 227,394 and 259,094
-// states, more than the campaign's 200k-state budget. The campaign no
-// longer explores at the cover (Δ > 0 samples replay as checker paths),
-// so the explorations run at mc.DefaultMaxStates and must reach
-// exactly the golden outcomes, computed at a 3M budget.
+// programs, seeds 49 and 983 of the math/rand corpus (the generator's
+// stream before math/rand/v2), whose cover explorations take 227,394
+// and 259,094 states, more than the campaign's 200k-state budget. The
+// campaign no longer explores at the cover (Δ > 0 samples replay as
+// checker paths), so the explorations run at mc.DefaultMaxStates and
+// must reach exactly the golden outcomes, computed at a 3M budget.
 func TestCoverFormerlyTruncated(t *testing.T) {
 	const zero = "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 "
 	cases := []struct {
 		seed  int64
+		p     mc.Program
 		cover int
 		want  []string
 	}{
-		{49, 18, []string{zero + "T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"}},
-		{983, 14, []string{
+		{49, mc.Program{Vars: 3, Regs: 4, Threads: [][]mc.Op{
+			{mc.St(2, 3), mc.St(2, 2), mc.St(2, 2)},
+			{mc.St(2, 3), mc.St(2, 2), mc.St(2, 2)},
+			{mc.Ld(1, 0)},
+			{mc.Wait(2), mc.St(0, 1)},
+		}}, 18, []string{zero + "T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"}},
+		{983, mc.Program{Vars: 3, Regs: 4, Threads: [][]mc.Op{
+			{mc.St(1, 3), mc.St(2, 1), mc.St(1, 2)},
+			{mc.St(1, 3), mc.St(2, 1), mc.St(1, 2)},
+			{mc.Ld(1, 0), mc.Ld(1, 1), mc.St(2, 1), mc.Ld(2, 2)},
+		}}, 14, []string{
 			zero + "T2:r0=0 T2:r1=0 T2:r2=1 T2:r3=0",
 			zero + "T2:r0=0 T2:r1=2 T2:r2=1 T2:r3=0",
 			zero + "T2:r0=0 T2:r1=3 T2:r2=1 T2:r3=0",
@@ -156,12 +167,11 @@ func TestCoverFormerlyTruncated(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		p := Gen(GenConfig{}, c.seed)
-		cover := CoverDelta(p, 3)
+		cover := CoverDelta(c.p, 3)
 		if cover != c.cover {
 			t.Fatalf("seed %d: cover Δ %d, want %d", c.seed, cover, c.cover)
 		}
-		res, err := mc.ExploreParallel(p, cover, mc.Options{MaxStates: mc.DefaultMaxStates})
+		res, err := mc.ExploreParallel(c.p, cover, mc.Options{MaxStates: mc.DefaultMaxStates})
 		if err != nil {
 			t.Fatalf("seed %d Δ=%d: %v", c.seed, cover, err)
 		}

@@ -10,95 +10,96 @@ import (
 
 var pinGen = flag.Bool("pin.gen", false, "print the rngpin golden table instead of checking it")
 
-// pinGolden is the pre-interpreter goroutine engine's ground truth,
-// captured at the commit before the direct-execution engine landed.
+// pinGolden is DrainRandom's (seed → ticks, outcome) table, captured
+// on the math/rand/v2 PCG stream by TestPinGoldenGenerate. Most of its
+// programs have one outcome under every schedule, so the run's tick
+// count is pinned too: it moves with every drain coin.
 type pinEntry struct {
 	progSeed int64
 	delta    uint64
 	machSeed int64
+	ticks    uint64
 	outcome  string
 }
 
 var pinGolden = []pinEntry{
-	{18, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=4 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=2 T2:r2=0 T2:r3=0"},
-	{18, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=4 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=2 T2:r2=0 T2:r3=0"},
-	{18, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=4 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=2 T2:r2=0 T2:r3=0"},
-	{18, 3, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=4 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=2 T2:r2=0 T2:r3=0"},
-	{22, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{22, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{22, 3, 1, "T0:r0=0 T0:r1=2 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{22, 3, 7, "T0:r0=0 T0:r1=2 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{23, 0, 1, "T0:r0=0 T0:r1=1 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{23, 0, 7, "T0:r0=0 T0:r1=1 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{23, 3, 1, "T0:r0=0 T0:r1=1 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{23, 3, 7, "T0:r0=0 T0:r1=1 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{26, 0, 1, "T0:r0=0 T0:r1=4 T0:r2=4 T0:r3=0 T1:r0=2 T1:r1=4 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{26, 0, 7, "T0:r0=0 T0:r1=4 T0:r2=4 T0:r3=0 T1:r0=2 T1:r1=4 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{26, 3, 1, "T0:r0=0 T0:r1=4 T0:r2=4 T0:r3=0 T1:r0=2 T1:r1=4 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{26, 3, 7, "T0:r0=3 T0:r1=4 T0:r2=4 T0:r3=0 T1:r0=2 T1:r1=4 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{27, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=1 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{27, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=1 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{27, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=1 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{27, 3, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=1 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{30, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=3 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{30, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{30, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=3 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{30, 3, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{35, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{35, 0, 7, "T0:r0=3 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{35, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{35, 3, 7, "T0:r0=3 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
-	{43, 0, 1, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=2 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{43, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=2 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{43, 3, 1, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=2 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{43, 3, 7, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=2 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{51, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=1 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{51, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{51, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=1 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{51, 3, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{54, 0, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=1 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{54, 0, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=1 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{54, 3, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=1 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{54, 3, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=1 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{59, 0, 1, "T0:r0=0 T0:r1=1 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{59, 0, 7, "T0:r0=0 T0:r1=1 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=3 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
-	{59, 3, 1, "T0:r0=0 T0:r1=1 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=1 T3:r2=0 T3:r3=0"},
-	{59, 3, 7, "T0:r0=0 T0:r1=1 T0:r2=2 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=3 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=1 T3:r2=0 T3:r3=0"},
-	{61, 0, 1, "T0:r0=4 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=3 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{61, 0, 7, "T0:r0=4 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=3 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{61, 3, 1, "T0:r0=4 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=3 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
-	{61, 3, 7, "T0:r0=4 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=3 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{18, 0, 1, 5, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{18, 0, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{18, 3, 1, 5, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{18, 3, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{22, 0, 1, 8, "T0:r0=0 T0:r1=0 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=3 T1:r3=0"},
+	{22, 0, 7, 8, "T0:r0=3 T0:r1=0 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=3 T1:r3=0"},
+	{22, 3, 1, 8, "T0:r0=0 T0:r1=0 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=3 T1:r3=0"},
+	{22, 3, 7, 8, "T0:r0=3 T0:r1=0 T0:r2=3 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=3 T1:r3=0"},
+	{23, 0, 1, 2, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{23, 0, 7, 2, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{23, 3, 1, 2, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{23, 3, 7, 2, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{26, 0, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=2 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{26, 0, 7, 5, "T0:r0=2 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{26, 3, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=2 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{26, 3, 7, 5, "T0:r0=2 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{27, 0, 1, 3, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{27, 0, 7, 4, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{27, 3, 1, 4, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{27, 3, 7, 4, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{30, 0, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{30, 0, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{30, 3, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{30, 3, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{35, 0, 1, 5, "T0:r0=0 T0:r1=0 T0:r2=1 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=1 T1:r3=0"},
+	{35, 0, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=1 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=1 T1:r3=0"},
+	{35, 3, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=1 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=1 T1:r3=0"},
+	{35, 3, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=1 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=1 T1:r3=0"},
+	{43, 0, 1, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{43, 0, 7, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{43, 3, 1, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{43, 3, 7, 1, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{51, 0, 1, 8, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{51, 0, 7, 8, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{51, 3, 1, 8, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{51, 3, 7, 8, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{54, 0, 1, 9, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{54, 0, 7, 9, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{54, 3, 1, 9, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{54, 3, 7, 9, "T0:r0=0 T0:r1=2 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{59, 0, 1, 10, "T0:r0=1 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{59, 0, 7, 10, "T0:r0=1 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{59, 3, 1, 10, "T0:r0=1 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{59, 3, 7, 10, "T0:r0=1 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{61, 0, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{61, 0, 7, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{61, 3, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{61, 3, 7, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
 }
 
 // pinRun executes one DrainRandom machine sample exactly the way the
 // differential driver does, so the golden table below pins the seeded
 // scheduler's RNG draw stream: any change to the order or number of
 // draws the machine consumes under the random drain policy shows up
-// here as a changed outcome.
-func pinRun(t *testing.T, progSeed int64, delta uint64, machSeed int64) string {
+// here as a changed tick count or outcome.
+func pinRun(t *testing.T, progSeed int64, delta uint64, machSeed int64) (uint64, string) {
 	t.Helper()
 	p := Gen(GenConfig{}, progSeed)
-	out, err := RunOnMachine(p, MachineRun{Delta: delta, Policy: tso.DrainRandom, Seed: machSeed})
+	out, res, err := NewSampler().Sample(p, MachineRun{Delta: delta, Policy: tso.DrainRandom, Seed: machSeed})
 	if err != nil {
 		t.Fatalf("seed %d Δ=%d machSeed %d: %v", progSeed, delta, machSeed, err)
 	}
-	return out
+	return res.Ticks, out
 }
 
-// TestRandomPolicySeedStreamPinned asserts that (seed → outcome) pairs
-// for DrainRandom runs are exactly what they were before the
-// direct-execution engine landed: the RNG draw stream documented in
-// docs/PERF.md (per tick: one scheduling permutation, then a stall draw
-// per candidate when StallProb > 0, with the per-buffer drain coin
-// flips preceding the permutation) is consumed identically by the old
-// and new schedulers whenever the random policy is in play. The golden
-// outcomes were captured from the pre-interpreter goroutine engine.
+// TestRandomPolicySeedStreamPinned asserts that (seed → ticks, outcome)
+// pairs for DrainRandom runs stay exactly as pinned: the RNG draw
+// stream documented in docs/PERF.md (per tick: the per-buffer drain
+// coin flips, then one scheduling permutation, then a stall draw per
+// candidate when StallProb > 0) must be consumed identically by every
+// scheduler change whenever the random policy is in play.
 func TestRandomPolicySeedStreamPinned(t *testing.T) {
 	for _, g := range pinGolden {
-		got := pinRun(t, g.progSeed, g.delta, g.machSeed)
-		if got != g.outcome {
-			t.Errorf("Gen seed %d Δ=%d machSeed %d: outcome %q, pinned %q",
-				g.progSeed, g.delta, g.machSeed, got, g.outcome)
+		ticks, got := pinRun(t, g.progSeed, g.delta, g.machSeed)
+		if ticks != g.ticks || got != g.outcome {
+			t.Errorf("Gen seed %d Δ=%d machSeed %d: ticks %d outcome %q, pinned ticks %d outcome %q",
+				g.progSeed, g.delta, g.machSeed, ticks, got, g.ticks, g.outcome)
 		}
 	}
 }
@@ -116,8 +117,8 @@ func TestPinGoldenGenerate(t *testing.T) {
 	for _, progSeed := range []int64{18, 22, 23, 26, 27, 30, 35, 43, 51, 54, 59, 61} {
 		for _, delta := range []uint64{0, 3} {
 			for _, machSeed := range []int64{1, 7} {
-				out := pinRun(t, progSeed, delta, machSeed)
-				fmt.Printf("\t{%d, %d, %d, %q},\n", progSeed, delta, machSeed, out)
+				ticks, out := pinRun(t, progSeed, delta, machSeed)
+				fmt.Printf("\t{%d, %d, %d, %d, %q},\n", progSeed, delta, machSeed, ticks, out)
 			}
 		}
 	}

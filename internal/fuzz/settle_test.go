@@ -11,15 +11,54 @@ import (
 	"tbtso/internal/tso"
 )
 
-// Seeds of the campaign corpus the fold tests plant on. At seed 310,
+// fixture is a campaign program fixed by value under the seed whose
+// machine runs check it, so a fold test's premise does not depend on
+// what the generator draws.
+type fixture struct {
+	seed int64
+	p    mc.Program
+}
+
+// The fold tests' programs: seeds 310, 59 and 94 of the math/rand
+// corpus, the generator's stream before math/rand/v2. On flat,
 // out(1) = out(0) (three outcomes; the engine visits 10, 10 and 13
-// states at Δ 0, 1 and 3). Seeds 59 and 94 are sensitive: out(1) ⊊
-// out(0).
-const (
-	seedFlat      = 310
-	seedSensitive = 59
-	seedSmallSens = 94
+// states at Δ 0, 1 and 3). sensitive and smallSens have out(1) ⊊ out(0).
+var (
+	flat = fixture{310, mc.Program{Vars: 3, Regs: 4, Threads: [][]mc.Op{
+		{mc.Ld(1, 0), mc.St(1, 1)},
+		{mc.Ld(1, 0), mc.St(1, 1)},
+	}}}
+	sensitive = fixture{59, mc.Program{Vars: 3, Regs: 4, Threads: [][]mc.Op{
+		{mc.Ld(2, 0), mc.St(0, 3), mc.RMW(2, 1, 1), mc.Ld(2, 2)},
+		{mc.Fence(), mc.Fence()},
+		{mc.St(1, 1), mc.Ld(0, 0)},
+		{mc.RMW(2, 1, 0), mc.Ld(1, 1)},
+	}}}
+	smallSens = fixture{94, mc.Program{Vars: 3, Regs: 4, Threads: [][]mc.Op{
+		{mc.St(0, 3), mc.St(1, 2), mc.Ld(1, 0)},
+		{mc.St(1, 1), mc.Ld(0, 0), mc.Ld(0, 1)},
+	}}}
 )
+
+// withProgram makes the campaign generate f's program at f's seed.
+func withProgram(t *testing.T, f fixture) {
+	old := genProgram
+	genProgram = func(g *generator, cfg GenConfig, seed int64) mc.Program {
+		if seed == f.seed {
+			return f.p
+		}
+		return old(g, cfg, seed)
+	}
+	t.Cleanup(func() { genProgram = old })
+}
+
+// requireSensitive fails the test unless out(1) ≠ out(0) on f.
+func requireSensitive(t *testing.T, f fixture, want bool) {
+	t.Helper()
+	if got := !maps.Equal(exact(t, f, 1).Outcomes, exact(t, f, 0).Outcomes); got != want {
+		t.Fatalf("seed %d: out(1) ≠ out(0) is %v, want %v", f.seed, got, want)
+	}
+}
 
 // withEngine makes every cell's engine exploration at Δ delta return
 // plant's rewrite of the real outcome set.
@@ -74,24 +113,25 @@ func dropLeast(out map[string]bool) {
 // addPlanted adds an outcome no program reaches.
 func addPlanted(out map[string]bool) { out["planted"] = true }
 
-// exact is the real engine's outcome set and state count for seed's
+// exact is the real engine's outcome set and state count for f's
 // program at Δ delta, bypassing any planted engine.
-func exact(t *testing.T, seed int64, delta int) mc.Result {
+func exact(t *testing.T, f fixture, delta int) mc.Result {
 	t.Helper()
-	res, err := mc.ExploreParallel(Gen(GenConfig{}, seed), delta, mc.Options{Workers: 1})
+	res, err := mc.ExploreParallel(f.p, delta, mc.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
-// settled checks seed's program with checkProgram, CheckProgram's body
+// settled checks f's program with checkProgram, CheckProgram's body
 // on the test's sampler, and with Run at 1, 2 and 4 workers, requires
 // the same report from each, and returns it.
-func settled(t *testing.T, cfg Config, seed int64) Report {
+func settled(t *testing.T, cfg Config, f fixture) Report {
 	t.Helper()
+	withProgram(t, f)
 	var want Report
-	rep, complete := checkProgram(nil, cfg.orDefault(), newSampler(), new(explorers), nil, Gen(GenConfig{}, seed), seed)
+	rep, complete := checkProgram(nil, cfg.orDefault(), newSampler(), new(explorers), nil, f.p, f.seed)
 	if !complete {
 		t.Fatal("check cut short")
 	}
@@ -99,7 +139,7 @@ func settled(t *testing.T, cfg Config, seed int64) Report {
 	for _, workers := range []int{1, 2, 4} {
 		c := cfg
 		c.Workers = workers
-		if got := Run(c, 1, seed); !reflect.DeepEqual(got, want) {
+		if got := Run(c, 1, f.seed); !reflect.DeepEqual(got, want) {
 			t.Fatalf("Workers=%d: Run's report differs from checkProgram's:\n%v\nvs\n%v", workers, got.Mismatches, want.Mismatches)
 		}
 	}
@@ -134,14 +174,15 @@ func oneDivergence(t *testing.T, rep Report, detail string) {
 // and adds none — and first among its cell's records, before the
 // cell's sampled-outcome records.
 func TestSettleExactCheck(t *testing.T) {
+	requireSensitive(t, flat, false)
 	withSampler(t, func() sampler { return plantingSampler{NewSampler()} })
 	withEngine(t, 3, dropLeast)
 	refs := countReferences(t)
-	rep := settled(t, Config{}, seedFlat)
+	rep := settled(t, Config{}, flat)
 
-	planted := exact(t, seedFlat, 3).Outcomes
+	planted := exact(t, flat, 3).Outcomes
 	dropLeast(planted)
-	seq, err := mc.ExploreSequentialBounded(Gen(GenConfig{}, seedFlat), 3, 200_000)
+	seq, err := mc.ExploreSequentialBounded(flat.p, 3, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +206,16 @@ func TestSettleExactCheck(t *testing.T) {
 // reference run at the cell, so it covers a Δ 3 cell too large for
 // CrossCheckStates, which a per-cell reference never checked.
 func TestSettleExactCheckAboveCrossCheckStates(t *testing.T) {
-	cfg := Config{CrossCheckStates: exact(t, seedFlat, 0).States}
-	if s1, s3 := exact(t, seedFlat, 1).States, exact(t, seedFlat, 3).States; s1 > cfg.CrossCheckStates || s3 <= cfg.CrossCheckStates {
+	requireSensitive(t, flat, false)
+	cfg := Config{CrossCheckStates: exact(t, flat, 0).States}
+	if s1, s3 := exact(t, flat, 1).States, exact(t, flat, 3).States; s1 > cfg.CrossCheckStates || s3 <= cfg.CrossCheckStates {
 		t.Fatalf("states Δ 1 %d, Δ 3 %d: want Δ 1 within and Δ 3 above CrossCheckStates %d", s1, s3, cfg.CrossCheckStates)
 	}
 	withEngine(t, 3, dropLeast)
-	rep := settled(t, cfg, seedFlat)
-	planted := exact(t, seedFlat, 3).Outcomes
+	rep := settled(t, cfg, flat)
+	planted := exact(t, flat, 3).Outcomes
 	dropLeast(planted)
-	oneDivergence(t, rep, diffOutcomes(planted, exact(t, seedFlat, 0).Outcomes))
+	oneDivergence(t, rep, diffOutcomes(planted, exact(t, flat, 0).Outcomes))
 }
 
 // TestSettleChainAlone: on a sensitive program whose Δ 1 and Δ 3 cells
@@ -181,14 +223,15 @@ func TestSettleExactCheckAboveCrossCheckStates(t *testing.T) {
 // the reference applies at Δ 3; an outcome outside out(0) planted there
 // is caught by the chain, Δ 3 ⊆ Δ 0, with no reference run at all.
 func TestSettleChainAlone(t *testing.T) {
-	s1, s3 := exact(t, seedSmallSens, 1).States, exact(t, seedSmallSens, 3).States
+	requireSensitive(t, smallSens, true)
+	s1, s3 := exact(t, smallSens, 1).States, exact(t, smallSens, 3).States
 	cfg := Config{CrossCheckStates: min(s1, s3) - 1}
-	if s0 := exact(t, seedSmallSens, 0).States; s0 <= cfg.CrossCheckStates {
+	if s0 := exact(t, smallSens, 0).States; s0 <= cfg.CrossCheckStates {
 		t.Fatalf("Δ 0 visits %d states, within CrossCheckStates %d", s0, cfg.CrossCheckStates)
 	}
 	withEngine(t, 3, addPlanted)
 	refs := countReferences(t)
-	rep := settled(t, cfg, seedSmallSens)
+	rep := settled(t, cfg, smallSens)
 	oneDivergence(t, rep, "outcomes at Δ 3 but not at Δ 0: [planted]")
 	if n := refs.Load(); n != 0 {
 		t.Errorf("%d reference runs, want none", n)
@@ -199,15 +242,13 @@ func TestSettleChainAlone(t *testing.T) {
 // fold runs the reference on the Δ 3 cell itself, and catches a planted
 // error there with the detail a cell's own reference gives.
 func TestSettleFallback(t *testing.T) {
-	if maps.Equal(exact(t, seedSensitive, 1).Outcomes, exact(t, seedSensitive, 0).Outcomes) {
-		t.Fatal("seed is not sensitive: out(1) = out(0)")
-	}
+	requireSensitive(t, sensitive, true)
 	withEngine(t, 3, dropLeast)
 	refs := countReferences(t)
-	rep := settled(t, Config{}, seedSensitive)
-	planted := exact(t, seedSensitive, 3).Outcomes
+	rep := settled(t, Config{}, sensitive)
+	planted := exact(t, sensitive, 3).Outcomes
 	dropLeast(planted)
-	seq, err := mc.ExploreSequentialBounded(Gen(GenConfig{}, seedSensitive), 3, 200_000)
+	seq, err := mc.ExploreSequentialBounded(sensitive.p, 3, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +264,10 @@ func TestSettleFallback(t *testing.T) {
 // settle's chain, Δ 3 ⊆ Δ 0. Its record must still replay and shrink:
 // both re-check it under a sweep that holds its Δ and the others.
 func TestSettleRecordReplaysAndShrinks(t *testing.T) {
+	requireSensitive(t, sensitive, true)
 	withEngine(t, 3, addPlanted)
 	withReference(t, 3, addPlanted)
-	rep := settled(t, Config{}, seedSensitive)
+	rep := settled(t, Config{}, sensitive)
 	oneDivergence(t, rep, "outcomes at Δ 3 but not at Δ 0: [planted]")
 	m := divergences(rep)[0]
 
@@ -248,10 +290,10 @@ func TestSettleRecordReplaysAndShrinks(t *testing.T) {
 func TestSettleWithoutDeltaZero(t *testing.T) {
 	withEngine(t, 3, dropLeast)
 	refs := countReferences(t)
-	rep := settled(t, Config{Deltas: []int{1, 3}}, seedFlat)
-	planted := exact(t, seedFlat, 3).Outcomes
+	rep := settled(t, Config{Deltas: []int{1, 3}}, flat)
+	planted := exact(t, flat, 3).Outcomes
 	dropLeast(planted)
-	oneDivergence(t, rep, diffOutcomes(planted, exact(t, seedFlat, 3).Outcomes))
+	oneDivergence(t, rep, diffOutcomes(planted, exact(t, flat, 3).Outcomes))
 	if n := refs.Load(); n != 4*2 {
 		t.Errorf("%d reference runs, want 8: one per cell", n)
 	}
@@ -265,27 +307,29 @@ func TestSettleUnsortedSweep(t *testing.T) {
 		slices.SortStableFunc(ms, func(a, b Mismatch) int { return a.Delta - b.Delta })
 		return ms
 	}
-	chainOnly := min(exact(t, seedSmallSens, 1).States, exact(t, seedSmallSens, 3).States) - 1
+	chainOnly := min(exact(t, smallSens, 1).States, exact(t, smallSens, 3).States) - 1
 	for _, tc := range []struct {
 		name  string
-		seed  int64
+		f     fixture
+		sens  bool
 		cfg   Config
 		plant func(map[string]bool)
 	}{
-		{"exact", seedFlat, Config{}, dropLeast},
-		{"fallback", seedSensitive, Config{}, dropLeast},
-		{"chain", seedSmallSens, Config{CrossCheckStates: chainOnly}, addPlanted},
+		{"exact", flat, false, Config{}, dropLeast},
+		{"fallback", sensitive, true, Config{}, dropLeast},
+		{"chain", smallSens, true, Config{CrossCheckStates: chainOnly}, addPlanted},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			requireSensitive(t, tc.f, tc.sens)
 			withSampler(t, func() sampler { return plantingSampler{NewSampler()} })
 			withEngine(t, 3, tc.plant)
 			sorted, unsorted := tc.cfg, tc.cfg
 			sorted.Deltas, unsorted.Deltas = []int{0, 1, 3}, []int{3, 0, 1}
-			want := settled(t, sorted, tc.seed)
+			want := settled(t, sorted, tc.f)
 			if len(divergences(want)) != 1 {
 				t.Fatalf("sweep 0,1,3: engine-divergence records %v, want one", divergences(want))
 			}
-			if got := settled(t, unsorted, tc.seed); !reflect.DeepEqual(byDelta(got), byDelta(want)) {
+			if got := settled(t, unsorted, tc.f); !reflect.DeepEqual(byDelta(got), byDelta(want)) {
 				t.Fatalf("sweep 3,0,1 mismatches\n%v\ndiffer from sweep 0,1,3's\n%v", got.Mismatches, want.Mismatches)
 			}
 		})
@@ -294,8 +338,9 @@ func TestSettleUnsortedSweep(t *testing.T) {
 
 // TestReferenceRunsPerCorpus counts the reference oracle's explorations
 // over the campaign corpus: one at each Δ 0 and Δ 1 cell, and at the
-// Δ 3 cell only of the 25 programs where out(1) ≠ out(0) — a third fewer
-// than one per cell. Machine runs play no part, so none are made.
+// Δ 3 cell only of the 37 programs where out(1) ≠ out(0) — almost a
+// third fewer than one per cell. Machine runs play no part, so none are
+// made.
 func TestReferenceRunsPerCorpus(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("walks 1,250 programs' explorations")
@@ -305,7 +350,7 @@ func TestReferenceRunsPerCorpus(t *testing.T) {
 	if len(rep.Mismatches) != 0 || rep.Coverage.MC.Truncated != 0 {
 		t.Fatalf("%d mismatches, %d truncated", len(rep.Mismatches), rep.Coverage.MC.Truncated)
 	}
-	if n := refs.Load(); n != 2*1250+25 {
-		t.Errorf("%d reference runs over 1,250 programs, want 2,525", n)
+	if n := refs.Load(); n != 2*1250+37 {
+		t.Errorf("%d reference runs over 1,250 programs, want 2,537", n)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,59 +82,82 @@ func (s gateSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sink
 	return s.Sampler.sampleWitness(p, run, cover, sinks...)
 }
 
-// TestStreamWindowBound: while fold blocks on the first program, the
-// workers check exactly one window of programs and then stall — the
-// bound that keeps a campaign's memory flat in n. Checks are counted as
-// they start: Stream opens a flight recorder for each (seed, Δ) cell it
-// takes, just before checking it, so a program is len(Deltas) of them.
+// windowWatch records the (program, Δ) cells whose machine runs start
+// while the campaign's first program is held unfolded.
+type windowWatch struct {
+	mu    sync.Mutex
+	held  bool
+	cells map[[2]int64]bool
+	limit int           // window × len(Deltas)
+	full  chan struct{} // closed once limit cells have started
+}
+
+func (w *windowWatch) start(run MachineRun) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	cell := [2]int64{run.Seed / 1000003, int64(run.Delta)} // (program seed, Δ); Config.MachSeeds < 101
+	if !w.held || w.cells[cell] {
+		return
+	}
+	w.cells[cell] = true
+	if len(w.cells) == w.limit {
+		close(w.full)
+	}
+}
+
+// windowSampler samples on its Sampler, reporting each run to its watch.
+type windowSampler struct {
+	*Sampler
+	w *windowWatch
+}
+
+func (s windowSampler) sample(p mc.Program, run MachineRun, sinks ...tso.Sink) ([]byte, tso.Result, error) {
+	s.w.start(run)
+	return s.Sampler.sample(p, run, sinks...)
+}
+
+func (s windowSampler) sampleWitness(p mc.Program, run MachineRun, cover int, sinks ...tso.Sink) ([]byte, tso.Result, bool, error) {
+	s.w.start(run)
+	return s.Sampler.sampleWitness(p, run, cover, sinks...)
+}
+
+// TestStreamWindowBound: while fold holds the first program, the
+// workers start exactly one window of programs' cells, window ×
+// len(Deltas), and no more — the bound that keeps a campaign's memory
+// flat in n. Every machine run reports its cell as it starts, and fold
+// reads the count once the window is full and has stayed held 50 ms
+// more, time for a worker to overrun it if it can. The wait only gives
+// an overrun room to show: the count exceeds the bound only if a worker
+// really overran it.
 func TestStreamWindowBound(t *testing.T) {
 	for _, workers := range []int{1, 3} {
-		var cells atomic.Uint64
-		cfg := obsTestConfig(workers)
-		cfg.Flight = monitor.NewShardedFlight(func() *monitor.Residency {
-			cells.Add(1)
-			return nil
-		}, 0)
-		cfg.Flight.Begin(1)
+		// No cell truncates at this budget, so every cell samples.
+		cfg := Config{Deltas: []int{0, 1}, MachSeeds: 1, MaxStates: mc.DefaultMaxStates, CrossCheckStates: -1, Workers: workers}
 		_, window := cfg.Parallelism()
+		w := &windowWatch{held: true, cells: map[[2]int64]bool{}, limit: window * len(cfg.Deltas), full: make(chan struct{})}
+		withSampler(t, func() sampler { return windowSampler{NewSampler(), w} })
 		n := 2*window + 5
-		programs := func() uint64 { return cells.Load() / uint64(len(cfg.Deltas)) }
-
-		release := make(chan struct{})
-		type outcome struct {
-			done   int
-			folded int
-			err    error
-		}
-		out := make(chan outcome, 1)
-		go func() {
-			folded := 0
-			done, err := Stream(nil, cfg, n, 1, func(Report) bool {
-				if folded == 0 {
-					<-release
+		folded := 0
+		done, err := Stream(nil, cfg, n, 1, func(Report) bool {
+			if folded == 0 {
+				select {
+				case <-w.full:
+					time.Sleep(50 * time.Millisecond)
+				case <-time.After(time.Minute):
 				}
-				folded++
-				return true
-			})
-			out <- outcome{done, folded, err}
-		}()
-
-		deadline := time.Now().Add(time.Minute)
-		for programs() < uint64(window) {
-			if time.Now().After(deadline) {
-				t.Fatalf("workers=%d: only %d programs checked, want %d", workers, programs(), window)
+				w.mu.Lock()
+				started := len(w.cells)
+				w.held = false
+				w.mu.Unlock()
+				if started != w.limit {
+					t.Errorf("workers=%d: %d cells started while the first program was held, want exactly %d programs' %d", workers, started, window, w.limit)
+				}
 			}
-			time.Sleep(time.Millisecond)
-		}
-		// Give the workers time to overrun the window if they could.
-		time.Sleep(50 * time.Millisecond)
-		if got := cells.Load(); got != uint64(window*len(cfg.Deltas)) {
-			t.Errorf("workers=%d: %d cells checked while fold blocked, want exactly %d programs' %d", workers, got, window, window*len(cfg.Deltas))
-		}
-		close(release)
-		res := <-out
-		if res.err != nil || res.done != n || res.folded != n {
-			t.Errorf("workers=%d: done=%d folded=%d err=%v, want %d folded", workers, res.done, res.folded, res.err, n)
+			folded++
+			return true
+		})
+		if err != nil || done != n || folded != n {
+			t.Errorf("workers=%d: done=%d folded=%d err=%v, want %d folded", workers, done, folded, err, n)
 		}
 	}
 }

@@ -125,8 +125,11 @@ func TestAdaptedFFHPWithoutTicksMakesNoProgress(t *testing.T) {
 
 func TestAdaptedFFHPConcurrentChurnSafe(t *testing.T) {
 	// Random list churn, plain TSO + ticks, adapted reclamation: no
-	// violations, reclamation progresses.
-	for seed := int64(0); seed < 4; seed++ {
+	// violations, reclamation progresses. A thread reclaims only once
+	// it has retired h+4 objects, which churn alone may not reach, so
+	// each thread ends by waiting out three tick periods (every store
+	// retired before then is visible) and reclaiming once.
+	for seed := int64(0); seed < 16; seed++ {
 		const threads = 3
 		m, board := newAdaptedMachine(seed, threads, 8_000_000)
 		alloc := NewAllocator(m, 256, nodeWords)
@@ -152,6 +155,8 @@ func TestAdaptedFFHPConcurrentChurnSafe(t *testing.T) {
 				for i := 0; i < 3; i++ {
 					hp.Clear(th, i)
 				}
+				th.WaitUntil(th.Clock() + 3*adaptedPeriod)
+				hp.Reclaim(th)
 			})
 		}
 		res := m.Run()

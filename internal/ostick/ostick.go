@@ -13,7 +13,7 @@
 package ostick
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync/atomic"
 	"time"
 
@@ -56,7 +56,7 @@ func NewBoard(cores int, period time.Duration) *Board {
 
 func (b *Board) run() {
 	defer close(b.done)
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewPCG(1, 0))
 	// Stamp cores at staggered offsets within each period: real per-core
 	// timers are not phase-aligned.
 	for {
@@ -67,7 +67,7 @@ func (b *Board) run() {
 		}
 		for i := range b.slots {
 			// Jitter each core's stamp by up to 10% of the period.
-			j := time.Duration(rng.Int63n(int64(b.period)/10 + 1))
+			j := time.Duration(rng.Int64N(int64(b.period)/10 + 1))
 			b.slots[i].t.Store(vclock.Now() - int64(j))
 		}
 		b.ticks.Add(1)

@@ -1,7 +1,7 @@
 package quiesce
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"tbtso/internal/obs"
@@ -34,7 +34,7 @@ type BailoutResult struct {
 // wants "a timeout that expires rarely") that the common case is
 // untouched.
 func WithBailout(p Params, pl Placement, load Load, samples int, tau time.Duration, contenders, hwThreads int) BailoutResult {
-	rng := rand.New(rand.NewSource(p.Seed ^ 0xb417))
+	rng := rand.New(rand.NewPCG(uint64(p.Seed^0xb417), 0))
 	h := obs.NewHistogram(nsBuckets())
 	res := BailoutResult{Tau: tau, Samples: samples, DeltaBudget: EstimateDelta(p, hwThreads)}
 	var bailouts *obs.Counter
@@ -57,7 +57,7 @@ func WithBailout(p Params, pl Placement, load Load, samples int, tau time.Durati
 			if bailouts != nil {
 				bailouts.Inc()
 			}
-			q := 1 + rng.Intn(contenders)
+			q := 1 + rng.IntN(contenders)
 			lat = tau + time.Duration(q)*p.ServiceTime
 		}
 		h.Observe(int64(lat))

@@ -22,7 +22,7 @@
 package quiesce
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"time"
 
 	"tbtso/internal/obs"
@@ -71,7 +71,7 @@ type Fig4Point struct {
 // system-wide) for rounds rounds each, and reports the average and max
 // per-operation latency alongside the uncontended normal-atomic cost.
 func QuiescenceLatency(p Params, threads, rounds int) Fig4Point {
-	rng := rand.New(rand.NewSource(p.Seed + int64(threads)))
+	rng := rand.New(rand.NewPCG(uint64(p.Seed+int64(threads)), 0))
 	jitter := func(d time.Duration) time.Duration {
 		// ±10% deterministic jitter.
 		f := 0.9 + 0.2*rng.Float64()
@@ -187,7 +187,7 @@ func transferCost(pl Placement) time.Duration {
 // pl and load only, so every caller with the same arguments draws the
 // same samples.
 func visibilitySampler(p Params, pl Placement, load Load) func() time.Duration {
-	rng := rand.New(rand.NewSource(p.Seed ^ int64(pl)<<8 ^ int64(load)<<16))
+	rng := rand.New(rand.NewPCG(uint64(p.Seed^int64(pl)<<8^int64(load)<<16), 0))
 	spikeProb := 0.0005
 	maxSpike := 8 * time.Microsecond
 	if load == LoadStream {

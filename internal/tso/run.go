@@ -131,17 +131,17 @@ func (m *Machine) finish() Result {
 //
 // RNG draw stream (documented because replay artifacts and the pinning
 // tests depend on it): per tick the scheduler consumes, in order,
-// (1) one Intn(2) coin per nonempty, lock-free, not-yet-drained buffer
-// when the policy is DrainRandom; (2) the scheduling permutation — the
-// exact draw sequence of rand.Perm(threads), i.e. one Intn(i+1) per
-// thread index; (3) one Float64 stall draw per grant attempt when
-// StallProb > 0 (locked RMW continuations are exempt). Draws that
-// cannot matter are skipped: when StallProb == 0 and the policy is not
-// DrainRandom, the permutation is the tick's only consumer, so ticks
-// with fewer than two grantable instructions skip it entirely — order
-// among fewer than two candidates is immaterial, and with no other
-// consumers no later draw's stream position shifts. Configurations
-// with random drains or stalls keep the historical stream bit-for-bit
+// (1) one IntN(2) coin per nonempty, lock-free, not-yet-drained buffer
+// when the policy is DrainRandom; (2) the scheduling permutation, a
+// Fisher–Yates shuffle drawing IntN(i+1) for i = threads-1 down to 1;
+// (3) one Float64 stall draw per grant attempt when StallProb > 0
+// (locked RMW continuations are exempt). Draws that cannot matter are
+// skipped: when StallProb == 0 and the policy is not DrainRandom, the
+// permutation is the tick's only consumer, so ticks with fewer than
+// two grantable instructions skip it entirely — order among fewer than
+// two candidates is immaterial, and with no other consumers no later
+// draw's stream position shifts. With random drains or stalls every
+// draw above is taken, so the stream per seed is fixed
 // (TestRandomPolicySeedStreamPinned, TestStallSeedStreamPinned).
 func (m *Machine) tick() {
 	for i := range m.drained {
@@ -175,15 +175,16 @@ func (m *Machine) tick() {
 	}
 }
 
-// permute refills the reusable scheduling permutation with exactly the
-// algorithm (and therefore the RNG draw sequence) of rand.Perm, minus
-// its allocation.
+// permute refills the reusable scheduling permutation with a uniform
+// random order of the threads (Fisher–Yates), without allocating.
 func (m *Machine) permute() []int {
 	p := m.perm
 	for i := range p {
-		j := m.rng.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
+		p[i] = i
+	}
+	for i := len(p) - 1; i > 0; i-- {
+		j := m.rng.IntN(i + 1)
+		p[i], p[j] = p[j], p[i]
 	}
 	return p
 }
@@ -276,7 +277,7 @@ func (m *Machine) policyDrains() {
 		case DrainEager:
 			// fall through to drain
 		case DrainRandom:
-			if m.rng.Intn(2) == 0 {
+			if m.rng.IntN(2) == 0 {
 				continue
 			}
 		case DrainAdversarial:

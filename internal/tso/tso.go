@@ -30,7 +30,7 @@ package tso
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -286,14 +286,14 @@ type Machine struct {
 	holder   int // memory subsystem lock holder; -1 if free
 	clock    uint64
 	rng      *rand.Rand
-	src      fastSource // rng's source: stdlib-identical stream, fast re-seeding
-	n        int        // thread count of the current run (either engine)
+	src      rand.PCG // rng's source, reseeded in place (O(1)) by every Reset
+	n        int      // thread count of the current run (either engine)
 	threads  []*threadState
 	itr      []progThread // direct-execution engine thread states
 	pending  []*request
 	done     []bool   // whether thread's program has finished
 	drained  []bool   // whether thread's action this tick was a dequeue
-	perm     []int    // reusable scheduler permutation (same draws as rand.Perm)
+	perm     []int    // reusable scheduler permutation
 	names    []string // cached "T0","T1",... for ExecProgram's RunObservers
 	next     Addr     // bump allocator for AllocWords
 	stats    Stats
@@ -342,7 +342,7 @@ func (m *Machine) Reset(cfg Config) {
 	}
 	m.holder = -1
 	m.clock = 0
-	m.rng.Seed(cfg.Seed)
+	m.src.Seed(uint64(cfg.Seed), 0)
 	m.threads = m.threads[:0]
 	m.n = 0
 	m.next = 1 // address 0 reserved as an obvious "null"

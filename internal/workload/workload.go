@@ -6,7 +6,7 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"runtime"
 	"time"
 
@@ -65,7 +65,8 @@ func RoleOf(mix Mix, tid int) Role {
 }
 
 // KeyGen generates uniform random keys from a universe, deterministic
-// per seed. Not safe for concurrent use; give each worker its own.
+// per seed (a PCG stream, math/rand/v2). Not safe for concurrent use;
+// give each worker its own.
 type KeyGen struct {
 	rng *rand.Rand
 	u   uint64
@@ -73,7 +74,7 @@ type KeyGen struct {
 
 // NewKeyGen returns a generator over [0, universe).
 func NewKeyGen(universe uint64, seed int64) *KeyGen {
-	return NewKeyGenFrom(rand.New(rand.NewSource(seed)), universe)
+	return NewKeyGenFrom(rand.New(rand.NewPCG(uint64(seed), 0)), universe)
 }
 
 // NewKeyGenFrom returns a generator over [0, universe) drawing from
@@ -84,7 +85,7 @@ func NewKeyGenFrom(rng *rand.Rand, universe uint64) *KeyGen {
 
 // Next returns the next key.
 func (g *KeyGen) Next() uint64 {
-	return uint64(g.rng.Int63n(int64(g.u)))
+	return g.rng.Uint64N(g.u)
 }
 
 // Partition returns updater tid's owned key slice [lo, hi): updaters
@@ -147,7 +148,7 @@ func (w *Weighted) Next() int {
 	if w.total == 0 {
 		return 0
 	}
-	n := w.rng.Intn(w.total)
+	n := w.rng.IntN(w.total)
 	for i, x := range w.weights {
 		if n < x {
 			return i
@@ -167,7 +168,7 @@ type Interarrival struct {
 
 // NewInterarrival returns a generator.
 func NewInterarrival(mean time.Duration, seed int64) *Interarrival {
-	return &Interarrival{rng: rand.New(rand.NewSource(seed)), mean: float64(mean)}
+	return &Interarrival{rng: rand.New(rand.NewPCG(uint64(seed), 0)), mean: float64(mean)}
 }
 
 // Next draws the next delay.
