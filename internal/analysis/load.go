@@ -26,9 +26,9 @@ type Package struct {
 // Loader loads and type-checks packages of the enclosing Go module
 // from source, resolving module-internal imports itself (lazily, with
 // cycle detection) and delegating everything else to the toolchain's
-// export-data importer, with the slower source importer as a fallback.
-// All packages share one FileSet and one type-identity universe, which
-// is what lets the checks compare types.Object values across packages.
+// export-data importer. All packages share one FileSet and one
+// type-identity universe, which is what lets the checks compare
+// types.Object values across packages.
 type Loader struct {
 	ModuleRoot string // directory containing go.mod
 	ModulePath string // module path declared in go.mod
@@ -37,7 +37,6 @@ type Loader struct {
 	pkgs    map[string]*Package // by import path
 	loading map[string]bool     // import-cycle detection
 	gc      types.Importer      // export-data importer for non-module packages
-	src     types.Importer      // source importer fallback
 }
 
 // NewLoader locates the module containing dir (walking up to go.mod)
@@ -73,15 +72,13 @@ func NewLoader(dir string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("analysis: no module line in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		ModuleRoot: root,
 		ModulePath: modPath,
-		fset:       fset,
+		fset:       token.NewFileSet(),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 		gc:         importer.Default(),
-		src:        importer.ForCompiler(fset, "source", nil),
 	}, nil
 }
 
@@ -101,11 +98,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	tp, err := l.gc.Import(path)
-	if err != nil {
-		tp, err = l.src.Import(path)
-	}
-	return tp, err
+	return l.gc.Import(path)
 }
 
 // dirFor maps a module-internal import path to its directory.

@@ -137,7 +137,7 @@ func Figure4(o Options) *report.Table {
 			break
 		}
 		pt := quiesce.QuiescenceLatency(p, n, rounds)
-		t.AddRow(n, pt.QuiesceAvg, pt.QuiesceMax, pt.NormalAvg, fmt.Sprintf("%.0f×", pt.SlowdownVsN))
+		t.AddRow(n, pt.QuiesceAvg, pt.QuiesceMax, pt.NormalOp, fmt.Sprintf("%.0f×", pt.SlowdownVsN))
 	}
 	t.AddNote("paper: ≈5 µs per quiescer, ≈600× a normal op, near-linear growth to ≈400 µs at 80 threads")
 	return o.markInterrupted(t)

@@ -82,7 +82,7 @@ func TestEngineEquivalenceStall(t *testing.T) {
 	s := NewSampler()
 	for seed := int64(1); seed <= 30; seed++ {
 		p := Gen(GenConfig{}, seed)
-		cfg := tso.Config{Delta: 4, DrainMargin: 1, Policy: tso.DrainRandom, Seed: seed, StallProb: 0.3}
+		cfg := tso.Config{Delta: 4, Policy: tso.DrainRandom, Seed: seed, StallProb: 0.3}
 
 		outI, resI, err := s.Exec(p, cfg)
 		if err != nil {

@@ -52,21 +52,12 @@ func CoverDelta(p mc.Program, machDelta uint64) int {
 // on either engine — keeping the two construction sites identical is
 // part of the engine-equivalence argument (docs/PERF.md).
 func machineConfig(run MachineRun, sinks []tso.Sink) tso.Config {
-	cfg := tso.Config{
+	return tso.Config{
 		Delta:  run.Delta,
 		Policy: run.Policy,
 		Seed:   run.Seed,
 		Sinks:  sinks,
 	}
-	if run.Delta > 0 {
-		// Force dequeues as late as the bound allows (margin 1) so
-		// small Δ actually exercises buffering; the default margin of
-		// 16 would make Δ ≤ 16 behave like an eager write-through
-		// machine. Forced drains ignore the memory lock, so a margin
-		// of 1 cannot overrun the bound.
-		cfg.DrainMargin = 1
-	}
-	return cfg
 }
 
 // Sampler is a reusable direct-execution context: one clocked machine

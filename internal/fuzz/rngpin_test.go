@@ -13,7 +13,10 @@ var pinGen = flag.Bool("pin.gen", false, "print the rngpin golden table instead 
 // pinGolden is DrainRandom's (seed → ticks, outcome) table, captured
 // on the math/rand/v2 PCG stream by TestPinGoldenGenerate. Most of its
 // programs have one outcome under every schedule, so the run's tick
-// count is pinned too: it moves with every drain coin.
+// count is pinned too: it moves with every drain coin. Seeds 71 (three
+// threads) and 120 (four) are there for the scheduling permutation:
+// with two threads every Fisher–Yates order draws alike, and on these
+// two the order of its draws decides ticks and outcome.
 type pinEntry struct {
 	progSeed int64
 	delta    uint64
@@ -71,6 +74,14 @@ var pinGolden = []pinEntry{
 	{61, 0, 7, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
 	{61, 3, 1, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
 	{61, 3, 7, 7, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0"},
+	{71, 0, 1, 7, "T0:r0=0 T0:r1=3 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=2 T1:r2=0 T1:r3=3 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{71, 0, 7, 8, "T0:r0=2 T0:r1=3 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=2 T1:r2=0 T1:r3=3 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{71, 3, 1, 8, "T0:r0=0 T0:r1=4 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=0 T1:r3=3 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{71, 3, 7, 8, "T0:r0=2 T0:r1=4 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=3 T1:r2=0 T1:r3=3 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0"},
+	{120, 0, 1, 7, "T0:r0=0 T0:r1=0 T0:r2=6 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=0 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
+	{120, 0, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=6 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
+	{120, 3, 1, 7, "T0:r0=0 T0:r1=0 T0:r2=6 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=0 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=3 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
+	{120, 3, 7, 6, "T0:r0=0 T0:r1=0 T0:r2=0 T0:r3=0 T1:r0=0 T1:r1=0 T1:r2=3 T1:r3=0 T2:r0=0 T2:r1=0 T2:r2=6 T2:r3=0 T3:r0=0 T3:r1=0 T3:r2=0 T3:r3=0"},
 }
 
 // pinRun executes one DrainRandom machine sample exactly the way the
@@ -114,7 +125,7 @@ func TestPinGoldenGenerate(t *testing.T) {
 	if !*pinGen {
 		t.Skip("pass -pin.gen to print the golden table")
 	}
-	for _, progSeed := range []int64{18, 22, 23, 26, 27, 30, 35, 43, 51, 54, 59, 61} {
+	for _, progSeed := range []int64{18, 22, 23, 26, 27, 30, 35, 43, 51, 54, 59, 61, 71, 120} {
 		for _, delta := range []uint64{0, 3} {
 			for _, machSeed := range []int64{1, 7} {
 				ticks, out := pinRun(t, progSeed, delta, machSeed)

@@ -77,9 +77,9 @@ func NewFFBL(m *tso.Machine, delta uint64, echo bool) *FFBL {
 }
 
 // NewFFBLAdapted allocates the §6.2 adapted variant: the non-owner
-// establishes visibility from the time array A at `board` (the
-// machine's Config.TickBoard, threads entries) instead of a Δ bound.
-// Sound on a plain-TSO machine with TickPeriod set.
+// establishes visibility from the time array A at `board` (the base
+// given to the machine's SetTickBoard, threads entries) instead of a Δ
+// bound. Sound on a plain-TSO machine with TickPeriod set.
 func NewFFBLAdapted(m *tso.Machine, board tso.Addr, threads int, echo bool) *FFBL {
 	return &FFBL{
 		flag0:   m.AllocWords(1),

@@ -22,9 +22,9 @@ const (
 	// on TSO and exists to demonstrate the failure FFHP prevents.
 	HPUnsafe
 	// HPAdapted is the §6.2 x86 adaptation: no fence, and reclamation
-	// establishes visibility from the OS time array A (the machine's
-	// Config.TickBoard) instead of a Δ bound — sound on plain TSO as
-	// long as the periodic timer interrupts run.
+	// establishes visibility from the OS time array A (the base given
+	// to the machine's SetTickBoard) instead of a Δ bound — sound on
+	// plain TSO as long as the periodic timer interrupts run.
 	HPAdapted
 	// HPNone performs no protection at all: traversals are bare reads
 	// with no publication and no validation. Safe only for workloads
@@ -101,7 +101,7 @@ type HPDomain struct {
 func (d *HPDomain) SetScanDescending(on bool) { d.scanDescending = on }
 
 // SetBoard installs the OS time array's base address for HPAdapted
-// mode; the machine must be configured with the same TickBoard.
+// mode; the machine's SetTickBoard must be given the same base.
 func (d *HPDomain) SetBoard(board tso.Addr) { d.board = board }
 
 // NewHPDomain creates a domain for `threads` threads with k hazard

@@ -39,6 +39,22 @@ func TestQuiescenceDeterministic(t *testing.T) {
 	}
 }
 
+// TestSlowdownDividesByCalibratedNormalOp: Figure 4's normal-atomic
+// column is the calibrated constant at every thread and round count,
+// so the slowdown column moves only with the quiescence latency.
+func TestSlowdownDividesByCalibratedNormalOp(t *testing.T) {
+	p := DefaultParams()
+	for _, threads := range []int{1, 2, 4, 32, 80} {
+		for _, rounds := range []int{100, 400} {
+			pt := QuiescenceLatency(p, threads, rounds)
+			if pt.NormalOp != p.NormalOp || pt.SlowdownVsN != float64(pt.QuiesceAvg)/float64(p.NormalOp) {
+				t.Fatalf("%d threads, %d rounds: normal %v slowdown %v, want %v and %v",
+					threads, rounds, pt.NormalOp, pt.SlowdownVsN, p.NormalOp, float64(pt.QuiesceAvg)/float64(p.NormalOp))
+			}
+		}
+	}
+}
+
 func TestStoreVisibilityTail(t *testing.T) {
 	p := DefaultParams()
 	for _, pl := range []Placement{PlacementSMT, PlacementSameSocket, PlacementCrossSocket} {

@@ -15,7 +15,7 @@ import (
 func TestGoroutineEngineZeroAllocPerOp(t *testing.T) {
 	perRun := func(ops int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			m := New(Config{Delta: 4, DrainMargin: 1})
+			m := New(Config{Delta: 4})
 			a := m.AllocWords(2)
 			for th := 0; th < 2; th++ {
 				m.Spawn("w", func(t *Thread) {
@@ -51,7 +51,7 @@ func TestInterpSteadyStateZeroAlloc(t *testing.T) {
 		{mc.St(2, 5), mc.Ld(1, 0), mc.St(3, 9), mc.Ld(3, 1)},
 	}}
 	regs := [][]int{make([]int, 2), make([]int, 2)}
-	cfg := Config{Delta: 4, DrainMargin: 1, Policy: DrainRandom, Seed: 42}
+	cfg := Config{Delta: 4, Policy: DrainRandom, Seed: 42}
 
 	m := New(cfg)
 	m.AllocWords(4)
@@ -70,9 +70,8 @@ func TestInterpSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestPeekWordNeverAllocated pins PeekWord's post-run safety contract
-// on both engines: addresses that were never allocated — beyond the
-// dense region and absent from the overflow map — read as zero, no
-// panic, even on a machine whose overflow map was never created.
+// on both engines: addresses no AllocWords call covered read as zero,
+// no panic.
 func TestPeekWordNeverAllocated(t *testing.T) {
 	// Goroutine engine.
 	m := New(Config{})

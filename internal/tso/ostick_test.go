@@ -62,6 +62,21 @@ func TestTickBoardStamped(t *testing.T) {
 	if m.PeekWord(board+1) == 0 {
 		t.Fatal("A[1] never stamped")
 	}
+
+	// Reset removes the board: the same run stamps nothing.
+	m.Reset(Config{Policy: DrainAdversarial, TickPeriod: period, Seed: 2})
+	board = m.AllocWords(2)
+	m.Spawn("t0", func(th *Thread) {
+		for i := 0; i < 5*period; i++ {
+			th.Yield()
+		}
+	})
+	if res := m.Run(); res.Err != nil {
+		t.Fatalf("run after Reset: %v", res.Err)
+	}
+	if a0 := m.PeekWord(board); a0 != 0 {
+		t.Fatalf("A[0] = %d after Reset, want 0: the board survived Reset", a0)
+	}
 }
 
 func TestTicksAreStaggered(t *testing.T) {

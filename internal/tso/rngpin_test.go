@@ -9,11 +9,14 @@ import (
 var stallPinGen = flag.Bool("stallpin.gen", false, "print the stall-pin golden tuples instead of checking them")
 
 // stallPinProgram is a small schedule-sensitive workload: two threads
-// race stores and loads over three words while a third fences in the
+// race stores and loads over three words, one of them fencing in the
 // middle, under StallProb > 0 so the scheduler's stall draws are in the
-// RNG stream alongside the permutation and drain-coin draws.
-func stallPinProgram(seed int64) (Result, [4]Word) {
-	m := New(Config{Delta: 4, DrainMargin: 1, Policy: DrainRandom, Seed: seed, StallProb: 0.3})
+// RNG stream alongside the permutation and drain-coin draws. With
+// threads == 3 a third thread races an RMW and two stores into the same
+// words: with two threads every Fisher–Yates order draws alike, so only
+// the three-thread runs see the order of the permutation's draws.
+func stallPinProgram(seed int64, threads int) (Result, [4]Word) {
+	m := New(Config{Delta: 4, Policy: DrainRandom, Seed: seed, StallProb: 0.3})
 	base := m.AllocWords(3)
 	var got [4]Word
 	m.Spawn("w", func(t *Thread) {
@@ -30,6 +33,13 @@ func stallPinProgram(seed int64) (Result, [4]Word) {
 		got[3] = t.Load(base + 2)
 		t.FetchAdd(base, 10)
 	})
+	if threads == 3 {
+		m.Spawn("x", func(t *Thread) {
+			t.Store(base+1, 5)
+			t.FetchAdd(base+2, 100)
+			t.Store(base, 7)
+		})
+	}
 	res := m.Run()
 	return res, got
 }
@@ -41,25 +51,38 @@ func stallPinProgram(seed int64) (Result, [4]Word) {
 // a refactor that adds, drops, or reorders draws in that configuration
 // fails here.
 func TestStallSeedStreamPinned(t *testing.T) {
-	golden := []struct {
+	type pin struct {
 		seed  int64
 		ticks uint64
 		regs  [4]Word
-	}{
+	}
+	golden := []pin{
 		{1, 15, [4]Word{9, 1, 0, 3}},
 		{2, 9, [4]Word{9, 11, 2, 3}},
 		{3, 12, [4]Word{9, 11, 0, 9}},
 		{4, 9, [4]Word{9, 11, 0, 9}},
 		{5, 10, [4]Word{9, 11, 0, 9}},
 	}
-	for _, g := range golden {
-		res, got := stallPinProgram(g.seed)
-		if res.Err != nil {
-			t.Fatalf("seed %d: %v", g.seed, res.Err)
-		}
-		if res.Ticks != g.ticks || got != g.regs {
-			t.Errorf("seed %d: ticks=%d regs=%v, pinned ticks=%d regs=%v",
-				g.seed, res.Ticks, got, g.ticks, g.regs)
+	golden3 := []pin{
+		{1, 20, [4]Word{109, 17, 0, 109}},
+		{2, 12, [4]Word{109, 7, 5, 109}},
+		{3, 10, [4]Word{109, 17, 5, 109}},
+		{4, 10, [4]Word{109, 7, 5, 109}},
+		{5, 9, [4]Word{109, 17, 2, 3}},
+	}
+	for _, tc := range []struct {
+		threads int
+		table   []pin
+	}{{2, golden}, {3, golden3}} {
+		for _, g := range tc.table {
+			res, got := stallPinProgram(g.seed, tc.threads)
+			if res.Err != nil {
+				t.Fatalf("%d threads, seed %d: %v", tc.threads, g.seed, res.Err)
+			}
+			if res.Ticks != g.ticks || got != g.regs {
+				t.Errorf("%d threads, seed %d: ticks=%d regs=%v, pinned ticks=%d regs=%v",
+					tc.threads, g.seed, res.Ticks, got, g.ticks, g.regs)
+			}
 		}
 	}
 }
@@ -70,8 +93,11 @@ func TestStallPinGenerate(t *testing.T) {
 	if !*stallPinGen {
 		t.Skip("pass -stallpin.gen to print the golden tuples")
 	}
-	for seed := int64(1); seed <= 5; seed++ {
-		res, got := stallPinProgram(seed)
-		fmt.Printf("{%d, %d, [4]Word{%d, %d, %d, %d}},\n", seed, res.Ticks, got[0], got[1], got[2], got[3])
+	for _, threads := range []int{2, 3} {
+		fmt.Printf("%d threads:\n", threads)
+		for seed := int64(1); seed <= 5; seed++ {
+			res, got := stallPinProgram(seed, threads)
+			fmt.Printf("{%d, %d, [4]Word{%d, %d, %d, %d}},\n", seed, res.Ticks, got[0], got[1], got[2], got[3])
+		}
 	}
 }

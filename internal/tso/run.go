@@ -229,8 +229,8 @@ func (m *Machine) osTicks() {
 			m.commitOldest(i, CauseInterrupt)
 		}
 		m.drained[i] = true // the interrupt consumed this thread's slot
-		if m.cfg.TickBoard != 0 {
-			m.memStore(m.cfg.TickBoard+Addr(i), Word(m.clock))
+		if m.board != 0 {
+			m.memStore(m.board+Addr(i), Word(m.clock))
 		}
 	}
 }
@@ -241,19 +241,19 @@ func (m *Machine) lockFreeFor(i int) bool {
 	return m.holder == -1 || m.holder == i
 }
 
-// forcedDrains dequeues stores whose Δ deadline is near. The machine
-// starts forcing DrainMargin ticks early, and — unlike voluntary
-// dequeues — forced dequeues ignore the memory subsystem lock: the lock
-// is a modeling device for RMW atomicity, and on real hardware another
-// core's store buffer drains into its own cache regardless of a LOCK
-// operation elsewhere. Allowing the dequeue strictly reduces observable
-// reordering and keeps the Δ bound exact; the commit-time check in
-// commitOldest verifies the bound actually held.
+// forcedDrains dequeues every oldest store that has been buffered
+// max(Δ−1, 1) ticks, so it commits within Δ and an adversarial store
+// stays buffered exactly that long. Unlike voluntary dequeues, forced
+// dequeues ignore the memory subsystem lock: the lock is a modeling
+// device for RMW atomicity, and on real hardware another core's store
+// buffer drains into its own cache regardless of a LOCK operation
+// elsewhere. No hold time can therefore delay a forced commit; the
+// commit-time check in commitOldest verifies the bound held.
 func (m *Machine) forcedDrains() {
 	if m.cfg.Delta == 0 {
 		return
 	}
-	trigger := m.cfg.Delta - m.cfg.DrainMargin
+	trigger := max(m.cfg.Delta-1, 1)
 	for i := range m.sb {
 		if m.sb[i].size() == 0 {
 			continue

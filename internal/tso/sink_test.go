@@ -77,8 +77,20 @@ func TestDrainCausesSumToCommits(t *testing.T) {
 // TestDrainCauseAttribution checks that specific configurations route
 // commits to the causes the model says they must.
 func TestDrainCauseAttribution(t *testing.T) {
-	// Adversarial + Δ: drains are Δ-forced (or fence/RMW/final), never policy.
-	res := mixedWorkload(Config{Delta: 30, Policy: DrainAdversarial, Seed: 1}).Run()
+	// Adversarial + Δ: drains are Δ-forced (or fence/RMW/final), never
+	// policy. Premise: without the bound, some store stays buffered at
+	// least Δ−1 ticks (the run is the same up to that tick), so the
+	// bound must force it.
+	const delta = 20
+	unbounded := mixedWorkload(Config{Policy: DrainAdversarial, Seed: 1}).Run()
+	if unbounded.Err != nil {
+		t.Fatal(unbounded.Err)
+	}
+	if unbounded.Stats.MaxCommitLatency < delta-1 {
+		t.Fatalf("premise: unbounded run buffers a store at most %d ticks, below Δ−1 = %d",
+			unbounded.Stats.MaxCommitLatency, delta-1)
+	}
+	res := mixedWorkload(Config{Delta: delta, Policy: DrainAdversarial, Seed: 1}).Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -44,8 +44,8 @@ func (k EventKind) String() string {
 type DrainCause int
 
 const (
-	// CauseDelta is a dequeue forced by the Δ bound (the store's
-	// deadline was within DrainMargin ticks).
+	// CauseDelta is a dequeue forced by the Δ bound (the store had
+	// been buffered max(Δ−1, 1) ticks).
 	CauseDelta DrainCause = iota
 	// CausePolicy is a voluntary dequeue per the configured DrainPolicy.
 	CausePolicy

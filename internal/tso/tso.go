@@ -119,12 +119,6 @@ type Config struct {
 	// semantics, Intel SDM §11.10). Interrupts are phase-staggered
 	// across threads as real per-core timers are.
 	TickPeriod uint64
-	// TickBoard, if nonzero (with TickPeriod set), is the base address
-	// of the §6.2 time array A: when thread i's timer interrupt fires,
-	// the OS writes the current clock directly to TickBoard+i. Adapted
-	// algorithms read A to establish store visibility. Allocate the
-	// array with AllocWords(#threads) before Run.
-	TickBoard Addr
 	// Policy selects the voluntary drain behaviour.
 	Policy DrainPolicy
 	// Seed drives the deterministic scheduler.
@@ -137,11 +131,6 @@ type Config struct {
 	// modeling asynchronous delays (e.g. the thread being scheduled
 	// out). Drains forced by Δ still happen. Zero disables stalls.
 	StallProb float64
-	// DrainMargin is how many ticks before the Δ deadline the machine
-	// begins forcing a dequeue, so that short memory-lock hold times
-	// cannot push a commit past the deadline. Zero selects
-	// DefaultDrainMargin. Ignored when Delta is zero.
-	DrainMargin uint64
 	// ParallelDrains, if true, lets voluntary and forced dequeues
 	// proceed WITHOUT consuming the thread's one action for the tick.
 	// The paper's abstract machine charges the dequeue as the thread's
@@ -159,9 +148,6 @@ type Config struct {
 
 // DefaultMaxTicks is used when Config.MaxTicks is zero.
 const DefaultMaxTicks = 2_000_000
-
-// DefaultDrainMargin is used when Config.DrainMargin is zero.
-const DefaultDrainMargin = 16
 
 // DrainStats breaks the run's commits down by drain cause, indexed by
 // DrainCause. Every commit has exactly one cause, so the entries sum
@@ -194,9 +180,12 @@ var (
 	// ErrMaxTicks reports that the run was aborted at Config.MaxTicks.
 	ErrMaxTicks = errors.New("tso: clock passed MaxTicks before all threads finished")
 	// ErrDeltaViolated reports that a store stayed buffered for more
-	// than Δ ticks, which means DrainMargin was too small for the
-	// program's memory-lock hold times.
-	ErrDeltaViolated = errors.New("tso: store commit exceeded the Δ bound (increase DrainMargin)")
+	// than Δ ticks. Forced drains make this impossible; the commit-time
+	// check stays as the invariant that proves it.
+	ErrDeltaViolated = errors.New("tso: store commit exceeded the Δ bound")
+	// ErrUnallocated reports that the run wrote a word no AllocWords
+	// call covered.
+	ErrUnallocated = errors.New("tso: store to an address outside AllocWords memory")
 )
 
 // errHalted is the sentinel panic value used to unwind thread goroutines
@@ -280,8 +269,8 @@ type threadState struct {
 // store buffers and scheduler scratch across an entire campaign.
 type Machine struct {
 	cfg      Config
-	mem      []Word        // dense machine memory, grown by AllocWords
-	memOv    map[Addr]Word // fallback for addresses never covered by AllocWords
+	mem      []Word // machine memory: word 0, then every AllocWords in order
+	board    Addr   // §6.2 time array A's base address; 0 when none (SetTickBoard)
 	sb       []storeBuf
 	holder   int // memory subsystem lock holder; -1 if free
 	clock    uint64
@@ -295,7 +284,6 @@ type Machine struct {
 	drained  []bool   // whether thread's action this tick was a dequeue
 	perm     []int    // reusable scheduler permutation
 	names    []string // cached "T0","T1",... for ExecProgram's RunObservers
-	next     Addr     // bump allocator for AllocWords
 	stats    Stats
 	sinks    []Sink
 	halted   chan struct{}
@@ -326,17 +314,9 @@ func (m *Machine) Reset(cfg Config) {
 	if cfg.MaxTicks == 0 {
 		cfg.MaxTicks = DefaultMaxTicks
 	}
-	if cfg.DrainMargin == 0 {
-		cfg.DrainMargin = DefaultDrainMargin
-	}
-	if cfg.Delta > 0 && cfg.DrainMargin >= cfg.Delta {
-		cfg.DrainMargin = cfg.Delta / 2
-	}
 	m.cfg = cfg
-	for i := range m.mem {
-		m.mem[i] = 0
-	}
-	clear(m.memOv)
+	m.mem = append(m.mem[:0], 0) // address 0 reserved as an obvious "null"
+	m.board = 0
 	for i := range m.sb {
 		m.sb[i].reset()
 	}
@@ -345,10 +325,6 @@ func (m *Machine) Reset(cfg Config) {
 	m.src.Seed(uint64(cfg.Seed), 0)
 	m.threads = m.threads[:0]
 	m.n = 0
-	m.next = 1 // address 0 reserved as an obvious "null"
-	if len(m.mem) == 0 {
-		m.mem = make([]Word, 1)
-	}
 	m.stats = Stats{}
 	m.sinks = m.sinks[:0]
 	m.sinks = append(m.sinks, cfg.Sinks...)
@@ -358,26 +334,24 @@ func (m *Machine) Reset(cfg Config) {
 	m.finished = false
 }
 
-// memLoad reads machine memory: the dense array when the address is in
-// range, the overflow map (zero for absent entries) otherwise.
+// memLoad reads machine memory; a word no AllocWords call covered
+// reads as zero.
 func (m *Machine) memLoad(a Addr) Word {
 	if a < Addr(len(m.mem)) {
 		return m.mem[a]
 	}
-	return m.memOv[a]
+	return 0
 }
 
-// memStore writes machine memory, spilling to the overflow map for
-// addresses outside the dense range.
+// memStore writes machine memory. A word no AllocWords call covered,
+// the null word 0 included, has nowhere to go: the run fails with
+// ErrUnallocated.
 func (m *Machine) memStore(a Addr, v Word) {
-	if a < Addr(len(m.mem)) {
+	if a != 0 && a < Addr(len(m.mem)) {
 		m.mem[a] = v
 		return
 	}
-	if m.memOv == nil {
-		m.memOv = make(map[Addr]Word)
-	}
-	m.memOv[a] = v
+	m.fail(ErrUnallocated)
 }
 
 // sizeRun (re)dimensions the per-thread scheduler state for a run with
@@ -406,45 +380,44 @@ func resize[T any](xs []T, n int) []T {
 	return append(xs[:cap(xs)], make([]T, n-cap(xs))...)
 }
 
-// SetTickBoard installs the §6.2 time array's base address (normally
-// obtained from AllocWords after New, which is why this is a setter
-// rather than only a Config field). It may only be called before Run.
+// SetTickBoard installs the base address of the §6.2 time array A
+// (allocate it with AllocWords(#threads) first): when thread i's timer
+// interrupt fires (Config.TickPeriod), the OS writes the current clock
+// directly to board+i. Adapted algorithms read A to establish store
+// visibility. Reset removes the board. It may only be called before
+// Run.
 func (m *Machine) SetTickBoard(board Addr) {
 	if m.started {
 		panic("tso: SetTickBoard after Run")
 	}
-	m.cfg.TickBoard = board
+	m.board = board
 }
 
 // AllocWords reserves n consecutive words of machine memory and returns
-// the address of the first. The reservation extends the machine's dense
-// memory array, so all allocated addresses are slice-indexed on the hot
-// path; only addresses never covered by an allocation fall back to the
-// overflow map. It may only be called before Run.
+// the address of the first. The words allocated so far are the
+// machine's whole memory: loads elsewhere read zero and stores
+// elsewhere fail the run (ErrUnallocated). It may only be called
+// before Run.
 func (m *Machine) AllocWords(n int) Addr {
 	if m.started {
 		panic("tso: AllocWords after Run")
 	}
-	a := m.next
-	m.next += Addr(n)
-	if int(m.next) > len(m.mem) {
-		if int(m.next) <= cap(m.mem) {
-			m.mem = m.mem[:m.next]
-		} else {
-			grown := make([]Word, m.next)
-			copy(grown, m.mem)
-			m.mem = grown
-		}
-	}
-	return a
+	a := len(m.mem)
+	m.mem = resize(m.mem, a+n)
+	clear(m.mem[a:]) // words a prior run left beyond Reset's length
+	return Addr(a)
 }
 
-// SetWord initializes machine memory before the run starts.
+// SetWord initializes machine memory before the run starts. The word
+// must lie in AllocWords memory.
 func (m *Machine) SetWord(a Addr, v Word) {
 	if m.started {
 		panic("tso: SetWord after Run")
 	}
-	m.memStore(a, v)
+	if a == 0 || a >= Addr(len(m.mem)) {
+		panic(fmt.Sprintf("tso: SetWord at %d, outside AllocWords memory", a))
+	}
+	m.mem[a] = v
 }
 
 // PeekWord reads machine memory. It is intended for setup and post-run

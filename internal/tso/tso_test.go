@@ -127,6 +127,81 @@ func TestDeltaBoundForcesVisibility(t *testing.T) {
 	}
 }
 
+// TestForcedDrainRule pins the one forced-drain rule on both engines:
+// an adversarial store that nothing else drains is forced out once it
+// has been buffered max(Δ−1, 1) ticks — no earlier, whatever Δ is.
+func TestForcedDrainRule(t *testing.T) {
+	for _, delta := range []uint64{1, 2, 3, 4, 12, 40, 400} {
+		want := max(delta-1, 1)
+		wait := int(2*delta + 10)
+		cfg := Config{Delta: delta, Policy: DrainAdversarial, Seed: 1}
+
+		g := New(cfg)
+		a := g.AllocWords(1)
+		g.Spawn("w", func(th *Thread) {
+			th.Store(a, 1)
+			th.WaitUntil(th.Clock() + uint64(wait))
+		})
+		resG := g.Run()
+
+		d := New(cfg)
+		prog := mc.Program{Vars: 1, Threads: [][]mc.Op{{mc.St(0, 1), mc.Wait(wait)}}}
+		resD := d.ExecProgram(prog, d.AllocWords(1), nil)
+
+		for name, res := range map[string]Result{"Run": resG, "ExecProgram": resD} {
+			if res.Err != nil {
+				t.Fatalf("Δ=%d %s: %v", delta, name, res.Err)
+			}
+			if res.Stats.MaxCommitLatency != want || res.Stats.Drains[CauseDelta] != 1 {
+				t.Errorf("Δ=%d %s: MaxCommitLatency %d, Δ-forced drains %d; want %d and 1",
+					delta, name, res.Stats.MaxCommitLatency, res.Stats.Drains[CauseDelta], want)
+			}
+		}
+	}
+}
+
+// TestMemoryIsAllocWords: loads outside AllocWords memory read zero,
+// a store there (the null word 0 included) fails the run with
+// ErrUnallocated on both engines, and SetWord there panics. Reset
+// returns the memory to nothing allocated.
+func TestMemoryIsAllocWords(t *testing.T) {
+	g := New(Config{Policy: DrainEager})
+	a := g.AllocWords(1)
+	var got Word
+	g.Spawn("w", func(th *Thread) {
+		got = th.Load(a + 1)
+		th.Store(a+1, 7)
+		th.Fence()
+	})
+	if res := g.Run(); !errors.Is(res.Err, ErrUnallocated) || got != 0 {
+		t.Fatalf("Run: err=%v load=%d, want ErrUnallocated and 0", res.Err, got)
+	}
+
+	d := New(Config{Policy: DrainEager})
+	d.AllocWords(2)
+	d.Reset(Config{Policy: DrainEager})
+	prog := mc.Program{Vars: 2, Threads: [][]mc.Op{{mc.St(1, 7)}}}
+	if res := d.ExecProgram(prog, d.AllocWords(1), nil); !errors.Is(res.Err, ErrUnallocated) {
+		t.Fatalf("ExecProgram after Reset: err=%v, want ErrUnallocated", res.Err)
+	}
+	d.Reset(Config{Policy: DrainEager})
+	d.AllocWords(1)
+	null := mc.Program{Vars: 1, Threads: [][]mc.Op{{mc.St(0, 7)}}}
+	if res := d.ExecProgram(null, 0, nil); !errors.Is(res.Err, ErrUnallocated) {
+		t.Fatalf("ExecProgram storing to word 0: err=%v, want ErrUnallocated", res.Err)
+	}
+
+	m := New(Config{})
+	b := m.AllocWords(1)
+	m.SetWord(b, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetWord outside AllocWords memory did not panic")
+		}
+	}()
+	m.SetWord(b+1, 5)
+}
+
 func TestFenceDrainsBuffer(t *testing.T) {
 	m := New(Config{Policy: DrainAdversarial, Seed: 3})
 	a := m.AllocWords(1)
@@ -265,7 +340,7 @@ func TestMaxTicksAbortsBothEngines(t *testing.T) {
 		{mc.Ld(0, 0), mc.St(1, 2), mc.RMW(0, 3, 1)},
 	}}
 	for _, pol := range []DrainPolicy{DrainEager, DrainRandom, DrainAdversarial} {
-		cfg := Config{Delta: 4, DrainMargin: 1, Policy: pol, Seed: 7, MaxTicks: maxTicks}
+		cfg := Config{Delta: 4, Policy: pol, Seed: 7, MaxTicks: maxTicks}
 
 		var direct collectSink
 		cfg.Sinks = []Sink{&direct}
